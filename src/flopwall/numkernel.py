@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -130,40 +131,54 @@ def _graded_lex_key(exp: Exponent):
 
 
 class MultiPoly:
-    """Multivariate polynomial with exact Fraction coefficients.
+    """Multivariate polynomial with exact rational coefficients.
 
     Terms are a map from exponent tuples to nonzero coefficients; graded
     lexicographic order is used wherever terms are listed, so equal
-    polynomials compare equal structurally.
+    polynomials compare equal structurally.  A coefficient with
+    denominator 1 is stored as an ``int`` and any other as a ``Fraction``;
+    the two compare and hash equal, so the choice is invisible to callers
+    and integer-coefficient arithmetic never builds a Fraction.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = int(nvars)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for {self.nvars} variables")
             coeff = Fraction(coeff)
             if coeff:
-                clean[exp] = coeff
+                clean[exp] = coeff.numerator if coeff.denominator == 1 else coeff
         self.terms = clean
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict) -> "MultiPoly":
+        # Result of a ring operation: exponents are already valid tuples and
+        # coefficients int or Fraction, so only zeros and integral Fractions
+        # need attention.
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = {
+            e: (c if type(c) is int or c.denominator != 1 else c.numerator)
+            for e, c in terms.items()
+            if c
+        }
+        return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        value = Fraction(value)
-        if not value:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     # -- ring operations -------------------------------------------------
     def _coerce(self, other) -> "MultiPoly":
@@ -176,29 +191,37 @@ class MultiPoly:
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         terms = dict(self.terms)
+        get = terms.get
         for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, terms)
+            terms[exp] = get(exp, 0) + coeff
+        return MultiPoly._from_terms(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        terms = dict(self.terms)
+        get = terms.get
+        for exp, coeff in other.terms.items():
+            terms[exp] = get(exp, 0) - coeff
+        return MultiPoly._from_terms(self.nvars, terms)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerce(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict = {}
+        get = terms.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+            for e2, c2 in right:
+                exp = tuple(map(operator.add, e1, e2))
+                terms[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._from_terms(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -220,7 +243,7 @@ class MultiPoly:
         return self.terms == MultiPoly.constant(self.nvars, other).terms
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda t: _graded_lex_key(t[0])))))
+        return hash((self.nvars, tuple(self.sorted_terms())))
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -231,28 +254,28 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(int(e) for e in exp), Fraction(0))
+    def coefficient(self, exp: Sequence[int]):
+        """Coefficient of the monomial ``exp``: an int or a Fraction."""
+        return self.terms.get(tuple(int(e) for e in exp), 0)
 
     def graded_part(self, l: int) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == l})
+        return MultiPoly._from_terms(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == l})
 
     def truncate(self, maxdeg: int) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= maxdeg})
+        return MultiPoly._from_terms(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= maxdeg})
 
     def mul_truncated(self, other: "MultiPoly", maxdeg: int) -> "MultiPoly":
         other = self._coerce(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict = {}
+        get = terms.get
+        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > maxdeg:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > maxdeg:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+            room = maxdeg - sum(e1)
+            for e2, c2, d2 in right:
+                if d2 <= room:
+                    exp = tuple(map(operator.add, e1, e2))
+                    terms[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._from_terms(self.nvars, terms)
 
     def evaluate(self, values: Sequence) -> Fraction:
         if len(values) != self.nvars:
@@ -277,19 +300,6 @@ class MultiPoly:
             mono = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
-
-
-def poly_arith(p: MultiPoly, q: MultiPoly, op: str) -> MultiPoly:
-    """Dispatch exact polynomial arithmetic: op is one of add/sub/mul."""
-    if p.nvars != q.nvars:
-        raise ValueError("variable count mismatch")
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
 
 
 def series_inverse(p: MultiPoly, maxdeg: int) -> MultiPoly:

@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .flopgeom import (
     FixedPointLabel,
@@ -197,30 +196,42 @@ def antisym_lhs_poly(r: int) -> MultiPoly:
     return out
 
 
-def antisym_rhs_poly(r: int) -> MultiPoly:
-    """sum_sigma sgn(sigma) prod_l prod_{j != sigma(l)} (x_j - z_l)."""
-    nv = 2 * r
-    x = [MultiPoly.variable(nv, i) for i in range(r)]
-    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
-    out = MultiPoly.constant(nv, 0)
-    for perm in permutations(range(r)):
-        sign = _perm_sign(perm)
-        term = MultiPoly.constant(nv, sign)
-        for l in range(r):
-            for j in range(r):
-                if j != perm[l]:
-                    term = term * (x[j] - z[l])
-        out = out + term
+def _antisym_q_entry(xs, zs, l: int, j: int, one):
+    """Q_{l,j} = prod_{j' != j} (x_{j'} - z_l), starting the product at ``one``."""
+    out = one
+    for jp, x in enumerate(xs):
+        if jp != j:
+            out = out * (x - zs[l])
     return out
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
+def antisym_rhs_poly(r: int) -> MultiPoly:
+    """sum_sigma sgn(sigma) prod_l prod_{j != sigma(l)} (x_j - z_l), as det Q.
+
+    By the Leibniz formula the signed sum over S_r is the determinant of
+    Q_{l,j} = prod_{j' != j} (x_{j'} - z_l).  It is expanded by Laplace
+    expansion along rows, memoized on the set of remaining columns: the
+    minor on column mask m uses the last popcount(m) rows, so m alone keys
+    it and 2^r minors replace the r! permutation terms.  The tests keep the
+    r! sum as an independent oracle.
+    """
+    nv = 2 * r
+    x = [MultiPoly.variable(nv, i) for i in range(r)]
+    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
+    one = MultiPoly.constant(nv, 1)
+    q = [[_antisym_q_entry(x, z, l, j, one) for j in range(r)] for l in range(r)]
+    minors = {0: one}
+    for mask in range(1, 1 << r):
+        row = r - bin(mask).count("1")
+        det = MultiPoly(nv)
+        sign = 1
+        for j in range(r):
+            if mask >> j & 1:
+                term = q[row][j] * minors[mask ^ (1 << j)]
+                det = det + term if sign > 0 else det - term
                 sign = -sign
-    return sign
+        minors[mask] = det
+    return minors[(1 << r) - 1]
 
 
 def _antisym_lhs_value(xs, zs) -> Fraction:
@@ -233,16 +244,29 @@ def _antisym_lhs_value(xs, zs) -> Fraction:
 
 
 def _antisym_rhs_value(xs, zs) -> Fraction:
+    """det Q at exact rational points, by Gaussian elimination.
+
+    The pivot search takes the first nonzero entry of each column, so a
+    zero entry (some x_j = z_l) or a singular Q needs no special case.
+    """
     r = len(xs)
-    out = Fraction(0)
-    for perm in permutations(range(r)):
-        term = Fraction(_perm_sign(perm))
-        for l in range(r):
-            for j in range(r):
-                if j != perm[l]:
-                    term *= xs[j] - zs[l]
-        out += term
-    return out
+    m = [[_antisym_q_entry(xs, zs, l, j, Fraction(1)) for j in range(r)] for l in range(r)]
+    det = Fraction(1)
+    for c in range(r):
+        p = next((i for i in range(c, r) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        piv = m[c][c]
+        det *= piv
+        for i in range(c + 1, r):
+            f = m[i][c] / piv
+            if f:
+                for k in range(c + 1, r):
+                    m[i][k] -= f * m[c][k]
+    return det
 
 
 @dataclass
@@ -263,7 +287,9 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
 
     Full symbolic expansion for r <= 4 (including the leading-monomial
     coefficient (-1)^{r(r-1)/2} of prod (z_i x_i)^{i-1}); exact rational
-    equality at ``samples`` random points for any r.
+    equality at ``samples`` random points for any r.  Both checks evaluate
+    the right-hand side as the determinant det Q (see ``antisym_rhs_poly``),
+    not as the r! permutation sum, which the tests keep as an oracle.
     """
     symbolic_checked = r <= 4
     symbolic_ok = True

@@ -14,7 +14,6 @@ from flopwall.numkernel import (
     PoleError,
     gamma,
     log_gamma,
-    poly_arith,
     recip_gamma,
     series_inverse,
     sin_over_2i,
@@ -126,14 +125,15 @@ def test_poly_cancellation_and_difference_of_squares():
     assert (x1 - z1) * (x1 + z1) == x1 * x1 - z1 * z1
 
 
-def test_poly_arith_dispatch():
+def test_poly_operators_add_sub_mul():
     p = MultiPoly.variable(1, 0)
     q = MultiPoly.constant(1, Fraction(2, 3))
-    assert poly_arith(p, q, "add") == p + q
-    assert poly_arith(p, q, "sub") == p - q
-    assert poly_arith(p, q, "mul") == p * q
+    assert p + q == MultiPoly(1, {(1,): 1, (0,): Fraction(2, 3)})
+    assert p - q == MultiPoly(1, {(1,): 1, (0,): Fraction(-2, 3)})
+    assert q - p == -(p - q)
+    assert p * q == MultiPoly(1, {(1,): Fraction(2, 3)})
     with pytest.raises(ValueError):
-        poly_arith(p, q, "div")
+        p + MultiPoly.variable(2, 0)
 
 
 def test_s2_antisymmetrized_product_expansion():
@@ -146,6 +146,9 @@ def test_s2_antisymmetrized_product_expansion():
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# int coefficients take the integer fast path; mixing them with non-integral
+# Fractions exercises the int/Fraction boundary in every ring operation
+small_coeffs = st.one_of(st.integers(-5, 5), small_fracs)
 
 
 def _poly_from(values: dict, nv: int) -> MultiPoly:
@@ -156,7 +159,7 @@ poly_strategy = st.builds(
     _poly_from,
     st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
-        small_fracs,
+        small_coeffs,
         max_size=5,
     ),
     st.just(2),
@@ -171,6 +174,10 @@ def test_poly_ring_axioms(p, q, s):
     assert (p + q) + s == p + (q + s)
     assert (p * q) * s == p * (q * s)
     assert p * (q + s) == p * q + p * s
+    assert (p - q) + q == p
+    assert p.mul_truncated(q, 3) == (p * q).truncate(3)
+    for c in (p * q - s).terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 @given(poly_strategy, st.lists(small_fracs, min_size=2, max_size=2))
@@ -187,3 +194,29 @@ def test_series_inverse():
     assert p.mul_truncated(inv, 6) == one
     with pytest.raises(ValueError):
         series_inverse(MultiPoly.variable(2, 0), 3)
+
+
+def test_poly_integral_fraction_coefficients_are_ints():
+    built = MultiPoly(2, {(1, 0): Fraction(3), (0, 2): Fraction(-6, 2)})
+    x, z = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    arith = x * 3 - z * z * 3
+    assert built == arith
+    assert hash(built) == hash(arith)
+    assert hash(MultiPoly(2, {(1, 1): Fraction(1, 2)}) * 2) == hash(x * z)
+    # coefficients compare equal to their Fractions
+    assert arith.coefficient((1, 0)) == Fraction(3)
+    assert arith.coefficient((0, 2)) == Fraction(-3)
+    assert arith.coefficient((1, 1)) == Fraction(0)
+    half = x * Fraction(1, 2)
+    assert half.coefficient((1, 0)) == Fraction(1, 2)
+    assert (half + half).coefficient((1, 0)) == 1
+
+
+def test_series_inverse_nonintegral_constant_is_exact():
+    one = MultiPoly.constant(1, 1)
+    x = MultiPoly.variable(1, 0)
+    p = x + Fraction(2, 3)
+    inv = series_inverse(p, 8)
+    assert p.mul_truncated(inv, 8) == one
+    for k in range(9):
+        assert inv.coefficient((k,)) == Fraction(3, 2) * Fraction(-3, 2) ** k

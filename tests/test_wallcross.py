@@ -19,10 +19,12 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import PoleError, sin_over_2i
+from flopwall.numkernel import MultiPoly, PoleError, sin_over_2i
 from flopwall.wallcross import (
     LocalizedCohClass,
     PsiContext,
+    _antisym_lhs_value,
+    _antisym_rhs_value,
     antisym_identity_check,
     antisym_lhs_poly,
     antisym_rhs_poly,
@@ -198,6 +200,100 @@ def test_antisym_leading_monomial_sign():
 def test_antisym_random_points_r3(seed):
     rep = antisym_identity_check(3, samples=4, seed=seed)
     assert rep.samples_ok
+
+
+# The r! Leibniz sum the engine used to evaluate; it is the independent
+# oracle for the determinant form of the right-hand side.
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _leibniz_rhs(xs, zs, one):
+    r = len(xs)
+    out = one - one
+    for perm in permutations(range(r)):
+        term = one * _perm_sign(perm)
+        for l in range(r):
+            for j in range(r):
+                if j != perm[l]:
+                    term = term * (xs[j] - zs[l])
+        out = out + term
+    return out
+
+
+def _poly_vars(r):
+    nv = 2 * r
+    x = [MultiPoly.variable(nv, i) for i in range(r)]
+    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
+    return x, z, MultiPoly.constant(nv, 1)
+
+
+def _random_point(rng, r):
+    xs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
+    zs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
+    return xs, zs
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_antisym_determinant_matches_leibniz_symbolic(r):
+    x, z, one = _poly_vars(r)
+    assert antisym_rhs_poly(r) == _leibniz_rhs(x, z, one)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_antisym_determinant_matches_leibniz_sampled(r):
+    rng = random.Random(100 + r)
+    for _ in range(4):
+        xs, zs = _random_point(rng, r)
+        assert _antisym_rhs_value(xs, zs) == _leibniz_rhs(xs, zs, F(1))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_antisym_determinant_degenerate_points(r):
+    # x_1 = z_0 zeroes Q_{0,0}, so elimination must search for a pivot;
+    # z_0 = z_1 makes two rows of Q equal and x_0 = x_1 two columns.
+    rng = random.Random(200 + r)
+    xs, zs = _random_point(rng, r)
+    xs[1] = zs[0]
+    pivot = (xs, zs)
+    xs, zs = _random_point(rng, r)
+    rows = (xs, [zs[0], zs[0]] + zs[2:])
+    xs, zs = _random_point(rng, r)
+    cols = ([xs[0], xs[0]] + xs[2:], zs)
+    for xs, zs in (pivot, rows, cols):
+        want = _leibniz_rhs(xs, zs, F(1))
+        assert _antisym_rhs_value(xs, zs) == want == _antisym_lhs_value(xs, zs)
+    assert _antisym_rhs_value(*rows) == 0 and _antisym_rhs_value(*cols) == 0
+    assert _antisym_rhs_value(*pivot) != 0
+
+
+@pytest.mark.parametrize("r", [8, 10])
+def test_antisym_determinant_sampled_large_r(r):
+    rng = random.Random(300 + r)
+    for _ in range(3):
+        xs, zs = _random_point(rng, r)
+        assert _antisym_rhs_value(xs, zs) == _antisym_lhs_value(xs, zs)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_antisym_perturbed_rhs_differs(r):
+    # negative control: moving one z in the right-hand side alone breaks it
+    rng = random.Random(400 + r)
+    xs, zs = _random_point(rng, r)
+    bumped = zs[:-1] + [zs[-1] + F(1, 7)]
+    assert _antisym_rhs_value(xs, bumped) != _antisym_lhs_value(xs, zs)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_antisym_determinant_sign_control(r):
+    # negative control: a determinant with the wrong overall sign must fail
+    assert antisym_rhs_poly(r) != -antisym_lhs_poly(r)
 
 
 # ----------------------------------------------------------------------
