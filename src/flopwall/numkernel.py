@@ -49,6 +49,8 @@ _LANCZOS_C = (
 )
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_TWO = math.log(2.0)
+_PI_I = 1j * math.pi
 
 
 def is_nonpositive_integer(s: complex, tol: float = POLE_TOL) -> bool:
@@ -69,22 +71,35 @@ def _log_gamma_right(s: complex) -> complex:
     return (s - 0.5) * cmath.log(t) - t + _HALF_LOG_TWO_PI + cmath.log(acc)
 
 
+def _one_minus_exp_near_zero(z: complex) -> complex:
+    # 1 - exp(z) without the cancellation of the plain subtraction, for
+    # Re z <= 0: with a = Re z, b = Im z, the real part is the sum of the
+    # non-negative terms 2 exp(a) sin^2(b/2) and -expm1(a).
+    a, b = z.real, z.imag
+    e = math.exp(a)
+    sh, ch = math.sin(0.5 * b), math.cos(0.5 * b)
+    return complex(2.0 * e * sh * sh - math.expm1(a), -2.0 * e * sh * ch)
+
+
 def _log_sin_pi(s: complex) -> complex:
-    # log sin(pi s) with the winding made explicit, so the reflection formula
-    # below yields the principal branch of log Gamma.
+    # log sin(pi s) = +-i pi (1/2 - s) - log 2 + log(1 - exp(+-2 pi i s)),
+    # upper signs for Im s >= 0 so that |exp(...)| <= 1.  The winding term
+    # is explicit, so the reflection formula below yields the principal
+    # branch of log Gamma.  The exponential is taken at f = s - round(Re s),
+    # which leaves it unchanged but drops the rounding error of 2 pi k; where
+    # 1 - exp(...) is small (s near an integer) it is formed without
+    # cancellation.
+    f = s - round(s.real)
     if s.imag >= 0.0:
-        return (
-            -1j * math.pi * s
-            + 1j * math.pi / 2.0
-            - math.log(2.0)
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * s))
-        )
-    return (
-        1j * math.pi * s
-        - 1j * math.pi / 2.0
-        - math.log(2.0)
-        + cmath.log(1.0 - cmath.exp(-2j * math.pi * s))
-    )
+        z = TWO_PI_I * f
+        head = _PI_I * (0.5 - s)
+    else:
+        z = -TWO_PI_I * f
+        head = _PI_I * (s - 0.5)
+    d = 1.0 - cmath.exp(z)
+    if abs(d) < 0.5:
+        d = _one_minus_exp_near_zero(z)
+    return head - _LOG_TWO + cmath.log(d)
 
 
 def log_gamma(s: complex) -> complex:
@@ -254,7 +269,7 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exp: Sequence[int]):
+    def coefficient(self, exp: Sequence[int]) -> int | Fraction:
         """Coefficient of the monomial ``exp``: an int or a Fraction."""
         return self.terms.get(tuple(int(e) for e in exp), 0)
 

@@ -7,7 +7,7 @@ import math
 import mpmath
 import pytest
 
-from flopwall.flopgeom import fixed_point_deltas
+from flopwall.flopgeom import fixed_point_deltas, random_config
 from flopwall.hypergeom import (
     MultiOffsetSeries,
     NonConvergenceError,
@@ -156,6 +156,15 @@ def test_ode_residuals_f_factors(cfg32):
         for k in range(2):
             res = ode_check(cfg32, f_factor_series(cfg32, dp, k, 40), "plus")
             assert res < 1e-10
+
+
+def test_ode_residuals_f_factors_near_gamma_poles():
+    # this instance evaluates 1/Gamma at -38 + 2.9e-5i, where an unreduced
+    # sine reflection lost three digits and the residual reached 1.2e-10
+    cfg = random_config(3, 2, seed="0:1:3:2")
+    for dp in fixed_point_deltas(cfg):
+        for k in range(2):
+            assert ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus") < 1e-11
 
 
 def test_ode_detects_perturbation(cfg21):

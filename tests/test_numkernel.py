@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -112,6 +113,41 @@ def test_log_gamma_principal_branch_matches_oracle():
     for s in (complex(-5.2, 0.3), complex(-5.2, -0.3), complex(-49.5, 22.0), complex(-0.3, -41.0)):
         ref = _loggamma_ref(s)
         assert abs(log_gamma(s) - ref) < 1e-11 * max(1.0, abs(ref))
+
+
+def _rgamma_ref(s: complex) -> complex:
+    mpmath.mp.dps = 40
+    return complex(mpmath.rgamma(mpmath.mpc(s.real, s.imag)))
+
+
+def test_recip_gamma_next_to_a_far_pole():
+    s = complex(-38.0, 2.9e-5)
+    ref = _rgamma_ref(s)
+    assert abs(recip_gamma(s) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_recip_gamma_near_poles_matches_oracle(eps):
+    # s = -k + d with d = +-eps, +-i eps: sin(pi s) is tiny, so both the
+    # reduction of s by k and 1 - exp(2 pi i f) at small f must be exact
+    worst = 0.0
+    for k in range(61):
+        for d in (eps, -eps, 1j * eps, -1j * eps):
+            s = -k + d
+            ref = _rgamma_ref(s)
+            worst = max(worst, abs(recip_gamma(s) - ref) / abs(ref))
+    assert worst <= 2e-13
+
+
+def test_log_gamma_branch_left_half_plane():
+    # the reduced sine keeps the explicit winding term: no stray 2 pi i
+    rng = random.Random(5)
+    pts = [complex(rng.uniform(-60.0, 0.4), rng.uniform(-3.0, 3.0)) for _ in range(300)]
+    # far from the real axis exp(2 pi i s) underflows and must not overflow
+    pts += [complex(-0.5, 300.0), complex(-3.2, -900.0)]
+    for s in pts:
+        ref = _loggamma_ref(s)
+        assert abs(log_gamma(s) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 # ----------------------------------------------------------------------
