@@ -202,8 +202,8 @@ def test_antisym_random_points_r3(seed):
     assert rep.samples_ok
 
 
-# The r! Leibniz sum the engine used to evaluate; it is the independent
-# oracle for the determinant form of the right-hand side.
+# The right-hand side as defined, a signed sum over all r! permutations: the
+# independent oracle for its determinant form.
 
 def _perm_sign(perm) -> int:
     sign = 1
@@ -227,13 +227,6 @@ def _leibniz_rhs(xs, zs, one):
     return out
 
 
-def _poly_vars(r):
-    nv = 2 * r
-    x = [MultiPoly.variable(nv, i) for i in range(r)]
-    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
-    return x, z, MultiPoly.constant(nv, 1)
-
-
 def _random_point(rng, r):
     xs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
     zs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
@@ -242,8 +235,10 @@ def _random_point(rng, r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_antisym_determinant_matches_leibniz_symbolic(r):
-    x, z, one = _poly_vars(r)
-    assert antisym_rhs_poly(r) == _leibniz_rhs(x, z, one)
+    nv = 2 * r
+    x = [MultiPoly.variable(nv, i) for i in range(r)]
+    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
+    assert antisym_rhs_poly(r) == _leibniz_rhs(x, z, MultiPoly.constant(nv, 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
