@@ -122,10 +122,21 @@ def gamma(s: complex) -> complex:
 
 
 def recip_gamma(s: complex) -> complex:
-    """1/Gamma, entire; exactly 0 at non-positive integers (within 1e-12)."""
+    """1/Gamma, entire; exactly 0 only at the non-positive integers.
+
+    Within 1e-12 of a non-positive integer -k, where log_gamma raises, the
+    reflection formula is evaluated directly: with f = s + k (exact in
+    floating point), 1/Gamma(s) = (-1)^k sin(pi f) Gamma(1 - s) / pi.  Its
+    size there is about k! |f|, far from 0 once k is large.
+    """
     s = complex(s)
     if is_nonpositive_integer(s):
-        return 0j
+        k = -round(s.real)
+        f = s + k
+        if f == 0:
+            return 0j
+        val = cmath.exp(log_gamma(1.0 - s) + cmath.log(cmath.sin(math.pi * f) / math.pi))
+        return _check_finite(-val if k % 2 else val)
     return _check_finite(cmath.exp(-log_gamma(s)))
 
 

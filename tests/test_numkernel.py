@@ -139,6 +139,24 @@ def test_recip_gamma_near_poles_matches_oracle(eps):
     assert worst <= 2e-13
 
 
+def test_recip_gamma_inside_the_pole_window():
+    # within 1e-12 of -k, where log_gamma raises, 1/Gamma is about k! |s + k|:
+    # far from 0, and only the exact integers are zeros
+    for s, size in ((complex(-20.0, 0.0) + 5e-13, 1.2e6), (complex(-38.0, 5e-13), 2.6e32)):
+        ref = _rgamma_ref(s)
+        assert abs(abs(ref) / size - 1.0) < 0.05
+        assert abs(recip_gamma(s) - ref) <= 1e-13 * abs(ref)
+    worst = 0.0
+    for k in range(41):
+        assert recip_gamma(float(-k)) == 0j
+        for eps in (1e-13, 5e-13):
+            for d in (eps, -eps, 1j * eps, -1j * eps):
+                s = -k + d
+                ref = _rgamma_ref(s)
+                worst = max(worst, abs(recip_gamma(s) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
 def test_log_gamma_branch_left_half_plane():
     # the reduced sine keeps the explicit winding term: no stray 2 pi i
     rng = random.Random(5)
