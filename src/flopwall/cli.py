@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +41,16 @@ SUITE_CHOICES = (
 # Run configuration
 # ----------------------------------------------------------------------
 
+_CONFIG_KEYS = ("n", "r", "seed", "order", "weights", "z_eval", "tol")
+_WEIGHTS_KEYS = ("x", "z", "seed", "scale")
+
+
+def _reject_unknown(what: str, data: dict, known) -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} {sorted(unknown)}")
+
+
 @dataclass
 class RunConfig:
     """Instance data plus suite knobs, JSON-loadable.
@@ -61,9 +70,6 @@ class RunConfig:
     z_eval: tuple = (2.0 + 0j, 3.0 + 1j)
     order: int = 80
     tols: dict = field(default_factory=dict)
-    path_re_span: float = 6.0
-    workers: int = 1
-    suites: tuple = ("all",)
 
     def flop_config(self) -> FlopConfig:
         if self.random_weights:
@@ -83,12 +89,17 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
+        """Parse a run config; an unknown key at any level is a ConfigError."""
         try:
+            if not isinstance(data, dict):
+                raise ConfigError("a run configuration is a JSON object")
+            _reject_unknown("keys", data, _CONFIG_KEYS)
             kwargs: dict = {}
-            for key in ("n", "r", "seed", "order", "workers"):
+            for key in ("n", "r", "seed", "order"):
                 if key in data:
                     kwargs[key] = int(data[key])
             weights = data.get("weights", {})
+            _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
             if "x" in weights or "z" in weights:
                 kwargs["x"] = tuple(Fraction(str(v)) for v in weights["x"])
                 kwargs["z"] = tuple(Fraction(str(v)) for v in weights["z"])
@@ -104,14 +115,8 @@ class RunConfig:
                     vals = [vals]
                 kwargs["z_eval"] = tuple(complex(a, b) for a, b in vals)
             if "tol" in data:
-                unknown = set(data["tol"]) - set(DEFAULT_TOLS)
-                if unknown:
-                    raise ConfigError(f"unknown tolerance keys {sorted(unknown)}")
+                _reject_unknown("tolerance keys", data["tol"], DEFAULT_TOLS)
                 kwargs["tols"] = {k: float(v) for k, v in data["tol"].items()}
-            if "path" in data and "re_span" in data["path"]:
-                kwargs["path_re_span"] = float(data["path"]["re_span"])
-            if "suites" in data:
-                kwargs["suites"] = tuple(data["suites"])
             return cls(**kwargs)
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
@@ -161,7 +166,7 @@ class Report:
 
 
 def run_suite(run_config: RunConfig, suite: str) -> Report:
-    """Execute one suite (or "all"); case order is fixed regardless of workers."""
+    """Execute one suite (or "all"), its cases in declaration order."""
     env = run_config.suite_env()
     specs = collect_cases(env, suite)
 
@@ -182,11 +187,7 @@ def run_suite(run_config: RunConfig, suite: str) -> Report:
             "runtime_ms": elapsed,
         }
 
-    if run_config.workers > 1:
-        with ThreadPoolExecutor(max_workers=run_config.workers) as pool:
-            cases = list(pool.map(execute, specs))
-    else:
-        cases = [execute(spec) for spec in specs]
+    cases = [execute(spec) for spec in specs]
     return Report(version=__version__, seed=run_config.seed, config=run_config.echo(), cases=cases)
 
 
@@ -257,10 +258,7 @@ def emit(report: Report, fmt: str = "json", destination=None, include_timings: b
 # ----------------------------------------------------------------------
 
 def _load_run_config(args) -> RunConfig:
-    rc = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "workers", None):
-        rc.workers = args.workers
-    return rc
+    return RunConfig.from_file(args.config) if args.config else RunConfig()
 
 
 def _parse_delta(text: str, n: int) -> tuple:
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run-config JSON file")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--timings", action="store_true", help="include per-case runtimes")
     p.set_defaults(fn=cmd_verify)
 

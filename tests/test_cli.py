@@ -4,6 +4,8 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -74,13 +76,24 @@ def test_report_csv_and_text(tmp_path):
     assert "suite identities:" in txt_path.read_text()
 
 
-def test_workers_do_not_change_report(tmp_path):
-    r1 = run_suite(RunConfig(seed=2, workers=1), "geometry")
-    r4 = run_suite(RunConfig(seed=2, workers=4), "geometry")
-    f1, f4 = tmp_path / "w1.json", tmp_path / "w4.json"
-    emit(r1, "json", str(f1))
-    emit(r4, "json", str(f4))
-    assert f1.read_bytes() == f4.read_bytes()
+@pytest.mark.parametrize("payload", [
+    {"workers": 2},
+    {"path": {"re_span": 4}},
+    {"ordr": 40},
+    {"weights": {"seed": 1, "sclae": "1/10"}},
+])
+def test_unknown_config_keys_exit_two(tmp_path, payload):
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A run config is a JSON file:")[1].split("```json")[1].split("```")[0]
+    rc = RunConfig.from_json_dict(json.loads(block))
+    assert rc.flop_config().x[1] == Fraction(-17, 100)
+    assert rc.tols == {"continuation": 1e-8}
 
 
 def test_fixed_points_command(capsys):
