@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Literal, Sequence
 
@@ -59,6 +60,10 @@ class FlopConfig:
     Genericity (no vanishing pairwise difference x_i - x_j, z_i - z_j for
     i != j, nor any x_i - z_j) is enforced eagerly; every localization
     denominator in the engine is a product of such differences.
+
+    The instance also holds its weight table: the complex view of x and z,
+    built here, and per side and fixed point the exact tangent weights and
+    their Euler class, built on first use (``fixed_point_table``).
     """
 
     n: int
@@ -83,6 +88,7 @@ class FlopConfig:
                     raise DegenerateWeightError(f"z[{i}] == z[{j}]")
                 if x[i] == z[j]:
                     raise DegenerateWeightError(f"x[{i}] == z[{j}]")
+        object.__setattr__(self, "_complex", (tuple(map(complex, x)), tuple(map(complex, z))))
 
     @property
     def dim(self) -> int:
@@ -91,9 +97,27 @@ class FlopConfig:
 
     def complex_weights(self, scale: complex = 1.0) -> tuple[tuple, tuple]:
         """Floating view (x, z) with every weight multiplied by ``scale``."""
-        xs = tuple(complex(scale) * complex(v) for v in self.x)
-        zs = tuple(complex(scale) * complex(v) for v in self.z)
-        return xs, zs
+        if scale == 1:
+            return self._complex
+        s = complex(scale)
+        return tuple(s * v for v in self._complex[0]), tuple(s * v for v in self._complex[1])
+
+    @cached_property
+    def fixed_point_table(self) -> dict:
+        """(side, delta) -> (exact tangent weights, their product e(N))."""
+        table = {}
+        for side in SIDES:
+            for delta in fixed_point_deltas(self):
+                label = FixedPointLabel(side, delta)
+                vectors = tangent_weight_vectors(self, label)
+                weights = tuple(weight_value(self, vec) for vec in vectors)
+                if 0 in weights:
+                    raise DegenerateWeightError(f"zero tangent weight at {label}")
+                euler = Fraction(1)
+                for w in weights:
+                    euler *= w
+                table[side, delta] = (weights, euler)
+        return table
 
     def flipped(self) -> "FlopConfig":
         """The flop involution x -> -z, z -> -x (exchanges the two sides)."""
@@ -235,44 +259,14 @@ def weight_complex(xs: Sequence[complex], zs: Sequence[complex], vec: WeightVect
     return total
 
 
-def tangent_weights(config: FlopConfig, label: FixedPointLabel) -> list:
-    """Exact tangent weights (2rn - r^2 of them); raises if any vanishes."""
-    out = []
-    for vec in tangent_weight_vectors(config, label):
-        val = weight_value(config, vec)
-        if val == 0:
-            raise DegenerateWeightError(f"zero tangent weight at {label}")
-        out.append(val)
-    return out
+def tangent_weights(config: FlopConfig, label: FixedPointLabel) -> tuple:
+    """Exact tangent weights (2rn - r^2 of them), from the instance's table."""
+    return config.fixed_point_table[label.side, label.delta][0]
 
 
-def euler_class_normal(config: FlopConfig, label: FixedPointLabel):
+def euler_class_normal(config: FlopConfig, label: FixedPointLabel) -> Fraction:
     """Product of the tangent weights (fixed points are isolated, N = T)."""
-    total = Fraction(1)
-    for w in tangent_weights(config, label):
-        total *= w
-    return total
-
-
-@dataclass(frozen=True)
-class FixedPointGeometry:
-    label: FixedPointLabel
-    chern_roots: tuple
-    tangent_weights: tuple
-    euler_normal: Fraction
-
-
-def fixed_point_geometry(config: FlopConfig, label: FixedPointLabel) -> FixedPointGeometry:
-    tw = tangent_weights(config, label)
-    ec = Fraction(1)
-    for w in tw:
-        ec *= w
-    return FixedPointGeometry(
-        label=label,
-        chern_roots=tuple(restrict_chern_roots(config, label)),
-        tangent_weights=tuple(tw),
-        euler_normal=ec,
-    )
+    return config.fixed_point_table[label.side, label.delta][1]
 
 
 # ----------------------------------------------------------------------

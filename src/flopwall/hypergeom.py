@@ -21,13 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
 import scipy.integrate
 
-from .flopgeom import FixedPointLabel, FlopConfig, fixed_point_deltas, tangent_weights
+from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_point_deltas
 from .ktheory import LocalizedKClass
 from .numkernel import (
     PoleError,
@@ -37,7 +37,7 @@ from .numkernel import (
     recip_gamma,
     sin_over_2i,
 )
-from .wallcross import LocalizedCohClass, PsiContext, coeff_C, psi_apply, psi_on_coh
+from .wallcross import LocalizedCohClass, PsiContext, coeff_C, gamma_class, psi_apply, psi_on_coh
 
 
 class NonConvergenceError(ArithmeticError):
@@ -199,24 +199,34 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     metadata, not folded into the coefficients, so the stored coefficients
     are those of the Gamma-product form.  Support is e >= 0 in every
     variable.
+
+    The minus side is the plus side on ``config.flipped()`` with the
+    prefactor and every coefficient multiplied by (-1)^{r(r-1)/2}.  The
+    involution negates each of the r(r-1)/2 pair differences, in the sines
+    of the prefactor and in the Vandermonde factors of every coefficient;
+    the fold restores the minus-side convention, with pair factors
+    (z_i - z_k) u + e_k - e_i and sin((z_i - z_k)/2i).  The two signs
+    cancel in the value of the series.
     """
+    r = config.r
+    if side == "minus":
+        series = h_series(config.flipped(), "plus", delta, order, weight_scale)
+        if r * (r - 1) // 2 % 2 == 0:
+            return series
+        return replace(series, prefactor=-series.prefactor,
+                       coeffs={e: -c for e, c in series.coeffs.items()})
+    if side != "plus":
+        raise ValueError(f"bad side {side!r}")
     xs, zs = config.complex_weights()
     u = _u(weight_scale)
-    n, r = config.n, config.r
+    n = config.n
     d = tuple(delta)
-    if side == "plus":
-        base = [xs[i] for i in d]
-        offsets = tuple(xs[i] * u for i in d)
-    elif side == "minus":
-        base = [zs[i] for i in d]
-        offsets = tuple(-zs[i] * u for i in d)
-    else:
-        raise ValueError(f"bad side {side!r}")
+    offsets = tuple(xs[i] * u for i in d)
 
     prefactor = complex(math.pi ** (r * (r - 1) // 2))
     for i in range(r):
         for k in range(i + 1, r):
-            den = sin_over_2i(complex(weight_scale) * (base[i] - base[k]))
+            den = sin_over_2i(complex(weight_scale) * (xs[d[i]] - xs[d[k]]))
             if den == 0:
                 raise PoleError("prefactor sine vanishes; degenerate restriction")
             prefactor /= den
@@ -225,18 +235,11 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     for es in iter_product(range(order + 1), repeat=r):
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
-            if side == "plus":
-                for i in range(k):
-                    c *= (xs[d[i]] - xs[d[k]]) * u + es[i] - es[k]
-                for j in range(n):
-                    c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
-                    c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])
-            else:
-                for i in range(k):
-                    c *= (zs[d[i]] - zs[d[k]]) * u + es[k] - es[i]
-                for j in range(n):
-                    c *= recip_gamma(1 + (zs[d[k]] - xs[j]) * u - es[k])
-                    c *= recip_gamma(1 + (zs[j] - zs[d[k]]) * u + es[k])
+            for i in range(k):
+                c *= (xs[d[i]] - xs[d[k]]) * u + es[i] - es[k]
+            for j in range(n):
+                c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
+                c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])
         coeffs[es] = c
 
     if r == 1:
@@ -255,42 +258,31 @@ def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
 
     The annihilating operator, in the logarithmic derivative theta, is
         prod_j (theta - x_j u) - q (-1)^{n-r+1} prod_j (theta - z_j u)
-    on the plus side (x and z swap roles with a sign on the minus side),
-    with u the weight unit.  At coefficient level it couples index e to
-    e - 1 only, so the residual at each e is directly computable from two
-    adjacent coefficients.
+    on the plus side, with u the weight unit; the minus side is the plus
+    side on ``config.flipped()``.  At coefficient level it couples index e
+    to e - 1 only, so the residual at each e is directly computable from
+    two adjacent coefficients.
     """
+    if side == "minus":
+        return ode_check(config.flipped(), series, "plus", weight_scale)
+    if side != "plus":
+        raise ValueError(f"bad side {side!r}")
     xs, zs = config.complex_weights()
     u = _u(weight_scale)
-    n, r = config.n, config.r
-    sign = (-1.0) ** ((n - r + 1) % 2)
-    if side == "plus":
-        first, second = xs, zs
-        fsign, ssign = -1.0, -1.0
-    elif side == "minus":
-        first, second = zs, xs
-        fsign, ssign = 1.0, 1.0
-    else:
-        raise ValueError(f"bad side {side!r}")
+    sign = (-1.0) ** ((config.n - config.r + 1) % 2)
 
-    def prod_first(theta):
+    def prod(weights, theta):
         out = 1.0 + 0j
-        for wgt in first:
-            out *= theta + fsign * wgt * u
-        return out
-
-    def prod_second(theta):
-        out = 1.0 + 0j
-        for wgt in second:
-            out *= theta + ssign * wgt * u
+        for wgt in weights:
+            out *= theta - wgt * u
         return out
 
     a = series.offset
     worst = 0.0
     tiny = 1e-300
     for e in range(series.order + 1):
-        lhs = series.coefficient(e) * prod_first(a + e)
-        rhs = sign * series.coefficient(e - 1) * prod_second(a + e - 1) if e > 0 else 0j
+        lhs = series.coefficient(e) * prod(xs, a + e)
+        rhs = sign * series.coefficient(e - 1) * prod(zs, a + e - 1) if e > 0 else 0j
         denom = max(abs(lhs), abs(rhs), tiny)
         worst = max(worst, abs(lhs - rhs) / denom)
     return worst
@@ -335,9 +327,6 @@ class PathSpec:
                 pts.append(a + (b - a) * (t / per_leg))
         pts.append(knots[-1])
         return cls(points=tuple(pts), wall_height=h)
-
-    def to_json_list(self):
-        return [[p.real, p.imag] for p in self.points]
 
 
 def _pole_line_distance(im_w: float, wall_height: float) -> float:
@@ -554,47 +543,36 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
     The infinite Gamma-ratio products of the hypergeometric factor are
     reduced to the finite telescoped products they denote (curve class
     zero), all r chamber variables specialized to a single q.  The leading
-    coefficient on the plus side is exactly 1.
+    coefficient on the plus side is exactly 1.  The minus side is the plus
+    side on ``config.flipped()``; only ``ctx.z`` is read from the context.
     """
+    if side == "minus":
+        return i_function(config.flipped(), "plus", delta, order, ctx)
+    if side != "plus":
+        raise ValueError(f"bad side {side!r}")
     xs, zs = config.complex_weights()
     zv = ctx.z
-    inv_z = ctx.inv_z
     n, r = config.n, config.r
     d = tuple(delta)
-    plus = side == "plus"
-    if not plus and side != "minus":
-        raise ValueError(f"bad side {side!r}")
 
-    offset = sum((xs[i] if plus else -zs[i]) for i in d) * inv_z
+    offset = sum(xs[i] for i in d) * ctx.inv_z
     coeffs: dict = {}
     for es in _compositions_up_to(r, order):
         c = 1.0 + 0j
         for k in range(r):
             e = es[k]
-            if plus:
-                # prod_i prod_{h=-e+1}^{0} (z_i - x_dk + h z) / prod_j prod_{h=1}^{e} (x_dk - x_j + h z)
-                for i in range(n):
-                    for hh in range(-e + 1, 1):
-                        c *= zs[i] - xs[d[k]] + hh * zv
-                for j in range(n):
-                    for hh in range(1, e + 1):
-                        c /= xs[d[k]] - xs[j] + hh * zv
-            else:
-                for i in range(n):
-                    for hh in range(1, e + 1):
-                        c /= zs[i] - zs[d[k]] + hh * zv
-                for j in range(n):
-                    for hh in range(-e + 1, 1):
-                        c *= zs[d[k]] - xs[j] + hh * zv
+            # prod_i prod_{h=-e+1}^{0} (z_i - x_dk + h z) / prod_j prod_{h=1}^{e} (x_dk - x_j + h z)
+            for i in range(n):
+                for hh in range(-e + 1, 1):
+                    c *= zs[i] - xs[d[k]] + hh * zv
+            for j in range(n):
+                for hh in range(1, e + 1):
+                    c /= xs[d[k]] - xs[j] + hh * zv
         # paired root-factor telescoping: (-1)^m (A + m z)/A per pair i < k
         for k in range(r):
             for i in range(k):
-                if plus:
-                    A = xs[d[k]] - xs[d[i]]
-                    m = es[k] - es[i]
-                else:
-                    A = zs[d[k]] - zs[d[i]]
-                    m = es[i] - es[k]
+                A = xs[d[k]] - xs[d[i]]
+                m = es[k] - es[i]
                 c *= (-1.0) ** (m % 2) * (A + m * zv) / A
         tot = sum(es)
         coeffs[tot] = coeffs.get(tot, 0j) + c
@@ -610,14 +588,10 @@ def i_function_factored(config: FlopConfig, side: str, delta, order: int,
     series built at weight scale 2 pi i / z (sine prefactor folded in).
     Must agree with the direct form coefficientwise.
     """
-    d = tuple(delta)
-    gam = 1.0 + 0j
-    for wgt in tangent_weights(config, FixedPointLabel(side, d)):
-        gam *= gamma(1.0 + complex(wgt) * ctx.inv_z)
-    hs = h_series(config, side, d, order, weight_scale=ctx.ch_scale)
+    hs = h_series(config, side, delta, order, weight_scale=ctx.ch_scale)
     if isinstance(hs, MultiOffsetSeries):
         hs = hs.specialize()
-    scale = gam * hs.prefactor
+    scale = gamma_class(config, side, delta, ctx.inv_z) * hs.prefactor
     return OffsetSeries(
         offset=hs.offset,
         coeffs={e: scale * c for e, c in hs.coeffs.items()},
@@ -644,9 +618,7 @@ def central_charge(config: FlopConfig, side: str, E, w: complex,
     total = 0j
     for d in fixed_point_deltas(config):
         i_val = i_function(config, side, d, order, rot).eval(w)
-        eN = 1.0 + 0j
-        for wgt in tangent_weights(config, FixedPointLabel(side, d)):
-            eN *= complex(wgt)
+        eN = complex(euler_class_normal(config, FixedPointLabel(side, d)))
         total += i_val * psi_e.values[d] / eN
     return total
 
@@ -656,9 +628,7 @@ def i_restriction_continued(config: FlopConfig, l: int, w: complex,
     """Continuation of the plus-side I restriction past the wall (r = 1)."""
     if config.r != 1:
         raise ValueError("continued I restriction implemented for r = 1")
-    gam = 1.0 + 0j
-    for wgt in tangent_weights(config, FixedPointLabel("plus", (l,))):
-        gam *= gamma(1.0 + complex(wgt) * ctx.inv_z)
+    gam = gamma_class(config, "plus", (l,), ctx.inv_z)
     return gam * barnes_integrate(w, config, l, tol=tol, weight_scale=ctx.ch_scale)
 
 
@@ -670,8 +640,6 @@ def central_charge_plus_continued(config: FlopConfig, E, w: complex,
     total = 0j
     for (l,) in fixed_point_deltas(config):
         i_val = i_restriction_continued(config, l, w, rot, tol=tol)
-        eN = 1.0 + 0j
-        for wgt in tangent_weights(config, FixedPointLabel("plus", (l,))):
-            eN *= complex(wgt)
+        eN = complex(euler_class_normal(config, FixedPointLabel("plus", (l,))))
         total += i_val * psi_e.values[(l,)] / eN
     return total

@@ -54,10 +54,6 @@ class VirtualCharacter:
         self.terms = {v: c for v, c in clean.items() if c}
 
     @classmethod
-    def zero(cls, nvars: int) -> "VirtualCharacter":
-        return cls(nvars)
-
-    @classmethod
     def unit(cls, nvars: int) -> "VirtualCharacter":
         return cls(nvars, {(0,) * nvars: 1})
 
@@ -98,9 +94,6 @@ class VirtualCharacter:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_effective(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VirtualCharacter) and self.terms == other.terms
 
@@ -120,20 +113,12 @@ class VirtualCharacter:
         return f"VirtualCharacter({len(self.terms)} terms, rank {self.rank()})"
 
 
-def wedge_dual_expand(base: VirtualCharacter) -> VirtualCharacter:
-    """Exact expansion of the dualized alternating sum of exterior powers.
-
-    For an effective character this is the product over its character lines
-    of (1 - e^{-w}); the empty product is 1.
-    """
-    if not base.is_effective():
-        raise ValueError("wedge_dual_expand needs an effective character")
-    out = VirtualCharacter.unit(base.nvars)
-    one = VirtualCharacter.unit(base.nvars)
-    for vec, mult in sorted(base.terms.items()):
-        factor = one - VirtualCharacter.line(tuple(-a for a in vec))
-        for _ in range(mult):
-            out = out * factor
+def binomial_product(nvars: int, vectors) -> VirtualCharacter:
+    """prod (1 - e^w) over the weight vectors, repeats included; 1 if empty."""
+    one = VirtualCharacter.unit(nvars)
+    out = one
+    for vec in vectors:
+        out = out * (one - VirtualCharacter.line(vec))
     return out
 
 
@@ -153,9 +138,6 @@ class LocalizedKClass:
     restrictions: Mapping  # delta tuple -> VirtualCharacter
     factor_vectors: Mapping | None = None  # delta tuple -> tuple of weight vectors
 
-    def restriction(self, delta) -> VirtualCharacter:
-        return self.restrictions[tuple(delta)]
-
     def __add__(self, other: "LocalizedKClass") -> "LocalizedKClass":
         if other.side != self.side:
             raise ValueError("cannot add classes on different sides")
@@ -168,15 +150,17 @@ class LocalizedKClass:
         return LocalizedKClass(self.side, {d: k * v for d, v in self.restrictions.items()})
 
 
+def _binomial_class(config: FlopConfig, side: str, vectors_at: dict) -> LocalizedKClass:
+    """Class restricting at each delta to the binomial product over vectors_at[delta]."""
+    return LocalizedKClass(
+        side,
+        {d: binomial_product(2 * config.n, vecs) for d, vecs in vectors_at.items()},
+        vectors_at,
+    )
+
+
 def unit_class(config: FlopConfig, side: str) -> LocalizedKClass:
-    one = VirtualCharacter.unit(2 * config.n)
-    deltas = fixed_point_deltas(config)
-    return LocalizedKClass(side, {d: one for d in deltas}, {d: () for d in deltas})
-
-
-def zero_class(config: FlopConfig, side: str) -> LocalizedKClass:
-    z = VirtualCharacter.zero(2 * config.n)
-    return LocalizedKClass(side, {d: z for d in fixed_point_deltas(config)})
+    return _binomial_class(config, side, {d: () for d in fixed_point_deltas(config)})
 
 
 def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
@@ -188,19 +172,11 @@ def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
     exponent appears.
     """
     n = config.n
-    dm = tuple(delta_minus)
-    rest = [j for j in range(n) if j not in dm]
-    one = VirtualCharacter.unit(2 * n)
-    restrictions = {}
-    factors = {}
-    for d0 in fixed_point_deltas(config):
-        vecs = [_vsub(_zvec(i, n), _zvec(j, n)) for i in d0 for j in rest]
-        val = one
-        for vec in vecs:
-            val = val * (one - VirtualCharacter.line(vec))
-        restrictions[d0] = val
-        factors[d0] = tuple(vecs)
-    return LocalizedKClass("minus", restrictions, factors)
+    rest = [j for j in range(n) if j not in delta_minus]
+    return _binomial_class(config, "minus", {
+        d0: tuple(_vsub(_zvec(i, n), _zvec(j, n)) for i in d0 for j in rest)
+        for d0 in fixed_point_deltas(config)
+    })
 
 
 def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
@@ -210,19 +186,11 @@ def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
     delta_minus of (1 - e^{x_i - z_j}).
     """
     n = config.n
-    dm = tuple(delta_minus)
-    rest = [j for j in range(n) if j not in dm]
-    one = VirtualCharacter.unit(2 * n)
-    restrictions = {}
-    factors = {}
-    for dp in fixed_point_deltas(config):
-        vecs = [_vsub(_xvec(i, n), _zvec(j, n)) for i in dp for j in rest]
-        val = one
-        for vec in vecs:
-            val = val * (one - VirtualCharacter.line(vec))
-        restrictions[dp] = val
-        factors[dp] = tuple(vecs)
-    return LocalizedKClass("plus", restrictions, factors)
+    rest = [j for j in range(n) if j not in delta_minus]
+    return _binomial_class(config, "plus", {
+        dp: tuple(_vsub(_xvec(i, n), _zvec(j, n)) for i in dp for j in rest)
+        for dp in fixed_point_deltas(config)
+    })
 
 
 def tilde_tangent_weight_vectors(config: FlopConfig, delta_minus, delta_plus) -> list:
@@ -260,23 +228,6 @@ def tilde_tangent_weights(config: FlopConfig, delta_minus, delta_plus) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class TildeFixedPoint:
-    """Fixed point of the common resolution: a label pair plus its weights."""
-
-    delta_minus: tuple
-    delta_plus: tuple
-    tangent_weights: tuple
-
-
-def tilde_fixed_point(config: FlopConfig, delta_minus, delta_plus) -> TildeFixedPoint:
-    return TildeFixedPoint(
-        delta_minus=tuple(delta_minus),
-        delta_plus=tuple(delta_plus),
-        tangent_weights=tuple(tilde_tangent_weights(config, delta_minus, delta_plus)),
-    )
-
-
 def _wedge_dual_value(xs, zs, vectors, scale: complex) -> complex:
     """prod (1 - e^{-scale * w}) over the weight vectors."""
     total = 1.0 + 0j
@@ -297,20 +248,8 @@ def chern_character(config: FlopConfig, A: LocalizedKClass, scale: complex = 1.0
     """
     xs, zs = config.complex_weights()
     if A.factor_vectors is not None:
-        out = {}
-        for d in A.restrictions:
-            val = 1.0 + 0j
-            for vec in A.factor_vectors[d]:
-                val *= 1.0 - cmath.exp(scale * weight_complex(xs, zs, vec))
-            out[d] = val
-        return out
+        return {d: _wedge_dual_value(xs, zs, A.factor_vectors[d], -scale) for d in A.restrictions}
     return {d: chi.evaluate(xs, zs, scale) for d, chi in A.restrictions.items()}
-
-
-def _as_vector(config: FlopConfig, data, scale: complex) -> tuple[str, dict]:
-    if isinstance(data, LocalizedKClass):
-        return data.side, chern_character(config, data, scale)
-    raise TypeError("expected a LocalizedKClass")
 
 
 def fm_transform(config: FlopConfig, data, scale: complex = 1.0) -> dict:
@@ -357,9 +296,7 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
     """
     n = config.n
     dm = tuple(delta_minus)
-    one = VirtualCharacter.unit(2 * n)
-    restrictions = {}
-    factors = {}
+    vectors_at = {}
     for dp in fixed_point_deltas(config):
         num: Counter = Counter()
         den: Counter = Counter()
@@ -376,18 +313,8 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
         num.subtract(den)
         if any(c < 0 for c in num.values()):
             raise ArithmeticError("binomial cancellation failed; not a generator transfer")
-        val = one
-        vecs = []
-        for vec, mult in sorted(num.items()):
-            if mult == 0:
-                continue
-            factor = one - VirtualCharacter.line(vec)
-            for _ in range(mult):
-                val = val * factor
-                vecs.append(vec)
-        restrictions[dp] = val
-        factors[dp] = tuple(vecs)
-    return LocalizedKClass("plus", restrictions, factors)
+        vectors_at[dp] = tuple(sorted(num.elements()))
+    return _binomial_class(config, "plus", vectors_at)
 
 
 def euler_characteristic(config: FlopConfig, data, side: str | None = None, scale: complex = 1.0) -> complex:

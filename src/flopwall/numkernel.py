@@ -1,8 +1,7 @@
 """Exact rational/polynomial arithmetic and complex special-function kernels.
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
-goes through the complex kernels below.  All functions are pure and all
-values immutable, so they are safe to share across workers.
+goes through the complex kernels below.  All functions are pure.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Verification suites.
 
 Each suite function yields case specs (name, params, thunk); a thunk runs
-one check and returns (status, max_rel_err).  Thunks are pure, so they can
-run on any worker; report order follows the declaration order regardless
-of scheduling.
+one check and returns (status, max_rel_err).  Reports list the cases in
+declaration order.
 """
 
 from __future__ import annotations
@@ -23,9 +22,11 @@ from .flopgeom import (
     FlopConfig,
     check_relations,
     enumerate_fixed_points,
+    euler_class_normal,
     fixed_point_deltas,
     random_config,
     tangent_weights,
+    tangent_weight_vectors,
 )
 from .hypergeom import (
     NonConvergenceError,
@@ -43,6 +44,7 @@ from .hypergeom import (
     verify_continuation_r1,
 )
 from .ktheory import (
+    _wedge_dual_value,
     chern_character,
     chi_z_pairing,
     euler_characteristic,
@@ -275,12 +277,11 @@ def ktheory_suite(env: SuiteEnv) -> list:
                     lhs = chi_z_pairing(cfg, A, B, z)
                     fa = fm_transform(cfg, chern_character(cfg, A, -s), -s)
                     fb = fm_transform(cfg, B, s)
+                    xs, zs = cfg.complex_weights()
                     rhs = 0j
                     for dp in fa:
-                        den = 1.0 + 0j
-                        for w in tangent_weights(cfg, FixedPointLabel("plus", dp)):
-                            den *= 1.0 - cmath.exp(-s * complex(w))
-                        rhs += fa[dp] * fb[dp] / den
+                        vecs = tangent_weight_vectors(cfg, FixedPointLabel("plus", dp))
+                        rhs += fa[dp] * fb[dp] / _wedge_dual_value(xs, zs, vecs, s)
                     worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
             return _err_case(worst, env.tol("chi_invariance"))
         cases.append(CaseSpec("ktheory", f"chi-invariance-n{n}-r{r}", {"n": n, "r": r}, thunk))
@@ -366,9 +367,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                         # sum: the honest scale even when the total cancels
                         bound = 0.0
                         for d in deltas:
-                            eN = 1.0 + 0j
-                            for wgt in tangent_weights(cfg, FixedPointLabel(side, d)):
-                                eN *= complex(wgt)
+                            eN = complex(euler_class_normal(cfg, FixedPointLabel(side, d)))
                             bound += abs(pc.values[d] * pd.values[d] / eN)
                         worst = max(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
             return _err_case(worst, env.tol("integral_pairing"))
@@ -385,17 +384,12 @@ def wallcross_suite(env: SuiteEnv) -> list:
         rotm, rotp = ctxm.rotated(), ctxp.rotated()
         rng = env.rng("symplectic")
         deltas = fixed_point_deltas(cfg)
-        eul = {}
-        for side in ("plus", "minus"):
-            for d in deltas:
-                prod = 1.0 + 0j
-                for wgt in tangent_weights(cfg, FixedPointLabel(side, d)):
-                    prod *= complex(wgt)
-                eul[(side, d)] = prod
 
         def triangle(a, b):
             return sum(
-                abs(a.values[d] * b.values[d] / eul[(a.side, d)]) for d in deltas
+                abs(a.values[d] * b.values[d]
+                    / complex(euler_class_normal(cfg, FixedPointLabel(a.side, d))))
+                for d in deltas
             )
 
         worst = 0.0
@@ -586,9 +580,7 @@ def central_charge_suite(env: SuiteEnv) -> list:
         lead = 0j
         for d in fixed_point_deltas(cfg):
             series = i_function(cfg, "plus", d, 0, rot)
-            eN = 1.0 + 0j
-            for wgt in tangent_weights(cfg, FixedPointLabel("plus", d)):
-                eN *= complex(wgt)
+            eN = complex(euler_class_normal(cfg, FixedPointLabel("plus", d)))
             lead += series.eval(w) * psi_e.values[d] / eN
         err = abs(full - lead) / max(abs(full), 1e-30)
         return _err_case(err, 1e-8)

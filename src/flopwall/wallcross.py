@@ -12,13 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .flopgeom import (
     FixedPointLabel,
     FlopConfig,
     enumerate_abelian,
+    euler_class_normal,
     fixed_point_deltas,
     tangent_weights,
 )
@@ -104,9 +105,6 @@ class TransitionMatrix:
     cols: tuple
     entries: tuple  # row-major tuple of tuples of complex
 
-    def entry(self, row_label, col_label) -> complex:
-        return self.entries[self.rows.index(tuple(row_label))][self.cols.index(tuple(col_label))]
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -144,9 +142,6 @@ class LocalizedCohClass:
     side: str
     values: dict  # delta tuple -> complex
 
-    def value(self, delta) -> complex:
-        return self.values[tuple(delta)]
-
     def __add__(self, other: "LocalizedCohClass") -> "LocalizedCohClass":
         if other.side != self.side:
             raise ValueError("side mismatch")
@@ -172,12 +167,6 @@ def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) 
     for dp in deltas:
         values[dp] = sum(coeff_C(config, dm, dp, scale) * beta.values[dm] for dm in deltas)
     return LocalizedCohClass("plus", values)
-
-
-def uh_matrix_numeric(config: FlopConfig, scale: complex = 1.0):
-    """Matrix of uh_apply on the fixed-point basis, as nested lists (row = dm)."""
-    deltas = fixed_point_deltas(config)
-    return [[coeff_C(config, dm, dp, scale) for dp in deltas] for dm in deltas]
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +313,7 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
 
 @dataclass(frozen=True)
 class PsiContext:
-    """Fixed side, fixed branch of log z, and cached tangent data.
+    """Fixed side and fixed branch of log z.
 
     All z-dependence downstream is taken through log_z, so rotating the
     argument by e^{-i pi} is just log_z - i pi with no branch ambiguity.
@@ -333,7 +322,6 @@ class PsiContext:
     config: FlopConfig
     side: str
     log_z: complex
-    tangent: dict = field(compare=False, default=None)
 
     @classmethod
     def create(cls, config: FlopConfig, side: str, z: complex | None = None,
@@ -342,18 +330,11 @@ class PsiContext:
             if z is None or z == 0:
                 raise ValueError("need z != 0 or an explicit log_z")
             log_z = cmath.log(z)
-        tangent = {
-            d: tuple(
-                complex(w)
-                for w in tangent_weights(config, FixedPointLabel(side, d))
-            )
-            for d in fixed_point_deltas(config)
-        }
-        ctx = cls(config=config, side=side, log_z=log_z, tangent=tangent)
+        ctx = cls(config=config, side=side, log_z=log_z)
         inv_z = ctx.inv_z
-        for ws in tangent.values():
-            for w in ws:
-                if is_nonpositive_integer(1.0 + w * inv_z):
+        for d in fixed_point_deltas(config):
+            for w in tangent_weights(config, FixedPointLabel(side, d)):
+                if is_nonpositive_integer(1.0 + complex(w) * inv_z):
                     raise PoleError(f"1 + w/z hits a Gamma pole for w = {w}")
         return ctx
 
@@ -372,12 +353,15 @@ class PsiContext:
 
     def rotated(self) -> "PsiContext":
         """Context for the argument e^{-i pi} z on the same branch."""
-        return PsiContext(
-            config=self.config,
-            side=self.side,
-            log_z=self.log_z - 1j * math.pi,
-            tangent=self.tangent,
-        )
+        return PsiContext(config=self.config, side=self.side, log_z=self.log_z - 1j * math.pi)
+
+
+def gamma_class(config: FlopConfig, side: str, delta, inv_z: complex) -> complex:
+    """prod_t Gamma(1 + w_t / z) over the tangent weights at the fixed point."""
+    out = 1.0 + 0j
+    for w in tangent_weights(config, FixedPointLabel(side, delta)):
+        out *= gamma(1.0 + complex(w) * inv_z)
+    return out
 
 
 def psi_diag_factor(ctx: PsiContext, delta) -> complex:
@@ -386,13 +370,10 @@ def psi_diag_factor(ctx: PsiContext, delta) -> complex:
     z^{dim/2} * exp((sum_t w_t / z) log z) * prod_t Gamma(1 + w_t / z),
     over the tangent weights at the fixed point.
     """
-    inv_z = ctx.inv_z
-    ws = ctx.tangent[tuple(delta)]
+    weight_sum = complex(sum(tangent_weights(ctx.config, FixedPointLabel(ctx.side, delta))))
     out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
-    out *= cmath.exp(sum(ws) * inv_z * ctx.log_z)
-    for w in ws:
-        out *= gamma(1.0 + w * inv_z)
-    return out
+    out *= cmath.exp(weight_sum * ctx.inv_z * ctx.log_z)
+    return out * gamma_class(ctx.config, ctx.side, delta, ctx.inv_z)
 
 
 def psi_on_coh(ctx: PsiContext, beta: LocalizedCohClass) -> LocalizedCohClass:
@@ -430,9 +411,7 @@ def pairing(config: FlopConfig, a: LocalizedCohClass, b: LocalizedCohClass) -> c
         raise ValueError("pairing needs classes on the same side")
     total = 0j
     for d in a.values:
-        eN = complex(1.0)
-        for w in tangent_weights(config, FixedPointLabel(a.side, d)):
-            eN *= complex(w)
+        eN = complex(euler_class_normal(config, FixedPointLabel(a.side, d)))
         total += a.values[d] * b.values[d] / eN
     return total
 

@@ -16,7 +16,6 @@ from flopwall.flopgeom import (
     enumerate_abelian,
     enumerate_fixed_points,
     euler_class_normal,
-    fixed_point_geometry,
     random_config,
     restrict_chern_roots,
     tangent_weights,
@@ -86,10 +85,14 @@ def test_euler_class_example(cfg21):
 
 
 def test_geometry_bundle(cfg32):
-    geo = fixed_point_geometry(cfg32, FixedPointLabel("plus", (0, 1)))
-    assert len(geo.tangent_weights) == cfg32.dim
-    assert geo.euler_normal != 0
-    assert len(geo.chern_roots) == cfg32.r
+    lab = FixedPointLabel("plus", (0, 1))
+    tw = tangent_weights(cfg32, lab)
+    assert len(tw) == cfg32.dim
+    euler = F(1)
+    for w in tw:
+        euler *= w
+    assert euler_class_normal(cfg32, lab) == euler != 0
+    assert len(restrict_chern_roots(cfg32, lab)) == cfg32.r
 
 
 def test_genericity_rejected():

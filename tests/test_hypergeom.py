@@ -3,6 +3,7 @@ continuation, I-series factorization, and central charges."""
 
 import cmath
 import math
+from itertools import product as iter_product
 
 import mpmath
 import pytest
@@ -35,7 +36,8 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import TWO_PI_I
+from flopwall.numkernel import TWO_PI_I, recip_gamma, sin_over_2i
+from flopwall.suites import default_config
 from flopwall.wallcross import PsiContext, coeff_C
 
 
@@ -137,6 +139,114 @@ def test_plus_series_is_antisymmetrized_factor_product(cfg32):
         assembled = delta_hat_apply(series_product(factors))
         for es, c in K.coeffs.items():
             assert abs(c - assembled.coeffs[es]) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# minus side against hand-written minus formulas
+# ----------------------------------------------------------------------
+
+# The library builds the minus side as the plus side on config.flipped().
+# These references are the minus branches as they were written out by hand
+# before that, in the weights x, z of the unflipped instance.
+
+def _h_series_minus_reference(config, delta, order):
+    xs, zs = config.complex_weights()
+    u = 1.0 / TWO_PI_I
+    n, r = config.n, config.r
+    d = tuple(delta)
+    prefactor = complex(math.pi ** (r * (r - 1) // 2))
+    for i in range(r):
+        for k in range(i + 1, r):
+            prefactor /= sin_over_2i(zs[d[i]] - zs[d[k]])
+    coeffs = {}
+    for es in iter_product(range(order + 1), repeat=r):
+        c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
+        for k in range(r):
+            for i in range(k):
+                c *= (zs[d[i]] - zs[d[k]]) * u + es[k] - es[i]
+            for j in range(n):
+                c *= recip_gamma(1 + (zs[d[k]] - xs[j]) * u - es[k])
+                c *= recip_gamma(1 + (zs[j] - zs[d[k]]) * u + es[k])
+        coeffs[es] = c
+    offsets = tuple(-zs[i] * u for i in d)
+    return offsets, coeffs, prefactor
+
+
+def _i_function_minus_reference(config, delta, order, ctx):
+    """Offset, coefficients, and per coefficient the sum of |terms| added into it."""
+    xs, zs = config.complex_weights()
+    zv = ctx.z
+    n, r = config.n, config.r
+    d = tuple(delta)
+    coeffs, bound = {}, {}
+    for es in iter_product(range(order + 1), repeat=r):
+        if sum(es) > order:
+            continue
+        c = 1.0 + 0j
+        for k in range(r):
+            e = es[k]
+            for i in range(n):
+                for hh in range(1, e + 1):
+                    c /= zs[i] - zs[d[k]] + hh * zv
+            for j in range(n):
+                for hh in range(-e + 1, 1):
+                    c *= zs[d[k]] - xs[j] + hh * zv
+        for k in range(r):
+            for i in range(k):
+                A = zs[d[k]] - zs[d[i]]
+                m = es[i] - es[k]
+                c *= (-1.0) ** (m % 2) * (A + m * zv) / A
+        tot = sum(es)
+        coeffs[tot] = coeffs.get(tot, 0j) + c
+        bound[tot] = bound.get(tot, 0.0) + abs(c)
+    return sum(-zs[i] for i in d) * ctx.inv_z, coeffs, bound
+
+
+_MINUS_GRID = ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3))
+_MINUS_ORDER = {1: 20, 2: 8, 3: 4}
+
+
+def _minus_grid_configs(n, r):
+    return [default_config(n, r)] + [random_config(n, r, seed=s) for s in range(3)]
+
+
+@pytest.mark.parametrize("n,r", _MINUS_GRID)
+def test_minus_h_series_matches_reference(n, r):
+    # the flipped plus series carries (-1)^{r(r-1)/2} on the prefactor and
+    # on every coefficient; h_series folds it back, signs must agree
+    order = _MINUS_ORDER[r]
+    for cfg in _minus_grid_configs(n, r):
+        for d in fixed_point_deltas(cfg):
+            offsets, coeffs, prefactor = _h_series_minus_reference(cfg, d, order)
+            got = h_series(cfg, "minus", d, order)
+            if r == 1:
+                got_offsets = (got.offset,)
+                got_coeffs = {(e,): c for e, c in got.coeffs.items()}
+            else:
+                got_offsets, got_coeffs = got.offsets, got.coeffs
+            assert got_offsets == offsets
+            assert abs(got.prefactor - prefactor) <= 1e-14 * abs(prefactor)
+            assert got_coeffs.keys() == coeffs.keys()
+            for es, want in coeffs.items():
+                assert abs(got_coeffs[es] - want) <= 1e-14 * abs(want), (cfg, d, es)
+
+
+@pytest.mark.parametrize("n,r", _MINUS_GRID)
+def test_minus_i_function_matches_reference(n, r):
+    # for r > 1 a coefficient sums the terms of every composition of its
+    # degree and may cancel; the sum of |terms| is then the accuracy scale
+    order = _MINUS_ORDER[r]
+    for cfg in _minus_grid_configs(n, r):
+        for z in (2.0 + 0j, 3.0 + 1j):
+            ctx = PsiContext.create(cfg, "minus", z=z)
+            for c in (ctx, ctx.rotated()):
+                for d in fixed_point_deltas(cfg):
+                    offset, coeffs, bound = _i_function_minus_reference(cfg, d, order, c)
+                    got = i_function(cfg, "minus", d, order, c)
+                    assert got.offset == offset
+                    assert got.coeffs.keys() == coeffs.keys()
+                    for e, want in coeffs.items():
+                        assert abs(got.coeffs[e] - want) <= 1e-14 * bound[e], (cfg, d, e)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from flopwall.flopgeom import (
 from flopwall.ktheory import (
     LocalizedKClass,
     VirtualCharacter,
+    binomial_product,
     chern_character,
     chi_z_pairing,
     euler_characteristic,
@@ -23,35 +24,29 @@ from flopwall.ktheory import (
     fm_transform,
     fm_transform_generator_exact,
     generator_e,
-    tilde_fixed_point,
     tilde_tangent_weights,
     unit_class,
-    wedge_dual_expand,
-    zero_class,
     _wedge_dual_value,
 )
 from flopwall.numkernel import TWO_PI_I
 
 
-def test_wedge_dual_expand_small_cases():
+def test_binomial_product_small_cases():
     one = VirtualCharacter.unit(4)
     w1 = (1, 0, 0, -1)
     w2 = (0, 1, -1, 0)
-    assert wedge_dual_expand(VirtualCharacter.zero(4)) == VirtualCharacter.zero(4) + one
-    single = wedge_dual_expand(VirtualCharacter.line(w1))
-    assert single == one - VirtualCharacter.line(tuple(-a for a in w1))
-    rank2 = wedge_dual_expand(VirtualCharacter.line(w1) + VirtualCharacter.line(w2))
-    m1 = tuple(-a for a in w1)
-    m2 = tuple(-a for a in w2)
+    assert binomial_product(4, ()) == one
+    assert binomial_product(4, [w1]) == one - VirtualCharacter.line(w1)
     want = (
         one
-        - VirtualCharacter.line(m1)
-        - VirtualCharacter.line(m2)
-        + VirtualCharacter.line(tuple(a + b for a, b in zip(m1, m2)))
+        - VirtualCharacter.line(w1)
+        - VirtualCharacter.line(w2)
+        + VirtualCharacter.line(tuple(a + b for a, b in zip(w1, w2)))
     )
-    assert rank2 == want
-    with pytest.raises(ValueError):
-        wedge_dual_expand(-VirtualCharacter.unit(4))
+    assert binomial_product(4, [w1, w2]) == want
+    # a repeated vector is a repeated factor: (1 - e^w)^2
+    twice = one - 2 * VirtualCharacter.line(w1) + VirtualCharacter.line(tuple(2 * a for a in w1))
+    assert binomial_product(4, [w1, w1]) == twice
 
 
 def test_generator_restrictions_exact(cfg21):
@@ -79,9 +74,9 @@ def test_tilde_tangent_weights(cfg21, cfg32):
     assert sorted(got) == sorted([z[1] - z[0], z[0] - x[1], x[1] - x[0]])
     for dm in fixed_point_deltas(cfg32):
         for dp in fixed_point_deltas(cfg32):
-            pt = tilde_fixed_point(cfg32, dm, dp)
-            assert len(pt.tangent_weights) == cfg32.dim
-            assert all(w != 0 for w in pt.tangent_weights)
+            tw = tilde_tangent_weights(cfg32, dm, dp)
+            assert len(tw) == cfg32.dim
+            assert all(w != 0 for w in tw)
 
 
 def test_fm_closed_formula_r1(cfg21):
@@ -114,7 +109,7 @@ def test_fm_localization_matches_closed_numerically(cfg32):
 
 
 def test_fm_zero_and_linearity(cfg21):
-    zero = fm_transform(cfg21, zero_class(cfg21, "minus"))
+    zero = fm_transform(cfg21, unit_class(cfg21, "minus").scaled(0))
     assert all(abs(v) == 0 for v in zero.values())
     a = generator_e(cfg21, (0,))
     b = generator_e(cfg21, (1,))

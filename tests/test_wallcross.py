@@ -304,9 +304,7 @@ def test_psi_context_pole_rejected(cfg21):
 
 def test_psi_zero_and_factorization(cfg21):
     ctx = PsiContext.create(cfg21, "minus", z=2.0 + 0j)
-    from flopwall.ktheory import zero_class
-
-    nothing = psi_apply(ctx, zero_class(cfg21, "minus"))
+    nothing = psi_apply(ctx, unit_class(cfg21, "minus").scaled(0))
     assert all(v == 0 for v in nothing.values.values())
     gen = generator_e(cfg21, (0,))
     direct = psi_apply(ctx, gen)
