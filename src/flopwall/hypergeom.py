@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
-import scipy.integrate
+from scipy.special import loggamma
 
 from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_point_deltas
 from .ktheory import LocalizedKClass
@@ -33,7 +32,6 @@ from .numkernel import (
     PoleError,
     TWO_PI_I,
     gamma,
-    log_gamma,
     recip_gamma,
     sin_over_2i,
 )
@@ -350,8 +348,8 @@ def _mb_data(config: FlopConfig, l: int, weight_scale: complex):
     return a_l, us, vs
 
 
-def barnes_integrand(s: complex, w: complex, config: FlopConfig, l: int,
-                     weight_scale: complex = 1.0) -> complex:
+def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
+                     weight_scale: complex = 1.0):
     """Integrand of the vertical-contour representation at plus fixed point l.
 
     Gamma(s) Gamma(1-s) e^{w(s + x_l u)} e^{-i pi (n-r) s}
@@ -359,18 +357,25 @@ def barnes_integrand(s: complex, w: complex, config: FlopConfig, l: int,
 
     u the weight unit.  The scalar prefactor
     prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
-    Exponentials of w keep q^{...} branch-unambiguous.
+    Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
+    scalar or an array of nodes; the result has its shape.
     """
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
-    # log-space evaluation tolerates large |Im s| without overflow
-    acc = log_gamma(s) + log_gamma(1.0 - s)
+    s = np.asarray(s, dtype=complex)
+    # log-space evaluation tolerates large |Im s| without overflow; the
+    # branch of each loggamma term is irrelevant once the sum is exponentiated
+    acc = loggamma(s) + loggamma(1.0 - s)
     acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
     for ui in us:
-        acc += log_gamma(ui + s)
+        acc += loggamma(ui + s)
     for vj in vs:
-        acc -= log_gamma(1.0 + vj + s)
-    return cmath.exp(acc)
+        acc -= loggamma(1.0 + vj + s)
+    return np.exp(acc)
+
+
+# smallest trapezoidal step before the line integral counts as unconverged
+_MIN_STEP = 2.0 ** -12
 
 
 def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
@@ -393,6 +398,15 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     accuracy target; the truncation height T is raised until an analytic
     exponential tail bound drops below tol/10, and NonConvergenceError is
     raised if that fails for T <= t_max.
+
+    The line integral over [-T, T] is the trapezoidal rule at nodes
+    t = k h, which converges geometrically because the integrand is
+    analytic in a strip around the line.  Starting from h = 1/2 the step is
+    halved, reusing the previous nodes, until two successive sums differ by
+    less than tol / (20 |prefactor|); that takes at least one halving.  If
+    h reaches 2^-12 first (a pole family close to the line narrows the
+    strip), NonConvergenceError is raised; an unconverged sum is never
+    returned.
     """
     if tol < 1e-12:
         raise ValueError("tol below supported accuracy")
@@ -413,8 +427,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     prefactor /= math.pi ** n
     scale_ref = max(abs(prefactor), 1e-300)
 
-    def integrand(t: float) -> complex:
-        return barnes_integrand(complex(-0.5, t), w, config, l, weight_scale)
+    def integrand(t):
+        return barnes_integrand(-0.5 + 1j * t, w, config, l, weight_scale)
 
     # truncation height with an exponential tail bound
     T = 20.0
@@ -427,16 +441,25 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
         if T > t_max:
             raise NonConvergenceError(f"tail bound {bound:.3e} not met by T = {t_max}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        quad_tol = tol / (20.0 * scale_ref)
-        re_part, _ = scipy.integrate.quad(
-            lambda t: integrand(t).real, -T, T, epsabs=quad_tol, epsrel=1e-12, limit=800
-        )
-        im_part, _ = scipy.integrate.quad(
-            lambda t: integrand(t).imag, -T, T, epsabs=quad_tol, epsrel=1e-12, limit=800
-        )
-    line_integral = (re_part + 1j * im_part) / (2.0 * math.pi)
+    quad_tol = tol / (20.0 * scale_ref)
+    h = 0.5
+    kmax = math.floor(T / h)
+    total = h * np.sum(integrand(h * np.arange(-kmax, kmax + 1)))
+    while True:
+        # step h/2 adds the odd multiples of h/2 in [-T, T]
+        kmax = math.floor(T / h - 0.5)
+        odd = h * (np.arange(-kmax - 1, kmax + 1) + 0.5)
+        refined = 0.5 * (total + h * np.sum(integrand(odd)))
+        h *= 0.5
+        err = abs(refined - total)
+        if err < quad_tol:
+            break
+        if h <= _MIN_STEP:
+            raise NonConvergenceError(
+                f"trapezoidal sums still differ by {err:.3e} at step {h:g}"
+            )
+        total = refined
+    line_integral = refined / (2.0 * math.pi)
 
     # residues of poles strictly between the line and the integers >= 0
     correction = 0j

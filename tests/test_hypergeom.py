@@ -3,12 +3,13 @@ continuation, I-series factorization, and central charges."""
 
 import cmath
 import math
+from fractions import Fraction
 from itertools import product as iter_product
 
 import mpmath
 import pytest
 
-from flopwall.flopgeom import fixed_point_deltas, random_config
+from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.hypergeom import (
     MultiOffsetSeries,
     NonConvergenceError,
@@ -409,6 +410,91 @@ def test_barnes_guard_on_pole_line(cfg21):
         barnes_integrate(bad, cfg21, 0)
     with pytest.raises(ValueError):
         barnes_integrate(math.log(0.3) + 1j * math.pi, cfg21, 0, tol=1e-15)
+
+
+def _barnes_oracle(config, l, ws, weight_scale):
+    """30-digit mpmath.quad over the whole line Re s = -1/2, one value per w.
+
+    Adds the residues of the poles right of the line and multiplies by the
+    sine prefactor, all recomputed in mpmath.  The w-independent part of
+    the integrand is cached per node, so the values for several w share
+    their Gamma evaluations.
+    """
+    with mpmath.workdps(30):
+        n, r = config.n, config.r
+        x = [mpmath.mpf(v.numerator) / v.denominator for v in config.x]
+        z = [mpmath.mpf(v.numerator) / v.denominator for v in config.z]
+        scale = mpmath.mpc(weight_scale)
+        u = scale / (2j * mpmath.pi)
+        us = [(x[l] - zi) * u for zi in z]
+        vs = [(x[l] - xj) * u for xj in x]
+        shift = 1j * mpmath.pi * (n - r)
+
+        def gammas(s, skip=None):
+            out = 1
+            for i, ui in enumerate(us):
+                if i != skip:
+                    out *= mpmath.gamma(ui + s)
+            for vj in vs:
+                out *= mpmath.rgamma(1 + vj + s)
+            return out
+
+        cache = {}
+
+        def kernel(t):
+            if t not in cache:
+                s = mpmath.mpc(-0.5, t)
+                cache[t] = mpmath.pi / mpmath.sin(mpmath.pi * s) * gammas(s) * mpmath.exp(-shift * s)
+            return cache[t]
+
+        prefactor = mpmath.fprod(mpmath.sin(scale * (x[l] - zi) / 2j) for zi in z) / mpmath.pi ** n
+        out = []
+        for w in ws:
+            w = mpmath.mpc(w)
+            # degree 5 of tanh-sinh already estimates its error near 1e-30 here
+            line, err = mpmath.quad(
+                lambda t: kernel(t) * mpmath.exp(w * (mpmath.mpc(-0.5, t) + x[l] * u)),
+                [-mpmath.inf, 0, mpmath.inf], maxdegree=5, error=True,
+            )
+            assert err < 1e-20
+            residues = 0
+            for k in range(n):
+                for d in range(100):
+                    s0 = -us[k] - d
+                    if s0.real <= -0.5:
+                        break
+                    residues += (mpmath.pi / mpmath.sin(mpmath.pi * s0) * gammas(s0, skip=k)
+                                 * mpmath.exp(w * (s0 + x[l] * u) - shift * s0)
+                                 * (-1) ** d / mpmath.factorial(d))
+            out.append(complex(prefactor * (-line / (2 * mpmath.pi) - residues)))
+        return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("unit", ["one", "rotated-ch-z2"])
+def test_barnes_matches_mpmath_contour_oracle(n, unit):
+    # before the wall, on it and past it; the rotated Chern scale at z = 2
+    # makes the weight unit real, which moves the pole families off the
+    # integers and towards the line
+    cfg = default_config(n, 1)
+    scale = 1.0 if unit == "one" else PsiContext.create(cfg, "plus", z=2.0).rotated().ch_scale
+    ws = [complex(re, (n - 1) * math.pi) for re in (-1.0, 0.0, 1.0)]
+    tol = 1e-10
+    for l in range(n):
+        for w, want in zip(ws, _barnes_oracle(cfg, l, ws, scale)):
+            got = barnes_integrate(w, cfg, l, tol=tol, weight_scale=scale)
+            assert abs(got - want) <= tol, (l, w)
+
+
+def test_barnes_pole_near_line_raises():
+    # negative control: with u = -1/2 (weight scale -pi i, the rotated
+    # Chern scale at z = 2) and x_0 - z_0 = -1 + 2e-7 the d = 0 pole of
+    # family 0 sits 1e-7 right of the line, past the contour-touch check;
+    # no step down to 2^-12 resolves it, so no value may be returned
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(3, 10)),
+                     (Fraction(1) - Fraction(2, 10**7), Fraction(-1, 5)))
+    with pytest.raises(NonConvergenceError, match="trapezoidal"):
+        barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10, weight_scale=-math.pi * 1j)
 
 
 def test_verify_continuation_report(cfg21):
