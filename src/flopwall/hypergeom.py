@@ -234,7 +234,7 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
-                c *= (xs[d[i]] - xs[d[k]]) * u + es[i] - es[k]
+                c *= (xs[d[i]] - xs[d[k]]) * u + (es[i] - es[k])
             for j in range(n):
                 c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
                 c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])

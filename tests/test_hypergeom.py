@@ -150,21 +150,21 @@ def test_plus_series_is_antisymmetrized_factor_product(cfg32):
 # These references are the minus branches as they were written out by hand
 # before that, in the weights x, z of the unflipped instance.
 
-def _h_series_minus_reference(config, delta, order):
+def _h_series_minus_reference(config, delta, order, weight_scale=1.0):
     xs, zs = config.complex_weights()
-    u = 1.0 / TWO_PI_I
+    u = weight_scale / TWO_PI_I
     n, r = config.n, config.r
     d = tuple(delta)
     prefactor = complex(math.pi ** (r * (r - 1) // 2))
     for i in range(r):
         for k in range(i + 1, r):
-            prefactor /= sin_over_2i(zs[d[i]] - zs[d[k]])
+            prefactor /= sin_over_2i(weight_scale * (zs[d[i]] - zs[d[k]]))
     coeffs = {}
     for es in iter_product(range(order + 1), repeat=r):
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
-                c *= (zs[d[i]] - zs[d[k]]) * u + es[k] - es[i]
+                c *= (zs[d[i]] - zs[d[k]]) * u + (es[k] - es[i])
             for j in range(n):
                 c *= recip_gamma(1 + (zs[d[k]] - xs[j]) * u - es[k])
                 c *= recip_gamma(1 + (zs[j] - zs[d[k]]) * u + es[k])
@@ -230,6 +230,20 @@ def test_minus_h_series_matches_reference(n, r):
             assert got_coeffs.keys() == coeffs.keys()
             for es, want in coeffs.items():
                 assert abs(got_coeffs[es] - want) <= 1e-14 * abs(want), (cfg, d, es)
+
+
+def test_minus_h_series_matches_reference_at_real_unit():
+    # at weight scale pi i the unit u = 1/2 is real, and a pair factor
+    # (z_i - z_k) u + e_k - e_i with e_i = e_k cancels unless the integer
+    # part is formed first; added left to right it lost three digits
+    cfg = random_config(3, 2, seed=0)
+    scale = math.pi * 1j
+    for d in fixed_point_deltas(cfg):
+        _, coeffs, prefactor = _h_series_minus_reference(cfg, d, 8, scale)
+        got = h_series(cfg, "minus", d, 8, weight_scale=scale)
+        assert abs(got.prefactor - prefactor) <= 1e-14 * abs(prefactor)
+        for es, want in coeffs.items():
+            assert abs(got.coeffs[es] - want) <= 1e-14 * abs(want), (d, es)
 
 
 @pytest.mark.parametrize("n,r", _MINUS_GRID)
