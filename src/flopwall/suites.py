@@ -108,6 +108,8 @@ class SuiteEnv:
     z_values: tuple = (2.0 + 0j, 3.0 + 1j)
     tols: dict = field(default_factory=dict)
     base_config: FlopConfig | None = None
+    # one config per fixed grid point, so its weight table is built once per run
+    _grid_configs: dict = field(default_factory=dict, init=False, repr=False)
 
     def tol(self, name: str) -> float:
         return self.tols.get(name, DEFAULT_TOLS[name])
@@ -115,7 +117,9 @@ class SuiteEnv:
     def config_for(self, n: int, r: int) -> FlopConfig:
         if self.base_config is not None and (self.base_config.n, self.base_config.r) == (n, r):
             return self.base_config
-        return default_config(n, r)
+        if (n, r) not in self._grid_configs:
+            self._grid_configs[n, r] = default_config(n, r)
+        return self._grid_configs[n, r]
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
