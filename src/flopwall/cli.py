@@ -56,8 +56,8 @@ class RunConfig:
     """Instance data plus suite knobs, JSON-loadable.
 
     Weights are given either explicitly (decimal or "p/q" strings) or as
-    {"seed", "scale"} for random rational generation; the seed is recorded
-    in every report.
+    {"seed", "scale"} for random rational generation, never both; the seed
+    is recorded in every report.
     """
 
     n: int = 2
@@ -101,6 +101,9 @@ class RunConfig:
             weights = data.get("weights", {})
             _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
             if "x" in weights or "z" in weights:
+                beside = sorted({"seed", "scale"} & set(weights))
+                if beside:
+                    raise ConfigError(f"weights {beside} cannot be given beside explicit x/z")
                 kwargs["x"] = tuple(Fraction(str(v)) for v in weights["x"])
                 kwargs["z"] = tuple(Fraction(str(v)) for v in weights["z"])
             elif weights:

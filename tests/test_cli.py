@@ -88,6 +88,15 @@ def test_unknown_config_keys_exit_two(tmp_path, payload):
     assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("extra", [{"seed": 5}, {"scale": "1/3"}])
+def test_weights_seed_or_scale_beside_explicit_lists_exits_two(tmp_path, extra):
+    # explicit x/z fix the instance; a random-draw key beside them was ignored
+    weights = {"x": ["31/100", "-17/100"], "z": ["3/25", "47/100"], **extra}
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "weights": weights}))
+    assert main(["verify", "--config", str(path)]) == 2
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("A run config is a JSON file:")[1].split("```json")[1].split("```")[0]
