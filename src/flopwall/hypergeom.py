@@ -374,15 +374,15 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     return np.exp(acc)
 
 
-# smallest trapezoidal step before the line integral counts as unconverged
-_MIN_STEP = 2.0 ** -12
-
-
 def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
     nr = (config.n - config.r) * math.pi
     m_up = w.imag - (nr - math.pi)
     m_down = (nr + math.pi) - w.imag
     return m_up, m_down
+
+
+# smallest trapezoidal step before the line integral counts as unconverged
+_MIN_STEP = 2.0 ** -12
 
 
 def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
