@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
-from scipy.special import loggamma
 
 from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_point_deltas
 from .ktheory import LocalizedKClass
@@ -32,6 +31,7 @@ from .numkernel import (
     PoleError,
     TWO_PI_I,
     gamma,
+    log_gamma,
     recip_gamma,
     sin_over_2i,
 )
@@ -362,16 +362,17 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     """
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
-    s = np.asarray(s, dtype=complex)
+    shape = np.shape(s)
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
     # log-space evaluation tolerates large |Im s| without overflow; the
-    # branch of each loggamma term is irrelevant once the sum is exponentiated
-    acc = loggamma(s) + loggamma(1.0 - s)
+    # branch of each log_gamma term is irrelevant once the sum is exponentiated
+    acc = log_gamma(s) + log_gamma(1.0 - s)
     acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
     for ui in us:
-        acc += loggamma(ui + s)
+        acc += log_gamma(ui + s)
     for vj in vs:
-        acc -= loggamma(1.0 + vj + s)
-    return np.exp(acc)
+        acc -= log_gamma(1.0 + vj + s)
+    return np.exp(acc).reshape(shape)
 
 
 def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
@@ -406,7 +407,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     less than tol / (20 |prefactor|); that takes at least one halving.  If
     h reaches 2^-12 first (a pole family close to the line narrows the
     strip), NonConvergenceError is raised; an unconverged sum is never
-    returned.
+    returned.  A pole family within 1e-9 of the line raises it before any
+    node is evaluated.
     """
     if tol < 1e-12:
         raise ValueError("tol below supported accuracy")
@@ -419,6 +421,12 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
             f"w = {w} is outside the convergence strip around height {(n - r)}*pi"
         )
     a_l, us, vs = _mb_data(config, l, weight_scale)
+    # a pole family on the line leaves the trapezoidal rule no strip of
+    # analyticity; its member nearest the line has d = round(1/2 - Re u_k)
+    for uk in us:
+        d = round(0.5 - uk.real)
+        if d >= 0 and abs(uk.real + d - 0.5) < 1e-9:
+            raise NonConvergenceError("pole family touches the contour line")
 
     xs, zs = config.complex_weights()
     prefactor = 1.0 + 0j
@@ -433,7 +441,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     # truncation height with an exponential tail bound
     T = 20.0
     while True:
-        bound = abs(integrand(T)) / m_up + abs(integrand(-T)) / m_down
+        top, bottom = abs(integrand(np.array([T, -T])))
+        bound = top / m_up + bottom / m_down
         bound *= 10.0 * scale_ref / (2.0 * math.pi)
         if bound < tol / 10.0:
             break
@@ -469,8 +478,6 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
             s0 = -us[k] - d
             if s0.real <= -0.5:
                 break
-            if abs(s0.real + 0.5) < 1e-9:
-                raise NonConvergenceError("pole family touches the contour line")
             val = gamma(s0) * gamma(1.0 - s0)
             val *= cmath.exp(w * (s0 + a_l) - 1j * math.pi * (n - r) * s0)
             val *= (-1.0) ** (d % 2) / math.factorial(d)

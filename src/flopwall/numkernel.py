@@ -1,7 +1,8 @@
 """Exact rational/polynomial arithmetic and complex special-function kernels.
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
-goes through the complex kernels below.  All functions are pure.
+goes through the complex kernels below.  All functions are pure.  The Gamma
+kernels work on complex scalars; ``log_gamma`` also takes a node array.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import math
 import operator
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
+from scipy.special import loggamma as _loggamma_array
 
 TWO_PI_I = 2j * math.pi
 
@@ -101,11 +105,16 @@ def _log_sin_pi(s: complex) -> complex:
     return head - _LOG_TWO + cmath.log(d)
 
 
-def log_gamma(s: complex) -> complex:
+def log_gamma(s):
     """Principal branch of log Gamma.
 
-    Raises PoleError when ``s`` is within 1e-12 of a non-positive integer.
+    ``s`` is a complex scalar or an ndarray; an array is evaluated
+    elementwise by ``scipy.special.loggamma``, also the principal branch.
+    Raises PoleError when ``s``, or any element of it, is within 1e-12 of a
+    non-positive integer.
     """
+    if isinstance(s, np.ndarray):
+        return _log_gamma_nodes(s)
     s = complex(s)
     if is_nonpositive_integer(s):
         raise PoleError(f"log_gamma pole at s = {s!r}")
@@ -113,6 +122,20 @@ def log_gamma(s: complex) -> complex:
         return _check_finite(_log_gamma_right(s))
     refl = math.log(math.pi) - _log_sin_pi(s) - _log_gamma_right(1.0 - s)
     return _check_finite(refl)
+
+
+def _log_gamma_nodes(s: np.ndarray) -> np.ndarray:
+    s = s.astype(complex, copy=False)
+    near = np.abs(s.imag) <= POLE_TOL
+    if near.any():
+        re = s.real[near]
+        k = np.round(re)
+        if np.any((k <= 0) & (np.abs(re - k) <= POLE_TOL)):
+            raise PoleError("log_gamma pole among the array elements")
+    out = _loggamma_array(s)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite log_gamma value among the array elements")
+    return out
 
 
 def gamma(s: complex) -> complex:

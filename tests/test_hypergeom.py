@@ -214,12 +214,15 @@ def _minus_grid_configs(n, r):
 @pytest.mark.parametrize("n,r", _MINUS_GRID)
 def test_minus_h_series_matches_reference(n, r):
     # the flipped plus series carries (-1)^{r(r-1)/2} on the prefactor and
-    # on every coefficient; h_series folds it back, signs must agree
+    # on every coefficient; h_series folds it back, signs must agree.  At
+    # weight scale pi i the unit u = 1/2 is real, and a pair factor
+    # (z_i - z_k) u + e_k - e_i with e_i = e_k cancels unless the integer
+    # part is formed first; added left to right it lost three digits
     order = _MINUS_ORDER[r]
-    for cfg in _minus_grid_configs(n, r):
+    for cfg, scale in iter_product(_minus_grid_configs(n, r), (1.0, math.pi * 1j)):
         for d in fixed_point_deltas(cfg):
-            offsets, coeffs, prefactor = _h_series_minus_reference(cfg, d, order)
-            got = h_series(cfg, "minus", d, order)
+            offsets, coeffs, prefactor = _h_series_minus_reference(cfg, d, order, scale)
+            got = h_series(cfg, "minus", d, order, weight_scale=scale)
             if r == 1:
                 got_offsets = (got.offset,)
                 got_coeffs = {(e,): c for e, c in got.coeffs.items()}
@@ -229,21 +232,7 @@ def test_minus_h_series_matches_reference(n, r):
             assert abs(got.prefactor - prefactor) <= 1e-14 * abs(prefactor)
             assert got_coeffs.keys() == coeffs.keys()
             for es, want in coeffs.items():
-                assert abs(got_coeffs[es] - want) <= 1e-14 * abs(want), (cfg, d, es)
-
-
-def test_minus_h_series_matches_reference_at_real_unit():
-    # at weight scale pi i the unit u = 1/2 is real, and a pair factor
-    # (z_i - z_k) u + e_k - e_i with e_i = e_k cancels unless the integer
-    # part is formed first; added left to right it lost three digits
-    cfg = random_config(3, 2, seed=0)
-    scale = math.pi * 1j
-    for d in fixed_point_deltas(cfg):
-        _, coeffs, prefactor = _h_series_minus_reference(cfg, d, 8, scale)
-        got = h_series(cfg, "minus", d, 8, weight_scale=scale)
-        assert abs(got.prefactor - prefactor) <= 1e-14 * abs(prefactor)
-        for es, want in coeffs.items():
-            assert abs(got.coeffs[es] - want) <= 1e-14 * abs(want), (d, es)
+                assert abs(got_coeffs[es] - want) <= 1e-14 * abs(want), (cfg, scale, d, es)
 
 
 @pytest.mark.parametrize("n,r", _MINUS_GRID)
@@ -509,6 +498,19 @@ def test_barnes_pole_near_line_raises():
                      (Fraction(1) - Fraction(2, 10**7), Fraction(-1, 5)))
     with pytest.raises(NonConvergenceError, match="trapezoidal"):
         barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10, weight_scale=-math.pi * 1j)
+
+
+@pytest.mark.parametrize("offset", [0, 2, -2])
+def test_barnes_pole_on_line_raises_touches(offset):
+    # weight scale 6 pi - pi i gives u = -1/2 - 3i, so with
+    # x_0 - z_0 = -1 + offset * 1e-10 the d = 0 pole of family 0 sits at
+    # height -3, on the line or 1e-10 either side of it; the touch check
+    # must raise before any halving of the trapezoidal step
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(3, 10)),
+                     (Fraction(1) - Fraction(offset, 10**10), Fraction(-1, 5)))
+    with pytest.raises(NonConvergenceError, match="touches"):
+        barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10,
+                         weight_scale=6 * math.pi - math.pi * 1j)
 
 
 def test_verify_continuation_report(cfg21):
