@@ -11,6 +11,7 @@ formatting, and per-case timings are left out unless explicitly requested.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -20,7 +21,13 @@ from fractions import Fraction
 
 from . import __version__
 from .flopgeom import ConfigError, FlopConfig, enumerate_fixed_points, random_config
-from .hypergeom import NonConvergenceError, barnes_integrate, central_charge, h_series
+from .hypergeom import (
+    MIN_BARNES_TOL,
+    NonConvergenceError,
+    barnes_integrate,
+    central_charge,
+    h_series,
+)
 from .numkernel import PoleError
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
 from .suites import DEFAULT_TOLS, SuiteEnv, collect_cases, default_config
@@ -49,6 +56,18 @@ def _reject_unknown(what: str, data: dict, known) -> None:
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown {what} {sorted(unknown)}")
+
+
+def _finite_complex(re_part, im_part) -> complex:
+    value = complex(re_part, im_part)
+    if not cmath.isfinite(value):
+        raise ConfigError(f"non-finite complex value {value!r}")
+    return value
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ConfigError(f"series order must be non-negative, got {order}")
 
 
 @dataclass
@@ -98,6 +117,7 @@ class RunConfig:
             for key in ("n", "r", "seed", "order"):
                 if key in data:
                     kwargs[key] = int(data[key])
+            _check_order(kwargs.get("order", 0))
             weights = data.get("weights", {})
             _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
             if "x" in weights or "z" in weights:
@@ -116,7 +136,7 @@ class RunConfig:
                 vals = data["z_eval"]
                 if vals and isinstance(vals[0], (int, float)):
                     vals = [vals]
-                kwargs["z_eval"] = tuple(complex(a, b) for a, b in vals)
+                kwargs["z_eval"] = tuple(_finite_complex(a, b) for a, b in vals)
             if "tol" in data:
                 _reject_unknown("tolerance keys", data["tol"], DEFAULT_TOLS)
                 kwargs["tols"] = {k: float(v) for k, v in data["tol"].items()}
@@ -279,7 +299,7 @@ def _parse_complex(text: str) -> complex:
         re_part, im_part = (float(t) for t in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad complex value {text!r}, expected RE,IM") from exc
-    return complex(re_part, im_part)
+    return _finite_complex(re_part, im_part)
 
 
 def _char_json(chi) -> list:
@@ -345,6 +365,7 @@ def cmd_series(args) -> int:
     delta = _parse_delta(args.delta, cfg.n)
     if len(delta) != cfg.r:
         raise ConfigError(f"--delta needs exactly r={cfg.r} indices")
+    _check_order(args.order)
     series = h_series(cfg, args.side, delta, args.order)
     if hasattr(series, "specialize"):
         series = series.specialize()
@@ -357,6 +378,8 @@ def cmd_barnes(args) -> int:
     cfg = rc.flop_config()
     if cfg.r != 1:
         raise ConfigError("barnes evaluation needs r = 1")
+    if not MIN_BARNES_TOL <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and at least {MIN_BARNES_TOL}, got {args.tol}")
     w = _parse_complex(args.w)
     delta = _parse_delta(args.delta, cfg.n) if args.delta else (0,)
     value = barnes_integrate(w, cfg, delta[0], tol=args.tol)

@@ -120,8 +120,16 @@ class FlopConfig:
         return table
 
     def flipped(self) -> "FlopConfig":
-        """The flop involution x -> -z, z -> -x (exchanges the two sides)."""
-        return FlopConfig(self.n, self.r, tuple(-v for v in self.z), tuple(-v for v in self.x))
+        """The flop involution x -> -z, z -> -x (exchanges the two sides).
+
+        Built on the first call and held, with this instance as its flip.
+        """
+        flip = self.__dict__.get("_flip")
+        if flip is None:
+            flip = FlopConfig(self.n, self.r, tuple(-v for v in self.z), tuple(-v for v in self.x))
+            object.__setattr__(flip, "_flip", self)
+            object.__setattr__(self, "_flip", flip)
+        return flip
 
 
 def random_config(n: int, r: int, seed: int, scale=Fraction(1, 10)) -> FlopConfig:

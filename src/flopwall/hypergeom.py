@@ -385,6 +385,9 @@ def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
 # smallest trapezoidal step before the line integral counts as unconverged
 _MIN_STEP = 2.0 ** -12
 
+# smallest accuracy target barnes_integrate accepts
+MIN_BARNES_TOL = 1e-12
+
 
 def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
                      weight_scale: complex = 1.0, t_max: float = 200.0) -> complex:
@@ -410,8 +413,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     returned.  A pole family within 1e-9 of the line raises it before any
     node is evaluated.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below supported accuracy")
+    if not MIN_BARNES_TOL <= tol < math.inf:
+        raise ValueError(f"tol {tol!r} is below supported accuracy or not finite")
     n, r = config.n, config.r
     if not (0 <= l < n):
         raise ValueError("fixed point index out of range")

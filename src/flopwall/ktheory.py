@@ -26,7 +26,6 @@ from .flopgeom import (
     fixed_point_deltas,
     tangent_weight_vectors,
     weight_complex,
-    weight_value,
 )
 from .numkernel import TWO_PI_I
 
@@ -213,18 +212,6 @@ def tilde_tangent_weight_vectors(config: FlopConfig, delta_minus, delta_plus) ->
         for k in range(n):
             if k not in dp:
                 out.append(_vsub(_xvec(e, n), _xvec(k, n)))
-    return out
-
-
-def tilde_tangent_weights(config: FlopConfig, delta_minus, delta_plus) -> list:
-    out = []
-    for vec in tilde_tangent_weight_vectors(config, delta_minus, delta_plus):
-        val = weight_value(config, vec)
-        if val == 0:
-            raise DegenerateWeightError(
-                f"zero resolution tangent weight at ({delta_minus}, {delta_plus})"
-            )
-        out.append(val)
     return out
 
 

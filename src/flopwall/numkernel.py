@@ -2,7 +2,10 @@
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
 goes through the complex kernels below.  All functions are pure.  The Gamma
-kernels work on complex scalars; ``log_gamma`` also takes a node array.
+kernels take a complex scalar or an ndarray and treat both alike: values
+come from ``scipy.special`` (``loggamma``, the principal branch, and
+``rgamma``), a non-finite argument or value raises NonFiniteError, and
+``log_gamma`` raises PoleError within POLE_TOL of a non-positive integer.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import loggamma as _loggamma_array
+from scipy.special import loggamma as _loggamma
+from scipy.special import rgamma as _rgamma
 
 TWO_PI_I = 2j * math.pi
 
@@ -26,145 +30,79 @@ class PoleError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A kernel produced a non-finite value instead of signalling an error."""
+    """A kernel met a non-finite argument or produced a non-finite value."""
 
 
-def _check_finite(v: complex) -> complex:
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+def _as_complex(v):
+    """A complex ndarray for an array of at least one dimension, else a ``complex``."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v.astype(complex, copy=False)
+    return complex(v)
+
+
+def _finite(v):
+    """``_as_complex(v)``; NonFiniteError unless all of it is finite."""
+    v = _as_complex(v)
+    if isinstance(v, np.ndarray):
+        if not np.isfinite(v).all():
+            raise NonFiniteError("non-finite kernel value among the array elements")
+    elif not cmath.isfinite(v):
         raise NonFiniteError(f"non-finite kernel value {v!r}")
     return v
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy of the
-# resulting Gamma values is a few ulp over the right half-plane, which is
-# what the 1e-13 contract on |s| <= 100 needs.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_TWO = math.log(2.0)
-_PI_I = 1j * math.pi
-
-
-def is_nonpositive_integer(s: complex, tol: float = POLE_TOL) -> bool:
+def is_nonpositive_integer(s, tol: float = POLE_TOL) -> bool:
+    """Whether ``s``, or any element of an ndarray ``s``, is within ``tol``
+    of a non-positive integer; a non-finite value never is.  Of an array,
+    only the elements within ``tol`` of the real axis are rounded."""
+    if isinstance(s, np.ndarray):
+        return any(is_nonpositive_integer(v, tol) for v in s[np.abs(s.imag) <= tol])
     s = complex(s)
-    if abs(s.imag) > tol:
+    if not (abs(s.imag) <= tol and math.isfinite(s.real)):
         return False
     k = round(s.real)
     return k <= 0 and abs(s.real - k) <= tol
 
 
-def _log_gamma_right(s: complex) -> complex:
-    # Re(s) >= 0.5; principal branch, every log here stays principal because
-    # both t and the Lanczos series live in the right half-plane.
-    acc = _LANCZOS_C[0]
-    for k, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (s - 1.0 + k)
-    t = s - 0.5 + _LANCZOS_G
-    return (s - 0.5) * cmath.log(t) - t + _HALF_LOG_TWO_PI + cmath.log(acc)
-
-
-def _one_minus_exp_near_zero(z: complex) -> complex:
-    # 1 - exp(z) without the cancellation of the plain subtraction, for
-    # Re z <= 0: with a = Re z, b = Im z, the real part is the sum of the
-    # non-negative terms 2 exp(a) sin^2(b/2) and -expm1(a).
-    a, b = z.real, z.imag
-    e = math.exp(a)
-    sh, ch = math.sin(0.5 * b), math.cos(0.5 * b)
-    return complex(2.0 * e * sh * sh - math.expm1(a), -2.0 * e * sh * ch)
-
-
-def _log_sin_pi(s: complex) -> complex:
-    # log sin(pi s) = +-i pi (1/2 - s) - log 2 + log(1 - exp(+-2 pi i s)),
-    # upper signs for Im s >= 0 so that |exp(...)| <= 1.  The winding term
-    # is explicit, so the reflection formula below yields the principal
-    # branch of log Gamma.  The exponential is taken at f = s - round(Re s),
-    # which leaves it unchanged but drops the rounding error of 2 pi k; where
-    # 1 - exp(...) is small (s near an integer) it is formed without
-    # cancellation.
-    f = s - round(s.real)
-    if s.imag >= 0.0:
-        z = TWO_PI_I * f
-        head = _PI_I * (0.5 - s)
-    else:
-        z = -TWO_PI_I * f
-        head = _PI_I * (s - 0.5)
-    d = 1.0 - cmath.exp(z)
-    if abs(d) < 0.5:
-        d = _one_minus_exp_near_zero(z)
-    return head - _LOG_TWO + cmath.log(d)
-
-
 def log_gamma(s):
-    """Principal branch of log Gamma.
+    """Principal branch of log Gamma, elementwise for an ndarray ``s``.
 
-    ``s`` is a complex scalar or an ndarray; an array is evaluated
-    elementwise by ``scipy.special.loggamma``, also the principal branch.
-    Raises PoleError when ``s``, or any element of it, is within 1e-12 of a
-    non-positive integer.
+    Returns a ``complex`` for a scalar and an ndarray for an ndarray.
+    Raises PoleError when ``s``, or any element of it, is within POLE_TOL
+    of a non-positive integer, and NonFiniteError on a non-finite argument
+    or value.
     """
-    if isinstance(s, np.ndarray):
-        return _log_gamma_nodes(s)
-    s = complex(s)
+    s = _as_complex(s)
     if is_nonpositive_integer(s):
-        raise PoleError(f"log_gamma pole at s = {s!r}")
-    if s.real >= 0.5:
-        return _check_finite(_log_gamma_right(s))
-    refl = math.log(math.pi) - _log_sin_pi(s) - _log_gamma_right(1.0 - s)
-    return _check_finite(refl)
-
-
-def _log_gamma_nodes(s: np.ndarray) -> np.ndarray:
-    s = s.astype(complex, copy=False)
-    near = np.abs(s.imag) <= POLE_TOL
-    if near.any():
-        re = s.real[near]
-        k = np.round(re)
-        if np.any((k <= 0) & (np.abs(re - k) <= POLE_TOL)):
-            raise PoleError("log_gamma pole among the array elements")
-    out = _loggamma_array(s)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("non-finite log_gamma value among the array elements")
-    return out
+        where = f"s = {s!r}" if isinstance(s, complex) else "an element of s"
+        raise PoleError(f"log_gamma pole at {where}")
+    # scipy's loggamma is non-finite at every non-finite argument
+    return _finite(_loggamma(s))
 
 
 def gamma(s: complex) -> complex:
     """Gamma function via ``exp(log_gamma)``; raises PoleError at poles."""
-    return _check_finite(cmath.exp(log_gamma(s)))
+    lg = log_gamma(s)
+    try:
+        return _finite(cmath.exp(lg))
+    except OverflowError:
+        raise NonFiniteError(f"Gamma overflows at s = {s!r}") from None
 
 
-def recip_gamma(s: complex) -> complex:
+def recip_gamma(s):
     """1/Gamma, entire; exactly 0 only at the non-positive integers.
 
-    Within 1e-12 of a non-positive integer -k, where log_gamma raises, the
-    reflection formula is evaluated directly: with f = s + k (exact in
-    floating point), 1/Gamma(s) = (-1)^k sin(pi f) Gamma(1 - s) / pi.  Its
-    size there is about k! |f|, far from 0 once k is large.
+    ``scipy.special.rgamma`` stays accurate next to the zeros, also within
+    POLE_TOL of them, where ``log_gamma`` raises.  Scalar or ndarray, as
+    for ``log_gamma``; raises NonFiniteError on a non-finite argument or
+    value.
     """
-    s = complex(s)
-    if is_nonpositive_integer(s):
-        k = -round(s.real)
-        f = s + k
-        if f == 0:
-            return 0j
-        val = cmath.exp(log_gamma(1.0 - s) + cmath.log(cmath.sin(math.pi * f) / math.pi))
-        return _check_finite(-val if k % 2 else val)
-    return _check_finite(cmath.exp(-log_gamma(s)))
+    return _finite(_rgamma(_finite(s)))
 
 
 def sin_over_2i(a: complex) -> complex:
     """sin(a/(2i)) evaluated through the hyperbolic form -i*sinh(a/2)."""
-    return _check_finite(-1j * cmath.sinh(complex(a) / 2.0))
+    return _finite(-1j * cmath.sinh(complex(a) / 2.0))
 
 
 # ----------------------------------------------------------------------

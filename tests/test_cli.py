@@ -97,6 +97,30 @@ def test_weights_seed_or_scale_beside_explicit_lists_exits_two(tmp_path, extra):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["barnes", "--w", "inf,3.14"], None),
+    (["barnes", "--w=-1,nan"], None),
+    (["charge", "--class", "1", "--w=-1,0", "--z", "inf,0"], None),
+    (["charge", "--class", "1", "--w=-1,0", "--z", "nan,0"], None),
+    (["verify", "--suite", "identities"], '{"z_eval": [[2, 0], [Infinity, 1]]}'),
+    (["verify", "--suite", "identities"], '{"z_eval": [NaN, 0]}'),
+    (["barnes", "--w=-1,3.14", "--tol", "1e-14"], None),
+    (["barnes", "--w=-1,3.14", "--tol", "nan"], None),
+    (["barnes", "--w=-1,3.14", "--tol", "inf"], None),
+    (["series", "--side", "plus", "--delta", "1", "--order", "-3"], None),
+    (["verify", "--suite", "identities"], '{"order": -1}'),
+])
+def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv, config):
+    # non-finite complex parts, a Barnes tol the quadrature cannot meet and
+    # a negative series order used to return null values or a traceback
+    if config is not None:
+        path = tmp_path / "rc.json"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("A run config is a JSON file:")[1].split("```json")[1].split("```")[0]

@@ -273,8 +273,9 @@ def test_ode_residuals_f_factors(cfg32):
 
 
 def test_ode_residuals_f_factors_near_gamma_poles():
-    # this instance evaluates 1/Gamma at -38 + 2.9e-5i, where an unreduced
-    # sine reflection lost three digits and the residual reached 1.2e-10
+    # this instance evaluates 1/Gamma at -38 + 2.9e-5i, next to a zero; a
+    # 1/Gamma three digits short of full relative accuracy there pushed the
+    # residual to 1.2e-10
     cfg = random_config(3, 2, seed="0:1:3:2")
     for dp in fixed_point_deltas(cfg):
         for k in range(2):

@@ -12,6 +12,7 @@ from flopwall.flopgeom import (
     fixed_point_deltas,
     random_config,
     tangent_weight_vectors,
+    weight_value,
 )
 from flopwall.ktheory import (
     LocalizedKClass,
@@ -24,7 +25,7 @@ from flopwall.ktheory import (
     fm_transform,
     fm_transform_generator_exact,
     generator_e,
-    tilde_tangent_weights,
+    tilde_tangent_weight_vectors,
     unit_class,
     _wedge_dual_value,
 )
@@ -68,13 +69,17 @@ def test_generator_vanishing_everywhere_else(cfg32):
                 assert chi.is_zero()
 
 
+def _tilde_tangent_weights(cfg, dm, dp):
+    return [weight_value(cfg, vec) for vec in tilde_tangent_weight_vectors(cfg, dm, dp)]
+
+
 def test_tilde_tangent_weights(cfg21, cfg32):
     x, z = cfg21.x, cfg21.z
-    got = tilde_tangent_weights(cfg21, (0,), (1,))
+    got = _tilde_tangent_weights(cfg21, (0,), (1,))
     assert sorted(got) == sorted([z[1] - z[0], z[0] - x[1], x[1] - x[0]])
     for dm in fixed_point_deltas(cfg32):
         for dp in fixed_point_deltas(cfg32):
-            tw = tilde_tangent_weights(cfg32, dm, dp)
+            tw = _tilde_tangent_weights(cfg32, dm, dp)
             assert len(tw) == cfg32.dim
             assert all(w != 0 for w in tw)
 

@@ -3,15 +3,18 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flopwall.numkernel import (
     MultiPoly,
+    NonFiniteError,
     PoleError,
     gamma,
     log_gamma,
@@ -33,6 +36,48 @@ def test_log_gamma_classical_values():
 def test_log_gamma_pole_error(s):
     with pytest.raises(PoleError):
         log_gamma(s)
+
+
+def _ordinary_nodes():
+    return -0.5 + 1j * np.linspace(-20.0, 20.0, 81)
+
+
+@pytest.mark.parametrize("k", [0, 3, 40])
+@pytest.mark.parametrize("d", [5e-13, 5e-13j])
+def test_log_gamma_array_pole_error(k, d):
+    nodes = _ordinary_nodes()
+    with pytest.raises(PoleError):
+        log_gamma(np.insert(nodes, 40, -k + d))
+    # just outside the pole window the same array evaluates
+    out = log_gamma(np.insert(nodes, 40, -k + 4 * d))
+    assert out.shape == (82,) and np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("kernel", [log_gamma, gamma, recip_gamma])
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(1.0, math.inf)])
+def test_non_finite_argument_raises_non_finite_error(kernel, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            kernel(s)
+
+
+@pytest.mark.parametrize("kernel", [log_gamma, recip_gamma])
+def test_non_finite_array_element_raises_non_finite_error(kernel):
+    nodes = _ordinary_nodes()
+    nodes[17] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            kernel(nodes)
+
+
+def test_overflowing_value_raises_non_finite_error():
+    # finite arguments whose Gamma or 1/Gamma exceeds the float range
+    with pytest.raises(NonFiniteError):
+        gamma(200.0)
+    with pytest.raises(NonFiniteError):
+        recip_gamma(-200.5)
 
 
 def test_recip_gamma_zeros_and_unit():
@@ -128,8 +173,8 @@ def test_recip_gamma_next_to_a_far_pole():
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 def test_recip_gamma_near_poles_matches_oracle(eps):
-    # s = -k + d with d = +-eps, +-i eps: sin(pi s) is tiny, so both the
-    # reduction of s by k and 1 - exp(2 pi i f) at small f must be exact
+    # s = -k + d with d = +-eps, +-i eps: next to the zero at -k, 1/Gamma is
+    # about k! |d| and must keep its full relative accuracy
     worst = 0.0
     for k in range(61):
         for d in (eps, -eps, 1j * eps, -1j * eps):
@@ -158,10 +203,10 @@ def test_recip_gamma_inside_the_pole_window():
 
 
 def test_log_gamma_branch_left_half_plane():
-    # the reduced sine keeps the explicit winding term: no stray 2 pi i
+    # principal branch across the left half-plane: no stray 2 pi i
     rng = random.Random(5)
     pts = [complex(rng.uniform(-60.0, 0.4), rng.uniform(-3.0, 3.0)) for _ in range(300)]
-    # far from the real axis exp(2 pi i s) underflows and must not overflow
+    # far from the real axis Gamma underflows; its log stays finite
     pts += [complex(-0.5, 300.0), complex(-3.2, -900.0)]
     for s in pts:
         ref = _loggamma_ref(s)
