@@ -14,6 +14,8 @@ of the left pole families sit on the imaginary axis, i.e. on the wrong
 side of the line, so the line integral is corrected by the residues of
 every non-integer pole with Re s > -1/2.  The corrected value reproduces
 the series for Re w < 0 and its continuation past the wall for Re w > 0.
+Nearly coincident correction poles, whose residues can cancel to many
+digits, are summed together as one circle integral (``barnes_integrate``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_point_deltas
 from .ktheory import LocalizedKClass
 from .numkernel import (
+    POLE_TOL,
     PoleError,
     TWO_PI_I,
     gamma,
@@ -358,12 +361,23 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     u the weight unit.  The scalar prefactor
     prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
-    scalar or an array of nodes; the result has its shape.
+    scalar or an array of nodes; the result has its shape.  Where
+    1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
+    value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there.
     """
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
     shape = np.shape(s)
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    out = np.zeros(s.shape, dtype=complex)
+    live = np.ones(s.shape, dtype=bool)
+    # zeros of the 1/Gamma factors, where 1 + v_j + s is within POLE_TOL of
+    # a non-positive integer; none when every Re(1 + v_j + s) exceeds that
+    if 1.0 + min(v.real for v in vs) + s.real.min() <= POLE_TOL:
+        arg = np.add.outer(vs, s) + 1.0
+        k = np.round(arg.real)
+        live = ~((k <= 0) & (np.abs(arg - k) <= POLE_TOL)).any(axis=0)
+        s = s[live]
     # log-space evaluation tolerates large |Im s| without overflow; the
     # branch of each log_gamma term is irrelevant once the sum is exponentiated
     acc = log_gamma(s) + log_gamma(1.0 - s)
@@ -372,7 +386,8 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
         acc += log_gamma(ui + s)
     for vj in vs:
         acc -= log_gamma(1.0 + vj + s)
-    return np.exp(acc).reshape(shape)
+    out[live] = np.exp(acc)
+    return out.reshape(shape)
 
 
 def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
@@ -382,8 +397,118 @@ def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
     return m_up, m_down
 
 
+def _mb_prefactor(config: FlopConfig, l: int, weight_scale: complex) -> complex:
+    """prod_i sin(scale (x_l - z_i) / 2i) / pi^n, the scalar the integral carries."""
+    xs, zs = config.complex_weights()
+    prefactor = 1.0 + 0j
+    for zi in zs:
+        prefactor *= sin_over_2i(complex(weight_scale) * (xs[l] - zi))
+    return prefactor / math.pi ** config.n
+
+
+def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
+                 t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation heights T_k = 4 * 1.2^k <= t_max and the tail bound at each.
+
+    The bound at T is (|f(T)| / m_up + |f(-T)| / m_down) * 10 * scale / (2 pi):
+    the tail of an integrand that decays like exp(-m |t|) beyond +-T, with
+    a factor 10 to spare.  All heights come from one ``integrand`` call.
+    """
+    heights = []
+    T = _LADDER_START
+    while T <= t_max:
+        heights.append(T)
+        T *= _LADDER_RATIO
+    heights = np.array(heights)
+    f = np.abs(integrand(np.concatenate([heights, -heights])))
+    m_up, m_down = margins
+    bounds = f[:len(heights)] / m_up + f[len(heights):] / m_down
+    return heights, bounds * 10.0 * scale / (2.0 * math.pi)
+
+
+def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
+    """Sum of the residues of f inside the circle |s - center| = radius.
+
+    Trapezoidal rule in the angle on 128 nodes, compared with the rule on
+    every other node and doubled (reusing the previous nodes) until two
+    successive sums differ by less than ``quad_tol``, or by less than 16
+    rounding units of the mean node term when that is larger: the node
+    terms can be large enough that their rounding alone exceeds
+    ``quad_tol``.  NonConvergenceError if that takes more than
+    _MAX_CIRCLE_NODES nodes.
+    """
+    def terms(theta):
+        step = radius * np.exp(1j * theta)
+        return f(center + step) * step
+
+    nodes = 128
+    first = terms(2.0 * math.pi * np.arange(nodes) / nodes)
+    total, refined = np.mean(first[::2]), np.mean(first)
+    size = np.mean(np.abs(first))
+    while True:
+        err = abs(refined - total)
+        if err < max(quad_tol, 16.0 * _EPS * size):
+            return refined
+        if nodes >= _MAX_CIRCLE_NODES:
+            raise NonConvergenceError(
+                f"circle sums around the pole cluster at {center} still differ by {err:.3e}"
+            )
+        odd = terms(2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes)
+        total, refined = refined, 0.5 * (refined + np.mean(odd))
+        size = 0.5 * (size + np.mean(np.abs(odd)))
+        nodes *= 2
+
+
+def _enclosing_circle(cluster, us):
+    """Centre and radius of a circle that isolates ``cluster``, or None.
+
+    The centre c is the mean of the cluster's poles and the radius is D/2,
+    D the distance from c to the line Re s = -1/2 and to the nearest
+    singularity outside the cluster: the integers and the poles -u_k - d,
+    d >= 0.  None unless every pole of the cluster lies within D/4 of c, so
+    that poles inside and singularities outside are both at least a factor
+    2 away from the circle; a cluster that straddles an integer, say, has
+    no such circle.
+    """
+    members = {(k, d) for k, d, _ in cluster}
+    center = sum(s0 for _, _, s0 in cluster) / len(cluster)
+    m = math.floor(center.real)
+    dist = min(center.real + 0.5, abs(center - m), abs(center - m - 1))
+    for k, uk in enumerate(us):
+        d0 = max(0, math.floor(-uk.real - center.real))
+        for d in (d0, d0 + 1):
+            if (k, d) not in members:
+                dist = min(dist, abs(center + uk + d))
+    if max(abs(s0 - center) for _, _, s0 in cluster) > dist / 4.0:
+        return None
+    return center, dist / 2.0
+
+
+def _pole_clusters(poles, gap: float) -> list:
+    """Group (k, d, s0) poles into clusters chained by distances below ``gap``."""
+    clusters: list = []
+    for p in poles:
+        near = [c for c in clusters if any(abs(p[2] - q[2]) < gap for q in c)]
+        clusters = [c for c in clusters if c not in near]
+        clusters.append([p] + [q for c in near for q in c])
+    return clusters
+
+
+# truncation heights tried for the line integral: T_k = 4 * 1.2^k <= t_max
+_LADDER_START = 4.0
+_LADDER_RATIO = 1.2
+
 # smallest trapezoidal step before the line integral counts as unconverged
 _MIN_STEP = 2.0 ** -12
+
+# correction poles closer than this are summed as one circle integral
+_CLUSTER_GAP = 0.1
+
+# most trapezoidal nodes on a circle around a pole cluster
+_MAX_CIRCLE_NODES = 2 ** 10
+
+# unit roundoff of the floats the integrand is summed in
+_EPS = float(np.finfo(float).eps)
 
 # smallest accuracy target barnes_integrate accepts
 MIN_BARNES_TOL = 1e-12
@@ -399,27 +524,39 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     (n - r) pi.  Computed as the vertical line integral at Re s = -1/2,
     corrected by the residues of the non-integer poles lying right of the
     line, and scaled by the sine prefactor.  ``tol`` is the absolute
-    accuracy target; the truncation height T is raised until an analytic
-    exponential tail bound drops below tol/10, and NonConvergenceError is
-    raised if that fails for T <= t_max.
+    accuracy target.
 
-    The line integral over [-T, T] is the trapezoidal rule at nodes
-    t = k h, which converges geometrically because the integrand is
-    analytic in a strip around the line.  Starting from h = 1/2 the step is
-    halved, reusing the previous nodes, until two successive sums differ by
-    less than tol / (20 |prefactor|); that takes at least one halving.  If
-    h reaches 2^-12 first (a pole family close to the line narrows the
-    strip), NonConvergenceError is raised; an unconverged sum is never
-    returned.  A pole family within 1e-9 of the line raises it before any
-    node is evaluated.
+    The line is truncated at the lowest height of the ladder
+    T_k = 4 * 1.2^k <= t_max at which an analytic exponential tail bound
+    is below tol/10; one integrand call at +-T_k gives the bound on every
+    rung, and NonConvergenceError is raised if no rung meets it.  The line
+    integral over [-T, T] is the trapezoidal rule at nodes t = k h, which
+    converges geometrically because the integrand is analytic in a strip
+    around the line.  Starting from h = 1/2 the step is halved, reusing the
+    previous nodes, until two successive sums differ by less than
+    tol / (20 |prefactor|); that takes at least one halving.  If h reaches
+    2^-12 first (a pole family close to the line narrows the strip),
+    NonConvergenceError is raised; an unconverged sum is never returned.
+    A pole family within 1e-9 of the line raises it before any node is
+    evaluated.
+
+    Correction poles closer than _CLUSTER_GAP to one another form a
+    cluster, whose residues can be large and nearly cancel.  Where their
+    rounding could reach tol / (20 |prefactor|), the cluster is summed as
+    one circle integral of the integrand instead (``_circle_sum`` on the
+    circle of ``_enclosing_circle``), which raises NonConvergenceError if
+    its sums do not settle; a cluster that no such circle isolates keeps
+    its separate residues.
     """
     if not MIN_BARNES_TOL <= tol < math.inf:
         raise ValueError(f"tol {tol!r} is below supported accuracy or not finite")
+    if not _LADDER_START <= t_max < math.inf:
+        raise ValueError(f"t_max {t_max!r} is below the lowest truncation height or not finite")
     n, r = config.n, config.r
     if not (0 <= l < n):
         raise ValueError("fixed point index out of range")
-    m_up, m_down = _decay_margins(config, w)
-    if min(m_up, m_down) < 5e-2:
+    margins = _decay_margins(config, w)
+    if min(margins) < 5e-2:
         raise NonConvergenceError(
             f"w = {w} is outside the convergence strip around height {(n - r)}*pi"
         )
@@ -431,37 +568,32 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
         if d >= 0 and abs(uk.real + d - 0.5) < 1e-9:
             raise NonConvergenceError("pole family touches the contour line")
 
-    xs, zs = config.complex_weights()
-    prefactor = 1.0 + 0j
-    for i in range(n):
-        prefactor *= sin_over_2i(complex(weight_scale) * (xs[l] - zs[i]))
-    prefactor /= math.pi ** n
+    prefactor = _mb_prefactor(config, l, weight_scale)
     scale_ref = max(abs(prefactor), 1e-300)
 
-    def integrand(t):
-        return barnes_integrand(-0.5 + 1j * t, w, config, l, weight_scale)
+    def integrand(s):
+        return barnes_integrand(s, w, config, l, weight_scale)
 
-    # truncation height with an exponential tail bound
-    T = 20.0
-    while True:
-        top, bottom = abs(integrand(np.array([T, -T])))
-        bound = top / m_up + bottom / m_down
-        bound *= 10.0 * scale_ref / (2.0 * math.pi)
-        if bound < tol / 10.0:
-            break
-        T *= 1.5
-        if T > t_max:
-            raise NonConvergenceError(f"tail bound {bound:.3e} not met by T = {t_max}")
+    def on_line(t):
+        return integrand(-0.5 + 1j * t)
+
+    heights, bounds = _tail_bounds(on_line, margins, scale_ref, t_max)
+    met = np.flatnonzero(bounds < tol / 10.0)
+    if not met.size:
+        raise NonConvergenceError(
+            f"tail bound {bounds[-1]:.3e} not met by T = {heights[-1]:g}"
+        )
+    T = heights[met[0]]
 
     quad_tol = tol / (20.0 * scale_ref)
     h = 0.5
     kmax = math.floor(T / h)
-    total = h * np.sum(integrand(h * np.arange(-kmax, kmax + 1)))
+    total = h * np.sum(on_line(h * np.arange(-kmax, kmax + 1)))
     while True:
         # step h/2 adds the odd multiples of h/2 in [-T, T]
         kmax = math.floor(T / h - 0.5)
         odd = h * (np.arange(-kmax - 1, kmax + 1) + 0.5)
-        refined = 0.5 * (total + h * np.sum(integrand(odd)))
+        refined = 0.5 * (total + h * np.sum(on_line(odd)))
         h *= 0.5
         err = abs(refined - total)
         if err < quad_tol:
@@ -474,13 +606,10 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     line_integral = refined / (2.0 * math.pi)
 
     # residues of poles strictly between the line and the integers >= 0
-    correction = 0j
-    for k in range(n):
+    residues = {}
+    for k, uk in enumerate(us):
         d = 0
-        while True:
-            s0 = -us[k] - d
-            if s0.real <= -0.5:
-                break
+        while (s0 := -uk - d).real > -0.5:
             val = gamma(s0) * gamma(1.0 - s0)
             val *= cmath.exp(w * (s0 + a_l) - 1j * math.pi * (n - r) * s0)
             val *= (-1.0) ** (d % 2) / math.factorial(d)
@@ -489,8 +618,20 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
                     val *= gamma(us[i] + s0)
             for vj in vs:
                 val *= recip_gamma(1.0 + vj + s0)
-            correction += val
+            residues[k, d, s0] = val
             d += 1
+    correction = 0j
+    for cluster in _pole_clusters(list(residues), _CLUSTER_GAP):
+        values = [residues[p] for p in cluster]
+        # a residue comes with a rounding error of up to ~20 eps of its size;
+        # where that can reach quad_tol, nearly coincident poles are summed
+        # on a circle instead, so that their large residues never cancel
+        if len(cluster) > 1 and 64.0 * _EPS * sum(map(abs, values)) >= quad_tol:
+            circle = _enclosing_circle(cluster, us)
+            if circle:
+                correction += _circle_sum(integrand, *circle, quad_tol)
+                continue
+        correction += sum(values)
 
     return prefactor * (-line_integral - correction)
 

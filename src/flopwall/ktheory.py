@@ -84,9 +84,6 @@ class VirtualCharacter:
 
     __rmul__ = __mul__
 
-    def dual(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.nvars, {tuple(-a for a in v): c for v, c in self.terms.items()})
-
     def rank(self) -> int:
         return sum(self.terms.values())
 

@@ -56,7 +56,8 @@ def is_nonpositive_integer(s, tol: float = POLE_TOL) -> bool:
     of a non-positive integer; a non-finite value never is.  Of an array,
     only the elements within ``tol`` of the real axis are rounded."""
     if isinstance(s, np.ndarray):
-        return any(is_nonpositive_integer(v, tol) for v in s[np.abs(s.imag) <= tol])
+        near = s[np.abs(s.imag) <= tol]
+        return near.size > 0 and any(is_nonpositive_integer(v, tol) for v in near)
     s = complex(s)
     if not (abs(s.imag) <= tol and math.isfinite(s.real)):
         return False
@@ -234,11 +235,6 @@ class MultiPoly:
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coefficient(self, exp: Sequence[int]) -> int | Fraction:
         """Coefficient of the monomial ``exp``: an int or a Fraction."""

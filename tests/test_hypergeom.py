@@ -7,8 +7,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import mpmath
+import numpy as np
 import pytest
 
+from flopwall import cli, hypergeom
 from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.hypergeom import (
     MultiOffsetSeries,
@@ -37,7 +39,7 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import TWO_PI_I, recip_gamma, sin_over_2i
+from flopwall.numkernel import TWO_PI_I, log_gamma, recip_gamma, sin_over_2i
 from flopwall.suites import default_config
 from flopwall.wallcross import PsiContext, coeff_C
 
@@ -416,13 +418,14 @@ def test_barnes_guard_on_pole_line(cfg21):
         barnes_integrate(math.log(0.3) + 1j * math.pi, cfg21, 0, tol=1e-15)
 
 
-def _barnes_oracle(config, l, ws, weight_scale):
+def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5):
     """30-digit mpmath.quad over the whole line Re s = -1/2, one value per w.
 
     Adds the residues of the poles right of the line and multiplies by the
     sine prefactor, all recomputed in mpmath.  The w-independent part of
     the integrand is cached per node, so the values for several w share
-    their Gamma evaluations.
+    their Gamma evaluations.  The line is split at the heights
+    ``breakpoints``, and each piece gets tanh-sinh up to ``maxdegree``.
     """
     with mpmath.workdps(30):
         n, r = config.n, config.r
@@ -455,10 +458,11 @@ def _barnes_oracle(config, l, ws, weight_scale):
         out = []
         for w in ws:
             w = mpmath.mpc(w)
-            # degree 5 of tanh-sinh already estimates its error near 1e-30 here
+            # at the default split, degree 5 of tanh-sinh already estimates
+            # its error near 1e-30 for the shipped configs
             line, err = mpmath.quad(
                 lambda t: kernel(t) * mpmath.exp(w * (mpmath.mpc(-0.5, t) + x[l] * u)),
-                [-mpmath.inf, 0, mpmath.inf], maxdegree=5, error=True,
+                [-mpmath.inf, *breakpoints, mpmath.inf], maxdegree=maxdegree, error=True,
             )
             assert err < 1e-20
             residues = 0
@@ -512,6 +516,172 @@ def test_barnes_pole_on_line_raises_touches(offset):
     with pytest.raises(NonConvergenceError, match="touches"):
         barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10,
                          weight_scale=6 * math.pi - math.pi * 1j)
+
+
+def test_barnes_height_is_lowest_ladder_rung(cfg21, monkeypatch):
+    # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= t_max
+    # at +-T_k; the quadrature then stops at the lowest rung whose tail
+    # bound, recomputed here from those values, is below tol / 10
+    calls = []
+
+    def spy(s, *args, **kwargs):
+        calls.append(np.array(s))
+        return barnes_integrand(s, *args, **kwargs)
+
+    monkeypatch.setattr(hypergeom, "barnes_integrand", spy)
+    tol = 1e-10
+    heights = []
+    for w in (complex(-3.0, math.pi), complex(0.0, 0.3), complex(2.0, 1.9 * math.pi)):
+        calls.clear()
+        barnes_integrate(w, cfg21, 0, tol=tol)
+        ladder = 4.0 * 1.2 ** np.arange(22)
+        assert ladder[-1] <= 200.0 < ladder[-1] * 1.2
+        np.testing.assert_allclose(calls[0], -0.5 + 1j * np.concatenate([ladder, -ladder]))
+        f = np.abs(barnes_integrand(calls[0], w, cfg21, 0))
+        m_up, m_down = w.imag, 2.0 * math.pi - w.imag
+        scale = abs(hypergeom._mb_prefactor(cfg21, 0, 1.0))
+        bound = (f[:22] / m_up + f[22:] / m_down) * 10.0 * scale / (2.0 * math.pi)
+        T = ladder[np.flatnonzero(bound < tol / 10.0)[0]]
+        assert np.max(np.abs(calls[1].imag)) == math.floor(2.0 * T) / 2.0
+        heights.append(T)
+    # mid-strip the bound asks for less than the old floor T = 20, near
+    # the strip's edge for more
+    assert heights[0] < 20.0 < heights[1]
+
+
+def test_barnes_no_rung_meets_bound_raises(cfg21):
+    # 0.3 above the strip's lower edge the integrand decays like
+    # exp(-0.3 t): no rung up to t_max = 5 meets the bound, and the error
+    # reports the bound at the top rung, 4.8
+    w = complex(-1.0, 0.3)
+    with pytest.raises(NonConvergenceError, match=r"not met by T = 4\.8$"):
+        barnes_integrate(w, cfg21, 0, tol=1e-10, t_max=5.0)
+    assert barnes_integrate(w, cfg21, 0, tol=1e-10) is not None
+    with pytest.raises(ValueError):
+        barnes_integrate(w, cfg21, 0, t_max=3.9)
+
+
+def _log_integrand_parts(config, l, weight_scale, t):
+    """log of the integrand at s = -1/2 + i t, as (w-free part, s + a_l).
+
+    The integrand at w is exp(part + w (s + a_l)); kept in log space,
+    because the w-free part alone overflows at large |t|.
+    """
+    n, r = config.n, config.r
+    a_l, us, vs = hypergeom._mb_data(config, l, weight_scale)
+    s = -0.5 + 1j * t
+    acc = log_gamma(s) + log_gamma(1.0 - s) - 1j * math.pi * (n - r) * s
+    for ui in us:
+        acc += log_gamma(ui + s)
+    for vj in vs:
+        acc -= log_gamma(1.0 + vj + s)
+    return acc, s + a_l
+
+
+def test_barnes_tail_bound_holds_on_every_passing_rung():
+    # at every ladder rung whose tail bound is below tol / 10, the tail
+    # beyond +-T of |integrand| |prefactor| / (2 pi), summed with step 1/64
+    # out to |t| = 260, must be below tol / 10 too; every third standard
+    # path point inside the strip, seeded configs, three weight scales
+    tol = 1e-10
+    step = 1.0 / 64
+    t = step * np.arange(-260 * 64, 260 * 64 + 1)
+    mid = 260 * 64
+    worst = worst_loose = 0.0
+    rungs = 0
+    for n, seed in iter_product((2, 3), (0, 1)):
+        run = cli.RunConfig.from_json_dict({"seed": seed, "weights": {"seed": seed}, "n": n, "r": 1})
+        cfg = run.flop_config()
+        scales = [1.0] + [PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
+                          for z in (2.0, 3.0 + 1.0j)]
+        points = [w for w in PathSpec.standard(cfg).points
+                  if min(hypergeom._decay_margins(cfg, w)) >= 0.05][::3]
+        for scale, l in iter_product(scales, range(n)):
+            part, shifted = _log_integrand_parts(cfg, l, scale, t)
+            prefactor = abs(hypergeom._mb_prefactor(cfg, l, scale))
+            for w in points:
+                mod = np.exp((part + w * shifted).real) * step * prefactor / (2.0 * math.pi)
+                if w == points[0]:
+                    want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, cfg, l, scale))
+                    np.testing.assert_allclose(mod[mid::640], want * step * prefactor / (2.0 * math.pi),
+                                               rtol=1e-10)
+                above = np.cumsum(mod[::-1])[::-1]  # above[k]: nodes k and beyond
+                below = np.cumsum(mod)              # below[k]: nodes k and before
+                heights, bounds = hypergeom._tail_bounds(
+                    lambda tt: barnes_integrand(-0.5 + 1j * tt, w, cfg, l, scale),
+                    hypergeom._decay_margins(cfg, w), prefactor, 200.0)
+                for T, bound in zip(heights, bounds):
+                    k = math.floor(T / step)
+                    tail = (above[mid + k + 1] + below[mid - k - 1]) / (tol / 10.0)
+                    if bound < tol / 10.0:
+                        worst = max(worst, tail)
+                        rungs += 1
+                    if bound / 100.0 < tol / 10.0:
+                        worst_loose = max(worst_loose, tail)
+    assert rungs > 1000
+    assert worst <= 1.0
+    # negative control: a bound a hundred times smaller fails the same check
+    assert worst_loose > 1.0
+
+
+def _cluster_control():
+    # a wall-scan instance whose correction poles s = -u_0 and s = -u_2
+    # lie 0.0056 apart with residues near +-6.7e4 that cancel to ~1.5e3;
+    # the third correction pole, -u_1, is 0.26 away from them
+    cfg = FlopConfig(3, 1, (Fraction(2, 25), Fraction(47, 10), Fraction(8, 145)),
+                     (Fraction(4, 25), Fraction(-3, 2), Fraction(1, 8)))
+    return cfg, 1, complex(-3.0, 2.0 * math.pi)
+
+
+def test_barnes_pole_cluster_matches_oracle():
+    # summed pole by pole the pair is off by 1.9e-9; as one circle integral
+    # it meets the absolute tolerance
+    cfg, l, w = _cluster_control()
+    tol = 1e-10
+    want, = _barnes_oracle(cfg, l, [w], 1.0, breakpoints=(-60, -20, -5, 0, 5, 20, 60),
+                           maxdegree=7)
+    assert abs(barnes_integrate(w, cfg, l, tol=tol) - want) <= tol
+
+
+def test_pole_cluster_circle_isolates_the_pair():
+    cfg, l, w = _cluster_control()
+    _, us, _ = hypergeom._mb_data(cfg, l, 1.0)
+    poles = [(k, 0, -us[k]) for k in range(3)]
+    pair = [poles[0], poles[2]]
+    clusters = hypergeom._pole_clusters(poles, hypergeom._CLUSTER_GAP)
+    assert sorted(map(sorted, clusters), key=len) == [[poles[1]], pair]
+    center, radius = hypergeom._enclosing_circle(pair, us)
+    assert max(abs(center + us[0]), abs(center + us[2])) < radius / 2.0
+    # -u_1 is the nearest singularity outside the pair: the radius is half
+    # the distance to it
+    assert math.isclose(abs(center + us[1]), 2.0 * radius)
+
+    def f(s):
+        return barnes_integrand(s, w, cfg, l)
+
+    quad_tol = 1e-12
+    pair_sum = hypergeom._circle_sum(f, center, radius, quad_tol)
+    # the pair's residues from small circles around each pole, independently
+    separate = sum(_circle_residue(f, -us[k], radius=1e-3, points=64) for k in (0, 2))
+    assert abs(pair_sum - separate) <= 1e-8 * abs(separate)
+    # negative control: radius 0.3 also encloses -u_1 and picks up its residue
+    third = _circle_residue(f, -us[1], radius=1e-2, points=64)
+    wide = hypergeom._circle_sum(f, center, 0.3, quad_tol)
+    assert abs(wide - pair_sum - third) <= 1e-8 * abs(third)
+    assert abs(wide - pair_sum) > 1e3 * abs(separate) * 1e-8
+
+
+def test_barnes_integrand_zero_on_a_node():
+    # weight scale -pi i gives the real unit u = -1/2, so v_0 = -1/2 and
+    # 1/Gamma(1 + v_0 + s) vanishes at the node s = -1/2 of the line
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1)), (Fraction(3, 10), Fraction(-1, 5)))
+    scale = -math.pi * 1j
+    w = complex(0.5, math.pi)
+    values = barnes_integrand(np.array([-0.5, -0.5 + 0.5j]), w, cfg, 1, scale)
+    assert values[0] == 0 and values[1] != 0
+    want, = _barnes_oracle(cfg, 1, [w], scale)
+    assert abs(want - (-0.20779162389328j)) < 1e-12
+    assert abs(barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) - want) <= 1e-10
 
 
 def test_verify_continuation_report(cfg21):
