@@ -426,15 +426,23 @@ def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
     return heights, bounds * 10.0 * scale / (2.0 * math.pi)
 
 
+def _settled(err: float, quad_tol: float, size: float) -> bool:
+    """Whether two successive trapezoidal sums that differ by ``err`` agree.
+
+    They agree when ``err`` is below ``quad_tol`` or below 16 rounding
+    units of ``size``, the sum of the moduli of the terms: where the terms
+    are large and cancel, their rounding alone can exceed ``quad_tol``, and
+    further halving only repeats it.
+    """
+    return err < max(quad_tol, 16.0 * _EPS * size)
+
+
 def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
     """Sum of the residues of f inside the circle |s - center| = radius.
 
     Trapezoidal rule in the angle on 128 nodes, compared with the rule on
-    every other node and doubled (reusing the previous nodes) until two
-    successive sums differ by less than ``quad_tol``, or by less than 16
-    rounding units of the mean node term when that is larger: the node
-    terms can be large enough that their rounding alone exceeds
-    ``quad_tol``.  NonConvergenceError if that takes more than
+    every other node and doubled (reusing the previous nodes) until the
+    two sums are ``_settled``; NonConvergenceError if that takes more than
     _MAX_CIRCLE_NODES nodes.
     """
     def terms(theta):
@@ -447,7 +455,7 @@ def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
     size = np.mean(np.abs(first))
     while True:
         err = abs(refined - total)
-        if err < max(quad_tol, 16.0 * _EPS * size):
+        if _settled(err, quad_tol, size):
             return refined
         if nodes >= _MAX_CIRCLE_NODES:
             raise NonConvergenceError(
@@ -534,9 +542,11 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     converges geometrically because the integrand is analytic in a strip
     around the line.  Starting from h = 1/2 the step is halved, reusing the
     previous nodes, until two successive sums differ by less than
-    tol / (20 |prefactor|); that takes at least one halving.  If h reaches
-    2^-12 first (a pole family close to the line narrows the strip),
-    NonConvergenceError is raised; an unconverged sum is never returned.
+    tol / (20 |prefactor|), or by less than the rounding of their terms
+    where that is larger (``_settled``); that takes at least one halving.
+    If h reaches 2^-12 first (a pole family close to the line narrows the
+    strip), NonConvergenceError is raised; an unconverged sum is never
+    returned.
     A pole family within 1e-9 of the line raises it before any node is
     evaluated.
 
@@ -588,15 +598,17 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     quad_tol = tol / (20.0 * scale_ref)
     h = 0.5
     kmax = math.floor(T / h)
-    total = h * np.sum(on_line(h * np.arange(-kmax, kmax + 1)))
+    values = on_line(h * np.arange(-kmax, kmax + 1))
+    total, size = h * np.sum(values), h * np.sum(np.abs(values))
     while True:
         # step h/2 adds the odd multiples of h/2 in [-T, T]
         kmax = math.floor(T / h - 0.5)
-        odd = h * (np.arange(-kmax - 1, kmax + 1) + 0.5)
-        refined = 0.5 * (total + h * np.sum(on_line(odd)))
+        values = on_line(h * (np.arange(-kmax - 1, kmax + 1) + 0.5))
+        refined = 0.5 * (total + h * np.sum(values))
+        size = 0.5 * (size + h * np.sum(np.abs(values)))
         h *= 0.5
         err = abs(refined - total)
-        if err < quad_tol:
+        if _settled(err, quad_tol, size):
             break
         if h <= _MIN_STEP:
             raise NonConvergenceError(

@@ -671,6 +671,19 @@ def test_pole_cluster_circle_isolates_the_pair():
     assert abs(wide - pair_sum) > 1e3 * abs(separate) * 1e-8
 
 
+def test_barnes_line_sum_settles_at_rounding():
+    # a wall-scan instance with three correction poles within 0.03 of one
+    # another near s = 0.8i: the line's terms reach 1.4e4 in modulus and
+    # cancel to ~1e2, so successive trapezoidal sums keep differing by
+    # ~1e-12 from rounding alone, above tol / (20 |prefactor|) = 7e-13;
+    # that must count as agreement, not as a sum that never converges
+    cfg = FlopConfig(3, 1, (Fraction(5), Fraction(-3, 65), Fraction(-1, 33)),
+                     (Fraction(19, 320), Fraction(13, 420), Fraction(-21, 205)))
+    w = complex(-4.384615384615385, 3.383253626942854)
+    want = h_series(cfg, "plus", (0,), 80).eval(w)
+    assert abs(barnes_integrate(w, cfg, 0, tol=1e-10) - want) <= 1e-10
+
+
 def test_barnes_integrand_zero_on_a_node():
     # weight scale -pi i gives the real unit u = -1/2, so v_0 = -1/2 and
     # 1/Gamma(1 + v_0 + s) vanishes at the node s = -1/2 of the line
