@@ -34,6 +34,7 @@ from .numkernel import (
     PoleError,
     TWO_PI_I,
     gamma,
+    is_nonpositive_integer,
     log_gamma,
     recip_gamma,
     sin_over_2i,
@@ -363,7 +364,10 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
     scalar or an array of nodes; the result has its shape.  Where
     1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
-    value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there.
+    value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there,
+    unless a numerator factor has a pole at the same node: there the
+    product has a finite limit that is not evaluated, and PoleError is
+    raised as at any other pole of a Gamma factor.
     """
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
@@ -377,6 +381,9 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
         arg = np.add.outer(vs, s) + 1.0
         k = np.round(arg.real)
         live = ~((k <= 0) & (np.abs(arg - k) <= POLE_TOL)).any(axis=0)
+        zeros = s[~live]
+        if any(is_nonpositive_integer(a) for a in (zeros, 1.0 - zeros, *(ui + zeros for ui in us))):
+            raise PoleError("a Gamma factor of the integrand has a pole at a zero of 1/Gamma")
         s = s[live]
     # log-space evaluation tolerates large |Im s| without overflow; the
     # branch of each log_gamma term is irrelevant once the sum is exponentiated
@@ -426,45 +433,49 @@ def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
     return heights, bounds * 10.0 * scale / (2.0 * math.pi)
 
 
-def _settled(err: float, quad_tol: float, size: float) -> bool:
-    """Whether two successive trapezoidal sums that differ by ``err`` agree.
+def _halving_trapezoid(terms, step: float, min_step: float, target: float,
+                       budget: float) -> complex:
+    """Trapezoidal sum ``step * sum(terms(step, 0))``, its step halved until it settles.
 
-    They agree when ``err`` is below ``quad_tol`` or below 16 rounding
-    units of ``size``, the sum of the moduli of the terms: where the terms
-    are large and cancel, their rounding alone can exceed ``quad_tol``, and
-    further halving only repeats it.
+    ``terms(step, offset)`` gives the terms at the nodes (k + offset) step
+    of the rule with that step: offset 0 for all of them, 1/2 for those a
+    halving adds, so each halving reuses the previous sum.  Two successive
+    sums agree when they differ by less than ``target``, or, where the
+    rounding of their terms is larger than that, by less than 16 rounding
+    units of ``size``, the sum of the moduli of the terms, provided that
+    rounding is itself within ``budget``.  NonConvergenceError if the step
+    reaches ``min_step`` first; an unsettled sum is never returned.
     """
-    return err < max(quad_tol, 16.0 * _EPS * size)
+    values = terms(step, 0.0)
+    total, size = step * np.sum(values), step * np.sum(np.abs(values))
+    while True:
+        values = terms(step, 0.5)
+        refined = 0.5 * (total + step * np.sum(values))
+        size = 0.5 * (size + step * np.sum(np.abs(values)))
+        step *= 0.5
+        err = abs(refined - total)
+        if err < target or err < 16.0 * _EPS * size <= budget:
+            return refined
+        if step <= min_step:
+            raise NonConvergenceError(
+                f"trapezoidal sums still differ by {err:.3e} at step {step:g}"
+            )
+        total = refined
 
 
 def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
     """Sum of the residues of f inside the circle |s - center| = radius.
 
-    Trapezoidal rule in the angle on 128 nodes, compared with the rule on
-    every other node and doubled (reusing the previous nodes) until the
-    two sums are ``_settled``; NonConvergenceError if that takes more than
-    _MAX_CIRCLE_NODES nodes.
+    Trapezoidal rule in the angle, from 64 nodes doubled until two sums
+    differ by less than ``quad_tol`` (``_halving_trapezoid``), at most up
+    to _MAX_CIRCLE_NODES nodes.
     """
-    def terms(theta):
-        step = radius * np.exp(1j * theta)
-        return f(center + step) * step
+    def terms(step, offset):
+        arc = radius * np.exp(1j * step * (np.arange(round(2.0 * math.pi / step)) + offset))
+        return f(center + arc) * arc / (2.0 * math.pi)
 
-    nodes = 128
-    first = terms(2.0 * math.pi * np.arange(nodes) / nodes)
-    total, refined = np.mean(first[::2]), np.mean(first)
-    size = np.mean(np.abs(first))
-    while True:
-        err = abs(refined - total)
-        if _settled(err, quad_tol, size):
-            return refined
-        if nodes >= _MAX_CIRCLE_NODES:
-            raise NonConvergenceError(
-                f"circle sums around the pole cluster at {center} still differ by {err:.3e}"
-            )
-        odd = terms(2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes)
-        total, refined = refined, 0.5 * (refined + np.mean(odd))
-        size = 0.5 * (size + np.mean(np.abs(odd)))
-        nodes *= 2
+    return _halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / _MAX_CIRCLE_NODES,
+                              quad_tol, quad_tol)
 
 
 def _enclosing_circle(cluster, us):
@@ -535,18 +546,20 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     accuracy target.
 
     The line is truncated at the lowest height of the ladder
-    T_k = 4 * 1.2^k <= t_max at which an analytic exponential tail bound
-    is below tol/10; one integrand call at +-T_k gives the bound on every
-    rung, and NonConvergenceError is raised if no rung meets it.  The line
-    integral over [-T, T] is the trapezoidal rule at nodes t = k h, which
-    converges geometrically because the integrand is analytic in a strip
-    around the line.  Starting from h = 1/2 the step is halved, reusing the
-    previous nodes, until two successive sums differ by less than
-    tol / (20 |prefactor|), or by less than the rounding of their terms
-    where that is larger (``_settled``); that takes at least one halving.
-    If h reaches 2^-12 first (a pole family close to the line narrows the
-    strip), NonConvergenceError is raised; an unconverged sum is never
-    returned.
+    T_k = 4 * 1.2^k <= t_max from which an analytic exponential tail bound
+    is below tol/10 on every higher rung; one integrand call at +-T_k gives
+    the bound on every rung, and NonConvergenceError is raised if the top
+    rung fails it.  The line integral over [-T, T] is the trapezoidal rule
+    at nodes t = k h, which converges geometrically because the integrand
+    is analytic in a strip around the line.  Starting from h = 1/2 the
+    step is halved, reusing the previous nodes, until two successive sums
+    differ by less than tol / (20 |prefactor|); that takes at least one
+    halving.  Where the terms are large and cancel, sums that differ only
+    by the rounding of their terms also agree, provided that rounding,
+    scaled to the result, is within tol/20 (``_halving_trapezoid``).  If h
+    reaches 2^-12 first (a pole family close to the line narrows the strip,
+    or the rounding exceeds that budget), NonConvergenceError is raised; an
+    unconverged sum is never returned.
     A pole family within 1e-9 of the line raises it before any node is
     evaluated.
 
@@ -588,34 +601,26 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
         return integrand(-0.5 + 1j * t)
 
     heights, bounds = _tail_bounds(on_line, margins, scale_ref, t_max)
-    met = np.flatnonzero(bounds < tol / 10.0)
-    if not met.size:
+    # the bound assumes exp(-m |t|) decay beyond T; a rung that passes below
+    # one that fails may sit before a rise of |t|^p exp(-m |t|), so T is the
+    # lowest rung from which every higher rung passes too
+    failed = np.flatnonzero(bounds >= tol / 10.0)
+    if failed.size and failed[-1] == len(heights) - 1:
         raise NonConvergenceError(
             f"tail bound {bounds[-1]:.3e} not met by T = {heights[-1]:g}"
         )
-    T = heights[met[0]]
+    T = heights[failed[-1] + 1 if failed.size else 0]
 
+    def line_terms(h, offset):
+        # the nodes (k + offset) h in [-T, T]
+        k = np.arange(math.ceil(-T / h - offset), math.floor(T / h - offset) + 1)
+        return on_line(h * (k + offset))
+
+    # the result carries the sum times |prefactor| / (2 pi): a rounding
+    # below 2 pi quad_tol stays within tol / 20 of it
     quad_tol = tol / (20.0 * scale_ref)
-    h = 0.5
-    kmax = math.floor(T / h)
-    values = on_line(h * np.arange(-kmax, kmax + 1))
-    total, size = h * np.sum(values), h * np.sum(np.abs(values))
-    while True:
-        # step h/2 adds the odd multiples of h/2 in [-T, T]
-        kmax = math.floor(T / h - 0.5)
-        values = on_line(h * (np.arange(-kmax - 1, kmax + 1) + 0.5))
-        refined = 0.5 * (total + h * np.sum(values))
-        size = 0.5 * (size + h * np.sum(np.abs(values)))
-        h *= 0.5
-        err = abs(refined - total)
-        if _settled(err, quad_tol, size):
-            break
-        if h <= _MIN_STEP:
-            raise NonConvergenceError(
-                f"trapezoidal sums still differ by {err:.3e} at step {h:g}"
-            )
-        total = refined
-    line_integral = refined / (2.0 * math.pi)
+    line_integral = _halving_trapezoid(line_terms, 0.5, _MIN_STEP, quad_tol,
+                                       2.0 * math.pi * quad_tol) / (2.0 * math.pi)
 
     # residues of poles strictly between the line and the integers >= 0
     residues = {}

@@ -56,8 +56,7 @@ def is_nonpositive_integer(s, tol: float = POLE_TOL) -> bool:
     of a non-positive integer; a non-finite value never is.  Of an array,
     only the elements within ``tol`` of the real axis are rounded."""
     if isinstance(s, np.ndarray):
-        near = s[np.abs(s.imag) <= tol]
-        return near.size > 0 and any(is_nonpositive_integer(v, tol) for v in near)
+        return any(is_nonpositive_integer(v, tol) for v in s[np.abs(s.imag) <= tol])
     s = complex(s)
     if not (abs(s.imag) <= tol and math.isfinite(s.real)):
         return False

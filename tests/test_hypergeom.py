@@ -39,7 +39,7 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import TWO_PI_I, log_gamma, recip_gamma, sin_over_2i
+from flopwall.numkernel import TWO_PI_I, PoleError, log_gamma, recip_gamma, sin_over_2i
 from flopwall.suites import default_config
 from flopwall.wallcross import PsiContext, coeff_C
 
@@ -518,10 +518,21 @@ def test_barnes_pole_on_line_raises_touches(offset):
                          weight_scale=6 * math.pi - math.pi * 1j)
 
 
-def test_barnes_height_is_lowest_ladder_rung(cfg21, monkeypatch):
+def _rising_tail_case():
+    # u = 5/2 (weight scale 5 pi i) makes |integrand| ~ |t|^8 exp(-m |t|),
+    # which rises up to |t| = 8/m; 0.2 above the strip's lower edge its
+    # bound passes at T = 4 and 4.8, fails from 5.8 to 106.5 and passes
+    # again from 127.8 on.  The prefactor is zero up to rounding, sin(5 pi), which is
+    # what lets the bound pass at T = 4 at all.
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1)), (Fraction(-2), Fraction(-1)))
+    return cfg, 1, complex(-3.0, 0.2), 5j * math.pi
+
+
+def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
     # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= t_max
-    # at +-T_k; the quadrature then stops at the lowest rung whose tail
-    # bound, recomputed here from those values, is below tol / 10
+    # at +-T_k; the quadrature then stops at the lowest rung from which the
+    # tail bound, recomputed here from those values, is below tol / 10 on
+    # every rung up to the top
     calls = []
 
     def spy(s, *args, **kwargs):
@@ -530,23 +541,29 @@ def test_barnes_height_is_lowest_ladder_rung(cfg21, monkeypatch):
 
     monkeypatch.setattr(hypergeom, "barnes_integrand", spy)
     tol = 1e-10
+    ladder = 4.0 * 1.2 ** np.arange(22)
+    assert ladder[-1] <= 200.0 < ladder[-1] * 1.2
+    rising = _rising_tail_case()
     heights = []
-    for w in (complex(-3.0, math.pi), complex(0.0, 0.3), complex(2.0, 1.9 * math.pi)):
+    for cfg, l, w, scale in [(cfg21, 0, complex(-3.0, math.pi), 1.0),
+                             (cfg21, 0, complex(0.0, 0.3), 1.0),
+                             (cfg21, 0, complex(2.0, 1.9 * math.pi), 1.0), rising]:
         calls.clear()
-        barnes_integrate(w, cfg21, 0, tol=tol)
-        ladder = 4.0 * 1.2 ** np.arange(22)
-        assert ladder[-1] <= 200.0 < ladder[-1] * 1.2
+        barnes_integrate(w, cfg, l, tol=tol, weight_scale=scale)
         np.testing.assert_allclose(calls[0], -0.5 + 1j * np.concatenate([ladder, -ladder]))
-        f = np.abs(barnes_integrand(calls[0], w, cfg21, 0))
-        m_up, m_down = w.imag, 2.0 * math.pi - w.imag
-        scale = abs(hypergeom._mb_prefactor(cfg21, 0, 1.0))
-        bound = (f[:22] / m_up + f[22:] / m_down) * 10.0 * scale / (2.0 * math.pi)
-        T = ladder[np.flatnonzero(bound < tol / 10.0)[0]]
-        assert np.max(np.abs(calls[1].imag)) == math.floor(2.0 * T) / 2.0
-        heights.append(T)
+        f = np.abs(barnes_integrand(calls[0], w, cfg, l, scale))
+        m_up, m_down = hypergeom._decay_margins(cfg, w)
+        prefactor = abs(hypergeom._mb_prefactor(cfg, l, scale))
+        bound = (f[:22] / m_up + f[22:] / m_down) * 10.0 * prefactor / (2.0 * math.pi)
+        passes = bound < tol / 10.0
+        k = next(k for k in range(22) if passes[k:].all())
+        assert np.max(np.abs(calls[1].imag)) == math.floor(2.0 * ladder[k]) / 2.0
+        heights.append(ladder[k])
     # mid-strip the bound asks for less than the old floor T = 20, near
-    # the strip's edge for more
+    # the strip's edge for more; where |integrand| rises past a passing
+    # rung, T is above every failing one
     assert heights[0] < 20.0 < heights[1]
+    assert heights[3] > 100.0
 
 
 def test_barnes_no_rung_meets_bound_raises(cfg21):
@@ -578,17 +595,43 @@ def _log_integrand_parts(config, l, weight_scale, t):
     return acc, s + a_l
 
 
-def test_barnes_tail_bound_holds_on_every_passing_rung():
-    # at every ladder rung whose tail bound is below tol / 10, the tail
-    # beyond +-T of |integrand| |prefactor| / (2 pi), summed with step 1/64
-    # out to |t| = 260, must be below tol / 10 too; every third standard
-    # path point inside the strip, seeded configs, three weight scales
-    tol = 1e-10
+def _tail_check(config, l, scale, ws, tol):
+    """Per w: the ladder, its tail bounds, and the tails they bound, over tol / 10.
+
+    The tail beyond +-T of |integrand| |prefactor| / (2 pi) is summed with
+    step 1/64 out to |t| = 260.
+    """
     step = 1.0 / 64
     t = step * np.arange(-260 * 64, 260 * 64 + 1)
     mid = 260 * 64
-    worst = worst_loose = 0.0
-    rungs = 0
+    part, shifted = _log_integrand_parts(config, l, scale, t)
+    prefactor = abs(hypergeom._mb_prefactor(config, l, scale))
+    out = []
+    for w in ws:
+        mod = np.exp((part + w * shifted).real) * step * prefactor / (2.0 * math.pi)
+        if w == ws[0]:
+            want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, config, l, scale))
+            np.testing.assert_allclose(mod[mid::640], want * step * prefactor / (2.0 * math.pi),
+                                       rtol=1e-10)
+        above = np.cumsum(mod[::-1])[::-1]  # above[k]: nodes k and beyond
+        below = np.cumsum(mod)              # below[k]: nodes k and before
+        heights, bounds = hypergeom._tail_bounds(
+            lambda tt: barnes_integrand(-0.5 + 1j * tt, w, config, l, scale),
+            hypergeom._decay_margins(config, w), prefactor, 200.0)
+        k = np.floor(heights / step).astype(int)
+        tails = (above[mid + k + 1] + below[mid - k - 1]) / (tol / 10.0)
+        out.append((heights, bounds, tails))
+    return out
+
+
+def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
+    # at every ladder rung from which the tail bound is below tol / 10 on
+    # every higher rung, the tail it bounds must be below tol / 10 too;
+    # every third standard path point inside the strip of seeded configs
+    # at three weight scales, and a config with |integrand| ~ |t|^5.15
+    # exp(-m |t|) at margins m = 0.05 and 0.1
+    tol = 1e-10
+    cases = []
     for n, seed in iter_product((2, 3), (0, 1)):
         run = cli.RunConfig.from_json_dict({"seed": seed, "weights": {"seed": seed}, "n": n, "r": 1})
         cfg = run.flop_config()
@@ -596,32 +639,39 @@ def test_barnes_tail_bound_holds_on_every_passing_rung():
                           for z in (2.0, 3.0 + 1.0j)]
         points = [w for w in PathSpec.standard(cfg).points
                   if min(hypergeom._decay_margins(cfg, w)) >= 0.05][::3]
-        for scale, l in iter_product(scales, range(n)):
-            part, shifted = _log_integrand_parts(cfg, l, scale, t)
-            prefactor = abs(hypergeom._mb_prefactor(cfg, l, scale))
-            for w in points:
-                mod = np.exp((part + w * shifted).real) * step * prefactor / (2.0 * math.pi)
-                if w == points[0]:
-                    want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, cfg, l, scale))
-                    np.testing.assert_allclose(mod[mid::640], want * step * prefactor / (2.0 * math.pi),
-                                               rtol=1e-10)
-                above = np.cumsum(mod[::-1])[::-1]  # above[k]: nodes k and beyond
-                below = np.cumsum(mod)              # below[k]: nodes k and before
-                heights, bounds = hypergeom._tail_bounds(
-                    lambda tt: barnes_integrand(-0.5 + 1j * tt, w, cfg, l, scale),
-                    hypergeom._decay_margins(cfg, w), prefactor, 200.0)
-                for T, bound in zip(heights, bounds):
-                    k = math.floor(T / step)
-                    tail = (above[mid + k + 1] + below[mid - k - 1]) / (tol / 10.0)
-                    if bound < tol / 10.0:
-                        worst = max(worst, tail)
-                        rungs += 1
-                    if bound / 100.0 < tol / 10.0:
-                        worst_loose = max(worst_loose, tail)
+        cases += [(cfg, l, scale, points) for scale, l in iter_product(scales, range(n))]
+    # u = 1.3 (weight scale 2.6 pi i): the power of |t| is
+    # Re u (sum x - sum z) - n = 5.15, and the prefactor is not small
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1, 2)), (Fraction(-2), Fraction(-3)))
+    edges = [complex(re, m) for re, m in iter_product((-3.0, 0.0, 3.0), (0.05, 0.1))]
+    cases += [(cfg, l, 2.6j * math.pi, edges + [w.conjugate() + 2j * math.pi for w in edges])
+              for l in range(2)]
+    worst = worst_loose = 0.0
+    rungs = 0
+    for cfg, l, scale, points in cases:
+        for heights, bounds, tails in _tail_check(cfg, l, scale, points, tol):
+            for k in range(len(heights)):
+                if (bounds[k:] < tol / 10.0).all():
+                    worst = max(worst, tails[k])
+                    rungs += 1
+                if (bounds[k:] / 100.0 < tol / 10.0).all():
+                    worst_loose = max(worst_loose, tails[k])
     assert rungs > 1000
     assert worst <= 1.0
     # negative control: a bound a hundred times smaller fails the same check
     assert worst_loose > 1.0
+
+
+def test_barnes_tail_bound_can_pass_below_a_rise():
+    # negative control for taking T above every failing rung: where
+    # |integrand| rises past the lowest passing rung, T = 4, the tail
+    # beyond it is a thousand times its bound
+    cfg, l, w, scale = _rising_tail_case()
+    (heights, bounds, tails), = _tail_check(cfg, l, scale, [w], 1e-10)
+    passes = bounds < 1e-11
+    assert passes[:2].all() and not passes[2:19].any() and passes[19:].all()
+    assert tails[0] > 1e3
+    assert tails[19:].max() <= 1.0
 
 
 def _cluster_control():
@@ -671,17 +721,40 @@ def test_pole_cluster_circle_isolates_the_pair():
     assert abs(wide - pair_sum) > 1e3 * abs(separate) * 1e-8
 
 
-def test_barnes_line_sum_settles_at_rounding():
+def test_barnes_line_sum_beyond_rounding_budget_raises():
     # a wall-scan instance with three correction poles within 0.03 of one
     # another near s = 0.8i: the line's terms reach 1.4e4 in modulus and
     # cancel to ~1e2, so successive trapezoidal sums keep differing by
-    # ~1e-12 from rounding alone, above tol / (20 |prefactor|) = 7e-13;
-    # that must count as agreement, not as a sum that never converges
+    # ~1e-12 from rounding alone.  At tol 1e-10 that is above
+    # tol / (20 |prefactor|) = 7e-13, and 16 rounding units of the terms,
+    # scaled to the result, exceed tol / 20: no value may be returned
     cfg = FlopConfig(3, 1, (Fraction(5), Fraction(-3, 65), Fraction(-1, 33)),
                      (Fraction(19, 320), Fraction(13, 420), Fraction(-21, 205)))
     w = complex(-4.384615384615385, 3.383253626942854)
+    with pytest.raises(NonConvergenceError, match="trapezoidal"):
+        barnes_integrate(w, cfg, 0, tol=1e-10)
     want = h_series(cfg, "plus", (0,), 80).eval(w)
-    assert abs(barnes_integrate(w, cfg, 0, tol=1e-10) - want) <= 1e-10
+    assert abs(barnes_integrate(w, cfg, 0, tol=1e-9) - want) <= 1e-9
+
+
+def test_halving_trapezoid_accepts_rounding_only_within_budget():
+    # terms 1e3 cos(theta) with relative noise of one rounding unit: the
+    # sums settle near 0 at the noise, which no halving removes.  Below
+    # the target they never agree; at the rounding of their terms they
+    # agree only where that rounding is within the budget
+    noise = np.random.default_rng(0)
+
+    def terms(step, offset):
+        theta = step * (np.arange(round(2.0 * math.pi / step)) + offset)
+        return 1e3 * np.cos(theta) * (1.0 + hypergeom._EPS * noise.standard_normal(theta.size))
+
+    floor = 16.0 * hypergeom._EPS * 4e3  # 16 rounding units of sum |terms| = 4e3
+    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / 1024,
+                                       1e-20, 2.0 * floor)
+    assert abs(got) <= floor
+    with pytest.raises(NonConvergenceError, match="trapezoidal"):
+        hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / 1024,
+                                     1e-20, floor / 2.0)
 
 
 def test_barnes_integrand_zero_on_a_node():
@@ -695,6 +768,18 @@ def test_barnes_integrand_zero_on_a_node():
     want, = _barnes_oracle(cfg, 1, [w], scale)
     assert abs(want - (-0.20779162389328j)) < 1e-12
     assert abs(barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) - want) <= 1e-10
+
+
+def test_barnes_integrand_pole_at_a_zero_raises():
+    # v_l = 0, so 1/Gamma(1 + s) vanishes at s = -1, where Gamma(s) has a
+    # pole: the product Gamma(s) / Gamma(1 + s) = 1/s is finite there, and
+    # the integrand raises instead of returning 0
+    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1)), (Fraction(3, 10), Fraction(-1, 5)))
+    w = complex(0.5, math.pi)
+    for s in (-1.0, np.array([-0.5 + 0.5j, -1.0])):
+        with pytest.raises(PoleError):
+            barnes_integrand(s, w, cfg, 0)
+    assert barnes_integrand(-1.0 + 1e-3, w, cfg, 0) != 0
 
 
 def test_verify_continuation_report(cfg21):
