@@ -468,7 +468,9 @@ def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
 
     Trapezoidal rule in the angle, from 64 nodes doubled until two sums
     differ by less than ``quad_tol`` (``_halving_trapezoid``), at most up
-    to _MAX_CIRCLE_NODES nodes.
+    to _MAX_CIRCLE_NODES nodes.  The sum enters the result times the
+    prefactor alone, so its rounding budget is ``quad_tol`` as well: sums
+    that differ by more never count as agreed.
     """
     def terms(step, offset):
         arc = radius * np.exp(1j * step * (np.arange(round(2.0 * math.pi / step)) + offset))

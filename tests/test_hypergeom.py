@@ -629,7 +629,8 @@ def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
     # every higher rung, the tail it bounds must be below tol / 10 too;
     # every third standard path point inside the strip of seeded configs
     # at three weight scales, and a config with |integrand| ~ |t|^5.15
-    # exp(-m |t|) at margins m = 0.05 and 0.1
+    # exp(-m |t|) at margins m = 0.3 and 0.5 (nearer the strip's edges no
+    # rung up to 200 meets its bound)
     tol = 1e-10
     cases = []
     for n, seed in iter_product((2, 3), (0, 1)):
@@ -643,35 +644,30 @@ def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
     # u = 1.3 (weight scale 2.6 pi i): the power of |t| is
     # Re u (sum x - sum z) - n = 5.15, and the prefactor is not small
     cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1, 2)), (Fraction(-2), Fraction(-3)))
-    edges = [complex(re, m) for re, m in iter_product((-3.0, 0.0, 3.0), (0.05, 0.1))]
+    edges = [complex(re, m) for re, m in iter_product((-3.0, 0.0, 3.0), (0.3, 0.5))]
     cases += [(cfg, l, 2.6j * math.pi, edges + [w.conjugate() + 2j * math.pi for w in edges])
               for l in range(2)]
     worst = worst_loose = 0.0
-    rungs = 0
+    rungs = []
     for cfg, l, scale, points in cases:
+        rungs.append(0)
         for heights, bounds, tails in _tail_check(cfg, l, scale, points, tol):
             for k in range(len(heights)):
                 if (bounds[k:] < tol / 10.0).all():
                     worst = max(worst, tails[k])
-                    rungs += 1
+                    rungs[-1] += 1
                 if (bounds[k:] / 100.0 < tol / 10.0).all():
                     worst_loose = max(worst_loose, tails[k])
-    assert rungs > 1000
+    assert sum(rungs) > 1000 and min(rungs[-2:]) > 0
     assert worst <= 1.0
-    # negative control: a bound a hundred times smaller fails the same check
+    # negative controls: a bound a hundred times smaller fails the same
+    # check, and so does a passing rung below failing ones, T = 4 where
+    # |integrand| rises past it, with a tail a thousand times its bound
     assert worst_loose > 1.0
-
-
-def test_barnes_tail_bound_can_pass_below_a_rise():
-    # negative control for taking T above every failing rung: where
-    # |integrand| rises past the lowest passing rung, T = 4, the tail
-    # beyond it is a thousand times its bound
     cfg, l, w, scale = _rising_tail_case()
-    (heights, bounds, tails), = _tail_check(cfg, l, scale, [w], 1e-10)
-    passes = bounds < 1e-11
-    assert passes[:2].all() and not passes[2:19].any() and passes[19:].all()
+    (heights, bounds, tails), = _tail_check(cfg, l, scale, [w], tol)
+    assert bounds[0] < tol / 10.0 and not (bounds[1:] < tol / 10.0).all()
     assert tails[0] > 1e3
-    assert tails[19:].max() <= 1.0
 
 
 def _cluster_control():
