@@ -28,7 +28,7 @@ from .hypergeom import (
     central_charge,
     h_series,
 )
-from .numkernel import PoleError
+from .numkernel import NonFiniteError, PoleError
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
 from .suites import DEFAULT_TOLS, SuiteEnv, collect_cases, default_config
 from .wallcross import PsiContext, transition_matrix
@@ -475,7 +475,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, PoleError) as exc:
+    except (NonConvergenceError, NonFiniteError, PoleError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -16,6 +16,8 @@ every non-integer pole with Re s > -1/2.  The corrected value reproduces
 the series for Re w < 0 and its continuation past the wall for Re w > 0.
 Nearly coincident correction poles, whose residues can cancel to many
 digits, are summed together as one circle integral (``barnes_integrate``).
+The integrand is summed in log space, one ``numkernel.log_gamma`` call per
+node array (``barnes_integrand``).
 """
 
 from __future__ import annotations
@@ -362,7 +364,9 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     u the weight unit.  The scalar prefactor
     prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
-    scalar or an array of nodes; the result has its shape.  Where
+    scalar or an array of nodes; the result has its shape, and every Gamma
+    factor at every node comes from one ``log_gamma`` call per node array,
+    so one pole check and one finiteness check cover them all.  Where
     1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
     value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there,
     unless a numerator factor has a pole at the same node: there the
@@ -372,7 +376,7 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
     shape = np.shape(s)
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    s = np.asarray(s, dtype=complex).ravel()
     out = np.zeros(s.shape, dtype=complex)
     live = np.ones(s.shape, dtype=bool)
     # zeros of the 1/Gamma factors, where 1 + v_j + s is within POLE_TOL of
@@ -386,13 +390,18 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
             raise PoleError("a Gamma factor of the integrand has a pole at a zero of 1/Gamma")
         s = s[live]
     # log-space evaluation tolerates large |Im s| without overflow; the
-    # branch of each log_gamma term is irrelevant once the sum is exponentiated
-    acc = log_gamma(s) + log_gamma(1.0 - s)
+    # branch of each log_gamma term is irrelevant once the sum is exponentiated.
+    # One log_gamma call takes every Gamma argument, rows s, 1 - s, u_i + s,
+    # (1 + v_j) + s; the rows are added one at a time, in that order, so the
+    # rounding is that of the factor-by-factor sum
+    lg = log_gamma(np.vstack([s, 1.0 - s, np.add.outer(us, s),
+                              np.add.outer([1.0 + vj for vj in vs], s)]))
+    acc = lg[0] + lg[1]
     acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
-    for ui in us:
-        acc += log_gamma(ui + s)
-    for vj in vs:
-        acc -= log_gamma(1.0 + vj + s)
+    for row in lg[2:n + 2]:
+        acc += row
+    for row in lg[n + 2:]:
+        acc -= row
     out[live] = np.exp(acc)
     return out.reshape(shape)
 

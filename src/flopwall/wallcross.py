@@ -26,6 +26,7 @@ from .flopgeom import (
 from .ktheory import LocalizedKClass, chern_character
 from .numkernel import (
     MultiPoly,
+    NonFiniteError,
     PoleError,
     TWO_PI_I,
     gamma,
@@ -368,11 +369,15 @@ def psi_diag_factor(ctx: PsiContext, delta) -> complex:
     """Per-fixed-point diagonal factor of psi.
 
     z^{dim/2} * exp((sum_t w_t / z) log z) * prod_t Gamma(1 + w_t / z),
-    over the tangent weights at the fixed point.
+    over the tangent weights at the fixed point.  Raises NonFiniteError
+    where an exponential factor overflows.
     """
     weight_sum = complex(sum(tangent_weights(ctx.config, FixedPointLabel(ctx.side, delta))))
-    out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
-    out *= cmath.exp(weight_sum * ctx.inv_z * ctx.log_z)
+    try:
+        out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
+        out *= cmath.exp(weight_sum * ctx.inv_z * ctx.log_z)
+    except OverflowError:
+        raise NonFiniteError(f"psi factor overflows at log z = {ctx.log_z!r}") from None
     return out * gamma_class(ctx.config, ctx.side, delta, ctx.inv_z)
 
 

@@ -186,6 +186,18 @@ def test_charge_command_runs(capsys):
     assert len(data["value"]) == 2
 
 
+@pytest.mark.parametrize("z, raised_by", [
+    ("1e-8,0.5e-8", "Gamma overflows"),  # Gamma(1 + w_t / z) at |w_t / z| ~ 3e7
+    ("1e300,0", "psi factor overflows"),  # z^{dim/2} overflows in cmath.exp
+])
+def test_charge_overflow_is_an_evaluation_error(capsys, z, raised_by):
+    # both used to end in a traceback and exit 1: a NonFiniteError from the
+    # Gamma class, and a raw OverflowError from the psi diagonal factor
+    assert main(["charge", "--class", "e:1", "--w=-1.2,3.1416", "--z", z]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error:") and raised_by in err
+
+
 def test_barnes_on_pole_line_exits_two(capsys):
     # Im w = (n - r + 1) pi sits on the pole line of the contour strip
     h_bad = 2.0 * math.pi

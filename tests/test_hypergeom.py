@@ -418,7 +418,7 @@ def test_barnes_guard_on_pole_line(cfg21):
         barnes_integrate(math.log(0.3) + 1j * math.pi, cfg21, 0, tol=1e-15)
 
 
-def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5):
+def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5, line=True):
     """30-digit mpmath.quad over the whole line Re s = -1/2, one value per w.
 
     Adds the residues of the poles right of the line and multiplies by the
@@ -426,6 +426,8 @@ def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5):
     the integrand is cached per node, so the values for several w share
     their Gamma evaluations.  The line is split at the heights
     ``breakpoints``, and each piece gets tanh-sinh up to ``maxdegree``.
+    With ``line`` false the line integral is left out: the values are the
+    residues' part alone, -prefactor * sum of residues.
     """
     with mpmath.workdps(30):
         n, r = config.n, config.r
@@ -458,13 +460,15 @@ def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5):
         out = []
         for w in ws:
             w = mpmath.mpc(w)
-            # at the default split, degree 5 of tanh-sinh already estimates
-            # its error near 1e-30 for the shipped configs
-            line, err = mpmath.quad(
-                lambda t: kernel(t) * mpmath.exp(w * (mpmath.mpc(-0.5, t) + x[l] * u)),
-                [-mpmath.inf, *breakpoints, mpmath.inf], maxdegree=maxdegree, error=True,
-            )
-            assert err < 1e-20
+            integral = 0
+            if line:
+                # at the default split, degree 5 of tanh-sinh already estimates
+                # its error near 1e-30 for the shipped configs
+                integral, err = mpmath.quad(
+                    lambda t: kernel(t) * mpmath.exp(w * (mpmath.mpc(-0.5, t) + x[l] * u)),
+                    [-mpmath.inf, *breakpoints, mpmath.inf], maxdegree=maxdegree, error=True,
+                )
+                assert err < 1e-20
             residues = 0
             for k in range(n):
                 for d in range(100):
@@ -474,7 +478,7 @@ def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5):
                     residues += (mpmath.pi / mpmath.sin(mpmath.pi * s0) * gammas(s0, skip=k)
                                  * mpmath.exp(w * (s0 + x[l] * u) - shift * s0)
                                  * (-1) ** d / mpmath.factorial(d))
-            out.append(complex(prefactor * (-line / (2 * mpmath.pi) - residues)))
+            out.append(complex(prefactor * (-integral / (2 * mpmath.pi) - residues)))
         return out
 
 
@@ -717,6 +721,49 @@ def test_pole_cluster_circle_isolates_the_pair():
     assert abs(wide - pair_sum) > 1e3 * abs(separate) * 1e-8
 
 
+def _relative_units(got, want) -> float:
+    """Largest relative difference, in rounding units."""
+    return max(abs(g - v) / abs(v) for g, v in zip(got, want)) / hypergeom._EPS
+
+
+def test_barnes_residues_of_a_pair_straddling_zero_match_mpmath(monkeypatch):
+    # the seed-0 wall-scan instance at n = 2, l = 0: x_0 lies near both z_k,
+    # so the poles -u_0 and -u_1 sit ~0.008 either side of the integer pole
+    # s = 0 (at +-0.008i for scale 1, on the real axis for the rotated Chern
+    # scale at z = 2).  No circle isolates a cluster that straddles an
+    # integer, so barnes_integrate sums the pair's residues one by one.  With
+    # the line sum replaced by 0 it returns -prefactor * (their sum)
+    cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
+                     (Fraction(-17, 330), Fraction(3, 65)))
+    l = 0
+    ws = [w for w in PathSpec.standard(cfg).points
+          if min(hypergeom._decay_margins(cfg, w)) >= 0.05]
+    sums = []
+    monkeypatch.setattr(hypergeom, "_halving_trapezoid", lambda *args: sums.append(args) or 0.0)
+    worst = 0.0
+    for z in (None, 2.0, 3.0 + 1.0j):
+        scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
+        _, us, _ = hypergeom._mb_data(cfg, l, scale)
+        pair = [(k, 0, -us[k]) for k in range(2)]
+        assert hypergeom._pole_clusters(pair, hypergeom._CLUSTER_GAP) == [pair[::-1]]
+        assert max(abs(p[2]) for p in pair) < 0.03
+        assert hypergeom._enclosing_circle(pair, us) is None
+        got = [barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale) for w in ws]
+        want = _barnes_oracle(cfg, l, ws, scale, line=False)
+        # the two residues do not cancel: their part of the value has modulus
+        # ~1, as each has ~0.5.  Each is a product of 2n + 3 rounded factors,
+        # so 64 rounding units of that modulus bound its error, the budget
+        # barnes_integrate allows a residue before it sums a cluster on a
+        # circle instead; the worst error seen is 3.1 units
+        worst = max(worst, _relative_units(got, want))
+        # negative control: moving z_0 by 1e-11 moves -u_0 by ~1.6e-12 and
+        # fails the same bound
+        moved = FlopConfig(2, 1, cfg.x, (cfg.z[0] + Fraction(1, 10 ** 11), cfg.z[1]))
+        assert _relative_units(got, _barnes_oracle(moved, l, ws, scale, line=False)) > 64.0
+    assert len(sums) == 3 * len(ws)  # the line's sum only: no circle
+    assert worst <= 64.0
+
+
 def test_barnes_line_sum_beyond_rounding_budget_raises():
     # a wall-scan instance with three correction poles within 0.03 of one
     # another near s = 0.8i: the line's terms reach 1.4e4 in modulus and
@@ -776,6 +823,108 @@ def test_barnes_integrand_pole_at_a_zero_raises():
         with pytest.raises(PoleError):
             barnes_integrand(s, w, cfg, 0)
     assert barnes_integrand(-1.0 + 1e-3, w, cfg, 0) != 0
+
+
+def _integrand_oracle(config, l, w, weight_scale, nodes, shift=0.0):
+    """30-digit mpmath integrand at ``nodes``, and the log-space size of each value.
+
+    The size is the sum of the moduli of the terms whose sum is exponentiated:
+    every log Gamma, w (s + a_l) and i pi (n - r) s.  ``shift`` moves the
+    argument of the first numerator factor Gamma(u_0 + s).
+    """
+    with mpmath.workdps(30):
+        n, r = config.n, config.r
+        x = [mpmath.mpf(v.numerator) / v.denominator for v in config.x]
+        z = [mpmath.mpf(v.numerator) / v.denominator for v in config.z]
+        u = mpmath.mpc(weight_scale) / (2j * mpmath.pi)
+        us = [(x[l] - zi) * u for zi in z]
+        vs = [(x[l] - xj) * u for xj in x]
+        us[0] += shift
+        w = mpmath.mpc(w)
+        want, size = [], []
+        for s in map(mpmath.mpc, nodes):
+            logs = [mpmath.loggamma(s), mpmath.loggamma(1 - s),
+                    *(mpmath.loggamma(ui + s) for ui in us),
+                    *(-mpmath.loggamma(1 + vj + s) for vj in vs),
+                    w * (s + x[l] * u), -1j * mpmath.pi * (n - r) * s]
+            want.append(complex(mpmath.exp(mpmath.fsum(logs))))
+            size.append(float(mpmath.fsum(abs(v) for v in logs)))
+        return np.array(want), np.array(size)
+
+
+def _integrand_by_factor(s, w, config, l, weight_scale):
+    """The integrand from one ``log_gamma`` call per Gamma factor, summed in
+    the order ``barnes_integrand`` adds its rows."""
+    n, r = config.n, config.r
+    a_l, us, vs = hypergeom._mb_data(config, l, weight_scale)
+    acc = log_gamma(s) + log_gamma(1.0 - s)
+    acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
+    for ui in us:
+        acc += log_gamma(ui + s)
+    for vj in vs:
+        acc -= log_gamma(1.0 + vj + s)
+    return np.exp(acc)
+
+
+def _integrand_errors(config, l, w, weight_scale, nodes, shift=0.0):
+    # each log Gamma value carries an absolute error of a few rounding units
+    # of its modulus, and so does the rounded argument it is taken at; after
+    # exponentiation that is a relative error of a few eps times the summed
+    # moduli of the log terms, which grows like |t| log |t| along the line
+    got = barnes_integrand(nodes, w, config, l, weight_scale)
+    want, size = _integrand_oracle(config, l, w, weight_scale, nodes, shift)
+    assert np.abs(want).min() > 1e-300  # no value near underflow
+    return np.abs(got - want) / (hypergeom._EPS * size * np.abs(want))
+
+
+def test_barnes_integrand_matches_mpmath_at_line_ladder_and_circle_nodes():
+    # every node array goes through one stacked log_gamma call: line nodes
+    # up to |t| = 200, the truncation ladder's rungs at +-T_k, and the nodes
+    # of a pole cluster's circle; n = 2, 3, 4 at scale 1 and at the rotated
+    # Chern scales z = 2 (real unit u) and z = 3 + i.  The worst error seen
+    # is 2.0 eps times the log-space size; 8 leaves room for another scipy build
+    heights, _ = hypergeom._tail_bounds(np.ones_like, (1.0, 1.0), 1.0, 200.0)
+    t = np.concatenate([np.linspace(-200.0, 200.0, 17), [0.25, -1.5], heights, -heights])
+    line = -0.5 + 1j * t
+    worst = 0.0
+    for n in (2, 3, 4):
+        cfg = default_config(n, 1)
+        w = complex(-1.0, (n - 1) * math.pi)
+        for z in (None, 2.0, 3.0 + 1.0j):
+            scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
+            for l in (0, n - 1):
+                worst = max(worst, _integrand_errors(cfg, l, w, scale, line).max())
+                # one stacked call, rows added in the order of the factors:
+                # the values are those of one log_gamma call per factor, bit for bit
+                np.testing.assert_array_equal(barnes_integrand(line, w, cfg, l, scale),
+                                              _integrand_by_factor(line, w, cfg, l, scale))
+    cfg, l, w = _cluster_control()
+    _, us, _ = hypergeom._mb_data(cfg, l, 1.0)
+    center, radius = hypergeom._enclosing_circle([(0, 0, -us[0]), (2, 0, -us[2])], us)
+    circle = center + radius * np.exp(2j * math.pi * np.arange(128) / 128)
+    worst = max(worst, _integrand_errors(cfg, l, w, 1.0, circle).max())
+    assert worst <= 8.0
+    # negative control: moving the argument of one factor by 1e-12 is seen
+    # on most line nodes
+    shifted = _integrand_errors(default_config(3, 1), 0, complex(-1.0, 2.0 * math.pi), 1.0,
+                                line, shift=1e-12)
+    assert (shifted > 8.0).mean() > 0.5
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-13])
+def test_barnes_integrand_pole_in_a_stacked_row_raises(offset):
+    # a node where u_0 + s is -1, or within POLE_TOL of it, among other
+    # nodes: of the 2n + 2 = 8 stacked rows only the u_0 row has a pole
+    # there, and the one pole check of the stacked call still sees it
+    cfg = default_config(3, 1)
+    w = complex(-1.0, 2.0 * math.pi)
+    _, us, vs = hypergeom._mb_data(cfg, 0, 1.0)
+    bad = -1.0 + offset - us[0]
+    assert min(abs(1.0 + vj + bad - round((1.0 + vj + bad).real)) for vj in vs) > 1e-3
+    nodes = np.array([-0.5 + 1j, bad, -0.5 - 2j])
+    with pytest.raises(PoleError):
+        barnes_integrand(nodes, w, cfg, 0)
+    assert np.isfinite(barnes_integrand(nodes[[0, 2]], w, cfg, 0)).all()
 
 
 def test_verify_continuation_report(cfg21):
