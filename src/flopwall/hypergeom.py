@@ -365,8 +365,9 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
     scalar or an array of nodes; the result has its shape, and every Gamma
-    factor at every node comes from one ``log_gamma`` call per node array,
-    so one pole check and one finiteness check cover them all.  Where
+    factor at every node comes from one ``log_gamma`` call per node array
+    (per block of _NODE_BLOCK nodes of a longer one), so one pole check and
+    one finiteness check cover them all.  Where
     1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
     value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there,
     unless a numerator factor has a pole at the same node: there the
@@ -391,18 +392,24 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
         s = s[live]
     # log-space evaluation tolerates large |Im s| without overflow; the
     # branch of each log_gamma term is irrelevant once the sum is exponentiated.
-    # One log_gamma call takes every Gamma argument, rows s, 1 - s, u_i + s,
-    # (1 + v_j) + s; the rows are added one at a time, in that order, so the
-    # rounding is that of the factor-by-factor sum
-    lg = log_gamma(np.vstack([s, 1.0 - s, np.add.outer(us, s),
-                              np.add.outer([1.0 + vj for vj in vs], s)]))
-    acc = lg[0] + lg[1]
-    acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
-    for row in lg[2:n + 2]:
-        acc += row
-    for row in lg[n + 2:]:
-        acc -= row
-    out[live] = np.exp(acc)
+    # One log_gamma call per block of nodes takes every Gamma argument, rows
+    # s, 1 - s, u_i + s, (1 + v_j) + s; the rows are added one at a time, in
+    # that order, so the rounding is that of the factor-by-factor sum.  The w
+    # term is formed on the whole array: numpy's complex products of an array
+    # cut into blocks can round differently in the last bit
+    logs = w * (s + a_l) - 1j * math.pi * (n - r) * s
+    for start in range(0, s.size, _NODE_BLOCK):
+        b = s[start:start + _NODE_BLOCK]
+        lg = log_gamma(np.vstack([b, 1.0 - b, np.add.outer(us, b),
+                                  np.add.outer([1.0 + vj for vj in vs], b)]))
+        acc = lg[0] + lg[1]
+        acc += logs[start:start + _NODE_BLOCK]
+        for row in lg[2:n + 2]:
+            acc += row
+        for row in lg[n + 2:]:
+            acc -= row
+        logs[start:start + _NODE_BLOCK] = acc
+    out[live] = np.exp(logs)
     return out.reshape(shape)
 
 
@@ -536,6 +543,11 @@ _CLUSTER_GAP = 0.1
 
 # most trapezoidal nodes on a circle around a pole cluster
 _MAX_CIRCLE_NODES = 2 ** 10
+
+# most nodes per log_gamma call of barnes_integrand: its stacked (2n + 2)-row
+# argument and value arrays stay near 1 MB where a halving reaches ~1e5 nodes
+# (most wall-scan node arrays have fewer than 3000)
+_NODE_BLOCK = 2 ** 12
 
 # unit roundoff of the floats the integrand is summed in
 _EPS = float(np.finfo(float).eps)

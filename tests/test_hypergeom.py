@@ -898,6 +898,10 @@ def test_barnes_integrand_matches_mpmath_at_line_ladder_and_circle_nodes():
                 # the values are those of one log_gamma call per factor, bit for bit
                 np.testing.assert_array_equal(barnes_integrand(line, w, cfg, l, scale),
                                               _integrand_by_factor(line, w, cfg, l, scale))
+    # so are those of a node array evaluated in several blocks
+    long = -0.5 + 1j * np.linspace(-200.0, 200.0, 5 * hypergeom._NODE_BLOCK + 3)
+    np.testing.assert_array_equal(barnes_integrand(long, w, cfg, 0, scale),
+                                  _integrand_by_factor(long, w, cfg, 0, scale))
     cfg, l, w = _cluster_control()
     _, us, _ = hypergeom._mb_data(cfg, l, 1.0)
     center, radius = hypergeom._enclosing_circle([(0, 0, -us[0]), (2, 0, -us[2])], us)
