@@ -17,7 +17,7 @@ the series for Re w < 0 and its continuation past the wall for Re w > 0.
 Nearly coincident correction poles, whose residues can cancel to many
 digits, are summed together as one circle integral (``barnes_integrate``).
 The integrand is summed in log space, one ``numkernel.log_gamma`` call per
-node array (``barnes_integrand``).
+Gamma factor and node array (``barnes_integrand``).
 """
 
 from __future__ import annotations
@@ -364,10 +364,7 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     u the weight unit.  The scalar prefactor
     prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
-    scalar or an array of nodes; the result has its shape, and every Gamma
-    factor at every node comes from one ``log_gamma`` call per node array
-    (per block of _NODE_BLOCK nodes of a longer one), so one pole check and
-    one finiteness check cover them all.  Where
+    scalar or an array of nodes; the result has its shape.  Where
     1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
     value is 0, a zero of 1/Gamma, and no Gamma factor is evaluated there,
     unless a numerator factor has a pole at the same node: there the
@@ -378,8 +375,7 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     a_l, us, vs = _mb_data(config, l, weight_scale)
     shape = np.shape(s)
     s = np.asarray(s, dtype=complex).ravel()
-    out = np.zeros(s.shape, dtype=complex)
-    live = np.ones(s.shape, dtype=bool)
+    live = None
     # zeros of the 1/Gamma factors, where 1 + v_j + s is within POLE_TOL of
     # a non-positive integer; none when every Re(1 + v_j + s) exceeds that
     if 1.0 + min(v.real for v in vs) + s.real.min() <= POLE_TOL:
@@ -391,25 +387,17 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
             raise PoleError("a Gamma factor of the integrand has a pole at a zero of 1/Gamma")
         s = s[live]
     # log-space evaluation tolerates large |Im s| without overflow; the
-    # branch of each log_gamma term is irrelevant once the sum is exponentiated.
-    # One log_gamma call per block of nodes takes every Gamma argument, rows
-    # s, 1 - s, u_i + s, (1 + v_j) + s; the rows are added one at a time, in
-    # that order, so the rounding is that of the factor-by-factor sum.  The w
-    # term is formed on the whole array: numpy's complex products of an array
-    # cut into blocks can round differently in the last bit
-    logs = w * (s + a_l) - 1j * math.pi * (n - r) * s
-    for start in range(0, s.size, _NODE_BLOCK):
-        b = s[start:start + _NODE_BLOCK]
-        lg = log_gamma(np.vstack([b, 1.0 - b, np.add.outer(us, b),
-                                  np.add.outer([1.0 + vj for vj in vs], b)]))
-        acc = lg[0] + lg[1]
-        acc += logs[start:start + _NODE_BLOCK]
-        for row in lg[2:n + 2]:
-            acc += row
-        for row in lg[n + 2:]:
-            acc -= row
-        logs[start:start + _NODE_BLOCK] = acc
-    out[live] = np.exp(logs)
+    # branch of each log_gamma term is irrelevant once the sum is exponentiated
+    acc = log_gamma(s) + log_gamma(1.0 - s)
+    acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
+    for ui in us:
+        acc += log_gamma(ui + s)
+    for vj in vs:
+        acc -= log_gamma(1.0 + vj + s)
+    if live is None:
+        return np.exp(acc).reshape(shape)
+    out = np.zeros(live.shape, dtype=complex)
+    out[live] = np.exp(acc)
     return out.reshape(shape)
 
 
@@ -463,11 +451,11 @@ def _halving_trapezoid(terms, step: float, min_step: float, target: float,
     reaches ``min_step`` first; an unsettled sum is never returned.
     """
     values = terms(step, 0.0)
-    total, size = step * np.sum(values), step * np.sum(np.abs(values))
+    total, size = step * np.add.reduce(values), step * np.add.reduce(np.abs(values))
     while True:
         values = terms(step, 0.5)
-        refined = 0.5 * (total + step * np.sum(values))
-        size = 0.5 * (size + step * np.sum(np.abs(values)))
+        refined = 0.5 * (total + step * np.add.reduce(values))
+        size = 0.5 * (size + step * np.add.reduce(np.abs(values)))
         step *= 0.5
         err = abs(refined - total)
         if err < target or err < 16.0 * _EPS * size <= budget:
@@ -543,11 +531,6 @@ _CLUSTER_GAP = 0.1
 
 # most trapezoidal nodes on a circle around a pole cluster
 _MAX_CIRCLE_NODES = 2 ** 10
-
-# most nodes per log_gamma call of barnes_integrand: its stacked (2n + 2)-row
-# argument and value arrays stay near 1 MB where a halving reaches ~1e5 nodes
-# (most wall-scan node arrays have fewer than 3000)
-_NODE_BLOCK = 2 ** 12
 
 # unit roundoff of the floats the integrand is summed in
 _EPS = float(np.finfo(float).eps)

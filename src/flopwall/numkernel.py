@@ -44,7 +44,9 @@ def _finite(v):
     """``_as_complex(v)``; NonFiniteError unless all of it is finite."""
     v = _as_complex(v)
     if isinstance(v, np.ndarray):
-        if not np.isfinite(v).all():
+        # the reduction itself, not ndarray.all and its Python wrapper: this
+        # runs once per Gamma factor and node array of the Barnes integrand
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
             raise NonFiniteError("non-finite kernel value among the array elements")
     elif not cmath.isfinite(v):
         raise NonFiniteError(f"non-finite kernel value {v!r}")
@@ -56,7 +58,8 @@ def is_nonpositive_integer(s, tol: float = POLE_TOL) -> bool:
     of a non-positive integer; a non-finite value never is.  Of an array,
     only the elements within ``tol`` of the real axis are rounded."""
     if isinstance(s, np.ndarray):
-        return any(is_nonpositive_integer(v, tol) for v in s[np.abs(s.imag) <= tol])
+        near = s[np.abs(s.imag) <= tol]
+        return near.size > 0 and any(is_nonpositive_integer(v, tol) for v in near)
     s = complex(s)
     if not (abs(s.imag) <= tol and math.isfinite(s.real)):
         return False
