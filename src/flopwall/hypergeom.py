@@ -377,8 +377,9 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     s = np.asarray(s, dtype=complex).ravel()
     live = None
     # zeros of the 1/Gamma factors, where 1 + v_j + s is within POLE_TOL of
-    # a non-positive integer; none when every Re(1 + v_j + s) exceeds that
-    if 1.0 + min(v.real for v in vs) + s.real.min() <= POLE_TOL:
+    # a non-positive integer; none when every Re(1 + v_j + s) exceeds that,
+    # or when there is no node at all
+    if s.size and 1.0 + min(v.real for v in vs) + s.real.min() <= POLE_TOL:
         arg = np.add.outer(vs, s) + 1.0
         k = np.round(arg.real)
         live = ~((k <= 0) & (np.abs(arg - k) <= POLE_TOL)).any(axis=0)
@@ -447,32 +448,45 @@ def _halving_trapezoid(terms, step: float, min_step: float, target: float,
     sums agree when they differ by less than ``target``, or, where the
     rounding of their terms is larger than that, by less than 16 rounding
     units of ``size``, the sum of the moduli of the terms, provided that
-    rounding is itself within ``budget``.  NonConvergenceError if the step
-    reaches ``min_step`` first; an unsettled sum is never returned.
+    rounding is itself within ``budget``.
+
+    The error of the rule with step h on a strip of analyticity falls like
+    E(h) ~ exp(-2 pi a / h), so after two halvings the last two differences
+    err ~ E(h) and prev ~ E(2h) extrapolate the error of the refined sum:
+    E(h/2) ~ err^2 / prev, an overestimate by a factor exp(pi a / h).  The
+    refined sum is also returned when that extrapolation is below
+    ``target`` and the rounding of the terms is within ``budget``, which
+    saves the last halving.  NonConvergenceError if the step reaches
+    ``min_step`` first; an unsettled sum is never returned.
     """
     values = terms(step, 0.0)
     total, size = step * np.add.reduce(values), step * np.add.reduce(np.abs(values))
+    prev = None
     while True:
         values = terms(step, 0.5)
         refined = 0.5 * (total + step * np.add.reduce(values))
         size = 0.5 * (size + step * np.add.reduce(np.abs(values)))
         step *= 0.5
         err = abs(refined - total)
-        if err < target or err < 16.0 * _EPS * size <= budget:
+        rounding = 16.0 * _EPS * size
+        if err < target or err < rounding <= budget:
+            return refined
+        if prev is not None and err * err < target * prev and rounding <= budget:
             return refined
         if step <= min_step:
             raise NonConvergenceError(
-                f"trapezoidal sums still differ by {err:.3e} at step {step:g}"
+                f"trapezoidal sums still differ by {err:.3e} at step {step:g}; "
+                f"rounding of the terms {rounding:.3e} against budget {budget:.3e}"
             )
-        total = refined
+        total, prev = refined, err
 
 
 def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
     """Sum of the residues of f inside the circle |s - center| = radius.
 
-    Trapezoidal rule in the angle, from 64 nodes doubled until two sums
-    differ by less than ``quad_tol`` (``_halving_trapezoid``), at most up
-    to _MAX_CIRCLE_NODES nodes.  The sum enters the result times the
+    Trapezoidal rule in the angle, from 64 nodes doubled until the sums
+    settle to within ``quad_tol`` (``_halving_trapezoid``), at most up to
+    _MAX_CIRCLE_NODES nodes.  The sum enters the result times the
     prefactor alone, so its rounding budget is ``quad_tol`` as well: sums
     that differ by more never count as agreed.
     """
@@ -562,8 +576,11 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     differ by less than tol / (20 |prefactor|); that takes at least one
     halving.  Where the terms are large and cancel, sums that differ only
     by the rounding of their terms also agree, provided that rounding,
-    scaled to the result, is within tol/20 (``_halving_trapezoid``).  If h
-    reaches 2^-12 first (a pole family close to the line narrows the strip,
+    scaled to the result, is within tol/20.  From the second halving on, a
+    sum is also accepted when the geometric extrapolation err^2 / prev of
+    the last two differences is below tol / (20 |prefactor|) and that
+    rounding is within its budget, which saves the last halving
+    (``_halving_trapezoid``).  If h reaches 2^-12 first (a pole family close to the line narrows the strip,
     or the rounding exceeds that budget), NonConvergenceError is raised; an
     unconverged sum is never returned.
     A pole family within 1e-9 of the line raises it before any node is

@@ -3,6 +3,7 @@ continuation, I-series factorization, and central charges."""
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -498,6 +499,12 @@ def test_barnes_matches_mpmath_contour_oracle(n, unit):
             assert abs(got - want) <= tol, (l, w)
 
 
+def _rounding_and_budget(error: NonConvergenceError) -> tuple[float, float]:
+    """The rounding estimate and its budget, as a trapezoidal NonConvergenceError states them."""
+    found = re.search(r"rounding of the terms (\S+) against budget (\S+)$", str(error))
+    return float(found[1]), float(found[2])
+
+
 def test_barnes_pole_near_line_raises():
     # negative control: with u = -1/2 (weight scale -pi i, the rotated
     # Chern scale at z = 2) and x_0 - z_0 = -1 + 2e-7 the d = 0 pole of
@@ -505,8 +512,11 @@ def test_barnes_pole_near_line_raises():
     # no step down to 2^-12 resolves it, so no value may be returned
     cfg = FlopConfig(2, 1, (Fraction(0), Fraction(3, 10)),
                      (Fraction(1) - Fraction(2, 10**7), Fraction(-1, 5)))
-    with pytest.raises(NonConvergenceError, match="trapezoidal"):
+    with pytest.raises(NonConvergenceError, match="trapezoidal") as raised:
         barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10, weight_scale=-math.pi * 1j)
+    # a truncation failure: the terms' rounding is well within its budget
+    rounding, budget = _rounding_and_budget(raised.value)
+    assert rounding < budget / 10.0
 
 
 @pytest.mark.parametrize("offset", [0, 2, -2])
@@ -532,11 +542,8 @@ def _rising_tail_case():
     return cfg, 1, complex(-3.0, 0.2), 5j * math.pi
 
 
-def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
-    # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= t_max
-    # at +-T_k; the quadrature then stops at the lowest rung from which the
-    # tail bound, recomputed here from those values, is below tol / 10 on
-    # every rung up to the top
+def _spy_nodes(monkeypatch):
+    """Record every node array that ``barnes_integrate`` passes to the integrand."""
     calls = []
 
     def spy(s, *args, **kwargs):
@@ -544,6 +551,15 @@ def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
         return barnes_integrand(s, *args, **kwargs)
 
     monkeypatch.setattr(hypergeom, "barnes_integrand", spy)
+    return calls
+
+
+def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
+    # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= t_max
+    # at +-T_k; the quadrature then stops at the lowest rung from which the
+    # tail bound, recomputed here from those values, is below tol / 10 on
+    # every rung up to the top
+    calls = _spy_nodes(monkeypatch)
     tol = 1e-10
     ladder = 4.0 * 1.2 ** np.arange(22)
     assert ladder[-1] <= 200.0 < ladder[-1] * 1.2
@@ -774,8 +790,11 @@ def test_barnes_line_sum_beyond_rounding_budget_raises():
     cfg = FlopConfig(3, 1, (Fraction(5), Fraction(-3, 65), Fraction(-1, 33)),
                      (Fraction(19, 320), Fraction(13, 420), Fraction(-21, 205)))
     w = complex(-4.384615384615385, 3.383253626942854)
-    with pytest.raises(NonConvergenceError, match="trapezoidal"):
+    with pytest.raises(NonConvergenceError, match="trapezoidal") as raised:
         barnes_integrate(w, cfg, 0, tol=1e-10)
+    # the message tells a rounding-limited failure from a truncation one
+    rounding, budget = _rounding_and_budget(raised.value)
+    assert rounding > budget
     want = h_series(cfg, "plus", (0,), 80).eval(w)
     assert abs(barnes_integrate(w, cfg, 0, tol=1e-9) - want) <= 1e-9
 
@@ -800,6 +819,105 @@ def test_halving_trapezoid_accepts_rounding_only_within_budget():
                                      1e-20, floor / 2.0)
 
 
+def _geometric_terms(rho):
+    """Trapezoidal terms of the mean of 1 / (1 - rho e^{i theta}) over the circle.
+
+    The rule with N nodes sums to 1 / (1 - rho^N) exactly, so its error
+    rho^N / (1 - rho^N) squares at every halving of the step.  Returns
+    ``terms`` for ``_halving_trapezoid`` and the list of node counts it
+    was asked for.
+    """
+    sizes = []
+
+    def terms(step, offset):
+        theta = step * (np.arange(round(2.0 * math.pi / step)) + offset)
+        sizes.append(theta.size)
+        return 1.0 / (1.0 - rho * np.exp(1j * theta)) / (2.0 * math.pi)
+
+    return terms, sizes
+
+
+def test_halving_trapezoid_extrapolates_after_two_halvings():
+    # rho = 1/2 from 8 nodes: the first halving differs by ~rho^8 = 4e-3,
+    # the second by ~rho^16 = 1.5e-5, both above the target 1e-6.  Their
+    # extrapolation err^2 / prev ~ rho^24 = 6e-8 is below it, so the sum
+    # at 32 nodes, off by rho^32 = 2e-10, is returned without a third
+    # halving.  A rule that extrapolated from a single difference would
+    # return the sum at 16 nodes, off by 1.5e-5
+    terms, sizes = _geometric_terms(0.5)
+    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 8, 2.0 * math.pi / 1024,
+                                       1e-6, 1e-6)
+    assert sizes == [8, 8, 16]
+    assert abs(got - 1.0) <= 1e-9
+    # negative control: with the rounding of the terms (~1e-15) beyond the
+    # budget the extrapolation is off, and the sums must agree below the
+    # target by themselves, one halving later
+    terms, sizes = _geometric_terms(0.5)
+    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 8, 2.0 * math.pi / 1024,
+                                       1e-6, 1e-16)
+    assert sizes == [8, 8, 16, 32]
+    assert abs(got - 1.0) <= 1e-15
+
+
+def _final_line_step(calls) -> float:
+    # after the ladder's call, the line calls are the ones on Re s = -1/2;
+    # the last holds the nodes that the halving to step h adds, 2h apart
+    line = [c for c in calls[1:] if (c.real == -0.5).all()]
+    return float(np.diff(np.sort(line[-1].imag)).min()) / 2.0
+
+
+def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
+    # the seed-0 wall-scan instance at n = 2, l = 0, past the wall.  The
+    # parent rule halved to h = 1/32 and evaluated 351 nodes (44 on the
+    # ladder); extrapolating from the halvings to 1/8 and 1/16 certifies
+    # the sum at 1/16 with 197 nodes, and its value stays within 1e-12 of
+    # the parent's
+    cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
+                     (Fraction(-17, 330), Fraction(3, 65)))
+    w = complex(1.1538461538461533, math.pi)
+    calls = _spy_nodes(monkeypatch)
+    got = barnes_integrate(w, cfg, 0, tol=1e-10)
+    assert _final_line_step(calls) == 1.0 / 16.0
+    assert sum(c.size for c in calls) == 197
+    assert abs(got - (0.9991257800749854 + 0.009858076292952305j)) <= 1e-12
+    want = sum(coeff_C(cfg, (k,), (0,)) * h_series(cfg, "minus", (k,), 80).eval(-w)
+               for k in range(2))
+    assert abs(got - want) <= 1e-10
+
+
+def test_barnes_rounding_limited_point_keeps_the_parent_path(monkeypatch):
+    # negative control: the seed-0 wall-scan point whose line sums plateau
+    # at ~1e-12 from rounding.  16 rounding units of its terms (3.5e-11)
+    # exceed the budget 2 pi quad_tol (3.8e-12), so the extrapolation never
+    # certifies a sum there; it keeps the parent's halvings down to
+    # h = 1/128, its 27435 nodes and its value.  Certified at h = 1/32
+    # instead, the value would move by 3.8e-12
+    cfg = FlopConfig(3, 1, (Fraction(2, 25), Fraction(47, 10), Fraction(8, 145)),
+                     (Fraction(4, 25), Fraction(-3, 2), Fraction(1, 8)))
+    w = complex(-4.384615384615385, 3.383253626942854)
+    calls = _spy_nodes(monkeypatch)
+    got = barnes_integrate(w, cfg, 1, tol=1e-10)
+    assert _final_line_step(calls) == 1.0 / 128.0
+    assert sum(c.size for c in calls) == 27435
+    assert abs(got - (-98.3783572757193 - 46.098278840261436j)) <= 1e-12
+
+
+def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
+    # negative control for the mpmath oracle test: a rule that returns the
+    # sum after its first halving, as an extrapolation from a single
+    # difference would, misses the oracle by far more than tol on the
+    # default n = 2 instance
+    def one_halving(terms, step, min_step, target, budget):
+        return 0.5 * step * (np.add.reduce(terms(step, 0.0)) + np.add.reduce(terms(step, 0.5)))
+
+    cfg = default_config(2, 1)
+    ws = [complex(re, math.pi) for re in (-1.0, 0.0, 1.0)]
+    want = _barnes_oracle(cfg, 0, ws, 1.0)
+    monkeypatch.setattr(hypergeom, "_halving_trapezoid", one_halving)
+    worst = max(abs(barnes_integrate(w, cfg, 0, tol=1e-10) - v) for w, v in zip(ws, want))
+    assert worst > 1e3 * 1e-10
+
+
 def test_barnes_integrand_zero_on_a_node():
     # weight scale -pi i gives the real unit u = -1/2, so v_0 = -1/2 and
     # 1/Gamma(1 + v_0 + s) vanishes at the node s = -1/2 of the line
@@ -817,6 +935,13 @@ def test_barnes_integrand_zero_on_a_node():
     want, = _barnes_oracle(cfg, 1, [w], scale)
     assert abs(want - (-0.20779162389328j)) < 1e-12
     assert abs(barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) - want) <= 1e-10
+
+
+def test_barnes_integrand_of_no_nodes_is_empty():
+    cfg = default_config(3, 1)
+    for shape in [(0,), (0, 3), (2, 0)]:
+        got = barnes_integrand(np.zeros(shape, dtype=complex), complex(-1.0, 2.0 * math.pi), cfg, 0)
+        assert got.shape == shape and got.dtype == complex
 
 
 def test_barnes_integrand_pole_at_a_zero_raises():
