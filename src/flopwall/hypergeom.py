@@ -580,9 +580,10 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     sum is also accepted when the geometric extrapolation err^2 / prev of
     the last two differences is below tol / (20 |prefactor|) and that
     rounding is within its budget, which saves the last halving
-    (``_halving_trapezoid``).  If h reaches 2^-12 first (a pole family close to the line narrows the strip,
-    or the rounding exceeds that budget), NonConvergenceError is raised; an
-    unconverged sum is never returned.
+    (``_halving_trapezoid``).  If h reaches 2^-12 first (a pole family
+    close to the line narrows the strip, or the rounding exceeds that
+    budget), NonConvergenceError is raised; an unconverged sum is never
+    returned.
     A pole family within 1e-9 of the line raises it before any node is
     evaluated.
 

@@ -867,11 +867,11 @@ def _final_line_step(calls) -> float:
 
 
 def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
-    # the seed-0 wall-scan instance at n = 2, l = 0, past the wall.  The
-    # parent rule halved to h = 1/32 and evaluated 351 nodes (44 on the
-    # ladder); extrapolating from the halvings to 1/8 and 1/16 certifies
-    # the sum at 1/16 with 197 nodes, and its value stays within 1e-12 of
-    # the parent's
+    # the seed-0 wall-scan instance at n = 2, l = 0, past the wall.  Two
+    # sums agree below the target only after the halving to h = 1/32, at
+    # 351 nodes (44 on the ladder); extrapolating from the halvings to 1/8
+    # and 1/16 certifies the sum at 1/16 with 197 nodes, and its value
+    # stays within 1e-12 of the one at 1/32
     cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
                      (Fraction(-17, 330), Fraction(3, 65)))
     w = complex(1.1538461538461533, math.pi)
@@ -885,12 +885,12 @@ def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
     assert abs(got - want) <= 1e-10
 
 
-def test_barnes_rounding_limited_point_keeps_the_parent_path(monkeypatch):
+def test_barnes_rounding_limited_point_is_never_extrapolated(monkeypatch):
     # negative control: the seed-0 wall-scan point whose line sums plateau
     # at ~1e-12 from rounding.  16 rounding units of its terms (3.5e-11)
     # exceed the budget 2 pi quad_tol (3.8e-12), so the extrapolation never
-    # certifies a sum there; it keeps the parent's halvings down to
-    # h = 1/128, its 27435 nodes and its value.  Certified at h = 1/32
+    # certifies a sum there; it keeps halving down to h = 1/128, where two
+    # sums agree below the target, with 27435 nodes.  Certified at h = 1/32
     # instead, the value would move by 3.8e-12
     cfg = FlopConfig(3, 1, (Fraction(2, 25), Fraction(47, 10), Fraction(8, 145)),
                      (Fraction(4, 25), Fraction(-3, 2), Fraction(1, 8)))
