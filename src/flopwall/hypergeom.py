@@ -17,7 +17,10 @@ the series for Re w < 0 and its continuation past the wall for Re w > 0.
 Nearly coincident correction poles, whose residues can cancel to many
 digits, are summed together as one circle integral (``barnes_integrate``).
 The integrand is summed in log space, one ``numkernel.log_gamma`` call per
-Gamma factor and node array (``barnes_integrand``).
+Gamma factor and node array (``barnes_integrand``).  Each trapezoidal sum
+halves its step until it settles; its first levels come from one node
+array, the finest lattice among them, whose sub-lattices give the coarser
+sums bit for bit (``_halving_trapezoid``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_poi
 from .ktheory import LocalizedKClass
 from .numkernel import (
     POLE_TOL,
+    NonFiniteError,
     PoleError,
     TWO_PI_I,
     gamma,
@@ -438,17 +442,25 @@ def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
     return heights, bounds * 10.0 * scale / (2.0 * math.pi)
 
 
-def _halving_trapezoid(terms, step: float, min_step: float, target: float,
-                       budget: float) -> complex:
-    """Trapezoidal sum ``step * sum(terms(step, 0))``, its step halved until it settles.
+def _halving_trapezoid(terms, step: float, lattice_step: float, min_step: float,
+                       target: float, budget: float) -> complex:
+    """Trapezoidal sum with step ``step``, the step halved until it settles.
 
-    ``terms(step, offset)`` gives the terms at the nodes (k + offset) step
-    of the rule with that step: offset 0 for all of them, 1/2 for those a
-    halving adds, so each halving reuses the previous sum.  Two successive
-    sums agree when they differ by less than ``target``, or, where the
-    rounding of their terms is larger than that, by less than 16 rounding
-    units of ``size``, the sum of the moduli of the terms, provided that
-    rounding is itself within ``budget``.
+    ``terms(h, odd)`` gives the integer indices k and the terms at the nodes
+    k h of the rule with step h: all of them, or with ``odd`` only the odd
+    k, those that halving the step to h adds, so each halving reuses the
+    previous sum.  The levels down to ``lattice_step`` (``step`` over a
+    power of two) come from one call on its lattice: the rule with step
+    h = 2^j lattice_step has the nodes k = 0 mod 2^j there, and its halving
+    adds k = 2^(j-1) mod 2^j.  Levels are told apart by k, not by position
+    in the array; each is summed in increasing k, as one call per level
+    would sum it, and its nodes k h are the same floats, so the sums do not
+    depend on the lattice.  Below it each halving is one call.
+
+    Two successive sums agree when they differ by less than ``target``,
+    or, where the rounding of their terms is larger than that, by less
+    than 16 rounding units of ``size``, the sum of the moduli of the
+    terms, provided that rounding is itself within ``budget``.
 
     The error of the rule with step h on a strip of analyticity falls like
     E(h) ~ exp(-2 pi a / h), so after two halvings the last two differences
@@ -459,11 +471,22 @@ def _halving_trapezoid(terms, step: float, min_step: float, target: float,
     saves the last halving.  NonConvergenceError if the step reaches
     ``min_step`` first; an unsettled sum is never returned.
     """
-    values = terms(step, 0.0)
+    k, lattice = terms(lattice_step, False)
+
+    def level(h, odd):
+        # the terms of the rule with step h, or only those its halving adds
+        if h < lattice_step:
+            return terms(h, True)[1]
+        stride = round(h / lattice_step)
+        if odd:
+            return lattice[k % (2 * stride) == stride]
+        return lattice[k % stride == 0]
+
+    values = level(step, False)
     total, size = step * np.add.reduce(values), step * np.add.reduce(np.abs(values))
     prev = None
     while True:
-        values = terms(step, 0.5)
+        values = level(0.5 * step, True)
         refined = 0.5 * (total + step * np.add.reduce(values))
         size = 0.5 * (size + step * np.add.reduce(np.abs(values)))
         step *= 0.5
@@ -486,16 +509,19 @@ def _circle_sum(f, center: complex, radius: float, quad_tol: float) -> complex:
 
     Trapezoidal rule in the angle, from 64 nodes doubled until the sums
     settle to within ``quad_tol`` (``_halving_trapezoid``), at most up to
-    _MAX_CIRCLE_NODES nodes.  The sum enters the result times the
-    prefactor alone, so its rounding budget is ``quad_tol`` as well: sums
-    that differ by more never count as agreed.
+    _MAX_CIRCLE_NODES nodes; the sums on 64 and 128 nodes come from one
+    call of ``f`` on 128 nodes, which is where most circle sums settle.
+    The sum enters the result times the prefactor alone, so its rounding
+    budget is ``quad_tol`` as well: sums that differ by more never count
+    as agreed.
     """
-    def terms(step, offset):
-        arc = radius * np.exp(1j * step * (np.arange(round(2.0 * math.pi / step)) + offset))
-        return f(center + arc) * arc / (2.0 * math.pi)
+    def terms(step, odd):
+        k = np.arange(int(odd), round(2.0 * math.pi / step), 1 + odd)
+        arc = radius * np.exp(1j * step * k)
+        return k, f(center + arc) * arc / (2.0 * math.pi)
 
-    return _halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / _MAX_CIRCLE_NODES,
-                              quad_tol, quad_tol)
+    return _halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / 128,
+                              2.0 * math.pi / _MAX_CIRCLE_NODES, quad_tol, quad_tol)
 
 
 def _enclosing_circle(cluster, us):
@@ -540,6 +566,13 @@ _LADDER_RATIO = 1.2
 # smallest trapezoidal step before the line integral counts as unconverged
 _MIN_STEP = 2.0 ** -12
 
+# finest step of the line's first integrand call, which holds the sums at
+# h = 1/2 to 1/16.  The pole 1/s of Gamma(s) / Gamma(1 + s) sits 1/2 from
+# the line, so the strip of analyticity has half-width a <= 1/2 and the
+# error falls no faster than exp(-pi / h): almost every line sum runs to
+# h = 1/16
+_LINE_LATTICE_STEP = 2.0 ** -4
+
 # correction poles closer than this are summed as one circle integral
 _CLUSTER_GAP = 0.1
 
@@ -574,18 +607,20 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     is analytic in a strip around the line.  Starting from h = 1/2 the
     step is halved, reusing the previous nodes, until two successive sums
     differ by less than tol / (20 |prefactor|); that takes at least one
-    halving.  Where the terms are large and cancel, sums that differ only
-    by the rounding of their terms also agree, provided that rounding,
-    scaled to the result, is within tol/20.  From the second halving on, a
-    sum is also accepted when the geometric extrapolation err^2 / prev of
-    the last two differences is below tol / (20 |prefactor|) and that
-    rounding is within its budget, which saves the last halving
-    (``_halving_trapezoid``).  If h reaches 2^-12 first (a pole family
-    close to the line narrows the strip, or the rounding exceeds that
-    budget), NonConvergenceError is raised; an unconverged sum is never
-    returned.
+    halving.  The sums at h = 1/2 to 1/16 come from one integrand call on
+    the nodes t = k / 16, where almost every line sum settles; each
+    halving past it is one more call.  Where the terms are large and
+    cancel, sums that differ only by the rounding of their terms also
+    agree, provided that rounding, scaled to the result, is within tol/20.
+    From the second halving on, a sum is also accepted when the geometric
+    extrapolation err^2 / prev of the last two differences is below
+    tol / (20 |prefactor|) and that rounding is within its budget, which
+    saves the last halving (``_halving_trapezoid``).  If h reaches 2^-12
+    first (a pole family close to the line narrows the strip, or the
+    rounding exceeds that budget), NonConvergenceError is raised; an
+    unconverged sum is never returned.
     A pole family within 1e-9 of the line raises it before any node is
-    evaluated.
+    evaluated, and a non-finite w raises NonFiniteError.
 
     Correction poles closer than _CLUSTER_GAP to one another form a
     cluster, whose residues can be large and nearly cancel.  Where their
@@ -602,6 +637,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     n, r = config.n, config.r
     if not (0 <= l < n):
         raise ValueError("fixed point index out of range")
+    if not cmath.isfinite(w):
+        raise NonFiniteError(f"non-finite w = {w!r}")
     margins = _decay_margins(config, w)
     if min(margins) < 5e-2:
         raise NonConvergenceError(
@@ -635,16 +672,18 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
         )
     T = heights[failed[-1] + 1 if failed.size else 0]
 
-    def line_terms(h, offset):
-        # the nodes (k + offset) h in [-T, T]
-        k = np.arange(math.ceil(-T / h - offset), math.floor(T / h - offset) + 1)
-        return on_line(h * (k + offset))
+    def line_terms(h, odd):
+        # the nodes k h in [-T, T], every k or only the odd ones
+        k = np.arange(math.ceil(-T / h), math.floor(T / h) + 1)
+        if odd:
+            k = k[k % 2 == 1]
+        return k, on_line(h * k)
 
     # the result carries the sum times |prefactor| / (2 pi): a rounding
     # below 2 pi quad_tol stays within tol / 20 of it
     quad_tol = tol / (20.0 * scale_ref)
-    line_integral = _halving_trapezoid(line_terms, 0.5, _MIN_STEP, quad_tol,
-                                       2.0 * math.pi * quad_tol) / (2.0 * math.pi)
+    line_integral = _halving_trapezoid(line_terms, 0.5, _LINE_LATTICE_STEP, _MIN_STEP,
+                                       quad_tol, 2.0 * math.pi * quad_tol) / (2.0 * math.pi)
 
     # residues of poles strictly between the line and the integers >= 0
     residues = {}

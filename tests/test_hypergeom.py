@@ -6,10 +6,13 @@ import math
 import re
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flopwall import cli, hypergeom
 from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
@@ -40,7 +43,14 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import TWO_PI_I, PoleError, log_gamma, recip_gamma, sin_over_2i
+from flopwall.numkernel import (
+    TWO_PI_I,
+    NonFiniteError,
+    PoleError,
+    log_gamma,
+    recip_gamma,
+    sin_over_2i,
+)
 from flopwall.suites import default_config
 from flopwall.wallcross import PsiContext, coeff_C
 
@@ -577,7 +587,8 @@ def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
         bound = (f[:22] / m_up + f[22:] / m_down) * 10.0 * prefactor / (2.0 * math.pi)
         passes = bound < tol / 10.0
         k = next(k for k in range(22) if passes[k:].all())
-        assert np.max(np.abs(calls[1].imag)) == math.floor(2.0 * ladder[k]) / 2.0
+        # the line's first call holds its nodes t = j / 16 in [-T, T]
+        assert np.max(np.abs(calls[1].imag)) == math.floor(16.0 * ladder[k]) / 16.0
         heights.append(ladder[k])
     # mid-strip the bound asks for less than the old floor T = 20, near
     # the strip's edge for more; where |integrand| rises past a passing
@@ -806,17 +817,22 @@ def test_halving_trapezoid_accepts_rounding_only_within_budget():
     # agree only where that rounding is within the budget
     noise = np.random.default_rng(0)
 
-    def terms(step, offset):
-        theta = step * (np.arange(round(2.0 * math.pi / step)) + offset)
-        return 1e3 * np.cos(theta) * (1.0 + hypergeom._EPS * noise.standard_normal(theta.size))
+    def terms(step, odd):
+        k = _circle_indices(step, odd)
+        noisy = 1.0 + hypergeom._EPS * noise.standard_normal(k.size)
+        return k, 1e3 * np.cos(step * k) * noisy
 
     floor = 16.0 * hypergeom._EPS * 4e3  # 16 rounding units of sum |terms| = 4e3
-    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / 1024,
-                                       1e-20, 2.0 * floor)
+    start, min_step = 2.0 * math.pi / 64, 2.0 * math.pi / 1024
+    got = hypergeom._halving_trapezoid(terms, start, start, min_step, 1e-20, 2.0 * floor)
     assert abs(got) <= floor
     with pytest.raises(NonConvergenceError, match="trapezoidal"):
-        hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 64, 2.0 * math.pi / 1024,
-                                     1e-20, floor / 2.0)
+        hypergeom._halving_trapezoid(terms, start, start, min_step, 1e-20, floor / 2.0)
+
+
+def _circle_indices(step, odd):
+    """The indices k of the nodes k step on the circle: all of them, or the odd ones."""
+    return np.arange(int(odd), round(2.0 * math.pi / step), 1 + odd)
 
 
 def _geometric_terms(rho):
@@ -829,10 +845,10 @@ def _geometric_terms(rho):
     """
     sizes = []
 
-    def terms(step, offset):
-        theta = step * (np.arange(round(2.0 * math.pi / step)) + offset)
-        sizes.append(theta.size)
-        return 1.0 / (1.0 - rho * np.exp(1j * theta)) / (2.0 * math.pi)
+    def terms(step, odd):
+        k = _circle_indices(step, odd)
+        sizes.append(k.size)
+        return k, 1.0 / (1.0 - rho * np.exp(1j * step * k)) / (2.0 * math.pi)
 
     return terms, sizes
 
@@ -843,27 +859,71 @@ def test_halving_trapezoid_extrapolates_after_two_halvings():
     # extrapolation err^2 / prev ~ rho^24 = 6e-8 is below it, so the sum
     # at 32 nodes, off by rho^32 = 2e-10, is returned without a third
     # halving.  A rule that extrapolated from a single difference would
-    # return the sum at 16 nodes, off by 1.5e-5
+    # return the sum at 16 nodes, off by 1.5e-5.  With the first lattice
+    # at the start step every halving is one call, so the node total is
+    # the node count of the last rule
+    start, min_step = 2.0 * math.pi / 8, 2.0 * math.pi / 1024
     terms, sizes = _geometric_terms(0.5)
-    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 8, 2.0 * math.pi / 1024,
-                                       1e-6, 1e-6)
-    assert sizes == [8, 8, 16]
+    got = hypergeom._halving_trapezoid(terms, start, start, min_step, 1e-6, 1e-6)
+    assert sum(sizes) == 32
     assert abs(got - 1.0) <= 1e-9
     # negative control: with the rounding of the terms (~1e-15) beyond the
     # budget the extrapolation is off, and the sums must agree below the
     # target by themselves, one halving later
     terms, sizes = _geometric_terms(0.5)
-    got = hypergeom._halving_trapezoid(terms, 2.0 * math.pi / 8, 2.0 * math.pi / 1024,
-                                       1e-6, 1e-16)
-    assert sizes == [8, 8, 16, 32]
+    got = hypergeom._halving_trapezoid(terms, start, start, min_step, 1e-6, 1e-16)
+    assert sum(sizes) == 64
     assert abs(got - 1.0) <= 1e-15
+
+
+def _line_terms(T):
+    """Trapezoidal terms of 1 / (1 + t^2) at the nodes k h in [-T, T].
+
+    The ends of the interval cut the integrand where it is not small, so
+    the sums change at first order in h with the nodes that fall inside:
+    on a lattice whose first index is odd, levels told apart by array
+    position instead of by k would move them far beyond rounding.  Returns
+    ``terms`` for ``_halving_trapezoid`` and the list of node counts it
+    was asked for.
+    """
+    sizes = []
+
+    def terms(h, odd):
+        k = np.arange(math.ceil(-T / h), math.floor(T / h) + 1)
+        if odd:
+            k = k[k % 2 == 1]
+        sizes.append(k.size)
+        return k, 1.0 / (1.0 + (h * k) ** 2)
+
+    return terms, sizes
+
+
+@pytest.mark.parametrize("make_terms, start, target, nodes", [
+    (lambda: _geometric_terms(0.5), 2.0 * math.pi / 8, 1e-6, 32),
+    (lambda: _geometric_terms(0.9), 2.0 * math.pi / 8, 1e-12, 512),
+    (lambda: _line_terms(3.1), 0.5, 3e-3, 99),
+    (lambda: _line_terms(3.1), 0.5, 1e-4, 3175),
+], ids=["circle-inside", "circle-past", "line-inside", "line-past"])
+def test_halving_trapezoid_sums_do_not_depend_on_the_lattice(make_terms, start, target, nodes):
+    # with the first call at the start step (one call per level) or on the
+    # lattice of step start / 8: the sums are the same floats, whether they
+    # stop inside the lattice or halve past it.  The circle's lattice
+    # starts at k = 0, the line's at k = -49 on [-3.1, 3.1]
+    terms, sizes = make_terms()
+    got = hypergeom._halving_trapezoid(terms, start, start, 2.0 ** -12, target, target)
+    assert sum(sizes) == nodes
+    terms, lattice_sizes = make_terms()
+    on_lattice = hypergeom._halving_trapezoid(terms, start, start / 8.0, 2.0 ** -12,
+                                              target, target)
+    assert sum(lattice_sizes) == max(lattice_sizes[0], nodes)
+    assert on_lattice == got
 
 
 def _final_line_step(calls) -> float:
     # after the ladder's call, the line calls are the ones on Re s = -1/2;
-    # the last holds the nodes that the halving to step h adds, 2h apart
-    line = [c for c in calls[1:] if (c.real == -0.5).all()]
-    return float(np.diff(np.sort(line[-1].imag)).min()) / 2.0
+    # the finest step is the least spacing of all their nodes together
+    line = np.concatenate([c.imag for c in calls[1:] if (c.real == -0.5).all()])
+    return float(np.diff(np.unique(line)).min())
 
 
 def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
@@ -871,13 +931,15 @@ def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
     # sums agree below the target only after the halving to h = 1/32, at
     # 351 nodes (44 on the ladder); extrapolating from the halvings to 1/8
     # and 1/16 certifies the sum at 1/16 with 197 nodes, and its value
-    # stays within 1e-12 of the one at 1/32
+    # stays within 1e-12 of the one at 1/32.  The sums at h = 1/2 to 1/16
+    # come from one call: two in all, the ladder and the line's lattice
     cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
                      (Fraction(-17, 330), Fraction(3, 65)))
     w = complex(1.1538461538461533, math.pi)
     calls = _spy_nodes(monkeypatch)
     got = barnes_integrate(w, cfg, 0, tol=1e-10)
     assert _final_line_step(calls) == 1.0 / 16.0
+    assert len(calls) == 2
     assert sum(c.size for c in calls) == 197
     assert abs(got - (0.9991257800749854 + 0.009858076292952305j)) <= 1e-12
     want = sum(coeff_C(cfg, (k,), (0,)) * h_series(cfg, "minus", (k,), 80).eval(-w)
@@ -902,13 +964,77 @@ def test_barnes_rounding_limited_point_is_never_extrapolated(monkeypatch):
     assert abs(got - (-98.3783572757193 - 46.098278840261436j)) <= 1e-12
 
 
+def _per_level_trapezoid(terms, step, lattice_step, min_step, target, budget):
+    """``_halving_trapezoid`` without its lattice: one ``terms`` call per level."""
+    _, values = terms(step, False)
+    total, size = step * np.add.reduce(values), step * np.add.reduce(np.abs(values))
+    prev = None
+    while True:
+        _, values = terms(0.5 * step, True)
+        refined = 0.5 * (total + step * np.add.reduce(values))
+        size = 0.5 * (size + step * np.add.reduce(np.abs(values)))
+        step *= 0.5
+        err = abs(refined - total)
+        rounding = 16.0 * hypergeom._EPS * size
+        extrapolated = prev is not None and err * err < target * prev
+        if err < target or (err < rounding or extrapolated) and rounding <= budget:
+            return refined
+        if step <= min_step:
+            raise NonConvergenceError(
+                f"trapezoidal sums still differ by {err:.3e} at step {step:g}; "
+                f"rounding of the terms {rounding:.3e} against budget {budget:.3e}"
+            )
+        total, prev = refined, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
+       z=st.sampled_from([None, 2.0, 3.0 + 1.0j]),
+       points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
+                       min_size=4, max_size=4))
+def test_barnes_integrate_equals_the_per_level_sums(seed, n, l, z, points):
+    # the line's sums at h = 1/2 to 1/16 and the circles' at 64 and 128
+    # nodes come from one call on the finest lattice; the value must be
+    # the one that one call per level gives, to the bit, or both raise the
+    # same error.  Random generic weights, four w across the strip, weight
+    # scale 1 and the rotated Chern scales at z = 2 and 3 + i
+    assume(l < n)
+    cfg = random_config(n, 1, seed)
+    try:
+        scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
+    except PoleError:
+        assume(False)
+
+    def value(w):
+        try:
+            return barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale)
+        except (NonConvergenceError, PoleError) as error:
+            return type(error), str(error)
+
+    ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
+    got = [value(w) for w in ws]
+    with mock.patch.object(hypergeom, "_halving_trapezoid", _per_level_trapezoid):
+        assert got == [value(w) for w in ws]
+
+
+@pytest.mark.parametrize("w", [complex(math.inf, math.pi), complex(math.nan, math.pi),
+                               complex(1.0, math.nan)])
+def test_barnes_non_finite_w_raises_before_any_node(w, monkeypatch):
+    calls = _spy_nodes(monkeypatch)
+    with pytest.raises(NonFiniteError, match="non-finite w"):
+        barnes_integrate(w, default_config(2, 1), 0)
+    assert calls == []
+
+
 def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
     # negative control for the mpmath oracle test: a rule that returns the
     # sum after its first halving, as an extrapolation from a single
     # difference would, misses the oracle by far more than tol on the
     # default n = 2 instance
-    def one_halving(terms, step, min_step, target, budget):
-        return 0.5 * step * (np.add.reduce(terms(step, 0.0)) + np.add.reduce(terms(step, 0.5)))
+    def one_halving(terms, step, lattice_step, min_step, target, budget):
+        _, values = terms(step, False)
+        _, added = terms(0.5 * step, True)
+        return 0.5 * step * (np.add.reduce(values) + np.add.reduce(added))
 
     cfg = default_config(2, 1)
     ws = [complex(re, math.pi) for re in (-1.0, 0.0, 1.0)]
