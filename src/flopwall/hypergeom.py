@@ -20,7 +20,9 @@ The integrand is summed in log space, one ``numkernel.log_gamma`` call per
 Gamma factor and node array (``barnes_integrand``).  Each trapezoidal sum
 halves its step until it settles; its first levels come from one node
 array, the finest lattice among them, whose sub-lattices give the coarser
-sums bit for bit (``_halving_trapezoid``).
+sums bit for bit (``_halving_trapezoid``).  On the line's lattice the three
+Gamma factors that hold no weight come from one process-wide table
+(``_lattice_rows``).
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ def _pole_line_distance(im_w: float, wall_height: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Mellin-Barnes continuation (r = 1 form, also used per factor for r > 1)
+# Mellin-Barnes continuation (r = 1)
 # ----------------------------------------------------------------------
 
 def _mb_data(config: FlopConfig, l: int, weight_scale: complex):
@@ -359,7 +361,7 @@ def _mb_data(config: FlopConfig, l: int, weight_scale: complex):
 
 
 def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
-                     weight_scale: complex = 1.0):
+                     weight_scale: complex = 1.0, rows=None):
     """Integrand of the vertical-contour representation at plus fixed point l.
 
     Gamma(s) Gamma(1-s) e^{w(s + x_l u)} e^{-i pi (n-r) s}
@@ -374,6 +376,14 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     unless a numerator factor has a pole at the same node: there the
     product has a finite limit that is not evaluated, and PoleError is
     raised as at any other pole of a Gamma factor.
+
+    The sum is taken in log space, one ``log_gamma`` call per Gamma factor
+    and node array, 2n + 2 in all.  Three factors hold no weight, since
+    v_l = (x_l - x_l) u = 0: Gamma(s), Gamma(1 - s) and Gamma(1 + s).  A
+    caller that has their rows at the nodes ``s`` passes them as ``rows``,
+    the pair (log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) of 1-d
+    arrays along a 1-d ``s``; they enter the sum where their calls would,
+    so the values are the same floats, and 2n - 1 calls remain.
     """
     n, r = config.n, config.r
     a_l, us, vs = _mb_data(config, l, weight_scale)
@@ -391,14 +401,16 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
         if any(is_nonpositive_integer(a) for a in (zeros, 1.0 - zeros, *(ui + zeros for ui in us))):
             raise PoleError("a Gamma factor of the integrand has a pole at a zero of 1/Gamma")
         s = s[live]
+        if rows is not None:
+            rows = [row[live] for row in rows]
     # log-space evaluation tolerates large |Im s| without overflow; the
     # branch of each log_gamma term is irrelevant once the sum is exponentiated
-    acc = log_gamma(s) + log_gamma(1.0 - s)
-    acc += w * (s + a_l) - 1j * math.pi * (n - r) * s
+    pair, own = rows if rows is not None else (log_gamma(s) + log_gamma(1.0 - s), None)
+    acc = pair + (w * (s + a_l) - 1j * math.pi * (n - r) * s)
     for ui in us:
         acc += log_gamma(ui + s)
-    for vj in vs:
-        acc -= log_gamma(1.0 + vj + s)
+    for j, vj in enumerate(vs):
+        acc -= log_gamma(1.0 + vj + s) if own is None or j != l else own
     if live is None:
         return np.exp(acc).reshape(shape)
     out = np.zeros(live.shape, dtype=complex)
@@ -559,9 +571,11 @@ def _pole_clusters(poles, gap: float) -> list:
     return clusters
 
 
-# truncation heights tried for the line integral: T_k = 4 * 1.2^k <= t_max
+# truncation heights tried for the line integral: T_k = 4 * 1.2^k <= t_max,
+# by default t_max = _T_MAX
 _LADDER_START = 4.0
 _LADDER_RATIO = 1.2
+_T_MAX = 200.0
 
 # smallest trapezoidal step before the line integral counts as unconverged
 _MIN_STEP = 2.0 ** -12
@@ -572,6 +586,11 @@ _MIN_STEP = 2.0 ** -12
 # error falls no faster than exp(-pi / h): almost every line sum runs to
 # h = 1/16
 _LINE_LATTICE_STEP = 2.0 ** -4
+
+# (K, log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) on the line's
+# lattice s = -1/2 + i k / 16, |k| <= K: the rows of the integrand that hold
+# no weight (``_lattice_rows``); none until the first line sum
+_line_rows = (-1, None, None)
 
 # correction poles closer than this are summed as one circle integral
 _CLUSTER_GAP = 0.1
@@ -586,8 +605,32 @@ _EPS = float(np.finfo(float).eps)
 MIN_BARNES_TOL = 1e-12
 
 
+def _lattice_rows(k: np.ndarray):
+    """The node-only rows of ``barnes_integrand`` at the line's lattice
+    nodes s = -1/2 + i k / 16, for the consecutive indices ``k``.
+
+    Gamma(s), Gamma(1 - s) and Gamma(1 + v_l + s) = Gamma(1 + s) depend on
+    the node alone, so one process-wide table holds their rows for every
+    line sum, whatever its w, config, l, weight scale or tolerance.  It is
+    built on the first call, by the ``log_gamma`` calls the integrand makes
+    on the same floats, for |t| up to _T_MAX, and rebuilt larger only for a
+    line that reaches past it.  Its arrays are read-only, and the tuple is
+    replaced whole, so two threads that build it at once agree.
+    """
+    global _line_rows
+    k_max, pair, own = _line_rows
+    if max(-k[0], k[-1]) > k_max:
+        k_max = max(-k[0], k[-1], round(_T_MAX / _LINE_LATTICE_STEP))
+        s = -0.5 + 1j * (_LINE_LATTICE_STEP * np.arange(-k_max, k_max + 1))
+        pair, own = log_gamma(s) + log_gamma(1.0 - s), log_gamma(1.0 + s)
+        pair.flags.writeable = own.flags.writeable = False
+        _line_rows = k_max, pair, own
+    window = slice(k[0] + k_max, k[-1] + k_max + 1)
+    return pair[window], own[window]
+
+
 def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
-                     weight_scale: complex = 1.0, t_max: float = 200.0) -> complex:
+                     weight_scale: complex = 1.0, t_max: float = _T_MAX) -> complex:
     """Mellin-Barnes value of the plus-side series at log q = w.
 
     Returns the analytic continuation of the prefactored series: equal to
@@ -609,7 +652,11 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     differ by less than tol / (20 |prefactor|); that takes at least one
     halving.  The sums at h = 1/2 to 1/16 come from one integrand call on
     the nodes t = k / 16, where almost every line sum settles; each
-    halving past it is one more call.  Where the terms are large and
+    halving past it is one more call.  That call takes the rows of
+    Gamma(s), Gamma(1 - s) and Gamma(1 + s), which hold no weight, from a
+    table on the lattice that every call shares (``_lattice_rows``), and
+    makes 2n - 1 ``log_gamma`` calls instead of 2n + 2, with the same
+    values to the bit.  Where the terms are large and
     cancel, sums that differ only by the rounding of their terms also
     agree, provided that rounding, scaled to the result, is within tol/20.
     From the second halving on, a sum is also accepted when the geometric
@@ -620,7 +667,7 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     rounding exceeds that budget), NonConvergenceError is raised; an
     unconverged sum is never returned.
     A pole family within 1e-9 of the line raises it before any node is
-    evaluated, and a non-finite w raises NonFiniteError.
+    evaluated, and a non-finite w or weight scale raises NonFiniteError.
 
     Correction poles closer than _CLUSTER_GAP to one another form a
     cluster, whose residues can be large and nearly cancel.  Where their
@@ -639,6 +686,9 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
         raise ValueError("fixed point index out of range")
     if not cmath.isfinite(w):
         raise NonFiniteError(f"non-finite w = {w!r}")
+    # a finite scale keeps v_l = (x_l - x_l) u at 0, as _lattice_rows needs
+    if not cmath.isfinite(complex(weight_scale)):
+        raise NonFiniteError(f"non-finite weight scale {weight_scale!r}")
     margins = _decay_margins(config, w)
     if min(margins) < 5e-2:
         raise NonConvergenceError(
@@ -655,11 +705,11 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     prefactor = _mb_prefactor(config, l, weight_scale)
     scale_ref = max(abs(prefactor), 1e-300)
 
-    def integrand(s):
-        return barnes_integrand(s, w, config, l, weight_scale)
+    def integrand(s, rows=None):
+        return barnes_integrand(s, w, config, l, weight_scale, rows=rows)
 
-    def on_line(t):
-        return integrand(-0.5 + 1j * t)
+    def on_line(t, rows=None):
+        return integrand(-0.5 + 1j * t, rows)
 
     heights, bounds = _tail_bounds(on_line, margins, scale_ref, t_max)
     # the bound assumes exp(-m |t|) decay beyond T; a rung that passes below
@@ -673,11 +723,13 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     T = heights[failed[-1] + 1 if failed.size else 0]
 
     def line_terms(h, odd):
-        # the nodes k h in [-T, T], every k or only the odd ones
+        # the nodes k h in [-T, T], every k or only the odd ones; the call on
+        # the lattice takes the node-only rows from their table
         k = np.arange(math.ceil(-T / h), math.floor(T / h) + 1)
         if odd:
             k = k[k % 2 == 1]
-        return k, on_line(h * k)
+        rows = _lattice_rows(k) if h == _LINE_LATTICE_STEP and not odd else None
+        return k, on_line(h * k, rows)
 
     # the result carries the sum times |prefactor| / (2 pi): a rounding
     # below 2 pi quad_tol stays within tol / 20 of it

@@ -104,8 +104,15 @@ def recip_gamma(s):
 
 
 def sin_over_2i(a: complex) -> complex:
-    """sin(a/(2i)) evaluated through the hyperbolic form -i*sinh(a/2)."""
-    return _finite(-1j * cmath.sinh(complex(a) / 2.0))
+    """sin(a/(2i)) evaluated through the hyperbolic form -i*sinh(a/2).
+
+    Raises NonFiniteError on a non-finite argument or value, also where
+    sinh overflows.
+    """
+    try:
+        return _finite(-1j * cmath.sinh(complex(a) / 2.0))
+    except OverflowError:
+        raise NonFiniteError(f"sin(a/2i) overflows at a = {a!r}") from None
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,17 @@ def test_charge_overflow_is_an_evaluation_error(capsys, z, raised_by):
     assert err.startswith("evaluation error:") and raised_by in err
 
 
+def test_barnes_sine_prefactor_overflow_exits_two(capsys, tmp_path):
+    # x_1 - z_0 = 1999 overflows sinh in the sine prefactor at delta 2; this
+    # used to end in an OverflowError traceback and exit 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "weights": {"x": [0, 2000], "z": [1, 3]}}))
+    argv = ["barnes", "--config", str(path), "--w=-2,3.14159", "--delta", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error:") and "overflows" in err
+
+
 def test_barnes_on_pole_line_exits_two(capsys):
     # Im w = (n - r + 1) pi sits on the pole line of the contour strip
     h_bad = 2.0 * math.pi

@@ -11,7 +11,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flopwall import cli, hypergeom
@@ -926,21 +926,36 @@ def _final_line_step(calls) -> float:
     return float(np.diff(np.unique(line)).min())
 
 
+def _wall_scan_point():
+    # the seed-0 wall-scan instance at n = 2, l = 0, past the wall
+    cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
+                     (Fraction(-17, 330), Fraction(3, 65)))
+    return cfg, complex(1.1538461538461533, math.pi)
+
+
 def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
-    # the seed-0 wall-scan instance at n = 2, l = 0, past the wall.  Two
-    # sums agree below the target only after the halving to h = 1/32, at
+    # Two sums agree below the target only after the halving to h = 1/32, at
     # 351 nodes (44 on the ladder); extrapolating from the halvings to 1/8
     # and 1/16 certifies the sum at 1/16 with 197 nodes, and its value
     # stays within 1e-12 of the one at 1/32.  The sums at h = 1/2 to 1/16
-    # come from one call: two in all, the ladder and the line's lattice
-    cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
-                     (Fraction(-17, 330), Fraction(3, 65)))
-    w = complex(1.1538461538461533, math.pi)
+    # come from one call: two in all, the ladder and the line's lattice.
+    # The ladder call makes all 2n + 2 log_gamma calls; the lattice call
+    # takes three rows from the table and makes 2n - 1
+    cfg, w = _wall_scan_point()
+    hypergeom._lattice_rows(np.arange(-1, 2))  # the table exists before the count
     calls = _spy_nodes(monkeypatch)
+    gamma_calls = []  # the integrand call each log_gamma call falls in
+
+    def counted(s):
+        gamma_calls.append(len(calls))
+        return log_gamma(s)
+
+    monkeypatch.setattr(hypergeom, "log_gamma", counted)
     got = barnes_integrate(w, cfg, 0, tol=1e-10)
     assert _final_line_step(calls) == 1.0 / 16.0
     assert len(calls) == 2
     assert sum(c.size for c in calls) == 197
+    assert [gamma_calls.count(1), gamma_calls.count(2)] == [6, 3]
     assert abs(got - (0.9991257800749854 + 0.009858076292952305j)) <= 1e-12
     want = sum(coeff_C(cfg, (k,), (0,)) * h_series(cfg, "minus", (k,), 80).eval(-w)
                for k in range(2))
@@ -1026,6 +1041,97 @@ def test_barnes_non_finite_w_raises_before_any_node(w, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, complex(1.0, math.inf)])
+def test_barnes_non_finite_weight_scale_raises_before_any_node(scale, monkeypatch):
+    # a NaN scale used to reach round() in the contour-touch guard and raise
+    # a bare ValueError; a finite scale is also what keeps v_l = 0
+    calls = _spy_nodes(monkeypatch)
+    with pytest.raises(NonFiniteError, match="non-finite weight scale"):
+        barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0, weight_scale=scale)
+    assert calls == []
+
+
+def _integrand_with_every_row(s, w, config, l, weight_scale=1.0, rows=None):
+    """``barnes_integrand`` that ignores ``rows``: all 2n + 2 log_gamma calls."""
+    return barnes_integrand(s, w, config, l, weight_scale)
+
+
+def _barnes_outcome(w, cfg, l, scale):
+    try:
+        return barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale)
+    except (NonConvergenceError, PoleError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=1, n=3, l=0, size=Fraction(1, 2), scale=1.0j,
+         points=[(-3.0, -0.5), (0.5, 0.2), (4.0, 0.9)])
+@example(seed=1, n=3, l=2, size=Fraction(1, 2), scale=3.0 + 1.0j,
+         points=[(-3.0, -0.5), (0.5, 0.2), (4.0, 0.9)])
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
+       size=st.sampled_from([Fraction(1, 10), Fraction(1, 2)]),
+       scale=st.sampled_from([1.0, 2.0, 3.0 + 1.0j, 1.0j]),
+       points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
+                       min_size=3, max_size=3))
+def test_barnes_lattice_rows_from_the_table_equal_every_row_computed(seed, n, l, size, scale,
+                                                                      points):
+    # the lattice call takes log Gamma(s) + log Gamma(1 - s) and
+    # log Gamma(1 + s) from the process-wide table; the value must be the one
+    # the integrand gives with all 2n + 2 rows computed, to the bit, or both
+    # raise the same error.  Weight scales i and 3 + i make the unit u
+    # partly real, so weights pi or more apart put a zero of 1/Gamma within
+    # reach of the line and the zero mask runs on the lattice call too, as
+    # it does in the two explicit examples (x_1 - x_0 = 5.15 > pi)
+    assume(l < n)
+    cfg = random_config(n, 1, seed, scale=size)
+    ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
+    got = [_barnes_outcome(w, cfg, l, scale) for w in ws]
+    with mock.patch.object(hypergeom, "barnes_integrand", _integrand_with_every_row):
+        assert got == [_barnes_outcome(w, cfg, l, scale) for w in ws]
+
+
+def test_line_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
+    # the table is built on the first line sum, for |t| <= 200, by the
+    # integrand's own log_gamma calls on the same nodes; later line sums at
+    # other configs, w, fixed points and weight scales leave it as it is
+    monkeypatch.setattr(hypergeom, "_line_rows", (-1, None, None))
+    barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
+    k_max, pair, own = hypergeom._line_rows
+    assert k_max == 3200
+    s = -0.5 + 1j * (np.arange(-k_max, k_max + 1) / 16.0)
+    np.testing.assert_array_equal(pair, log_gamma(s) + log_gamma(1.0 - s))
+    np.testing.assert_array_equal(own, log_gamma(1.0 + s))
+    assert not pair.flags.writeable and not own.flags.writeable
+    before = pair.tobytes(), own.tobytes()
+    for n, scale in [(2, 1.0), (3, 2.0), (4, 3.0 + 1.0j), (3, 1.0j)]:
+        cfg = random_config(n, 1, seed=n)
+        for l in range(n):
+            for re_w in (-2.0, 0.5):
+                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
+    assert hypergeom._line_rows[0] == k_max
+    assert (hypergeom._line_rows[1].tobytes(), hypergeom._line_rows[2].tobytes()) == before
+    # a line that reaches past |t| = 200 rebuilds it larger, with the same
+    # values on the old nodes
+    wide_pair, wide_own = hypergeom._lattice_rows(np.arange(-3300, 3301))
+    assert hypergeom._line_rows[0] == 3300
+    np.testing.assert_array_equal(wide_pair[100:-100], pair)
+    np.testing.assert_array_equal(wide_own[100:-100], own)
+
+
+def test_barnes_rows_shifted_by_one_node_are_seen(monkeypatch):
+    # negative control for the identity test: rows taken one lattice node
+    # off move the value of the seed-0 wall-scan point far past tol
+    cfg, w = _wall_scan_point()
+    want = barnes_integrate(w, cfg, 0, tol=1e-10)
+    rows = hypergeom._lattice_rows
+
+    def shifted(k):
+        return rows(k + 1)
+
+    monkeypatch.setattr(hypergeom, "_lattice_rows", shifted)
+    assert abs(barnes_integrate(w, cfg, 0, tol=1e-10) - want) > 1e3 * 1e-10
+
+
 def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
     # negative control for the mpmath oracle test: a rule that returns the
     # sum after its first halving, as an extrapolation from a single
@@ -1060,7 +1166,12 @@ def test_barnes_integrand_zero_on_a_node():
     np.testing.assert_array_equal(masked[1:], barnes_integrand(nodes[1:], w, cfg, 1, scale))
     want, = _barnes_oracle(cfg, 1, [w], scale)
     assert abs(want - (-0.20779162389328j)) < 1e-12
-    assert abs(barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) - want) <= 1e-10
+    got = barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale)
+    assert abs(got - want) <= 1e-10
+    # the zero sits on the lattice node t = 0, so the lattice call masks the
+    # rows it takes from the table as well, to the same value bit for bit
+    with mock.patch.object(hypergeom, "barnes_integrand", _integrand_with_every_row):
+        assert barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) == got
 
 
 def test_barnes_integrand_of_no_nodes_is_empty():

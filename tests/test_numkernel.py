@@ -96,6 +96,15 @@ def test_sin_over_2i_values():
     assert abs(got - (-1j * math.sinh(1.0))) < 1e-15
 
 
+@pytest.mark.parametrize("a", [2000.0, -2000.0, complex(1999.0, 3.0), complex(math.inf, 0.0)])
+def test_sin_over_2i_overflow_raises_non_finite(a):
+    # sinh(a/2) overflows past |Re a| ~ 1420, where cmath raises a bare
+    # OverflowError; the kernel maps it to its own error, as gamma does
+    with pytest.raises(NonFiniteError):
+        sin_over_2i(a)
+    assert cmath.isfinite(sin_over_2i(1400.0))
+
+
 @given(finite_floats, finite_floats)
 def test_sin_over_2i_odd(re, im):
     a = complex(re, im)
