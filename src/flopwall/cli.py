@@ -284,13 +284,16 @@ def _load_run_config(args) -> RunConfig:
     return RunConfig.from_file(args.config) if args.config else RunConfig()
 
 
-def _parse_delta(text: str, n: int) -> tuple:
+def _parse_delta(text: str, cfg: FlopConfig, flag: str = "--delta") -> tuple:
+    """The 0-based fixed-point label of ``text``, r distinct 1-based indices."""
     try:
         indices = tuple(sorted(int(t) for t in text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"bad --delta {text!r}") from exc
-    if any(not 1 <= i <= n for i in indices) or len(set(indices)) != len(indices):
-        raise ConfigError(f"--delta must be distinct indices in 1..{n}")
+        raise ConfigError(f"bad {flag} {text!r}") from exc
+    if any(not 1 <= i <= cfg.n for i in indices) or len(set(indices)) != len(indices):
+        raise ConfigError(f"{flag} must be distinct indices in 1..{cfg.n}")
+    if len(indices) != cfg.r:
+        raise ConfigError(f"{flag} needs exactly r={cfg.r} indices")
     return tuple(i - 1 for i in indices)
 
 
@@ -327,9 +330,7 @@ def cmd_fixed_points(args) -> int:
 def cmd_fm(args) -> int:
     rc = _load_run_config(args)
     cfg = rc.flop_config()
-    dm = _parse_delta(args.delta, cfg.n)
-    if len(dm) != cfg.r:
-        raise ConfigError(f"--delta needs exactly r={cfg.r} indices")
+    dm = _parse_delta(args.delta, cfg)
     closed = fm_generator_formula(cfg, dm)
     numeric = fm_transform(cfg, generator_e(cfg, dm))
     out = {
@@ -362,9 +363,7 @@ def cmd_uh_matrix(args) -> int:
 def cmd_series(args) -> int:
     rc = _load_run_config(args)
     cfg = rc.flop_config()
-    delta = _parse_delta(args.delta, cfg.n)
-    if len(delta) != cfg.r:
-        raise ConfigError(f"--delta needs exactly r={cfg.r} indices")
+    delta = _parse_delta(args.delta, cfg)
     _check_order(args.order)
     series = h_series(cfg, args.side, delta, args.order)
     if hasattr(series, "specialize"):
@@ -381,7 +380,7 @@ def cmd_barnes(args) -> int:
     if not MIN_BARNES_TOL <= args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and at least {MIN_BARNES_TOL}, got {args.tol}")
     w = _parse_complex(args.w)
-    delta = _parse_delta(args.delta, cfg.n) if args.delta else (0,)
+    delta = _parse_delta(args.delta, cfg) if args.delta else (0,)
     value = barnes_integrate(w, cfg, delta[0], tol=args.tol)
     sys.stdout.write(_stable_json({"w": w, "delta": [delta[0] + 1], "value": value}) + "\n")
     return 0
@@ -397,7 +396,7 @@ def cmd_charge(args) -> int:
     if spec == "1":
         E = unit_class(cfg, args.side)
     elif spec.startswith("e:"):
-        dm = _parse_delta(spec[2:], cfg.n)
+        dm = _parse_delta(spec[2:], cfg, "--class e:")
         if args.side == "minus":
             E = generator_e(cfg, dm)
         else:

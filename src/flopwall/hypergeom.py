@@ -19,10 +19,12 @@ digits, are summed together as one circle integral (``barnes_integrate``).
 The integrand is summed in log space, one ``numkernel.log_gamma`` call per
 Gamma factor and node array (``barnes_integrand``).  Each trapezoidal sum
 halves its step until it settles; its first levels come from one node
-array, the finest lattice among them, whose sub-lattices give the coarser
-sums bit for bit (``_halving_trapezoid``).  On the line's lattice the three
-Gamma factors that hold no weight come from one process-wide table
-(``_lattice_rows``).
+array, the finest lattice among them, whose slices give the coarser sums
+bit for bit (``_halving_trapezoid``).  On the truncation ladder and on the
+line's lattice the three Gamma factors that hold no weight come from
+process-wide tables (``_ladder_rows``, ``_lattice_rows``).  The correction
+residues take all their Gamma values from one ``log_gamma`` call and all
+their 1/Gamma values from one ``recip_gamma`` call (``_residues``).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .numkernel import (
     NonFiniteError,
     PoleError,
     TWO_PI_I,
-    gamma,
     is_nonpositive_integer,
     log_gamma,
     recip_gamma,
@@ -440,18 +441,16 @@ def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
 
     The bound at T is (|f(T)| / m_up + |f(-T)| / m_down) * 10 * scale / (2 pi):
     the tail of an integrand that decays like exp(-m |t|) beyond +-T, with
-    a factor 10 to spare.  All heights come from one ``integrand`` call.
+    a factor 10 to spare.  The heights come from the ladder's table
+    (``_ladder_rows``), and all of them from one call ``integrand(t)`` on
+    the heights t = T_k followed by t = -T_k.
     """
-    heights = []
-    T = _LADDER_START
-    while T <= t_max:
-        heights.append(T)
-        T *= _LADDER_RATIO
-    heights = np.array(heights)
-    f = np.abs(integrand(np.concatenate([heights, -heights])))
+    t, _ = _ladder_rows(t_max)
+    f = np.abs(integrand(t))
+    rungs = t.size // 2
     m_up, m_down = margins
-    bounds = f[:len(heights)] / m_up + f[len(heights):] / m_down
-    return heights, bounds * 10.0 * scale / (2.0 * math.pi)
+    bounds = f[:rungs] / m_up + f[rungs:] / m_down
+    return t[:rungs], bounds * 10.0 * scale / (2.0 * math.pi)
 
 
 def _halving_trapezoid(terms, step: float, lattice_step: float, min_step: float,
@@ -462,12 +461,14 @@ def _halving_trapezoid(terms, step: float, lattice_step: float, min_step: float,
     k h of the rule with step h: all of them, or with ``odd`` only the odd
     k, those that halving the step to h adds, so each halving reuses the
     previous sum.  The levels down to ``lattice_step`` (``step`` over a
-    power of two) come from one call on its lattice: the rule with step
-    h = 2^j lattice_step has the nodes k = 0 mod 2^j there, and its halving
-    adds k = 2^(j-1) mod 2^j.  Levels are told apart by k, not by position
-    in the array; each is summed in increasing k, as one call per level
-    would sum it, and its nodes k h are the same floats, so the sums do not
-    depend on the lattice.  Below it each halving is one call.
+    power of two) come from one call on its lattice, whose indices k must
+    be consecutive: the rule with step h = 2^j lattice_step has the nodes
+    k = 0 mod 2^j there, and its halving adds k = 2^(j-1) mod 2^j, so each
+    level is a slice of the lattice's terms, every 2^j-th or 2^(j+1)-th
+    from the first k in its class.  Levels are told apart by k, not by the
+    lattice's first position; each is summed in increasing k, as one call
+    per level would sum it, and its nodes k h are the same floats, so the
+    sums do not depend on the lattice.  Below it each halving is one call.
 
     Two successive sums agree when they differ by less than ``target``,
     or, where the rounding of their terms is larger than that, by less
@@ -484,15 +485,16 @@ def _halving_trapezoid(terms, step: float, lattice_step: float, min_step: float,
     ``min_step`` first; an unsettled sum is never returned.
     """
     k, lattice = terms(lattice_step, False)
+    first = int(k[0])
 
     def level(h, odd):
-        # the terms of the rule with step h, or only those its halving adds
+        # the terms of the rule with step h, or only those its halving adds:
+        # the lattice's k = 0 mod stride, or k = stride mod 2 stride
         if h < lattice_step:
             return terms(h, True)[1]
         stride = round(h / lattice_step)
-        if odd:
-            return lattice[k % (2 * stride) == stride]
-        return lattice[k % stride == 0]
+        residue, every = (stride, 2 * stride) if odd else (0, stride)
+        return lattice[(residue - first) % every::every]
 
     values = level(step, False)
     total, size = step * np.add.reduce(values), step * np.add.reduce(np.abs(values))
@@ -592,6 +594,11 @@ _LINE_LATTICE_STEP = 2.0 ** -4
 # no weight (``_lattice_rows``); none until the first line sum
 _line_rows = (-1, None, None)
 
+# (t_top, t, log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) at the ladder's
+# nodes s = -1/2 + i t, t = T_k then t = -T_k for every rung T_k <= t_top
+# (``_ladder_rows``); none until the first ladder
+_ladder = (0.0, None, None, None)
+
 # correction poles closer than this are summed as one circle integral
 _CLUSTER_GAP = 0.1
 
@@ -629,6 +636,101 @@ def _lattice_rows(k: np.ndarray):
     return pair[window], own[window]
 
 
+def _ladder_rows(t_max: float):
+    """The ladder's heights t = T_k then t = -T_k, T_k = 4 * 1.2^k <= t_max,
+    and the node-only rows of ``barnes_integrand`` at s = -1/2 + i t.
+
+    As on the lattice (``_lattice_rows``), log Gamma(s) + log Gamma(1 - s)
+    and log Gamma(1 + s) come from one process-wide table that no
+    argument of a line sum keys.  It is built on the first call, by the
+    ``log_gamma`` calls the integrand makes on the same floats, for the
+    rungs up to _T_MAX, and rebuilt larger only for a larger t_max; a
+    smaller one takes the first rungs of each half.  Its arrays are
+    read-only, and the tuple is replaced whole.
+    """
+    global _ladder
+    t_top, t, pair, own = _ladder
+    if t_max > t_top:
+        t_top, heights, T = max(t_max, _T_MAX), [], _LADDER_START
+        while T <= t_top:
+            heights.append(T)
+            T *= _LADDER_RATIO
+        t = np.array(heights + [-h for h in heights])
+        s = -0.5 + 1j * t
+        pair, own = log_gamma(s) + log_gamma(1.0 - s), log_gamma(1.0 + s)
+        t.flags.writeable = pair.flags.writeable = own.flags.writeable = False
+        _ladder = t_top, t, pair, own
+    if t_max == t_top:
+        return t, (pair, own)
+    rungs = t.size // 2
+    m = int(np.searchsorted(t[:rungs], t_max, side="right"))
+    pick = np.r_[:m, rungs:rungs + m]
+    return t[pick], (pair[pick], own[pick])
+
+
+def _kernel_values(kernel, args: list) -> list:
+    """``kernel`` at each of ``args``, from one array call, as complexes.
+
+    Where the array call raises PoleError or NonFiniteError, the scalar
+    call at the first argument the kernel rejects raises instead, with the
+    message that names that argument or its value.
+    """
+    try:
+        return kernel(np.array(args, dtype=complex)).tolist()
+    except (PoleError, NonFiniteError):
+        for s in args:
+            kernel(s)
+        raise
+
+
+def _residues(w: complex, config: FlopConfig, a_l: complex, us, vs) -> dict:
+    """Residues of the integrand at its poles s0 = -u_k - d, d >= 0, with
+    Re s0 > -1/2, keyed (k, d, s0).
+
+    Each residue is the product, in this order, of Gamma(s0) Gamma(1 - s0),
+    e^{w (s0 + a_l) - i pi (n - r) s0}, (-1)^d / d!, Gamma(u_i + s0) for
+    i != k and 1/Gamma(1 + v_j + s0) for every j.  Each kernel makes one
+    call over every pole: ``log_gamma`` on the Gamma arguments, each value
+    taken as ``numkernel.gamma`` takes it, by ``cmath.exp`` of its log, and
+    ``recip_gamma`` on the 1/Gamma arguments.  The errors are the scalar
+    kernels': PoleError or NonFiniteError at the first argument a kernel
+    rejects (``_kernel_values``), and NonFiniteError naming the argument
+    where a Gamma value overflows.  The kernels' errors are raised before
+    any overflow, which only a call with faults at two poles can tell.
+    """
+    n, r = config.n, config.r
+    poles = []
+    for k, uk in enumerate(us):
+        d = 0
+        while (s0 := -uk - d).real > -0.5:
+            poles.append((k, d, s0))
+            d += 1
+    args = [a for k, _, s0 in poles
+            for a in (s0, 1.0 - s0, *(us[i] + s0 for i in range(n) if i != k))]
+    logs = _kernel_values(log_gamma, args)
+    recips = iter(_kernel_values(recip_gamma, [1.0 + vj + s0 for *_, s0 in poles for vj in vs]))
+
+    def exp_logs():
+        for lg, s in zip(logs, args):
+            try:
+                yield cmath.exp(lg)
+            except OverflowError:
+                raise NonFiniteError(f"Gamma overflows at s = {s!r}") from None
+
+    gammas = exp_logs()
+    residues = {}
+    for k, d, s0 in poles:
+        val = next(gammas) * next(gammas)
+        val *= cmath.exp(w * (s0 + a_l) - 1j * math.pi * (n - r) * s0)
+        val *= (-1.0) ** (d % 2) / math.factorial(d)
+        for _ in range(n - 1):
+            val *= next(gammas)
+        for _ in range(n):
+            val *= next(recips)
+        residues[k, d, s0] = val
+    return residues
+
+
 def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
                      weight_scale: complex = 1.0, t_max: float = _T_MAX) -> complex:
     """Mellin-Barnes value of the plus-side series at log q = w.
@@ -645,20 +747,22 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     T_k = 4 * 1.2^k <= t_max from which an analytic exponential tail bound
     is below tol/10 on every higher rung; one integrand call at +-T_k gives
     the bound on every rung, and NonConvergenceError is raised if the top
-    rung fails it.  The line integral over [-T, T] is the trapezoidal rule
+    rung fails it.  That call takes the rows of Gamma(s), Gamma(1 - s) and
+    Gamma(1 + s), which hold no weight, from a table of the ladder that
+    every call shares (``_ladder_rows``) and makes 2n - 1 ``log_gamma``
+    calls.  The line integral over [-T, T] is the trapezoidal rule
     at nodes t = k h, which converges geometrically because the integrand
     is analytic in a strip around the line.  Starting from h = 1/2 the
     step is halved, reusing the previous nodes, until two successive sums
     differ by less than tol / (20 |prefactor|); that takes at least one
     halving.  The sums at h = 1/2 to 1/16 come from one integrand call on
     the nodes t = k / 16, where almost every line sum settles; each
-    halving past it is one more call.  That call takes the rows of
-    Gamma(s), Gamma(1 - s) and Gamma(1 + s), which hold no weight, from a
-    table on the lattice that every call shares (``_lattice_rows``), and
-    makes 2n - 1 ``log_gamma`` calls instead of 2n + 2, with the same
-    values to the bit.  Where the terms are large and
-    cancel, sums that differ only by the rounding of their terms also
-    agree, provided that rounding, scaled to the result, is within tol/20.
+    halving past it is one more call.  That call too takes the three rows
+    from a table, on the lattice (``_lattice_rows``), and makes 2n - 1
+    ``log_gamma`` calls instead of 2n + 2; both tables give the values of
+    those calls to the bit.  Where the terms are large and cancel, sums
+    that differ only by the rounding of their terms also agree, provided
+    that rounding, scaled to the result, is within tol/20.
     From the second halving on, a sum is also accepted when the geometric
     extrapolation err^2 / prev of the last two differences is below
     tol / (20 |prefactor|) and that rounding is within its budget, which
@@ -669,6 +773,9 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     A pole family within 1e-9 of the line raises it before any node is
     evaluated, and a non-finite w or weight scale raises NonFiniteError.
 
+    The residues at the correction poles come from one ``log_gamma`` and
+    one ``recip_gamma`` call over all of them (``_residues``), and each is
+    formed as one scalar call per factor would form it, to the bit.
     Correction poles closer than _CLUSTER_GAP to one another form a
     cluster, whose residues can be large and nearly cancel.  Where their
     rounding could reach tol / (20 |prefactor|), the cluster is summed as
@@ -711,7 +818,11 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     def on_line(t, rows=None):
         return integrand(-0.5 + 1j * t, rows)
 
-    heights, bounds = _tail_bounds(on_line, margins, scale_ref, t_max)
+    def ladder(t):
+        # the ladder's nodes, with the node-only rows from their table
+        return on_line(t, _ladder_rows(t_max)[1])
+
+    heights, bounds = _tail_bounds(ladder, margins, scale_ref, t_max)
     # the bound assumes exp(-m |t|) decay beyond T; a rung that passes below
     # one that fails may sit before a rise of |t|^p exp(-m |t|), so T is the
     # lowest rung from which every higher rung passes too
@@ -725,9 +836,8 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     def line_terms(h, odd):
         # the nodes k h in [-T, T], every k or only the odd ones; the call on
         # the lattice takes the node-only rows from their table
-        k = np.arange(math.ceil(-T / h), math.floor(T / h) + 1)
-        if odd:
-            k = k[k % 2 == 1]
+        first = math.ceil(-T / h)
+        k = np.arange(first | 1 if odd else first, math.floor(T / h) + 1, 1 + odd)
         rows = _lattice_rows(k) if h == _LINE_LATTICE_STEP and not odd else None
         return k, on_line(h * k, rows)
 
@@ -738,20 +848,7 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
                                        quad_tol, 2.0 * math.pi * quad_tol) / (2.0 * math.pi)
 
     # residues of poles strictly between the line and the integers >= 0
-    residues = {}
-    for k, uk in enumerate(us):
-        d = 0
-        while (s0 := -uk - d).real > -0.5:
-            val = gamma(s0) * gamma(1.0 - s0)
-            val *= cmath.exp(w * (s0 + a_l) - 1j * math.pi * (n - r) * s0)
-            val *= (-1.0) ** (d % 2) / math.factorial(d)
-            for i in range(n):
-                if i != k:
-                    val *= gamma(us[i] + s0)
-            for vj in vs:
-                val *= recip_gamma(1.0 + vj + s0)
-            residues[k, d, s0] = val
-            d += 1
+    residues = _residues(w, config, a_l, us, vs)
     correction = 0j
     for cluster in _pole_clusters(list(residues), _CLUSTER_GAP):
         values = [residues[p] for p in cluster]

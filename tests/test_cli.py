@@ -152,6 +152,24 @@ def test_fm_command_bad_delta():
     assert main(["fm", "--delta", "x"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["barnes", "--w=-3,3.14159", "--delta", "1,2"], "--delta"),
+    (["charge", "--class", "e:1,2", "--side", "minus", "--w=-1.2,3.14159", "--z", "2,0"],
+     "--class e:"),
+    (["charge", "--class", "e:1,2", "--side", "plus", "--w=-1.2,3.14159", "--z", "2,0"],
+     "--class e:"),
+    (["fm", "--delta", "1,2"], "--delta"),
+    (["series", "--side", "plus", "--delta", "1,2", "--order", "4"], "--delta"),
+])
+def test_label_with_the_wrong_number_of_indices_is_a_config_error(capsys, argv, flag):
+    # at r = 1 a fixed point has one index; barnes used to evaluate delta =
+    # (1) of "1,2" and charge to pair with the class of "e:1,2", both exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {flag} needs exactly r=1 indices\n"
+
+
 def test_uh_matrix_command(capsys):
     assert main(["uh-matrix"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -47,6 +47,7 @@ from flopwall.numkernel import (
     TWO_PI_I,
     NonFiniteError,
     PoleError,
+    gamma,
     log_gamma,
     recip_gamma,
     sin_over_2i,
@@ -630,11 +631,12 @@ def _tail_check(config, l, scale, ws, tol):
     """Per w: the ladder, its tail bounds, and the tails they bound, over tol / 10.
 
     The tail beyond +-T of |integrand| |prefactor| / (2 pi) is summed with
-    step 1/64 out to |t| = 260.
+    step 1/64 out to |t| = 520, where even at the margin 0.05 it has fallen
+    by exp(-16) from the top rung.
     """
     step = 1.0 / 64
-    t = step * np.arange(-260 * 64, 260 * 64 + 1)
-    mid = 260 * 64
+    t = step * np.arange(-520 * 64, 520 * 64 + 1)
+    mid = 520 * 64
     part, shifted = _log_integrand_parts(config, l, scale, t)
     prefactor = abs(hypergeom._mb_prefactor(config, l, scale))
     out = []
@@ -659,19 +661,24 @@ def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
     # at every ladder rung from which the tail bound is below tol / 10 on
     # every higher rung, the tail it bounds must be below tol / 10 too;
     # every third standard path point inside the strip of seeded configs
-    # at three weight scales, and a config with |integrand| ~ |t|^5.15
-    # exp(-m |t|) at margins m = 0.3 and 0.5 (nearer the strip's edges no
-    # rung up to 200 meets its bound)
+    # with n = 2, 3 and 4 at three weight scales, and w at 0.06 and 0.1
+    # from either edge of the strip, where the integrand decays slowest;
+    # and a config with |integrand| ~ |t|^5.15 exp(-m |t|) at margins
+    # m = 0.3 and 0.5 (nearer the strip's edges no rung up to 200 meets its
+    # bound)
     tol = 1e-10
     cases = []
-    for n, seed in iter_product((2, 3), (0, 1)):
+    for n, seed in iter_product((2, 3, 4), (0, 1)):
         run = cli.RunConfig.from_json_dict({"seed": seed, "weights": {"seed": seed}, "n": n, "r": 1})
         cfg = run.flop_config()
         scales = [1.0] + [PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
                           for z in (2.0, 3.0 + 1.0j)]
         points = [w for w in PathSpec.standard(cfg).points
                   if min(hypergeom._decay_margins(cfg, w)) >= 0.05][::3]
-        cases += [(cfg, l, scale, points) for scale, l in iter_product(scales, range(n))]
+        edges = [complex(re_w, im) for re_w in (-3.0, 0.0, 3.0) for m in (0.06, 0.1)
+                 for im in ((n - 2) * math.pi + m, n * math.pi - m)]
+        cases += [(cfg, l, scale, points + edges)
+                  for scale, l in iter_product(scales, range(n))]
     # u = 1.3 (weight scale 2.6 pi i): the power of |t| is
     # Re u (sum x - sum z) - n = 5.15, and the prefactor is not small
     cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1, 2)), (Fraction(-2), Fraction(-3)))
@@ -680,16 +687,20 @@ def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
               for l in range(2)]
     worst = worst_loose = 0.0
     rungs = []
+    near = {"lower": 0, "upper": 0}  # rungs checked within 0.1 of each edge, at n = 4
     for cfg, l, scale, points in cases:
         rungs.append(0)
-        for heights, bounds, tails in _tail_check(cfg, l, scale, points, tol):
+        for w, (heights, bounds, tails) in zip(points, _tail_check(cfg, l, scale, points, tol)):
+            m_up, m_down = hypergeom._decay_margins(cfg, w)
             for k in range(len(heights)):
                 if (bounds[k:] < tol / 10.0).all():
                     worst = max(worst, tails[k])
                     rungs[-1] += 1
+                    if cfg.n == 4 and min(m_up, m_down) <= 0.1:
+                        near["lower" if m_up < m_down else "upper"] += 1
                 if (bounds[k:] / 100.0 < tol / 10.0).all():
                     worst_loose = max(worst_loose, tails[k])
-    assert sum(rungs) > 1000 and min(rungs[-2:]) > 0
+    assert sum(rungs) > 1000 and min(rungs[-2:]) > 0 and min(near.values()) > 100
     assert worst <= 1.0
     # negative controls: a bound a hundred times smaller fails the same
     # check, and so does a passing rung below failing ones, T = 4 where
@@ -939,15 +950,18 @@ def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
     # and 1/16 certifies the sum at 1/16 with 197 nodes, and its value
     # stays within 1e-12 of the one at 1/32.  The sums at h = 1/2 to 1/16
     # come from one call: two in all, the ladder and the line's lattice.
-    # The ladder call makes all 2n + 2 log_gamma calls; the lattice call
-    # takes three rows from the table and makes 2n - 1
+    # Both calls take the three rows that hold no weight from their tables
+    # and make 2n - 1 = 3 log_gamma calls, on the ladder's 44 nodes and on
+    # the lattice's 153; the residues of the two correction poles then make
+    # one more, on the n + 1 = 3 Gamma arguments of each
     cfg, w = _wall_scan_point()
-    hypergeom._lattice_rows(np.arange(-1, 2))  # the table exists before the count
+    hypergeom._ladder_rows(200.0)  # the tables exist before the count
+    hypergeom._lattice_rows(np.arange(-1, 2))
     calls = _spy_nodes(monkeypatch)
-    gamma_calls = []  # the integrand call each log_gamma call falls in
+    gamma_calls = []  # (the integrand calls so far, the size) of each log_gamma call
 
     def counted(s):
-        gamma_calls.append(len(calls))
+        gamma_calls.append((len(calls), np.size(s)))
         return log_gamma(s)
 
     monkeypatch.setattr(hypergeom, "log_gamma", counted)
@@ -955,7 +969,7 @@ def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
     assert _final_line_step(calls) == 1.0 / 16.0
     assert len(calls) == 2
     assert sum(c.size for c in calls) == 197
-    assert [gamma_calls.count(1), gamma_calls.count(2)] == [6, 3]
+    assert gamma_calls == [(1, 44)] * 3 + [(2, 153)] * 3 + [(2, 6)]
     assert abs(got - (0.9991257800749854 + 0.009858076292952305j)) <= 1e-12
     want = sum(coeff_C(cfg, (k,), (0,)) * h_series(cfg, "minus", (k,), 80).eval(-w)
                for k in range(2))
@@ -1059,7 +1073,7 @@ def _integrand_with_every_row(s, w, config, l, weight_scale=1.0, rows=None):
 def _barnes_outcome(w, cfg, l, scale):
     try:
         return barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale)
-    except (NonConvergenceError, PoleError) as error:
+    except (NonConvergenceError, NonFiniteError, PoleError) as error:
         return type(error), str(error)
 
 
@@ -1075,10 +1089,10 @@ def _barnes_outcome(w, cfg, l, scale):
                        min_size=3, max_size=3))
 def test_barnes_lattice_rows_from_the_table_equal_every_row_computed(seed, n, l, size, scale,
                                                                       points):
-    # the lattice call takes log Gamma(s) + log Gamma(1 - s) and
-    # log Gamma(1 + s) from the process-wide table; the value must be the one
-    # the integrand gives with all 2n + 2 rows computed, to the bit, or both
-    # raise the same error.  Weight scales i and 3 + i make the unit u
+    # the ladder and lattice calls take log Gamma(s) + log Gamma(1 - s) and
+    # log Gamma(1 + s) from their process-wide tables; the value must be the
+    # one the integrand gives with all 2n + 2 rows computed, to the bit, or
+    # both raise the same error.  Weight scales i and 3 + i make the unit u
     # partly real, so weights pi or more apart put a zero of 1/Gamma within
     # reach of the line and the zero mask runs on the lattice call too, as
     # it does in the two explicit examples (x_1 - x_0 = 5.15 > pi)
@@ -1130,6 +1144,137 @@ def test_barnes_rows_shifted_by_one_node_are_seen(monkeypatch):
 
     monkeypatch.setattr(hypergeom, "_lattice_rows", shifted)
     assert abs(barnes_integrate(w, cfg, 0, tol=1e-10) - want) > 1e3 * 1e-10
+
+
+def test_ladder_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
+    # the ladder's table is built on the first call, for the rungs up to
+    # t_max = 200, by the integrand's own log_gamma calls on the same nodes;
+    # later calls at other configs, w, fixed points and weight scales leave
+    # it as it is
+    monkeypatch.setattr(hypergeom, "_ladder", (0.0, None, None, None))
+    barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
+    t_top, t, pair, own = hypergeom._ladder
+    heights = [4.0]
+    while heights[-1] * 1.2 <= 200.0:
+        heights.append(heights[-1] * 1.2)
+    assert t_top == 200.0 and t.tolist() == heights + [-T for T in heights]
+    s = -0.5 + 1j * t
+    np.testing.assert_array_equal(pair, log_gamma(s) + log_gamma(1.0 - s))
+    np.testing.assert_array_equal(own, log_gamma(1.0 + s))
+    assert not (t.flags.writeable or pair.flags.writeable or own.flags.writeable)
+    before = t.tobytes(), pair.tobytes(), own.tobytes()
+    for n, scale in [(2, 1.0), (3, 2.0), (4, 3.0 + 1.0j), (3, 1.0j)]:
+        cfg = random_config(n, 1, seed=n)
+        for l in range(n):
+            for re_w in (-2.0, 0.5):
+                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
+    assert hypergeom._ladder[0] == 200.0
+    assert tuple(a.tobytes() for a in hypergeom._ladder[1:]) == before
+    # t_max = 5 takes the rungs 4 and 4.8 of each half, and leaves the table
+    small, (small_pair, small_own) = hypergeom._ladder_rows(5.0)
+    assert small.tolist() == [4.0, 4.8, -4.0, -4.8]
+    np.testing.assert_array_equal(small_pair, pair[[0, 1, 22, 23]])
+    np.testing.assert_array_equal(small_own, own[[0, 1, 22, 23]])
+    assert hypergeom._ladder[0] == 200.0
+    # t_max = 1000 rebuilds it with 31 rungs, the same values on the old nodes
+    wide, (wide_pair, wide_own) = hypergeom._ladder_rows(1000.0)
+    assert hypergeom._ladder[0] == 1000.0 and wide.size == 62
+    old = np.r_[:22, 31:53]
+    np.testing.assert_array_equal(wide[old], t)
+    np.testing.assert_array_equal(wide_pair[old], pair)
+    np.testing.assert_array_equal(wide_own[old], own)
+
+
+def test_barnes_ladder_rows_off_by_one_rung_are_seen(monkeypatch):
+    # negative control for the identity test: each rung's rows taken from
+    # the rung above or below.  0.3 above the strip's lower edge the seed-0
+    # wall-scan instance cuts its line at T = 51.4; rows from the rung above
+    # make |integrand| at +-T_k read far smaller, cut it at 24.8 and move
+    # the value by ~9e-11, and rows from the rung below fail the tail bound
+    # up to the top rung
+    cfg, _ = _wall_scan_point()
+    w = complex(-3.0, 0.3)
+    calls = _spy_nodes(monkeypatch)
+    want = barnes_integrate(w, cfg, 0, tol=1e-10)
+    assert np.abs(calls[1].imag).max() == 51.3125
+    rows = hypergeom._ladder_rows
+
+    def rung_off(step):
+        def shifted(t_max):
+            t, (pair, own) = rows(t_max)
+            rungs = t.size // 2
+            off = np.clip(np.arange(rungs) + step, 0, rungs - 1)
+            return t, (pair[np.r_[off, off + rungs]], own[np.r_[off, off + rungs]])
+        return shifted
+
+    monkeypatch.setattr(hypergeom, "_ladder_rows", rung_off(1))
+    calls.clear()
+    got = barnes_integrate(w, cfg, 0, tol=1e-10)
+    assert np.abs(calls[1].imag).max() == 24.75
+    assert abs(got - want) > 1e-11
+    monkeypatch.setattr(hypergeom, "_ladder_rows", rung_off(-1))
+    with pytest.raises(NonConvergenceError, match="not met by T = 184"):
+        barnes_integrate(w, cfg, 0, tol=1e-10)
+
+
+def _scalar_residues(w, config, a_l, us, vs):
+    """``hypergeom._residues`` with one scalar kernel call per factor and pole."""
+    n, r = config.n, config.r
+    residues = {}
+    for k, uk in enumerate(us):
+        d = 0
+        while (s0 := -uk - d).real > -0.5:
+            val = gamma(s0) * gamma(1.0 - s0)
+            val *= cmath.exp(w * (s0 + a_l) - 1j * math.pi * (n - r) * s0)
+            val *= (-1.0) ** (d % 2) / math.factorial(d)
+            for i in range(n):
+                if i != k:
+                    val *= gamma(us[i] + s0)
+            for vj in vs:
+                val *= recip_gamma(1.0 + vj + s0)
+            residues[k, d, s0] = val
+            d += 1
+    return residues
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
+       scale=st.sampled_from([1.0, 2.0, 3.0 + 1.0j, 1.0j, -1.0]),
+       points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
+                       min_size=2, max_size=2))
+def test_barnes_residues_from_one_call_per_kernel_equal_the_scalar_ones(seed, n, l, scale,
+                                                                        points):
+    # the correction residues take every Gamma value from one log_gamma
+    # call and every 1/Gamma value from one recip_gamma call; the value must
+    # be the one that a scalar call per factor and pole gives, to the bit,
+    # or both raise the same error
+    assume(l < n)
+    cfg = random_config(n, 1, seed)
+    ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
+    got = [_barnes_outcome(w, cfg, l, scale) for w in ws]
+    with mock.patch.object(hypergeom, "_residues", _scalar_residues):
+        assert got == [_barnes_outcome(w, cfg, l, scale) for w in ws]
+
+
+@pytest.mark.parametrize("x, z, error, message", [
+    # weight scale 2 pi i makes u = 1, so u_i = x_0 - z_i: u_1 - u_0 = -1
+    # puts the pole of Gamma(u_1 + s) at the first pole s = -u_0 = 3/10
+    (("0", "1/10"), ("3/10", "13/10"), PoleError, "log_gamma pole at s = (-1+0j)"),
+    # the same at the second pole, past the first one's four clean factors
+    (("0", "1/10", "1/5"), ("-2/5", "3/10", "13/10"), PoleError,
+     "log_gamma pole at s = (-1+0j)"),
+    # u_1 - u_0 = 200: the residue at s = 3/10 holds Gamma(200), which
+    # overflows, though 1/Gamma(1 + v_1 + s) = 1/Gamma(200.3) nearly cancels it
+    (("0", "-199"), ("3/10", "-1997/10"), NonFiniteError, "Gamma overflows at s = (200+0j)"),
+])
+def test_barnes_residue_errors_are_the_scalar_ones(x, z, error, message):
+    cfg = FlopConfig(len(x), 1, tuple(map(Fraction, x)), tuple(map(Fraction, z)))
+    for re_w in (-2.0, 2.0):
+        w = complex(re_w, (cfg.n - 1) * math.pi)
+        want = _barnes_outcome(w, cfg, 0, 2j * math.pi)
+        assert want == (error, message)
+        with mock.patch.object(hypergeom, "_residues", _scalar_residues):
+            assert _barnes_outcome(w, cfg, 0, 2j * math.pi) == want
 
 
 def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
