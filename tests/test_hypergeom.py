@@ -631,17 +631,22 @@ def _tail_check(config, l, scale, ws, tol):
     """Per w: the ladder, its tail bounds, and the tails they bound, over tol / 10.
 
     The tail beyond +-T of |integrand| |prefactor| / (2 pi) is summed with
-    step 1/64 out to |t| = 520, where even at the margin 0.05 it has fallen
-    by exp(-16) from the top rung.
+    step 1/64 out to |t| = 260, and with step 1/8 from there to |t| = 520,
+    where even at the margin 0.05 it has fallen by exp(-16) from the top
+    rung.
     """
     step = 1.0 / 64
-    t = step * np.arange(-520 * 64, 520 * 64 + 1)
-    mid = 520 * 64
+    t = step * np.arange(-260 * 64, 260 * 64 + 1)
+    mid = 260 * 64
+    far = 260.0 + np.arange(1, 260 * 8 + 1) / 8.0
+    far = np.concatenate([far, -far])
     part, shifted = _log_integrand_parts(config, l, scale, t)
+    far_part, far_shifted = _log_integrand_parts(config, l, scale, far)
     prefactor = abs(hypergeom._mb_prefactor(config, l, scale))
     out = []
     for w in ws:
         mod = np.exp((part + w * shifted).real) * step * prefactor / (2.0 * math.pi)
+        beyond = np.exp((far_part + w * far_shifted).real).sum() / 8.0 * prefactor / (2.0 * math.pi)
         if w == ws[0]:
             want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, config, l, scale))
             np.testing.assert_allclose(mod[mid::640], want * step * prefactor / (2.0 * math.pi),
@@ -652,7 +657,7 @@ def _tail_check(config, l, scale, ws, tol):
             lambda tt: barnes_integrand(-0.5 + 1j * tt, w, config, l, scale),
             hypergeom._decay_margins(config, w), prefactor, 200.0)
         k = np.floor(heights / step).astype(int)
-        tails = (above[mid + k + 1] + below[mid - k - 1]) / (tol / 10.0)
+        tails = (above[mid + k + 1] + below[mid - k - 1] + beyond) / (tol / 10.0)
         out.append((heights, bounds, tails))
     return out
 
