@@ -365,9 +365,7 @@ def cmd_series(args) -> int:
     cfg = rc.flop_config()
     delta = _parse_delta(args.delta, cfg)
     _check_order(args.order)
-    series = h_series(cfg, args.side, delta, args.order)
-    if hasattr(series, "specialize"):
-        series = series.specialize()
+    series = h_series(cfg, args.side, delta, args.order).specialize()
     sys.stdout.write(_stable_json(series.to_json_dict()) + "\n")
     return 0
 

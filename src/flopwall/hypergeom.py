@@ -1,11 +1,12 @@
 """Truncated hypergeometric series at the fixed points and their analytic
 continuation across the wall by the Mellin-Barnes method.
 
-All q-dependence flows through w = log q: a series with complex offset a is
-evaluated as sum_e c_e exp(w (a + e)), so q^{a+e} never needs a branch
-choice.  Continuation paths live in the w-plane and cross the wall at
-height (n - r) pi, the midline of the strip on which the vertical-contour
-integral converges.
+A fixed-point series is one type, ``OffsetSeries``, in r >= 1 variables
+with complex offsets a_k.  All q-dependence flows through w = log q: every
+variable is evaluated at the same w, as sum_es c_es exp(w sum_k (a_k + e_k)),
+so q^{...} never needs a branch choice.  Continuation paths live in the
+w-plane and cross the wall at height (n - r) pi, the midline of the strip
+on which the vertical-contour integral converges.
 
 Contour bookkeeping.  The series equals a contour integral of a ratio of
 Gamma factors around the nonnegative integers.  We trade that contour for
@@ -60,104 +61,105 @@ class PathError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Series containers
+# Series container
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OffsetSeries:
-    """Truncated series sum_e c_e q^{a+e} with complex offset a.
+    """Truncated series in r >= 1 variables, one complex offset per variable:
 
-    ``prefactor`` is scalar metadata multiplying the whole series (kept
-    separate so abelian/non-abelian bookkeeping can split it off);
-    evaluation takes w = log q, never a bare q.
+        prefactor * sum_es c_es prod_k q_k^{a_k + e_k},
+
+    with ``coeffs`` keyed by exponent tuples es, (e,) for one variable, and
+    ``order`` the truncation of each variable.  ``prefactor`` is scalar
+    metadata multiplying the whole series (kept separate so
+    abelian/non-abelian bookkeeping can split it off).
     """
-
-    offset: complex
-    coeffs: dict  # int -> complex
-    order: int
-    prefactor: complex = 1.0 + 0j
-
-    def eval(self, w: complex, with_prefactor: bool = True) -> complex:
-        total = 0j
-        for e in sorted(self.coeffs):
-            total += self.coeffs[e] * cmath.exp(w * (self.offset + e))
-        return total * (self.prefactor if with_prefactor else 1.0)
-
-    def coefficient(self, e: int) -> complex:
-        return self.coeffs.get(e, 0j)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "offset": [self.offset.real, self.offset.imag],
-            "prefactor": [self.prefactor.real, self.prefactor.imag],
-            "order": self.order,
-            "coeffs": [[e, self.coeffs[e].real, self.coeffs[e].imag] for e in sorted(self.coeffs)],
-        }
-
-
-@dataclass(frozen=True)
-class MultiOffsetSeries:
-    """Truncated series in r variables, one complex offset per variable."""
 
     offsets: tuple
     coeffs: dict  # tuple[int, ...] -> complex
-    order: int    # per-variable truncation
+    order: int
     prefactor: complex = 1.0 + 0j
 
-    @property
-    def nvars(self) -> int:
-        return len(self.offsets)
+    def eval(self, w: complex) -> complex:
+        """Value with every variable at log q = w, never a bare q.
 
-    def eval(self, ws, with_prefactor: bool = True) -> complex:
-        ws = tuple(ws)
-        if len(ws) != self.nvars:
-            raise ValueError("need one log-q value per variable")
+        Every stored term is summed, in the order of ``coeffs``, which the
+        constructors here fill by increasing exponent; for r > 1 that
+        includes the total degrees above ``order`` that ``specialize`` drops.
+        """
+        a = sum(self.offsets)
+        exp = cmath.exp
         total = 0j
-        for es in sorted(self.coeffs):
-            term = self.coeffs[es]
-            for w, a, e in zip(ws, self.offsets, es):
-                term *= cmath.exp(w * (a + e))
-            total += term
-        return total * (self.prefactor if with_prefactor else 1.0)
+        for es, c in self.coeffs.items():
+            total += c * exp(w * sum(es, a))  # a + e_1 + ... + e_r
+        return total * self.prefactor
 
-    def specialize(self) -> OffsetSeries:
-        """Set every variable to the same q; offsets add, indices collapse."""
+    def specialize(self) -> "OffsetSeries":
+        """One-variable series at q_1 = ... = q_r = q: offsets add, indices collapse.
+
+        Only total degrees up to ``order`` are kept; past it a box truncation
+        misses most compositions of the degree.
+        """
         coeffs: dict = {}
         for es, c in self.coeffs.items():
             tot = sum(es)
-            coeffs[tot] = coeffs.get(tot, 0j) + c
-        return OffsetSeries(
-            offset=sum(self.offsets),
-            coeffs=coeffs,
-            order=self.order,
-            prefactor=self.prefactor,
-        )
+            if tot <= self.order:
+                coeffs[tot,] = coeffs.get((tot,), 0j) + c
+        return OffsetSeries((sum(self.offsets),), coeffs, self.order, self.prefactor)
+
+    @property
+    def offset(self) -> complex:
+        """The offset of a one-variable series; ValueError for more variables."""
+        if len(self.offsets) != 1:
+            raise ValueError(f"expected a one-variable series, got {len(self.offsets)} variables")
+        return self.offsets[0]
+
+    def coefficient(self, *es: int) -> complex:
+        """c_es, one exponent per variable; 0 outside the support."""
+        if len(es) != len(self.offsets):
+            raise ValueError(f"expected {len(self.offsets)} exponents, got {len(es)}")
+        return self.coeffs.get(es, 0j)
+
+    def to_json_dict(self) -> dict:
+        """The one-variable form: offset, prefactor, order and [e, re, im] rows."""
+        offset = self.offset
+        return {
+            "offset": [offset.real, offset.imag],
+            "prefactor": [self.prefactor.real, self.prefactor.imag],
+            "order": self.order,
+            "coeffs": [[e, c.real, c.imag] for (e,), c in sorted(self.coeffs.items())],
+        }
 
 
-def series_product(factors) -> MultiOffsetSeries:
-    """Outer product of single-variable series into one multi-variable series."""
+def series_product(factors) -> OffsetSeries:
+    """Outer product of series: offsets and exponent tuples concatenate."""
     factors = list(factors)
-    offsets = tuple(f.offset for f in factors)
-    order = min(f.order for f in factors)
     prefactor = 1.0 + 0j
     for f in factors:
         prefactor *= f.prefactor
     coeffs: dict = {}
-    for es in iter_product(*(sorted(f.coeffs) for f in factors)):
-        c = 1.0 + 0j
-        for f, e in zip(factors, es):
-            c *= f.coeffs[e]
+    for terms in iter_product(*(f.coeffs.items() for f in factors)):
+        es, c = (), 1.0 + 0j
+        for e, ce in terms:
+            es += e
+            c *= ce
         coeffs[es] = c
-    return MultiOffsetSeries(offsets=offsets, coeffs=coeffs, order=order, prefactor=prefactor)
+    return OffsetSeries(
+        offsets=sum((f.offsets for f in factors), ()),
+        coeffs=coeffs,
+        order=min(f.order for f in factors),
+        prefactor=prefactor,
+    )
 
 
-def delta_hat_apply(series: MultiOffsetSeries) -> MultiOffsetSeries:
+def delta_hat_apply(series: OffsetSeries) -> OffsetSeries:
     """Antisymmetrizing differential operator prod_k prod_{i<k} (-d_k + d_i).
 
     Each logarithmic derivative d_k acts on q_k^{a_k+e_k} by multiplication
     with a_k + e_k; r = 1 is the identity (empty product).
     """
-    r = series.nvars
+    r = len(series.offsets)
     coeffs = {}
     for es, c in series.coeffs.items():
         factor = 1.0 + 0j
@@ -165,9 +167,7 @@ def delta_hat_apply(series: MultiOffsetSeries) -> MultiOffsetSeries:
             for i in range(k):
                 factor *= (series.offsets[i] + es[i]) - (series.offsets[k] + es[k])
         coeffs[es] = c * factor
-    return MultiOffsetSeries(
-        offsets=series.offsets, coeffs=coeffs, order=series.order, prefactor=series.prefactor
-    )
+    return replace(series, coeffs=coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -197,19 +197,19 @@ def f_factor_series(config: FlopConfig, delta, k: int, order: int,
         for j in range(n):
             c *= recip_gamma(1 + (xs[d] - xs[j]) * u + e)
             c *= recip_gamma(1 + (zs[j] - xs[d]) * u - e)
-        coeffs[e] = c
-    return OffsetSeries(offset=xs[d] * u, coeffs=coeffs, order=order)
+        coeffs[e,] = c
+    return OffsetSeries(offsets=(xs[d] * u,), coeffs=coeffs, order=order)
 
 
 def h_series(config: FlopConfig, side: str, delta, order: int,
-             weight_scale: complex = 1.0):
+             weight_scale: complex = 1.0) -> OffsetSeries:
     """Fixed-point restriction of the wall-crossing series, curve class zero.
 
-    Returns an OffsetSeries for r = 1, a MultiOffsetSeries for r > 1.  The
-    sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i) is carried as
-    metadata, not folded into the coefficients, so the stored coefficients
-    are those of the Gamma-product form.  Support is e >= 0 in every
-    variable.
+    A series in r variables, one per slot of delta, each truncated at
+    ``order``.  The sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i)
+    is carried as metadata, not folded into the coefficients, so the stored
+    coefficients are those of the Gamma-product form.  Support is e >= 0 in
+    every variable.
 
     The minus side is the plus side on ``config.flipped()`` with the
     prefactor and every coefficient multiplied by (-1)^{r(r-1)/2}.  The
@@ -252,21 +252,15 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
                 c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
                 c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])
         coeffs[es] = c
-
-    if r == 1:
-        return OffsetSeries(
-            offset=offsets[0],
-            coeffs={es[0]: c for es, c in coeffs.items()},
-            order=order,
-            prefactor=prefactor,
-        )
-    return MultiOffsetSeries(offsets=offsets, coeffs=coeffs, order=order, prefactor=prefactor)
+    return OffsetSeries(offsets=offsets, coeffs=coeffs, order=order, prefactor=prefactor)
 
 
 def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
               weight_scale: complex = 1.0) -> float:
     """Maximum relative residual of the hypergeometric recurrence.
 
+    ``series`` has one variable: an ``h_series`` at r = 1 or an
+    ``f_factor_series``; a series in more variables raises ValueError.
     The annihilating operator, in the logarithmic derivative theta, is
         prod_j (theta - x_j u) - q (-1)^{n-r+1} prod_j (theta - z_j u)
     on the plus side, with u the weight unit; the minus side is the plus
@@ -945,9 +939,11 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
 
     The infinite Gamma-ratio products of the hypergeometric factor are
     reduced to the finite telescoped products they denote (curve class
-    zero), all r chamber variables specialized to a single q.  The leading
-    coefficient on the plus side is exactly 1.  The minus side is the plus
-    side on ``config.flipped()``; only ``ctx.z`` is read from the context.
+    zero), all r chamber variables specialized to a single q: a
+    one-variable series whose coefficient of degree e sums the compositions
+    of e.  The leading coefficient on the plus side is exactly 1.  The
+    minus side is the plus side on ``config.flipped()``; only ``ctx.z`` is
+    read from the context.
     """
     if side == "minus":
         return i_function(config.flipped(), "plus", delta, order, ctx)
@@ -978,8 +974,8 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
                 m = es[k] - es[i]
                 c *= (-1.0) ** (m % 2) * (A + m * zv) / A
         tot = sum(es)
-        coeffs[tot] = coeffs.get(tot, 0j) + c
-    return OffsetSeries(offset=offset, coeffs=coeffs, order=order)
+        coeffs[tot,] = coeffs.get((tot,), 0j) + c
+    return OffsetSeries(offsets=(offset,), coeffs=coeffs, order=order)
 
 
 def i_function_factored(config: FlopConfig, side: str, delta, order: int,
@@ -991,12 +987,10 @@ def i_function_factored(config: FlopConfig, side: str, delta, order: int,
     series built at weight scale 2 pi i / z (sine prefactor folded in).
     Must agree with the direct form coefficientwise.
     """
-    hs = h_series(config, side, delta, order, weight_scale=ctx.ch_scale)
-    if isinstance(hs, MultiOffsetSeries):
-        hs = hs.specialize()
+    hs = h_series(config, side, delta, order, weight_scale=ctx.ch_scale).specialize()
     scale = gamma_class(config, side, delta, ctx.inv_z) * hs.prefactor
     return OffsetSeries(
-        offset=hs.offset,
+        offsets=hs.offsets,
         coeffs={e: scale * c for e, c in hs.coeffs.items()},
         order=order,
     )

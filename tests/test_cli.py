@@ -188,6 +188,24 @@ def test_series_command_matches_library(capsys, cfg21):
     assert abs(got0 - s.coefficient(0)) < 1e-15
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_series_command_r2_stops_at_order(capsys, tmp_path, side):
+    # each variable is cut at the order, so past it a total degree lacks
+    # most of its compositions; the coefficients kept are those of a
+    # higher-order specialization
+    data = {"n": 3, "r": 2}
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps(data))
+    argv = ["series", "--side", side, "--delta", "1,2", "--order", "2", "--config", str(path)]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["coeffs"]
+    assert [row[0] for row in rows] == [0, 1, 2]
+    ref = h_series(RunConfig.from_json_dict(data).flop_config(), side, (0, 1), 6).specialize()
+    for e, re_part, im_part in rows:
+        want = ref.coefficient(e)
+        assert abs(complex(re_part, im_part) - want) <= 1e-14 * abs(want)
+
+
 def test_barnes_command_matches_series(capsys, cfg21):
     w = math.log(0.3) + 1j * math.pi
     assert main(["barnes", f"--w={w.real},{w.imag}", "--delta", "1"]) == 0

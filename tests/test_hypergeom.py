@@ -4,6 +4,7 @@ continuation, I-series factorization, and central charges."""
 import cmath
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 from unittest import mock
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from flopwall import cli, hypergeom
 from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.hypergeom import (
-    MultiOffsetSeries,
     NonConvergenceError,
     OffsetSeries,
     PathError,
@@ -61,7 +61,7 @@ from flopwall.wallcross import PsiContext, coeff_C
 # ----------------------------------------------------------------------
 
 def test_offset_series_eval_uses_log_q():
-    s = OffsetSeries(offset=0.25j, coeffs={0: 1.0 + 0j, 1: 0.5 + 0j}, order=1)
+    s = OffsetSeries(offsets=(0.25j,), coeffs={(0,): 1.0 + 0j, (1,): 0.5 + 0j}, order=1)
     w = -0.7 + 0.3j
     want = cmath.exp(w * 0.25j) + 0.5 * cmath.exp(w * (0.25j + 1))
     assert abs(s.eval(w) - want) < 1e-15
@@ -70,7 +70,7 @@ def test_offset_series_eval_uses_log_q():
 
 
 def test_multi_series_specialize():
-    ms = MultiOffsetSeries(
+    ms = OffsetSeries(
         offsets=(0.1j, 0.2j),
         coeffs={(0, 0): 1 + 0j, (1, 0): 2 + 0j, (0, 1): 3 + 0j, (1, 1): 4 + 0j},
         order=1,
@@ -78,21 +78,24 @@ def test_multi_series_specialize():
     )
     s = ms.specialize()
     assert abs(s.offset - 0.3j) < 1e-16
-    assert s.coeffs[1] == 5 + 0j
+    # degree 2 exceeds the order: the box holds (1, 1) but not (2, 0), (0, 2)
+    assert s.coeffs == {(0,): 1 + 0j, (1,): 5 + 0j}
     assert s.prefactor == 2.0 + 0j
-    w = (-0.4 + 1.1j, -0.4 + 1.1j)
-    assert abs(ms.eval(w) - s.eval(w[0])) < 1e-14
+    # eval puts every variable at the same log q and sums the stored terms
+    w = -0.4 + 1.1j
+    want = sum(c * cmath.exp(w * (0.3j + sum(es))) for es, c in ms.coeffs.items())
+    assert abs(ms.eval(w) - 2.0 * want) < 1e-14
 
 
 def test_delta_hat_monomial_action():
-    ms = MultiOffsetSeries(offsets=(0.3j, -0.1j), coeffs={(2, 5): 1.0 + 0j}, order=5)
+    ms = OffsetSeries(offsets=(0.3j, -0.1j), coeffs={(2, 5): 1.0 + 0j}, order=5)
     out = delta_hat_apply(ms)
     want = (0.3j + 2) - (-0.1j + 5)
     assert abs(out.coeffs[(2, 5)] - want) < 1e-15
 
 
 def test_delta_hat_r1_identity():
-    ms = MultiOffsetSeries(offsets=(0.3j,), coeffs={(0,): 1.5 + 0j, (3,): -2j}, order=3)
+    ms = OffsetSeries(offsets=(0.3j,), coeffs={(0,): 1.5 + 0j, (3,): -2j}, order=3)
     out = delta_hat_apply(ms)
     assert out.coeffs == ms.coeffs
 
@@ -122,7 +125,7 @@ def test_h_series_leading_coefficient_r1(cfg21):
 
 def test_h_series_support_nonnegative(cfg21):
     s = h_series(cfg21, "plus", (0,), 6)
-    assert min(s.coeffs) == 0
+    assert min(s.coeffs) == (0,)
     assert s.coefficient(-1) == 0j
 
 
@@ -154,6 +157,25 @@ def test_plus_series_is_antisymmetrized_factor_product(cfg32):
         assembled = delta_hat_apply(series_product(factors))
         for es, c in K.coeffs.items():
             assert abs(c - assembled.coeffs[es]) < 1e-12
+
+
+def test_factor_structure_check_fails_on_a_wrong_assembly():
+    # negative controls of the factor-structure-n3-r2 case: on its instance
+    # the comparison must exceed the case's 1e-12 tolerance when the
+    # antisymmetrizer is left out or the two factor slots are swapped
+    cfg = default_config(3, 2)
+
+    def worst(assemble):
+        out = 0.0
+        for dp in fixed_point_deltas(cfg):
+            K = h_series(cfg, "plus", dp, 10)
+            got = assemble([f_factor_series(cfg, dp, k, 10) for k in range(cfg.r)])
+            out = max(out, max(abs(c - got.coeffs[es]) for es, c in K.coeffs.items()))
+        return out
+
+    assert worst(lambda fs: delta_hat_apply(series_product(fs))) < 1e-12
+    assert worst(series_product) > 1e-12
+    assert worst(lambda fs: delta_hat_apply(series_product(fs[::-1]))) > 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +259,11 @@ def test_minus_h_series_matches_reference(n, r):
         for d in fixed_point_deltas(cfg):
             offsets, coeffs, prefactor = _h_series_minus_reference(cfg, d, order, scale)
             got = h_series(cfg, "minus", d, order, weight_scale=scale)
-            if r == 1:
-                got_offsets = (got.offset,)
-                got_coeffs = {(e,): c for e, c in got.coeffs.items()}
-            else:
-                got_offsets, got_coeffs = got.offsets, got.coeffs
-            assert got_offsets == offsets
+            assert got.offsets == offsets
             assert abs(got.prefactor - prefactor) <= 1e-14 * abs(prefactor)
-            assert got_coeffs.keys() == coeffs.keys()
+            assert got.coeffs.keys() == coeffs.keys()
             for es, want in coeffs.items():
-                assert abs(got_coeffs[es] - want) <= 1e-14 * abs(want), (cfg, scale, d, es)
+                assert abs(got.coeffs[es] - want) <= 1e-14 * abs(want), (cfg, scale, d, es)
 
 
 @pytest.mark.parametrize("n,r", _MINUS_GRID)
@@ -262,9 +279,9 @@ def test_minus_i_function_matches_reference(n, r):
                     offset, coeffs, bound = _i_function_minus_reference(cfg, d, order, c)
                     got = i_function(cfg, "minus", d, order, c)
                     assert got.offset == offset
-                    assert got.coeffs.keys() == coeffs.keys()
+                    assert got.coeffs.keys() == {(e,) for e in coeffs}
                     for e, want in coeffs.items():
-                        assert abs(got.coeffs[e] - want) <= 1e-14 * bound[e], (cfg, d, e)
+                        assert abs(got.coefficient(e) - want) <= 1e-14 * bound[e], (cfg, d, e)
 
 
 # ----------------------------------------------------------------------
@@ -296,12 +313,23 @@ def test_ode_residuals_f_factors_near_gamma_poles():
             assert ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus") < 1e-11
 
 
+def test_one_variable_readers_reject_a_two_variable_series(cfg32):
+    s = h_series(cfg32, "plus", (0, 1), 4)
+    for side in ("plus", "minus"):
+        with pytest.raises(ValueError, match="one-variable"):
+            ode_check(cfg32, s, side)
+    with pytest.raises(ValueError, match="one-variable"):
+        s.to_json_dict()
+    with pytest.raises(ValueError, match="2 exponents"):
+        s.coefficient(1)
+    assert s.coefficient(1, 2) == s.coeffs[1, 2]
+
+
 def test_ode_detects_perturbation(cfg21):
     s = h_series(cfg21, "plus", (0,), 40)
     coeffs = dict(s.coeffs)
-    coeffs[7] *= 1.0 + 1e-3
-    bad = OffsetSeries(offset=s.offset, coeffs=coeffs, order=s.order, prefactor=s.prefactor)
-    assert ode_check(cfg21, bad, "plus") > 1e-4
+    coeffs[7,] *= 1.0 + 1e-3
+    assert ode_check(cfg21, replace(s, coeffs=coeffs), "plus") > 1e-4
 
 
 def test_ode_couples_adjacent_indices_only(cfg21):
@@ -309,24 +337,19 @@ def test_ode_couples_adjacent_indices_only(cfg21):
     s = h_series(cfg21, "plus", (0,), 20)
     coeffs = dict(s.coeffs)
     e0 = 12
-    coeffs[e0] *= 1.0 + 1e-3
+    coeffs[e0,] *= 1.0 + 1e-3
 
     def residuals(series):
         out = []
         for e in range(series.order + 1):
-            trimmed = OffsetSeries(
-                offset=series.offset,
-                coeffs={k: v for k, v in series.coeffs.items() if k <= e},
-                order=e,
-                prefactor=series.prefactor,
+            trimmed = replace(
+                series, coeffs={k: v for k, v in series.coeffs.items() if k[0] <= e}, order=e
             )
             out.append(ode_check(cfg21, trimmed, "plus"))
         return out
 
     base = residuals(s)
-    bumped = residuals(
-        OffsetSeries(offset=s.offset, coeffs=coeffs, order=s.order, prefactor=s.prefactor)
-    )
+    bumped = residuals(replace(s, coeffs=coeffs))
     for e in range(e0):
         assert abs(base[e] - bumped[e]) < 1e-14
 
