@@ -4,9 +4,11 @@ continuation across the wall by the Mellin-Barnes method.
 A fixed-point series is one type, ``OffsetSeries``, in r >= 1 variables
 with complex offsets a_k.  All q-dependence flows through w = log q: every
 variable is evaluated at the same w, as sum_es c_es exp(w sum_k (a_k + e_k)),
-so q^{...} never needs a branch choice.  Continuation paths live in the
-w-plane and cross the wall at height (n - r) pi, the midline of the strip
-on which the vertical-contour integral converges.
+so q^{...} never needs a branch choice.  A series takes all its 1/Gamma
+values from one ``recip_gamma`` call, since each depends on a slot and its
+exponent only (``_recip_table``).  Continuation paths live in the w-plane
+and cross the wall at height (n - r) pi, the midline of the strip on which
+the vertical-contour integral converges.
 
 Contour bookkeeping.  The series equals a contour integral of a ratio of
 Gamma factors around the nonnegative integers.  We trade that contour for
@@ -179,24 +181,50 @@ def _u(weight_scale: complex) -> complex:
     return complex(weight_scale) / TWO_PI_I
 
 
+def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
+    """The 1/Gamma factors of every slot k of d and exponent e <= order.
+
+    ``table[k][e]`` lists, for j = 0, ..., n - 1 in turn,
+    1/Gamma(1 + (x_{d_k} - x_j) u + e) and 1/Gamma(1 + (z_j - x_{d_k}) u - e).
+    They depend on (k, e) only, so every coefficient of the series reads
+    its factors here, and all of them come from one ``recip_gamma`` call.
+    The arguments go to it in the order in which a loop over the exponent
+    box in ``iter_product`` order first meets them, every slot at e = 0 and
+    then slots r - 1 down to 0 at e = 1, ..., order, so an error is the one
+    the scalar call at the first argument that loop rejects would raise
+    (``_kernel_values``).
+    """
+    xs, zs = config.complex_weights()
+    n, es = config.n, range(order + 1)
+    visits = ([(k, e) for e in es[:1] for k in range(len(d))]
+              + [(k, e) for k in reversed(range(len(d))) for e in es[1:]])
+    args = [a for k, e in visits for j in range(n)
+            for a in (1 + (xs[d[k]] - xs[j]) * u + e, 1 + (zs[j] - xs[d[k]]) * u - e)]
+    values = _kernel_values(recip_gamma, args)
+    table = [[None] * len(es) for _ in d]
+    for i, (k, e) in enumerate(visits):
+        table[k][e] = values[2 * n * i:2 * n * (i + 1)]
+    return table
+
+
 def f_factor_series(config: FlopConfig, delta, k: int, order: int,
                     weight_scale: complex = 1.0) -> OffsetSeries:
     """Single-variable factor of the plus-side series at slot k of delta.
 
-    Each coefficient is a finite product of reciprocal-Gamma values; the
-    alternating phase (-1)^{(r-1)e} keeps the product-of-factors form
-    compatible with the antisymmetrized full series.
+    Each coefficient is a finite product of reciprocal-Gamma values, all
+    from one ``recip_gamma`` call (``_recip_table``); the alternating phase
+    (-1)^{(r-1)e} keeps the product-of-factors form compatible with the
+    antisymmetrized full series.
     """
-    xs, zs = config.complex_weights()
+    xs, _ = config.complex_weights()
     u = _u(weight_scale)
-    n, r = config.n, config.r
     d = tuple(delta)[k]
+    table, = _recip_table(config, (d,), order, u)
     coeffs = {}
     for e in range(order + 1):
-        c = complex((-1.0) ** (((r - 1) * e) % 2))
-        for j in range(n):
-            c *= recip_gamma(1 + (xs[d] - xs[j]) * u + e)
-            c *= recip_gamma(1 + (zs[j] - xs[d]) * u - e)
+        c = complex((-1.0) ** (((config.r - 1) * e) % 2))
+        for v in table[e]:
+            c *= v
         coeffs[e,] = c
     return OffsetSeries(offsets=(xs[d] * u,), coeffs=coeffs, order=order)
 
@@ -209,7 +237,10 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     ``order``.  The sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i)
     is carried as metadata, not folded into the coefficients, so the stored
     coefficients are those of the Gamma-product form.  Support is e >= 0 in
-    every variable.
+    every variable.  The 2n r (order + 1) distinct 1/Gamma factors come from
+    one ``recip_gamma`` call (``_recip_table``), and each coefficient
+    multiplies its sign, its pair factors and its 1/Gamma factors slot by
+    slot in a fixed order.
 
     The minus side is the plus side on ``config.flipped()`` with the
     prefactor and every coefficient multiplied by (-1)^{r(r-1)/2}.  The
@@ -230,7 +261,6 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
         raise ValueError(f"bad side {side!r}")
     xs, zs = config.complex_weights()
     u = _u(weight_scale)
-    n = config.n
     d = tuple(delta)
     offsets = tuple(xs[i] * u for i in d)
 
@@ -242,15 +272,15 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
                 raise PoleError("prefactor sine vanishes; degenerate restriction")
             prefactor /= den
 
+    table = _recip_table(config, d, order, u)
     coeffs: dict = {}
     for es in iter_product(range(order + 1), repeat=r):
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
                 c *= (xs[d[i]] - xs[d[k]]) * u + (es[i] - es[k])
-            for j in range(n):
-                c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
-                c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])
+            for v in table[k][es[k]]:
+                c *= v
         coeffs[es] = c
     return OffsetSeries(offsets=offsets, coeffs=coeffs, order=order, prefactor=prefactor)
 

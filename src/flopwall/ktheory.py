@@ -30,12 +30,23 @@ from .flopgeom import (
 from .numkernel import TWO_PI_I
 
 
+def _exact_int(v) -> int:
+    """``v`` as an ``int``; ValueError unless it is an exact integer."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"not an exact integer: {v!r}")
+    return i
+
+
 class VirtualCharacter:
     """Finite integer combination of torus characters on (C^*)^{2n}.
 
     Keys are weight vectors in Z^{2n} (first n entries pair with x, last n
     with z); values are integer multiplicities.  Always kept in canonical
-    merged form with no zero coefficients, so equality is structural.
+    merged form with no zero coefficients, so equality is structural.  The
+    constructor raises ValueError on an entry that is not an exact integer;
+    the arithmetic, whose terms are canonical already, does not re-check
+    them (``_canonical``).
     """
 
     __slots__ = ("nvars", "terms")
@@ -44,13 +55,27 @@ class VirtualCharacter:
         self.nvars = int(nvars)
         clean: dict = {}
         for vec, c in (terms or {}).items():
-            vec = tuple(int(v) for v in vec)
+            vec = tuple(_exact_int(v) for v in vec)
             if len(vec) != self.nvars:
                 raise ValueError("weight vector length mismatch")
-            c = int(c)
+            c = _exact_int(c)
             if c:
                 clean[vec] = clean.get(vec, 0) + c
         self.terms = {v: c for v, c in clean.items() if c}
+
+    @classmethod
+    def _canonical(cls, nvars: int, terms: dict) -> "VirtualCharacter":
+        """From int-tuple keys of length nvars and int values, as the
+        arithmetic below makes them: only the zero terms are dropped, and
+        the insertion order, which ``evaluate`` sums in, is kept."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {v: c for v, c in terms.items() if c}
+        return out
+
+    def _check_nvars(self, other: "VirtualCharacter") -> None:
+        if other.nvars != self.nvars:
+            raise ValueError("weight vector length mismatch")
 
     @classmethod
     def unit(cls, nvars: int) -> "VirtualCharacter":
@@ -61,26 +86,29 @@ class VirtualCharacter:
         return cls(len(vec), {tuple(vec): 1})
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
+        self._check_nvars(other)
         terms = dict(self.terms)
         for v, c in other.terms.items():
             terms[v] = terms.get(v, 0) + c
-        return VirtualCharacter(self.nvars, terms)
+        return VirtualCharacter._canonical(self.nvars, terms)
 
     def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.nvars, {v: -c for v, c in self.terms.items()})
+        return VirtualCharacter._canonical(self.nvars, {v: -c for v, c in self.terms.items()})
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + (-other)
 
     def __mul__(self, other) -> "VirtualCharacter":
         if isinstance(other, int):
-            return VirtualCharacter(self.nvars, {v: other * c for v, c in self.terms.items()})
+            return VirtualCharacter._canonical(self.nvars,
+                                               {v: other * c for v, c in self.terms.items()})
+        self._check_nvars(other)
         terms: dict = {}
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
                 v = tuple(a + b for a, b in zip(v1, v2))
                 terms[v] = terms.get(v, 0) + c1 * c2
-        return VirtualCharacter(self.nvars, terms)
+        return VirtualCharacter._canonical(self.nvars, terms)
 
     __rmul__ = __mul__
 

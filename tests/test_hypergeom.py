@@ -285,6 +285,151 @@ def test_minus_i_function_matches_reference(n, r):
 
 
 # ----------------------------------------------------------------------
+# series coefficients from one recip_gamma call
+# ----------------------------------------------------------------------
+
+# The series read their 1/Gamma factors from one recip_gamma call.  These
+# references are the loops that made one scalar call per factor and
+# coefficient before that; values, key order and errors must be theirs.
+
+def _h_series_scalar(config, side, delta, order, weight_scale=1.0):
+    r = config.r
+    if side == "minus":
+        series = _h_series_scalar(config.flipped(), "plus", delta, order, weight_scale)
+        if r * (r - 1) // 2 % 2 == 0:
+            return series
+        return replace(series, prefactor=-series.prefactor,
+                       coeffs={e: -c for e, c in series.coeffs.items()})
+    xs, zs = config.complex_weights()
+    u = complex(weight_scale) / TWO_PI_I
+    n = config.n
+    d = tuple(delta)
+    prefactor = complex(math.pi ** (r * (r - 1) // 2))
+    for i in range(r):
+        for k in range(i + 1, r):
+            den = sin_over_2i(complex(weight_scale) * (xs[d[i]] - xs[d[k]]))
+            if den == 0:
+                raise PoleError("prefactor sine vanishes; degenerate restriction")
+            prefactor /= den
+    coeffs = {}
+    for es in iter_product(range(order + 1), repeat=r):
+        c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
+        for k in range(r):
+            for i in range(k):
+                c *= (xs[d[i]] - xs[d[k]]) * u + (es[i] - es[k])
+            for j in range(n):
+                c *= recip_gamma(1 + (xs[d[k]] - xs[j]) * u + es[k])
+                c *= recip_gamma(1 + (zs[j] - xs[d[k]]) * u - es[k])
+        coeffs[es] = c
+    return OffsetSeries(tuple(xs[i] * u for i in d), coeffs, order, prefactor)
+
+
+def _f_factor_series_scalar(config, delta, k, order, weight_scale=1.0):
+    xs, zs = config.complex_weights()
+    u = complex(weight_scale) / TWO_PI_I
+    n, r = config.n, config.r
+    d = tuple(delta)[k]
+    coeffs = {}
+    for e in range(order + 1):
+        c = complex((-1.0) ** (((r - 1) * e) % 2))
+        for j in range(n):
+            c *= recip_gamma(1 + (xs[d] - xs[j]) * u + e)
+            c *= recip_gamma(1 + (zs[j] - xs[d]) * u - e)
+        coeffs[e,] = c
+    return OffsetSeries((xs[d] * u,), coeffs, order)
+
+
+def _series_outcome(build, *args):
+    """Every term in key order and the metadata, or the error raised."""
+    try:
+        s = build(*args)
+    except (NonFiniteError, PoleError) as error:
+        return type(error), str(error)
+    return list(s.coeffs.items()), s.offsets, s.prefactor, s.order
+
+
+_SCALES = (1.0, 2.0, 3.0 + 1.0j, 1.0j, -1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=0, n=5, r=4, pick=0, side="minus", scale=3.0 + 1.0j, order=5)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5), r=st.integers(1, 4),
+       pick=st.integers(0, 9), side=st.sampled_from(["plus", "minus"]),
+       scale=st.sampled_from(_SCALES), order=st.integers(0, 12))
+def test_series_from_one_kernel_call_equal_the_scalar_loops(seed, n, r, pick, side, scale,
+                                                             order):
+    # equal floats in the same key order, or the same error, on h_series
+    # at either side and on f_factor_series at every slot
+    assume(r < n)
+    cfg = random_config(n, r, seed=seed)
+    deltas = fixed_point_deltas(cfg)
+    d = deltas[pick % len(deltas)]
+    want = _series_outcome(_h_series_scalar, cfg, side, d, order, scale)
+    assert _series_outcome(h_series, cfg, side, d, order, scale) == want
+    for k in range(r):
+        want = _series_outcome(_f_factor_series_scalar, cfg, d, k, order, scale)
+        assert _series_outcome(f_factor_series, cfg, d, k, order, scale) == want
+
+
+def test_series_table_shifted_by_one_exponent_is_seen(cfg32, monkeypatch):
+    # negative control for the identity test: the 1/Gamma rows of exponent
+    # e + 1 read in place of those of e must change the series
+    table = hypergeom._recip_table
+
+    def shifted(*args):
+        return [rows[1:] + rows[-1:] for rows in table(*args)]
+
+    monkeypatch.setattr(hypergeom, "_recip_table", shifted)
+    d = (0, 1)
+    assert (_series_outcome(h_series, cfg32, "plus", d, 4)
+            != _series_outcome(_h_series_scalar, cfg32, "plus", d, 4))
+    assert (_series_outcome(f_factor_series, cfg32, d, 1, 4)
+            != _series_outcome(_f_factor_series_scalar, cfg32, d, 1, 4))
+
+
+@pytest.mark.parametrize("n, r, order", [(2, 1, 200), (3, 2, 175)])
+def test_series_errors_past_the_overflow_order_are_the_scalar_ones(n, r, order):
+    # 1/Gamma overflows past e ~ 171; the error names the first overflowing
+    # value in the scalar loop's order, which is not the k-major order at
+    # r = 2: slot 1 reaches e = 171 before slot 0 does
+    cfg = default_config(n, r)
+    outcomes = []
+    for d in fixed_point_deltas(cfg):
+        for side in ("plus", "minus"):
+            got = _series_outcome(h_series, cfg, side, d, order)
+            assert got == _series_outcome(_h_series_scalar, cfg, side, d, order)
+            outcomes.append(got)
+        for k in range(r):
+            got = _series_outcome(f_factor_series, cfg, d, k, order)
+            assert got == _series_outcome(_f_factor_series_scalar, cfg, d, k, order)
+            outcomes.append(got)
+    assert all(o[0] is NonFiniteError for o in outcomes)
+    if r == 2:
+        assert _series_outcome(h_series, cfg, "plus", (0, 1), order) == (
+            NonFiniteError, "non-finite kernel value (inf-infj)")
+        assert _series_outcome(f_factor_series, cfg, (0, 1), 0, order) == (
+            NonFiniteError, "non-finite kernel value (inf+infj)")
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_series_make_one_recip_gamma_call(cfg32, side, monkeypatch):
+    # one call on the 2n r (order + 1) arguments of h_series, one on the
+    # 2n (order + 1) of a factor series; n = 3, r = 2, order 7
+    sizes = []
+
+    def counted(s):
+        sizes.append(np.size(s))
+        return recip_gamma(s)
+
+    monkeypatch.setattr(hypergeom, "recip_gamma", counted)
+    h_series(cfg32, side, (0, 2), 7)
+    assert sizes == [2 * 3 * 2 * 8]
+    sizes.clear()
+    f_factor_series(cfg32, (0, 2), 1, 7)
+    assert sizes == [2 * 3 * 8]
+
+
+# ----------------------------------------------------------------------
 # recurrence annihilator
 # ----------------------------------------------------------------------
 

@@ -3,8 +3,11 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flopwall.flopgeom import (
     FixedPointLabel,
@@ -48,6 +51,84 @@ def test_binomial_product_small_cases():
     # a repeated vector is a repeated factor: (1 - e^w)^2
     twice = one - 2 * VirtualCharacter.line(w1) + VirtualCharacter.line(tuple(2 * a for a in w1))
     assert binomial_product(4, [w1, w1]) == twice
+
+
+@pytest.mark.parametrize("terms", [
+    {(0, 0): Fraction(1, 2)},  # was the zero character
+    {(0, 0): 1.5},  # was multiplicity 1
+    {(0.5, 0): 1},  # was the weight (0, 0)
+])
+def test_virtual_character_rejects_a_non_integral_entry(terms):
+    with pytest.raises(ValueError, match="not an exact integer"):
+        VirtualCharacter(2, terms)
+
+
+def test_virtual_character_takes_integral_entries_of_any_type():
+    want = VirtualCharacter(2, {(1, -1): 2})
+    assert VirtualCharacter(2, {(Fraction(2, 2), -1.0): Fraction(4, 2)}) == want
+    assert list(VirtualCharacter(2, {(1.0, -1): 2.0}).terms.items()) == [((1, -1), 2)]
+
+
+def test_virtual_character_arithmetic_rejects_another_length():
+    two, three = VirtualCharacter.unit(2), VirtualCharacter.unit(3)
+    for op in (lambda: two + three, lambda: three - two, lambda: three * two, lambda: two * three):
+        with pytest.raises(ValueError, match="weight vector length mismatch"):
+            op()
+
+
+# The arithmetic builds its results without re-validating its canonical
+# terms.  These references take the same steps through the validating
+# constructor; the terms must come out equal and in the same order, which
+# is the order ``evaluate`` sums them in.
+
+def _add_reference(a, b):
+    terms = dict(a.terms)
+    for v, c in b.terms.items():
+        terms[v] = terms.get(v, 0) + c
+    return VirtualCharacter(a.nvars, terms)
+
+
+def _neg_reference(a):
+    return VirtualCharacter(a.nvars, {v: -c for v, c in a.terms.items()})
+
+
+def _mul_reference(a, b):
+    if isinstance(b, int):
+        return VirtualCharacter(a.nvars, {v: b * c for v, c in a.terms.items()})
+    terms = {}
+    for v1, c1 in a.terms.items():
+        for v2, c2 in b.terms.items():
+            v = tuple(x + y for x, y in zip(v1, v2))
+            terms[v] = terms.get(v, 0) + c1 * c2
+    return VirtualCharacter(a.nvars, terms)
+
+
+def _binomial_reference(nvars, vectors):
+    one = VirtualCharacter.unit(nvars)
+    out = one
+    for vec in vectors:
+        out = _mul_reference(out, _add_reference(one, _neg_reference(VirtualCharacter.line(vec))))
+    return out
+
+
+_vectors = st.tuples(*[st.integers(-1, 1)] * 4)
+_characters = st.dictionaries(_vectors, st.integers(-3, 3), max_size=6).map(
+    lambda terms: VirtualCharacter(4, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_characters, b=_characters, k=st.integers(-2, 2),
+       vectors=st.lists(_vectors, max_size=4))
+def test_virtual_character_arithmetic_equals_the_validated_reference(a, b, k, vectors):
+    def items(chi):
+        return chi.nvars, list(chi.terms.items())
+
+    assert items(a + b) == items(_add_reference(a, b))
+    assert items(-a) == items(_neg_reference(a))
+    assert items(a - b) == items(_add_reference(a, _neg_reference(b)))
+    assert items(a * b) == items(_mul_reference(a, b))
+    assert items(a * k) == items(k * a) == items(_mul_reference(a, k))
+    assert items(binomial_product(4, vectors)) == items(_binomial_reference(4, vectors))
 
 
 def test_generator_restrictions_exact(cfg21):
