@@ -28,8 +28,6 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Literal, Sequence
 
-from .numkernel import MultiPoly, series_inverse
-
 Side = Literal["plus", "minus"]
 
 SIDES = ("plus", "minus")
@@ -299,36 +297,30 @@ class RelationReport:
 def check_relations(config: FlopConfig, side: str) -> RelationReport:
     """Restriction-wise vanishing of the quotient-ring relations.
 
-    At a fixed point delta the presentation's generating ratio, with the
-    Chern roots y_j substituted by their restrictions, telescopes to a
-    polynomial of degree n - r in the remaining weight variables; the
-    checker expands the ratio exactly as a series to degree n and requires
-    every graded part of degree l > n - r to vanish identically.  The
-    degree-(n - r) part itself is not required to vanish and is not
-    flagged.
+    At a fixed point delta, with y the restricted Chern roots
+    (``restrict_chern_roots``) and w the side's weights (x on the plus
+    side, z on the minus side), prod_j (1 + w_j t) / prod_i (1 - y_i t) is
+    a polynomial of degree n - r in t, since each y_i = -w_{delta_i}
+    cancels one numerator factor.  The ratio is expanded exactly, at the
+    Fraction weights, to degree n, and each coefficient of degree
+    n - r + 1, ..., n must vanish; degree n - r is not flagged.  A root off
+    -w_{delta_i}, such as the other side's, leaves a factor uncancelled
+    and, at generic weights, those coefficients nonzero.
     """
     _check_side(side)
     n, r = config.n, config.r
-    one = MultiPoly.constant(n, 1)
+    # coefficients of prod_j (1 + w_j t), degree n
+    numerator = [Fraction(1)] + [Fraction(0)] * n
+    for w in config.x if side == "plus" else config.z:
+        for k in range(n, 0, -1):
+            numerator[k] += w * numerator[k - 1]
     cases: dict = {}
     for delta in fixed_point_deltas(config):
-        if side == "plus":
-            # prod_i (1 - v_i) / prod_{j in delta} (1 - v_j), v_i the x variables
-            num = one
-            for i in range(n):
-                num = num * (one - MultiPoly.variable(n, i))
-            den = one
-            for d in delta:
-                den = den * (one - MultiPoly.variable(n, d))
-        else:
-            # prod_i (1 + v_i) / prod_{j in delta} (1 + v_j), v_i the z variables
-            num = one
-            for i in range(n):
-                num = num * (one + MultiPoly.variable(n, i))
-            den = one
-            for d in delta:
-                den = den * (one + MultiPoly.variable(n, d))
-        ratio = num.mul_truncated(series_inverse(den, n), n)
+        # divided by each 1 - y t, as a series to degree n
+        coeffs = list(numerator)
+        for y in restrict_chern_roots(config, FixedPointLabel(side, delta)):
+            for k in range(1, n + 1):
+                coeffs[k] += y * coeffs[k - 1]
         for l in range(n - r + 1, n + 1):
-            cases[(delta, l)] = ratio.graded_part(l).is_zero()
+            cases[(delta, l)] = coeffs[l] == 0
     return RelationReport(side=side, cases=cases)

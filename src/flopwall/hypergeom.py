@@ -39,7 +39,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .flopgeom import FixedPointLabel, FlopConfig, euler_class_normal, fixed_point_deltas
+from .flopgeom import FlopConfig, fixed_point_deltas
 from .ktheory import LocalizedKClass
 from .numkernel import (
     POLE_TOL,
@@ -50,8 +50,17 @@ from .numkernel import (
     log_gamma,
     recip_gamma,
     sin_over_2i,
+    worst_error,
 )
-from .wallcross import LocalizedCohClass, PsiContext, coeff_C, gamma_class, psi_apply, psi_on_coh
+from .wallcross import (
+    LocalizedCohClass,
+    PsiContext,
+    coeff_C,
+    gamma_class,
+    pairing,
+    psi_apply,
+    psi_on_coh,
+)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -207,6 +216,14 @@ def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
     return table
 
 
+def _delta_of(config: FlopConfig, delta) -> tuple:
+    """``delta`` as a tuple; ValueError unless it holds exactly r indices."""
+    d = tuple(delta)
+    if len(d) != config.r:
+        raise ValueError(f"delta {d} needs exactly r = {config.r} indices")
+    return d
+
+
 def f_factor_series(config: FlopConfig, delta, k: int, order: int,
                     weight_scale: complex = 1.0) -> OffsetSeries:
     """Single-variable factor of the plus-side series at slot k of delta.
@@ -214,11 +231,12 @@ def f_factor_series(config: FlopConfig, delta, k: int, order: int,
     Each coefficient is a finite product of reciprocal-Gamma values, all
     from one ``recip_gamma`` call (``_recip_table``); the alternating phase
     (-1)^{(r-1)e} keeps the product-of-factors form compatible with the
-    antisymmetrized full series.
+    antisymmetrized full series.  ValueError unless ``delta`` holds
+    exactly r indices.
     """
     xs, _ = config.complex_weights()
     u = _u(weight_scale)
-    d = tuple(delta)[k]
+    d = _delta_of(config, delta)[k]
     table, = _recip_table(config, (d,), order, u)
     coeffs = {}
     for e in range(order + 1):
@@ -242,6 +260,8 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     multiplies its sign, its pair factors and its 1/Gamma factors slot by
     slot in a fixed order.
 
+    ValueError unless ``delta`` holds exactly r indices.
+
     The minus side is the plus side on ``config.flipped()`` with the
     prefactor and every coefficient multiplied by (-1)^{r(r-1)/2}.  The
     involution negates each of the r(r-1)/2 pair differences, in the sines
@@ -251,8 +271,9 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     cancel in the value of the series.
     """
     r = config.r
+    d = _delta_of(config, delta)
     if side == "minus":
-        series = h_series(config.flipped(), "plus", delta, order, weight_scale)
+        series = h_series(config.flipped(), "plus", d, order, weight_scale)
         if r * (r - 1) // 2 % 2 == 0:
             return series
         return replace(series, prefactor=-series.prefactor,
@@ -261,7 +282,6 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
         raise ValueError(f"bad side {side!r}")
     xs, zs = config.complex_weights()
     u = _u(weight_scale)
-    d = tuple(delta)
     offsets = tuple(xs[i] * u for i in d)
 
     prefactor = complex(math.pi ** (r * (r - 1) // 2))
@@ -319,7 +339,7 @@ def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
         lhs = series.coefficient(e) * prod(xs, a + e)
         rhs = sign * series.coefficient(e - 1) * prod(zs, a + e - 1) if e > 0 else 0j
         denom = max(abs(lhs), abs(rhs), tiny)
-        worst = max(worst, abs(lhs - rhs) / denom)
+        worst = worst_error(worst, abs(lhs - rhs) / denom)
     return worst
 
 
@@ -459,9 +479,9 @@ def _mb_prefactor(config: FlopConfig, l: int, weight_scale: complex) -> complex:
     return prefactor / math.pi ** config.n
 
 
-def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
-                 t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation heights T_k = 4 * 1.2^k <= t_max and the tail bound at each.
+def _tail_bounds(integrand, margins: tuple[float, float],
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation heights T_k = 4 * 1.2^k <= _T_MAX and the tail bound at each.
 
     The bound at T is (|f(T)| / m_up + |f(-T)| / m_down) * 10 * scale / (2 pi):
     the tail of an integrand that decays like exp(-m |t|) beyond +-T, with
@@ -469,7 +489,7 @@ def _tail_bounds(integrand, margins: tuple[float, float], scale: float,
     (``_ladder_rows``), and all of them from one call ``integrand(t)`` on
     the heights t = T_k followed by t = -T_k.
     """
-    t, _ = _ladder_rows(t_max)
+    t, _ = _ladder_rows()
     f = np.abs(integrand(t))
     rungs = t.size // 2
     m_up, m_down = margins
@@ -597,8 +617,7 @@ def _pole_clusters(poles, gap: float) -> list:
     return clusters
 
 
-# truncation heights tried for the line integral: T_k = 4 * 1.2^k <= t_max,
-# by default t_max = _T_MAX
+# truncation heights tried for the line integral: T_k = 4 * 1.2^k <= _T_MAX
 _LADDER_START = 4.0
 _LADDER_RATIO = 1.2
 _T_MAX = 200.0
@@ -613,15 +632,18 @@ _MIN_STEP = 2.0 ** -12
 # h = 1/16
 _LINE_LATTICE_STEP = 2.0 ** -4
 
-# (K, log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) on the line's
-# lattice s = -1/2 + i k / 16, |k| <= K: the rows of the integrand that hold
-# no weight (``_lattice_rows``); none until the first line sum
-_line_rows = (-1, None, None)
+# largest lattice index |k| of a line node t = k / 16 <= _T_MAX
+_K_MAX = round(_T_MAX / _LINE_LATTICE_STEP)
 
-# (t_top, t, log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) at the ladder's
-# nodes s = -1/2 + i t, t = T_k then t = -T_k for every rung T_k <= t_top
+# (log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s)) on the line's lattice
+# s = -1/2 + i k / 16, |k| <= _K_MAX: the rows of the integrand that hold no
+# weight (``_lattice_rows``); none until the first line sum
+_line_rows = None
+
+# (t, (log Gamma(s) + log Gamma(1 - s), log Gamma(1 + s))) at the ladder's
+# nodes s = -1/2 + i t, t = T_k then t = -T_k for every rung T_k <= _T_MAX
 # (``_ladder_rows``); none until the first ladder
-_ladder = (0.0, None, None, None)
+_ladder = None
 
 # correction poles closer than this are summed as one circle integral
 _CLUSTER_GAP = 0.1
@@ -644,52 +666,43 @@ def _lattice_rows(k: np.ndarray):
     the node alone, so one process-wide table holds their rows for every
     line sum, whatever its w, config, l, weight scale or tolerance.  It is
     built on the first call, by the ``log_gamma`` calls the integrand makes
-    on the same floats, for |t| up to _T_MAX, and rebuilt larger only for a
-    line that reaches past it.  Its arrays are read-only, and the tuple is
-    replaced whole, so two threads that build it at once agree.
+    on the same floats, for |t| up to _T_MAX, the top of every line.  Its
+    arrays are read-only, and the tuple is replaced whole, so two threads
+    that build it at once agree.
     """
     global _line_rows
-    k_max, pair, own = _line_rows
-    if max(-k[0], k[-1]) > k_max:
-        k_max = max(-k[0], k[-1], round(_T_MAX / _LINE_LATTICE_STEP))
-        s = -0.5 + 1j * (_LINE_LATTICE_STEP * np.arange(-k_max, k_max + 1))
+    if _line_rows is None:
+        s = -0.5 + 1j * (_LINE_LATTICE_STEP * np.arange(-_K_MAX, _K_MAX + 1))
         pair, own = log_gamma(s) + log_gamma(1.0 - s), log_gamma(1.0 + s)
         pair.flags.writeable = own.flags.writeable = False
-        _line_rows = k_max, pair, own
-    window = slice(k[0] + k_max, k[-1] + k_max + 1)
+        _line_rows = pair, own
+    pair, own = _line_rows
+    window = slice(k[0] + _K_MAX, k[-1] + _K_MAX + 1)
     return pair[window], own[window]
 
 
-def _ladder_rows(t_max: float):
-    """The ladder's heights t = T_k then t = -T_k, T_k = 4 * 1.2^k <= t_max,
+def _ladder_rows():
+    """The ladder's heights t = T_k then t = -T_k, T_k = 4 * 1.2^k <= _T_MAX,
     and the node-only rows of ``barnes_integrand`` at s = -1/2 + i t.
 
     As on the lattice (``_lattice_rows``), log Gamma(s) + log Gamma(1 - s)
     and log Gamma(1 + s) come from one process-wide table that no
     argument of a line sum keys.  It is built on the first call, by the
-    ``log_gamma`` calls the integrand makes on the same floats, for the
-    rungs up to _T_MAX, and rebuilt larger only for a larger t_max; a
-    smaller one takes the first rungs of each half.  Its arrays are
-    read-only, and the tuple is replaced whole.
+    ``log_gamma`` calls the integrand makes on the same floats.  Its arrays
+    are read-only, and the tuple is replaced whole.
     """
     global _ladder
-    t_top, t, pair, own = _ladder
-    if t_max > t_top:
-        t_top, heights, T = max(t_max, _T_MAX), [], _LADDER_START
-        while T <= t_top:
+    if _ladder is None:
+        heights, T = [], _LADDER_START
+        while T <= _T_MAX:
             heights.append(T)
             T *= _LADDER_RATIO
         t = np.array(heights + [-h for h in heights])
         s = -0.5 + 1j * t
         pair, own = log_gamma(s) + log_gamma(1.0 - s), log_gamma(1.0 + s)
         t.flags.writeable = pair.flags.writeable = own.flags.writeable = False
-        _ladder = t_top, t, pair, own
-    if t_max == t_top:
-        return t, (pair, own)
-    rungs = t.size // 2
-    m = int(np.searchsorted(t[:rungs], t_max, side="right"))
-    pick = np.r_[:m, rungs:rungs + m]
-    return t[pick], (pair[pick], own[pick])
+        _ladder = t, (pair, own)
+    return _ladder
 
 
 def _kernel_values(kernel, args: list) -> list:
@@ -756,7 +769,7 @@ def _residues(w: complex, config: FlopConfig, a_l: complex, us, vs) -> dict:
 
 
 def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
-                     weight_scale: complex = 1.0, t_max: float = _T_MAX) -> complex:
+                     weight_scale: complex = 1.0) -> complex:
     """Mellin-Barnes value of the plus-side series at log q = w.
 
     Returns the analytic continuation of the prefactored series: equal to
@@ -768,7 +781,7 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     accuracy target.
 
     The line is truncated at the lowest height of the ladder
-    T_k = 4 * 1.2^k <= t_max from which an analytic exponential tail bound
+    T_k = 4 * 1.2^k <= 200 from which an analytic exponential tail bound
     is below tol/10 on every higher rung; one integrand call at +-T_k gives
     the bound on every rung, and NonConvergenceError is raised if the top
     rung fails it.  That call takes the rows of Gamma(s), Gamma(1 - s) and
@@ -810,8 +823,6 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     """
     if not MIN_BARNES_TOL <= tol < math.inf:
         raise ValueError(f"tol {tol!r} is below supported accuracy or not finite")
-    if not _LADDER_START <= t_max < math.inf:
-        raise ValueError(f"t_max {t_max!r} is below the lowest truncation height or not finite")
     n, r = config.n, config.r
     if not (0 <= l < n):
         raise ValueError("fixed point index out of range")
@@ -844,9 +855,9 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
 
     def ladder(t):
         # the ladder's nodes, with the node-only rows from their table
-        return on_line(t, _ladder_rows(t_max)[1])
+        return on_line(t, _ladder_rows()[1])
 
-    heights, bounds = _tail_bounds(ladder, margins, scale_ref, t_max)
+    heights, bounds = _tail_bounds(ladder, margins, scale_ref)
     # the bound assumes exp(-m |t|) decay beyond T; a rung that passes below
     # one that fails may sit before a rise of |t|^p exp(-m |t|), so T is the
     # lowest rung from which every higher rung passes too
@@ -900,8 +911,7 @@ class ContinuationReport:
 
     @property
     def max_err(self) -> float:
-        vals = list(self.inside_err.values()) + list(self.outside_err.values())
-        return max(vals + [self.coeff_err])
+        return worst_error(*self.inside_err.values(), *self.outside_err.values(), self.coeff_err)
 
     def ok(self, tol: float) -> bool:
         return self.max_err < tol
@@ -949,7 +959,7 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         for k in range(n):
             want = coeff_C(config, (k,), (l,))
-            worst = max(worst, abs(sol[k] - want) / abs(want))
+            worst = worst_error(worst, abs(sol[k] - want) / abs(want))
     return ContinuationReport(
         config=config, inside_err=inside_err, outside_err=outside_err, coeff_err=worst
     )
@@ -1042,12 +1052,9 @@ def central_charge(config: FlopConfig, side: str, E, w: complex,
     """
     rot = ctx.rotated()
     psi_e = _psi_of(config, side, E, ctx)
-    total = 0j
-    for d in fixed_point_deltas(config):
-        i_val = i_function(config, side, d, order, rot).eval(w)
-        eN = complex(euler_class_normal(config, FixedPointLabel(side, d)))
-        total += i_val * psi_e.values[d] / eN
-    return total
+    i_vals = {d: i_function(config, side, d, order, rot).eval(w)
+              for d in fixed_point_deltas(config)}
+    return pairing(config, LocalizedCohClass(side, i_vals), psi_e)
 
 
 def i_restriction_continued(config: FlopConfig, l: int, w: complex,
@@ -1064,9 +1071,6 @@ def central_charge_plus_continued(config: FlopConfig, E, w: complex,
     """Plus-side central charge with the I-series continued past the wall."""
     rot = ctx.rotated()
     psi_e = _psi_of(config, "plus", E, ctx)
-    total = 0j
-    for (l,) in fixed_point_deltas(config):
-        i_val = i_restriction_continued(config, l, w, rot, tol=tol)
-        eN = complex(euler_class_normal(config, FixedPointLabel("plus", (l,))))
-        total += i_val * psi_e.values[(l,)] / eN
-    return total
+    i_vals = {(l,): i_restriction_continued(config, l, w, rot, tol=tol)
+              for (l,) in fixed_point_deltas(config)}
+    return pairing(config, LocalizedCohClass("plus", i_vals), psi_e)

@@ -333,7 +333,8 @@ def euler_characteristic(config: FlopConfig, data, side: str | None = None, scal
     """K-theoretic localization sum: sum_d value(d) / wedge(N_d).
 
     ``data`` may be a LocalizedKClass or a dict of numeric restriction
-    values at exponent scale ``scale`` (then ``side`` is required).
+    values at exponent scale ``scale`` (then ``side`` is required).  It is
+    the one such sum: ``chi_z_pairing`` sums through it.
     """
     if isinstance(data, LocalizedKClass):
         side = data.side
@@ -371,13 +372,4 @@ def chi_z_pairing(config: FlopConfig, C: LocalizedKClass, D: LocalizedKClass, z:
     scale = TWO_PI_I / z
     c_vals = chern_character(config, C, -scale)
     d_vals = chern_character(config, D, scale)
-    xs, zs = config.complex_weights()
-    total = 0j
-    for d in c_vals:
-        wedge = _wedge_dual_value(
-            xs, zs, tangent_weight_vectors(config, FixedPointLabel(C.side, d)), scale
-        )
-        if wedge == 0:
-            raise DegenerateWeightError("vanishing localization denominator")
-        total += c_vals[d] * d_vals[d] / wedge
-    return total
+    return euler_characteristic(config, {d: c_vals[d] * d_vals[d] for d in c_vals}, C.side, scale)

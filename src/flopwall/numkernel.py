@@ -1,4 +1,5 @@
-"""Exact rational/polynomial arithmetic and complex special-function kernels.
+"""Complex special-function kernels, the worst-error accumulator and exact
+multivariate polynomials.
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
 goes through the complex kernels below.  All functions are pure.  The Gamma
@@ -6,6 +7,10 @@ kernels take a complex scalar or an ndarray and treat both alike: values
 come from ``scipy.special`` (``loggamma``, the principal branch, and
 ``rgamma``), a non-finite argument or value raises NonFiniteError, and
 ``log_gamma`` raises PoleError within POLE_TOL of a non-positive integer.
+``worst_error`` is the one maximum every check accumulates its errors in;
+a non-finite error makes it NaN, which fails every tolerance.
+``MultiPoly`` is the ring of the symbolic antisymmetric-identity check: it
+adds, subtracts, multiplies and compares, and holds no power-series layer.
 """
 
 from __future__ import annotations
@@ -115,6 +120,23 @@ def sin_over_2i(a: complex) -> complex:
         raise NonFiniteError(f"sin(a/2i) overflows at a = {a!r}") from None
 
 
+def worst_error(*terms: float) -> float:
+    """The largest of the error ``terms`` and 0.0, or NaN as soon as a term
+    is not finite.
+
+    ``max(worst, nan)`` is ``worst``, so an error accumulated by ``max``
+    hides a NaN term and the comparison against its tolerance passes.
+    Accumulate as ``worst = worst_error(worst, err)``: a NaN, once in, stays,
+    and ``NaN < tol`` is false.
+    """
+    worst = 0.0
+    for t in terms:
+        if not math.isfinite(t):
+            return math.nan
+        worst = max(worst, t)
+    return worst
+
+
 # ----------------------------------------------------------------------
 # Exact multivariate polynomials
 # ----------------------------------------------------------------------
@@ -221,18 +243,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self.terms == other.terms
@@ -249,37 +259,6 @@ class MultiPoly:
         """Coefficient of the monomial ``exp``: an int or a Fraction."""
         return self.terms.get(tuple(int(e) for e in exp), 0)
 
-    def graded_part(self, l: int) -> "MultiPoly":
-        return MultiPoly._from_terms(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == l})
-
-    def truncate(self, maxdeg: int) -> "MultiPoly":
-        return MultiPoly._from_terms(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= maxdeg})
-
-    def mul_truncated(self, other: "MultiPoly", maxdeg: int) -> "MultiPoly":
-        other = self._coerce(other)
-        terms: dict = {}
-        get = terms.get
-        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
-        for e1, c1 in self.terms.items():
-            room = maxdeg - sum(e1)
-            for e2, c2, d2 in right:
-                if d2 <= room:
-                    exp = tuple(map(operator.add, e1, e2))
-                    terms[exp] = get(exp, 0) + c1 * c2
-        return MultiPoly._from_terms(self.nvars, terms)
-
-    def evaluate(self, values: Sequence) -> Fraction:
-        if len(values) != self.nvars:
-            raise ValueError("value count mismatch")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exp):
-                term *= v ** e
-            total += term
-        return total
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _graded_lex_key(t[0]))
 
@@ -292,23 +271,3 @@ class MultiPoly:
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
 
-
-def series_inverse(p: MultiPoly, maxdeg: int) -> MultiPoly:
-    """Multiplicative inverse of p as a power series truncated at maxdeg.
-
-    Requires a nonzero constant term.
-    """
-    c0 = p.coefficient((0,) * p.nvars)
-    if not c0:
-        raise ValueError("series inverse needs a nonzero constant term")
-    # 1/p = (1/c0) * sum_k (1 - p/c0)^k
-    one = MultiPoly.constant(p.nvars, 1)
-    u = (one - p * (Fraction(1) / c0)).truncate(maxdeg)
-    inv = one
-    power = one
-    for _ in range(maxdeg):
-        power = power.mul_truncated(u, maxdeg)
-        if power.is_zero():
-            break
-        inv = inv + power
-    return inv * (Fraction(1) / c0)

@@ -26,7 +26,6 @@ from .flopgeom import (
     fixed_point_deltas,
     random_config,
     tangent_weights,
-    tangent_weight_vectors,
 )
 from .hypergeom import (
     NonConvergenceError,
@@ -43,7 +42,6 @@ from .hypergeom import (
     verify_continuation_r1,
 )
 from .ktheory import (
-    _wedge_dual_value,
     chern_character,
     chi_z_pairing,
     euler_characteristic,
@@ -53,7 +51,7 @@ from .ktheory import (
     generator_e,
     unit_class,
 )
-from .numkernel import sin_over_2i
+from .numkernel import sin_over_2i, worst_error
 from .wallcross import (
     PsiContext,
     antisym_identity_check,
@@ -68,7 +66,6 @@ from .wallcross import (
 )
 
 DEFAULT_TOLS = {
-    "identities": 0.0,
     "collapse": 1e-10,
     "fm_diagram": 1e-10,
     "fm_formula": 1e-12,
@@ -234,7 +231,7 @@ def ktheory_suite(env: SuiteEnv) -> list:
                 ch_closed = chern_character(cfg, closed)
                 for dp in numeric:
                     scale = max(1.0, abs(ch_closed[dp]))
-                    worst = max(worst, abs(numeric[dp] - ch_closed[dp]) / scale)
+                    worst = worst_error(worst, abs(numeric[dp] - ch_closed[dp]) / scale)
             return _err_case(worst, env.tol("fm_formula"))
         cases.append(CaseSpec("ktheory", f"fm-formula-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
@@ -274,18 +271,14 @@ def ktheory_suite(env: SuiteEnv) -> list:
                 B = _random_generator_combo(cfg, rng)
                 chi_m = euler_characteristic(cfg, A)
                 chi_p = euler_characteristic(cfg, fm_transform(cfg, A), side="plus")
-                worst = max(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
+                worst = worst_error(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
                 for z in env.z_values:
                     s = 2j * math.pi / z
                     lhs = chi_z_pairing(cfg, A, B, z)
                     fa = fm_transform(cfg, chern_character(cfg, A, -s), -s)
                     fb = fm_transform(cfg, B, s)
-                    xs, zs = cfg.complex_weights()
-                    rhs = 0j
-                    for dp in fa:
-                        vecs = tangent_weight_vectors(cfg, FixedPointLabel("plus", dp))
-                        rhs += fa[dp] * fb[dp] / _wedge_dual_value(xs, zs, vecs, s)
-                    worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+                    rhs = euler_characteristic(cfg, {dp: fa[dp] * fb[dp] for dp in fa}, "plus", s)
+                    worst = worst_error(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
             return _err_case(worst, env.tol("chi_invariance"))
         cases.append(CaseSpec("ktheory", f"chi-invariance-n{n}-r{r}", {"n": n, "r": r}, thunk))
     return cases
@@ -296,6 +289,15 @@ def ktheory_suite(env: SuiteEnv) -> list:
 # ----------------------------------------------------------------------
 
 _COLLAPSE_GRID = ((2, 3), (2, 4), (3, 5))
+
+
+def _triangle_bound(cfg: FlopConfig, a: LocalizedCohClass, b: LocalizedCohClass) -> float:
+    """sum_d |a|_d b|_d / e(N_d)|: the triangle bound of ``pairing(cfg, a, b)``."""
+    bound = 0.0
+    for d in fixed_point_deltas(cfg):
+        eN = complex(euler_class_normal(cfg, FixedPointLabel(a.side, d)))
+        bound += abs(a.values[d] * b.values[d] / eN)
+    return bound
 
 
 def wallcross_suite(env: SuiteEnv) -> list:
@@ -312,7 +314,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                     # the orbit sum can cancel hugely at unlucky draws; the
                     # triangle bound is the honest accuracy scale then
                     scale = max(abs(want), sum(abs(t) for t in terms) * 1e-2)
-                    worst = max(worst, abs(sum(terms) - want) / scale)
+                    worst = worst_error(worst, abs(sum(terms) - want) / scale)
             return _err_case(worst, env.tol("collapse"))
         cases.append(CaseSpec("wallcross", f"sr-collapse-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
@@ -326,7 +328,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                 ch_fm = chern_character(cfg, fm_generator_formula(cfg, dm))
                 image = uh_apply(cfg, LocalizedCohClass("minus", ch_e))
                 for dp, want in ch_fm.items():
-                    worst = max(worst, abs(image.values[dp] - want) / abs(want))
+                    worst = worst_error(worst, abs(image.values[dp] - want) / abs(want))
             return _err_case(worst, env.tol("fm_diagram"))
         cases.append(CaseSpec("wallcross", f"fm-diagram-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
@@ -342,7 +344,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                         if i != k:
                             want *= sin_over_2i(xs[l] - zs[i]) / sin_over_2i(zs[k] - zs[i])
                     got = coeff_C(cfg, (k,), (l,))
-                    worst = max(worst, abs(got - want) / abs(want))
+                    worst = worst_error(worst, abs(got - want) / abs(want))
         return _err_case(worst, 1e-13)
     cases.append(CaseSpec("wallcross", "c-r1-specialization", {"n": [2, 3], "r": 1}, c_specialization))
 
@@ -368,11 +370,8 @@ def wallcross_suite(env: SuiteEnv) -> list:
                         rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, C, D, z)
                         # normalize by the triangle bound of the localization
                         # sum: the honest scale even when the total cancels
-                        bound = 0.0
-                        for d in deltas:
-                            eN = complex(euler_class_normal(cfg, FixedPointLabel(side, d)))
-                            bound += abs(pc.values[d] * pd.values[d] / eN)
-                        worst = max(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
+                        bound = _triangle_bound(cfg, pc, pd)
+                        worst = worst_error(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
             return _err_case(worst, env.tol("integral_pairing"))
         cases.append(
             CaseSpec("wallcross", f"integral-pairing-z{z.real:g}{z.imag:+g}i",
@@ -386,15 +385,6 @@ def wallcross_suite(env: SuiteEnv) -> list:
         ctxp = PsiContext.create(cfg, "plus", z=z)
         rotm, rotp = ctxm.rotated(), ctxp.rotated()
         rng = env.rng("symplectic")
-        deltas = fixed_point_deltas(cfg)
-
-        def triangle(a, b):
-            return sum(
-                abs(a.values[d] * b.values[d]
-                    / complex(euler_class_normal(cfg, FixedPointLabel(a.side, d))))
-                for d in deltas
-            )
-
         worst = 0.0
         for _ in range(10):
             C = _random_generator_combo(cfg, rng)
@@ -406,8 +396,8 @@ def wallcross_suite(env: SuiteEnv) -> list:
             rhs = pairing(cfg, f_rot, g)
             # normalize by the larger triangle bound of the two localization
             # sums: the pairing itself may legitimately cancel to ~0
-            scale = max(triangle(uf, ug), triangle(f_rot, g), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
+            scale = max(_triangle_bound(cfg, uf, ug), _triangle_bound(cfg, f_rot, g), 1e-30)
+            worst = worst_error(worst, abs(lhs - rhs) / scale)
         return _err_case(worst, env.tol("symplectic"))
     cases.append(CaseSpec("wallcross", "symplectic-pairing", {"n": 2, "r": 1, "pairs": 10}, symplectic))
 
@@ -456,7 +446,7 @@ def continuation_suite(env: SuiteEnv) -> list:
             factors = [f_factor_series(cfg, dp, k, 10) for k in range(cfg.r)]
             assembled = delta_hat_apply(series_product(factors))
             for es, c in K.coeffs.items():
-                worst = max(worst, abs(c - assembled.coeffs[es]))
+                worst = worst_error(worst, abs(c - assembled.coeffs[es]))
         return _err_case(worst, env.tol("structure"))
     cases.append(CaseSpec("continuation", "factor-structure-n3-r2", {"n": 3, "r": 2, "order": 10}, structure))
 
@@ -466,11 +456,11 @@ def continuation_suite(env: SuiteEnv) -> list:
             cfg = env.config_for(n, 1)
             for side in ("plus", "minus"):
                 for l in range(n):
-                    worst = max(worst, ode_check(cfg, h_series(cfg, side, (l,), 40), side))
+                    worst = worst_error(worst, ode_check(cfg, h_series(cfg, side, (l,), 40), side))
         cfg = env.config_for(3, 2)
         for dp in fixed_point_deltas(cfg):
             for k in range(cfg.r):
-                worst = max(worst, ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus"))
+                worst = worst_error(worst, ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus"))
         return _err_case(worst, env.tol("ode"))
     cases.append(CaseSpec("continuation", "ode-residuals", {"order": 40}, ode))
 
@@ -494,7 +484,7 @@ def continuation_suite(env: SuiteEnv) -> list:
                     assembled = i_function_factored(cfg, side, d, 20, ctx)
                     for e in direct.coeffs:
                         scale = max(1.0, abs(direct.coeffs[e]))
-                        worst = max(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
+                        worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
                     if abs(direct.offset - assembled.offset) > 1e-13:
                         return _bool_case(False)
         return _err_case(worst, env.tol("itoh"))
@@ -510,7 +500,7 @@ def continuation_suite(env: SuiteEnv) -> list:
                 assembled = i_function_factored(cfg, side, d, 8, ctx)
                 for e in direct.coeffs:
                     scale = max(1.0, abs(direct.coeffs[e]))
-                    worst = max(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
+                    worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
         return _err_case(worst, env.tol("itoh"))
     cases.append(CaseSpec("continuation", "i-factorization-n3-r2", {"n": 3, "r": 2, "order": 8}, itoh_r2))
 
@@ -522,7 +512,7 @@ def continuation_suite(env: SuiteEnv) -> list:
             a = i_function(cfg, "plus", d, 8, ctx)
             b = i_function(cfg, "plus", tuple(reversed(d)), 8, ctx)
             for e in a.coeffs:
-                worst = max(worst, abs(a.coeffs[e] - b.coeffs[e]) / max(1.0, abs(a.coeffs[e])))
+                worst = worst_error(worst, abs(a.coeffs[e] - b.coeffs[e]) / max(1.0, abs(a.coeffs[e])))
         return _err_case(worst, 1e-12)
     cases.append(CaseSpec("continuation", "i-reordering-symmetry", {"n": 3, "r": 2}, i_symmetry))
     return cases
@@ -566,7 +556,7 @@ def central_charge_suite(env: SuiteEnv) -> list:
                 Ep = fm_generator_formula(cfg, (0,))
             z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=env.order)
             z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
-            worst = max(worst, abs(z_plus - z_minus) / max(abs(z_minus), 1e-30))
+            worst = worst_error(worst, abs(z_plus - z_minus) / max(abs(z_minus), 1e-30))
         return _err_case(worst, env.tol("central_charge"))
     cases.append(CaseSpec("central-charge", "fm-continuation", {"n": 2, "r": 1, "q": 3.0}, continuation))
 
@@ -578,12 +568,8 @@ def central_charge_suite(env: SuiteEnv) -> list:
         w = -30.0 + 1j * math.pi
         E = fm_generator_formula(cfg, (0,))
         full = central_charge(cfg, "plus", E, w, ctx, order=40)
-        psi_e = psi_apply(ctx, E)
-        lead = 0j
-        for d in fixed_point_deltas(cfg):
-            series = i_function(cfg, "plus", d, 0, rot)
-            eN = complex(euler_class_normal(cfg, FixedPointLabel("plus", d)))
-            lead += series.eval(w) * psi_e.values[d] / eN
+        i_lead = {d: i_function(cfg, "plus", d, 0, rot).eval(w) for d in fixed_point_deltas(cfg)}
+        lead = pairing(cfg, LocalizedCohClass("plus", i_lead), psi_apply(ctx, E))
         err = abs(full - lead) / max(abs(full), 1e-30)
         return _err_case(err, 1e-8)
     cases.append(CaseSpec("central-charge", "leading-asymptotics", {"n": 2, "r": 1, "w": -30.0}, leading_behaviour))

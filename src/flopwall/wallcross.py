@@ -411,7 +411,11 @@ def psi_apply(ctx: PsiContext, A: LocalizedKClass) -> LocalizedCohClass:
 
 
 def pairing(config: FlopConfig, a: LocalizedCohClass, b: LocalizedCohClass) -> complex:
-    """Localization pairing: sum_d a|_d * b|_d / e(N_d), at the exact weights."""
+    """Localization pairing: sum_d a|_d * b|_d / e(N_d), at the exact weights.
+
+    It is the one cohomological localization sum: the central charges sum
+    through it.
+    """
     if a.side != b.side:
         raise ValueError("pairing needs classes on the same side")
     total = 0j

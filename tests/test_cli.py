@@ -286,6 +286,54 @@ def test_runconfig_rejects_unknown_tol():
         RunConfig.from_json_dict({"tol": {"bogus": 1.0}})
 
 
+def test_identities_tolerance_is_an_unknown_key(tmp_path):
+    # no identities case reads a tolerance: its checks are exact
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps({"tol": {"identities": 5}}))
+    assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
+    assert "identities" not in RunConfig().echo()["tol"]
+
+
+def test_nan_central_charge_fails(tmp_path, capsys):
+    # at z = 3 + i the order-80 I-series overflows to NaN on the minus side;
+    # max(worst, nan) would keep worst = 0 and pass fm-continuation
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps({"z_eval": [[3, 1], [2, 0]]}))
+    assert main(["verify", "--suite", "central-charge", "--config", str(path)]) == 1
+    cases = {c["case"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
+    assert cases["fm-continuation"]["status"] == "fail"
+    assert cases["fm-continuation"]["max_rel_err"] is None
+
+
+# every case that accumulates an error in numkernel.worst_error, directly
+# or through ode_check and the continuation report
+_ACCUMULATING = {
+    "fm-formula-n2-r1", "fm-formula-n3-r1", "fm-formula-n3-r2", "fm-formula-n4-r2",
+    "chi-invariance-n2-r1", "chi-invariance-n3-r2",
+    "sr-collapse-n3-r2", "sr-collapse-n4-r2", "sr-collapse-n5-r3",
+    "fm-diagram-n2-r1", "fm-diagram-n3-r1", "fm-diagram-n3-r2", "fm-diagram-n4-r2",
+    "c-r1-specialization", "integral-pairing-z2+0i", "integral-pairing-z3+1i",
+    "symplectic-pairing", "wall-crossing-n2-r1", "wall-crossing-n3-r1",
+    "factor-structure-n3-r2", "ode-residuals", "ode-sensitivity-control",
+    "i-factorization-n2-r1", "i-factorization-n3-r2", "i-reordering-symmetry",
+    "fm-continuation",
+}
+
+
+def test_a_nan_term_fails_every_case_that_accumulates_an_error(monkeypatch):
+    from flopwall import hypergeom, numkernel, suites
+
+    def with_nan(*terms):
+        return numkernel.worst_error(*terms, math.nan)
+
+    monkeypatch.setattr(suites, "worst_error", with_nan)
+    monkeypatch.setattr(hypergeom, "worst_error", with_nan)
+    status = {c["case"]: c["status"] for c in run_suite(RunConfig(), "all").cases}
+    assert _ACCUMULATING <= set(status)
+    assert {name for name, st in status.items() if st != "pass"} == _ACCUMULATING
+    assert {status[name] for name in _ACCUMULATING} == {"fail"}
+
+
 def test_stable_json_formatting():
     out = _stable_json({"b": 0.1, "a": [1, True, None, complex(1.5, -2.5)]})
     assert out == '{"a":[1,true,null,[1.5,-2.5]],"b":0.10000000000000001}'

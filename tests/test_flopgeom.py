@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flopwall import flopgeom
 from flopwall.flopgeom import (
     AbelianLabel,
     ConfigError,
@@ -135,19 +136,53 @@ def test_tangent_count_and_euler_nonzero(seed):
             assert euler_class_normal(cfg, lab) != 0
 
 
-@pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+_RELATION_GRID = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("r,n", _RELATION_GRID)
 def test_relations_pass(r, n):
-    cfg = random_config(n, r, seed=7)
-    for side in ("plus", "minus"):
-        report = check_relations(cfg, side)
-        assert report.ok, report.failures()
-        # the degree n - r part is allowed to be nonzero and is never flagged
-        for (delta, l) in report.cases:
-            assert l > n - r
+    for seed in range(10):
+        cfg = random_config(n, r, seed=seed)
+        for side in ("plus", "minus"):
+            report = check_relations(cfg, side)
+            assert report.ok, (seed, side, report.failures())
+            # the degree n - r part is allowed to be nonzero and is never flagged
+            assert sorted(report.cases) == [
+                (lab.delta, l) for lab in enumerate_fixed_points(cfg, side)
+                for l in range(n - r + 1, n + 1)
+            ]
 
 
 def test_relations_telescoping_example(cfg21):
-    # plus side, delta = {1}: the ratio telescopes to 1 - x_2, so the
-    # degree-2 part vanishes
+    # plus side, delta = {1}: y_1 = -x_1, so the ratio
+    # (1 + x_1 t)(1 + x_2 t) / (1 + x_1 t) telescopes to 1 + x_2 t and its
+    # degree-2 coefficient vanishes
     report = check_relations(cfg21, "plus")
     assert report.cases[((0,), 2)]
+
+
+def _relations_fail_on_both_sides(monkeypatch, roots):
+    """Every grid instance fails ``check_relations`` on both sides with
+    ``roots(config, label)`` in place of ``restrict_chern_roots``."""
+    monkeypatch.setattr(flopgeom, "restrict_chern_roots", roots)
+    for r, n in _RELATION_GRID:
+        cfg = random_config(n, r, seed=7)
+        for side in ("plus", "minus"):
+            assert not check_relations(cfg, side).ok, (r, n, side)
+
+
+def test_relations_fail_with_a_perturbed_root(monkeypatch):
+    def perturbed(config, label):
+        y = restrict_chern_roots(config, label)
+        y[0] += F(1, 1000)
+        return y
+
+    _relations_fail_on_both_sides(monkeypatch, perturbed)
+
+
+def test_relations_fail_with_the_other_sides_roots(monkeypatch):
+    def other_side(config, label):
+        other = "minus" if label.side == "plus" else "plus"
+        return restrict_chern_roots(config, FixedPointLabel(other, label.delta))
+
+    _relations_fail_on_both_sides(monkeypatch, other_side)

@@ -150,6 +150,19 @@ def test_f_factor_reduces_to_h_series_at_r1(cfg21):
         assert abs(c - h.coeffs[e]) < 1e-15
 
 
+@pytest.mark.parametrize("which,delta", [("cfg21", (0, 1)), ("cfg21", ()),
+                                          ("cfg32", (0,)), ("cfg32", (0, 1, 2))])
+def test_series_reject_a_delta_of_the_wrong_length(request, which, delta):
+    # a long delta would give a finite, plausible value and a short one a
+    # bare IndexError; both are a ValueError
+    cfg = request.getfixturevalue(which)
+    for side in ("plus", "minus"):
+        with pytest.raises(ValueError, match=f"exactly r = {cfg.r} indices"):
+            h_series(cfg, side, delta, 4)
+    with pytest.raises(ValueError, match=f"exactly r = {cfg.r} indices"):
+        f_factor_series(cfg, delta, 0, 4)
+
+
 def test_plus_series_is_antisymmetrized_factor_product(cfg32):
     for dp in fixed_point_deltas(cfg32):
         K = h_series(cfg32, "plus", dp, 10)
@@ -734,7 +747,7 @@ def _spy_nodes(monkeypatch):
 
 
 def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
-    # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= t_max
+    # the first integrand call holds the whole ladder T_k = 4 * 1.2^k <= 200
     # at +-T_k; the quadrature then stops at the lowest rung from which the
     # tail bound, recomputed here from those values, is below tol / 10 on
     # every rung up to the top
@@ -767,15 +780,13 @@ def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
 
 
 def test_barnes_no_rung_meets_bound_raises(cfg21):
-    # 0.3 above the strip's lower edge the integrand decays like
-    # exp(-0.3 t): no rung up to t_max = 5 meets the bound, and the error
-    # reports the bound at the top rung, 4.8
-    w = complex(-1.0, 0.3)
-    with pytest.raises(NonConvergenceError, match=r"not met by T = 4\.8$"):
-        barnes_integrate(w, cfg21, 0, tol=1e-10, t_max=5.0)
-    assert barnes_integrate(w, cfg21, 0, tol=1e-10) is not None
-    with pytest.raises(ValueError):
-        barnes_integrate(w, cfg21, 0, t_max=3.9)
+    # 0.06 above the strip's lower edge the integrand decays like
+    # exp(-0.06 t): no rung up to the top one, 184.02, meets the bound, and
+    # the error reports the bound at the top rung; 0.3 above the edge a
+    # rung meets it
+    with pytest.raises(NonConvergenceError, match=r"tail bound 8\.999e-11 not met by T = 184\.02$"):
+        barnes_integrate(complex(-1.0, 0.06), cfg21, 0, tol=1e-10)
+    assert barnes_integrate(complex(-1.0, 0.3), cfg21, 0, tol=1e-10) is not None
 
 
 def _log_integrand_parts(config, l, weight_scale, t):
@@ -823,7 +834,7 @@ def _tail_check(config, l, scale, ws, tol):
         below = np.cumsum(mod)              # below[k]: nodes k and before
         heights, bounds = hypergeom._tail_bounds(
             lambda tt: barnes_integrand(-0.5 + 1j * tt, w, config, l, scale),
-            hypergeom._decay_margins(config, w), prefactor, 200.0)
+            hypergeom._decay_margins(config, w), prefactor)
         k = np.floor(heights / step).astype(int)
         tails = (above[mid + k + 1] + below[mid - k - 1] + beyond) / (tol / 10.0)
         out.append((heights, bounds, tails))
@@ -1128,7 +1139,7 @@ def test_barnes_wall_scan_point_stops_at_h_one_sixteenth(monkeypatch):
     # the lattice's 153; the residues of the two correction poles then make
     # one more, on the n + 1 = 3 Gamma arguments of each
     cfg, w = _wall_scan_point()
-    hypergeom._ladder_rows(200.0)  # the tables exist before the count
+    hypergeom._ladder_rows()  # the tables exist before the count
     hypergeom._lattice_rows(np.arange(-1, 2))
     calls = _spy_nodes(monkeypatch)
     gamma_calls = []  # (the integrand calls so far, the size) of each log_gamma call
@@ -1281,11 +1292,10 @@ def test_line_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     # the table is built on the first line sum, for |t| <= 200, by the
     # integrand's own log_gamma calls on the same nodes; later line sums at
     # other configs, w, fixed points and weight scales leave it as it is
-    monkeypatch.setattr(hypergeom, "_line_rows", (-1, None, None))
+    monkeypatch.setattr(hypergeom, "_line_rows", None)
     barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
-    k_max, pair, own = hypergeom._line_rows
-    assert k_max == 3200
-    s = -0.5 + 1j * (np.arange(-k_max, k_max + 1) / 16.0)
+    pair, own = hypergeom._line_rows
+    s = -0.5 + 1j * (np.arange(-3200, 3201) / 16.0)
     np.testing.assert_array_equal(pair, log_gamma(s) + log_gamma(1.0 - s))
     np.testing.assert_array_equal(own, log_gamma(1.0 + s))
     assert not pair.flags.writeable and not own.flags.writeable
@@ -1295,14 +1305,7 @@ def test_line_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
         for l in range(n):
             for re_w in (-2.0, 0.5):
                 _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
-    assert hypergeom._line_rows[0] == k_max
-    assert (hypergeom._line_rows[1].tobytes(), hypergeom._line_rows[2].tobytes()) == before
-    # a line that reaches past |t| = 200 rebuilds it larger, with the same
-    # values on the old nodes
-    wide_pair, wide_own = hypergeom._lattice_rows(np.arange(-3300, 3301))
-    assert hypergeom._line_rows[0] == 3300
-    np.testing.assert_array_equal(wide_pair[100:-100], pair)
-    np.testing.assert_array_equal(wide_own[100:-100], own)
+    assert tuple(a.tobytes() for a in hypergeom._line_rows) == before
 
 
 def test_barnes_rows_shifted_by_one_node_are_seen(monkeypatch):
@@ -1321,16 +1324,16 @@ def test_barnes_rows_shifted_by_one_node_are_seen(monkeypatch):
 
 def test_ladder_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     # the ladder's table is built on the first call, for the rungs up to
-    # t_max = 200, by the integrand's own log_gamma calls on the same nodes;
-    # later calls at other configs, w, fixed points and weight scales leave
-    # it as it is
-    monkeypatch.setattr(hypergeom, "_ladder", (0.0, None, None, None))
+    # 200, by the integrand's own log_gamma calls on the same nodes; later
+    # calls at other configs, w, fixed points and weight scales leave it as
+    # it is
+    monkeypatch.setattr(hypergeom, "_ladder", None)
     barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
-    t_top, t, pair, own = hypergeom._ladder
+    t, (pair, own) = hypergeom._ladder
     heights = [4.0]
     while heights[-1] * 1.2 <= 200.0:
         heights.append(heights[-1] * 1.2)
-    assert t_top == 200.0 and t.tolist() == heights + [-T for T in heights]
+    assert t.tolist() == heights + [-T for T in heights]
     s = -0.5 + 1j * t
     np.testing.assert_array_equal(pair, log_gamma(s) + log_gamma(1.0 - s))
     np.testing.assert_array_equal(own, log_gamma(1.0 + s))
@@ -1341,21 +1344,8 @@ def test_ladder_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
         for l in range(n):
             for re_w in (-2.0, 0.5):
                 _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
-    assert hypergeom._ladder[0] == 200.0
-    assert tuple(a.tobytes() for a in hypergeom._ladder[1:]) == before
-    # t_max = 5 takes the rungs 4 and 4.8 of each half, and leaves the table
-    small, (small_pair, small_own) = hypergeom._ladder_rows(5.0)
-    assert small.tolist() == [4.0, 4.8, -4.0, -4.8]
-    np.testing.assert_array_equal(small_pair, pair[[0, 1, 22, 23]])
-    np.testing.assert_array_equal(small_own, own[[0, 1, 22, 23]])
-    assert hypergeom._ladder[0] == 200.0
-    # t_max = 1000 rebuilds it with 31 rungs, the same values on the old nodes
-    wide, (wide_pair, wide_own) = hypergeom._ladder_rows(1000.0)
-    assert hypergeom._ladder[0] == 1000.0 and wide.size == 62
-    old = np.r_[:22, 31:53]
-    np.testing.assert_array_equal(wide[old], t)
-    np.testing.assert_array_equal(wide_pair[old], pair)
-    np.testing.assert_array_equal(wide_own[old], own)
+    t_now, (pair_now, own_now) = hypergeom._ladder
+    assert (t_now.tobytes(), pair_now.tobytes(), own_now.tobytes()) == before
 
 
 def test_barnes_ladder_rows_off_by_one_rung_are_seen(monkeypatch):
@@ -1373,8 +1363,8 @@ def test_barnes_ladder_rows_off_by_one_rung_are_seen(monkeypatch):
     rows = hypergeom._ladder_rows
 
     def rung_off(step):
-        def shifted(t_max):
-            t, (pair, own) = rows(t_max)
+        def shifted():
+            t, (pair, own) = rows()
             rungs = t.size // 2
             off = np.clip(np.arange(rungs) + step, 0, rungs - 1)
             return t, (pair[np.r_[off, off + rungs]], own[np.r_[off, off + rungs]])
@@ -1555,7 +1545,7 @@ def test_barnes_integrand_matches_mpmath_at_line_ladder_and_circle_nodes():
     # at the rotated Chern scales z = 2 (real unit u) and z = 3 + i.  The
     # worst error seen is 2.0 eps times the log-space size; 8 leaves room
     # for another scipy build
-    heights, _ = hypergeom._tail_bounds(np.ones_like, (1.0, 1.0), 1.0, 200.0)
+    heights, _ = hypergeom._tail_bounds(np.ones_like, (1.0, 1.0), 1.0)
     t = np.concatenate([np.linspace(-200.0, 200.0, 17), [0.25, -1.5], heights, -heights])
     line = -0.5 + 1j * t
     worst = 0.0

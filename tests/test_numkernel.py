@@ -19,8 +19,8 @@ from flopwall.numkernel import (
     gamma,
     log_gamma,
     recip_gamma,
-    series_inverse,
     sin_over_2i,
+    worst_error,
 )
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -222,6 +222,18 @@ def test_log_gamma_branch_left_half_plane():
         assert abs(log_gamma(s) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
+def test_worst_error_is_the_max_and_nan_once_a_term_is_not_finite():
+    assert worst_error() == 0.0
+    assert worst_error(0.0, 3e-9, 1e-12) == 3e-9
+    # why the helper exists: max drops a NaN that comes second
+    assert max(0.0, math.nan) == 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        assert math.isnan(worst_error(1e-3, bad, 2.0))
+        # accumulated as worst = worst_error(worst, err), a NaN stays
+        assert math.isnan(worst_error(worst_error(0.0, bad), 0.5))
+    assert not worst_error(0.0, math.nan) < 1.0
+
+
 # ----------------------------------------------------------------------
 # MultiPoly
 # ----------------------------------------------------------------------
@@ -283,25 +295,8 @@ def test_poly_ring_axioms(p, q, s):
     assert (p * q) * s == p * (q * s)
     assert p * (q + s) == p * q + p * s
     assert (p - q) + q == p
-    assert p.mul_truncated(q, 3) == (p * q).truncate(3)
     for c in (p * q - s).terms.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
-
-
-@given(poly_strategy, st.lists(small_fracs, min_size=2, max_size=2))
-@settings(max_examples=50)
-def test_poly_evaluation_is_ring_hom(p, vals):
-    q = p * p + p
-    assert q.evaluate(vals) == p.evaluate(vals) * p.evaluate(vals) + p.evaluate(vals)
-
-
-def test_series_inverse():
-    one = MultiPoly.constant(2, 1)
-    p = one - MultiPoly.variable(2, 0) * 2 + MultiPoly.variable(2, 1)
-    inv = series_inverse(p, 6)
-    assert p.mul_truncated(inv, 6) == one
-    with pytest.raises(ValueError):
-        series_inverse(MultiPoly.variable(2, 0), 3)
 
 
 def test_poly_integral_fraction_coefficients_are_ints():
@@ -319,12 +314,3 @@ def test_poly_integral_fraction_coefficients_are_ints():
     assert half.coefficient((1, 0)) == Fraction(1, 2)
     assert (half + half).coefficient((1, 0)) == 1
 
-
-def test_series_inverse_nonintegral_constant_is_exact():
-    one = MultiPoly.constant(1, 1)
-    x = MultiPoly.variable(1, 0)
-    p = x + Fraction(2, 3)
-    inv = series_inverse(p, 8)
-    assert p.mul_truncated(inv, 8) == one
-    for k in range(9):
-        assert inv.coefficient((k,)) == Fraction(3, 2) * Fraction(-3, 2) ** k
