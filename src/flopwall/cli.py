@@ -269,6 +269,11 @@ def emit(report: Report, fmt: str = "json", destination=None, include_timings: b
         payload = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    _write(payload, destination)
+
+
+def _write(payload: str, destination=None) -> None:
+    """Write ``payload`` to the file ``destination``, or to stdout for None or "-"."""
     if destination in (None, "-"):
         sys.stdout.write(payload)
     else:
@@ -351,12 +356,7 @@ def cmd_uh_matrix(args) -> int:
     rc = _load_run_config(args)
     cfg = rc.flop_config()
     mat = transition_matrix(cfg, kind=args.kind)
-    payload = _stable_json(mat.to_json_dict()) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(_stable_json(mat.to_json_dict()) + "\n", args.out)
     return 0
 
 
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uh-matrix", help="transfer coefficient matrix")
     p.add_argument("--config")
     p.add_argument("--kind", choices=("C", "CK", "CH"), default="C")
-    p.add_argument("--out")
+    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_uh_matrix)
 
     p = sub.add_parser("series", help="fixed-point hypergeometric series")

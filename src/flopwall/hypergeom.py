@@ -983,7 +983,9 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
     one-variable series whose coefficient of degree e sums the compositions
     of e.  The leading coefficient on the plus side is exactly 1.  The
     minus side is the plus side on ``config.flipped()``; only ``ctx.z`` is
-    read from the context.
+    read from the context.  A composition whose product is not finite (it
+    multiplies out its numerator before it divides) raises NonFiniteError
+    naming delta and its degree e.
     """
     if side == "minus":
         return i_function(config.flipped(), "plus", delta, order, ctx)
@@ -1014,6 +1016,8 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
                 m = es[k] - es[i]
                 c *= (-1.0) ** (m % 2) * (A + m * zv) / A
         tot = sum(es)
+        if not cmath.isfinite(c):
+            raise NonFiniteError(f"I-series coefficient at delta = {d}, degree e = {tot} is {c!r}")
         coeffs[tot,] = coeffs.get((tot,), 0j) + c
     return OffsetSeries(offsets=(offset,), coeffs=coeffs, order=order)
 

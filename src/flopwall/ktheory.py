@@ -27,15 +27,7 @@ from .flopgeom import (
     tangent_weight_vectors,
     weight_complex,
 )
-from .numkernel import TWO_PI_I
-
-
-def _exact_int(v) -> int:
-    """``v`` as an ``int``; ValueError unless it is an exact integer."""
-    i = int(v)
-    if i != v:
-        raise ValueError(f"not an exact integer: {v!r}")
-    return i
+from .numkernel import TWO_PI_I, _exact_int
 
 
 class VirtualCharacter:
@@ -187,6 +179,12 @@ def unit_class(config: FlopConfig, side: str) -> LocalizedKClass:
     return _binomial_class(config, side, {d: () for d in fixed_point_deltas(config)})
 
 
+def _generator_vectors(n: int, delta0, delta_minus) -> tuple:
+    """The weight vectors z_i - z_j, i in delta0 and j outside delta_minus."""
+    rest = [j for j in range(n) if j not in delta_minus]
+    return tuple(_vsub(_zvec(i, n), _zvec(j, n)) for i in delta0 for j in rest)
+
+
 def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
     """The minus-side spanning class attached to delta_minus.
 
@@ -195,11 +193,8 @@ def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
     character at every delta0 != delta_minus because a factor with zero
     exponent appears.
     """
-    n = config.n
-    rest = [j for j in range(n) if j not in delta_minus]
     return _binomial_class(config, "minus", {
-        d0: tuple(_vsub(_zvec(i, n), _zvec(j, n)) for i in d0 for j in rest)
-        for d0 in fixed_point_deltas(config)
+        d0: _generator_vectors(config.n, d0, delta_minus) for d0 in fixed_point_deltas(config)
     })
 
 
@@ -308,15 +303,12 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
     """
     n = config.n
     dm = tuple(delta_minus)
+    # generator restriction at dm: factors (1 - e^{z_i - z_j})
+    generator = _generator_vectors(n, dm, dm)
     vectors_at = {}
     for dp in fixed_point_deltas(config):
-        num: Counter = Counter()
+        num = Counter(generator)
         den: Counter = Counter()
-        # generator restriction at dm: factors (1 - e^{z_i - z_j})
-        for i in dm:
-            for j in range(n):
-                if j not in dm:
-                    num[_vsub(_zvec(i, n), _zvec(j, n))] += 1
         # wedge(N_dp): factors (1 - e^{-w})
         for vec in tangent_weight_vectors(config, FixedPointLabel("plus", dp)):
             num[tuple(-a for a in vec)] += 1
@@ -332,19 +324,19 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
 def euler_characteristic(config: FlopConfig, data, side: str | None = None, scale: complex = 1.0) -> complex:
     """K-theoretic localization sum: sum_d value(d) / wedge(N_d).
 
-    ``data`` may be a LocalizedKClass or a dict of numeric restriction
-    values at exponent scale ``scale`` (then ``side`` is required).  It is
-    the one such sum: ``chi_z_pairing`` sums through it.
+    ``data`` may be a LocalizedKClass, whose values are its
+    ``chern_character`` at ``scale``, or a dict of numeric restriction values
+    at exponent scale ``scale`` (then ``side`` is required).  It is the one
+    such sum: ``chi_z_pairing`` sums through it.
     """
     if isinstance(data, LocalizedKClass):
         side = data.side
-        xs, zs = config.complex_weights()
-        vec = {d: chi.evaluate(xs, zs, scale) for d, chi in data.restrictions.items()}
+        vec = chern_character(config, data, scale)
+    elif side is None:
+        raise ValueError("side is required for numeric restriction data")
     else:
-        if side is None:
-            raise ValueError("side is required for numeric restriction data")
         vec = data
-        xs, zs = config.complex_weights()
+    xs, zs = config.complex_weights()
     total = 0j
     for d, val in vec.items():
         wedge = _wedge_dual_value(

@@ -9,8 +9,9 @@ come from ``scipy.special`` (``loggamma``, the principal branch, and
 ``log_gamma`` raises PoleError within POLE_TOL of a non-positive integer.
 ``worst_error`` is the one maximum every check accumulates its errors in;
 a non-finite error makes it NaN, which fails every tolerance.
-``MultiPoly`` is the ring of the symbolic antisymmetric-identity check: it
-adds, subtracts, multiplies and compares, and holds no power-series layer.
+``MultiPoly`` is the integer polynomial ring of the symbolic
+antisymmetric-identity check: it adds, subtracts, multiplies and compares
+polynomials, and holds no power-series layer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +141,17 @@ def worst_error(*terms: float) -> float:
 # Exact multivariate polynomials
 # ----------------------------------------------------------------------
 
+def _exact_int(v) -> int:
+    """``v`` as an ``int``; ValueError unless it is an exact integer."""
+    try:
+        i = int(v)
+    except OverflowError:  # an infinite float
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"not an exact integer: {v!r}")
+    return i
+
+
 Exponent = tuple  # tuple[int, ...]
 
 
@@ -149,14 +160,14 @@ def _graded_lex_key(exp: Exponent):
 
 
 class MultiPoly:
-    """Multivariate polynomial with exact rational coefficients.
+    """Multivariate polynomial with integer coefficients.
 
-    Terms are a map from exponent tuples to nonzero coefficients; graded
-    lexicographic order is used wherever terms are listed, so equal
-    polynomials compare equal structurally.  A coefficient with
-    denominator 1 is stored as an ``int`` and any other as a ``Fraction``;
-    the two compare and hash equal, so the choice is invisible to callers
-    and integer-coefficient arithmetic never builds a Fraction.
+    Terms are a map from exponent tuples to nonzero ``int`` coefficients;
+    graded lexicographic order is used wherever terms are listed, so equal
+    polynomials compare equal structurally.  The constructor takes any
+    exact integer, an integral ``Fraction`` too, and raises ValueError on any
+    other coefficient.  Both operands of an operation are polynomials in the
+    same variables: there are no scalar operands.
     """
 
     __slots__ = ("nvars", "terms")
@@ -168,23 +179,18 @@ class MultiPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for {self.nvars} variables")
-            coeff = Fraction(coeff)
+            coeff = _exact_int(coeff)
             if coeff:
-                clean[exp] = coeff.numerator if coeff.denominator == 1 else coeff
+                clean[exp] = coeff
         self.terms = clean
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict) -> "MultiPoly":
         # Result of a ring operation: exponents are already valid tuples and
-        # coefficients int or Fraction, so only zeros and integral Fractions
-        # need attention.
+        # coefficients ints, so only the zeros are dropped.
         out = object.__new__(cls)
         out.nvars = nvars
-        out.terms = {
-            e: (c if type(c) is int or c.denominator != 1 else c.numerator)
-            for e, c in terms.items()
-            if c
-        }
+        out.terms = {e: c for e, c in terms.items() if c}
         return out
 
     # -- constructors ---------------------------------------------------
@@ -199,39 +205,30 @@ class MultiPoly:
         return cls(nvars, {tuple(exp): 1})
 
     # -- ring operations -------------------------------------------------
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return other
-        return MultiPoly.constant(self.nvars, other)
+    def _check(self, other) -> None:
+        if not isinstance(other, MultiPoly):
+            raise TypeError(f"MultiPoly operand expected, got {type(other).__name__}")
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
 
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check(other)
         terms = dict(self.terms)
         get = terms.get
         for exp, coeff in other.terms.items():
             terms[exp] = get(exp, 0) + coeff
         return MultiPoly._from_terms(self.nvars, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._from_terms(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check(other)
         terms = dict(self.terms)
         get = terms.get
         for exp, coeff in other.terms.items():
             terms[exp] = get(exp, 0) - coeff
         return MultiPoly._from_terms(self.nvars, terms)
 
-    def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        self._check(other)
         terms: dict = {}
         get = terms.get
         right = list(other.terms.items())
@@ -241,22 +238,14 @@ class MultiPoly:
                 terms[exp] = get(exp, 0) + c1 * c2
         return MultiPoly._from_terms(self.nvars, terms)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return self.terms == MultiPoly.constant(self.nvars, other).terms
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(self.sorted_terms())))
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
 
     # -- queries ----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exp: Sequence[int]) -> int | Fraction:
-        """Coefficient of the monomial ``exp``: an int or a Fraction."""
+    def coefficient(self, exp: Sequence[int]) -> int:
+        """Coefficient of the monomial ``exp``."""
         return self.terms.get(tuple(int(e) for e in exp), 0)
 
     def sorted_terms(self):
@@ -270,4 +259,3 @@ class MultiPoly:
             mono = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
-

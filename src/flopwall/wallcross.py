@@ -174,18 +174,6 @@ def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) 
 # Antisymmetric product identity
 # ----------------------------------------------------------------------
 
-def antisym_lhs_poly(r: int) -> MultiPoly:
-    """prod_i prod_{l<i} (z_i - z_l)(x_l - x_i), in variables x_1..x_r, z_1..z_r."""
-    nv = 2 * r
-    x = [MultiPoly.variable(nv, i) for i in range(r)]
-    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
-    out = MultiPoly.constant(nv, 1)
-    for i in range(r):
-        for l in range(i):
-            out = out * (z[i] - z[l]) * (x[l] - x[i])
-    return out
-
-
 def _antisym_q_entry(xs, zs, l: int, j: int, one):
     """Q_{l,j} = prod_{j' != j} (x_{j'} - z_l), starting the product at ``one``."""
     out = one
@@ -195,25 +183,28 @@ def _antisym_q_entry(xs, zs, l: int, j: int, one):
     return out
 
 
-def antisym_rhs_poly(r: int) -> MultiPoly:
-    """sum_sigma sgn(sigma) prod_l prod_{j != sigma(l)} (x_j - z_l), as det Q.
+def _antisym_sides(xs, zs, one):
+    """Both sides of the identity at ``xs``, ``zs`` in a commutative ring
+    whose unit is ``one``: ``MultiPoly`` variables or integers.
 
-    By the Leibniz formula the signed sum over S_r is the determinant of
-    Q_{l,j} = prod_{j' != j} (x_{j'} - z_l).  It is expanded by Laplace
-    expansion along rows, memoized on the set of remaining columns: the
-    minor on column mask m uses the last popcount(m) rows, so m alone keys
-    it and 2^r minors replace the r! permutation terms.  The tests keep the
-    r! sum as an independent oracle.
+    The left side is prod_{l<i} (z_i - z_l)(x_l - x_i).  The right side,
+    sum_sigma sgn(sigma) prod_l prod_{j != sigma(l)} (x_j - z_l), is by the
+    Leibniz formula the determinant of Q_{l,j} = prod_{j' != j} (x_{j'} - z_l).
+    It is expanded by Laplace expansion along rows, memoized on the set of
+    remaining columns: the minor on column mask m uses the last popcount(m)
+    rows, so m alone keys it and 2^r minors replace the r! permutation
+    terms.  The tests keep the r! sum as an independent oracle.
     """
-    nv = 2 * r
-    x = [MultiPoly.variable(nv, i) for i in range(r)]
-    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
-    one = MultiPoly.constant(nv, 1)
-    q = [[_antisym_q_entry(x, z, l, j, one) for j in range(r)] for l in range(r)]
+    r = len(xs)
+    lhs = one
+    for i in range(r):
+        for l in range(i):
+            lhs = lhs * (zs[i] - zs[l]) * (xs[l] - xs[i])
+    q = [[_antisym_q_entry(xs, zs, l, j, one) for j in range(r)] for l in range(r)]
     minors = {0: one}
     for mask in range(1, 1 << r):
         row = r - bin(mask).count("1")
-        det = MultiPoly(nv)
+        det = one - one
         sign = 1
         for j in range(r):
             if mask >> j & 1:
@@ -221,42 +212,7 @@ def antisym_rhs_poly(r: int) -> MultiPoly:
                 det = det + term if sign > 0 else det - term
                 sign = -sign
         minors[mask] = det
-    return minors[(1 << r) - 1]
-
-
-def _antisym_lhs_value(xs, zs) -> Fraction:
-    out = Fraction(1)
-    r = len(xs)
-    for i in range(r):
-        for l in range(i):
-            out *= (zs[i] - zs[l]) * (xs[l] - xs[i])
-    return out
-
-
-def _antisym_rhs_value(xs, zs) -> Fraction:
-    """det Q at exact rational points, by Gaussian elimination.
-
-    The pivot search takes the first nonzero entry of each column, so a
-    zero entry (some x_j = z_l) or a singular Q needs no special case.
-    """
-    r = len(xs)
-    m = [[_antisym_q_entry(xs, zs, l, j, Fraction(1)) for j in range(r)] for l in range(r)]
-    det = Fraction(1)
-    for c in range(r):
-        p = next((i for i in range(c, r) if m[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        piv = m[c][c]
-        det *= piv
-        for i in range(c + 1, r):
-            f = m[i][c] / piv
-            if f:
-                for k in range(c + 1, r):
-                    m[i][k] -= f * m[c][k]
-    return det
+    return lhs, minors[(1 << r) - 1]
 
 
 @dataclass
@@ -276,27 +232,34 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
     """Exact verification of the bi-antisymmetric product identity.
 
     Full symbolic expansion for r <= 4 (including the leading-monomial
-    coefficient (-1)^{r(r-1)/2} of prod (z_i x_i)^{i-1}); exact rational
-    equality at ``samples`` random points for any r.  Both checks evaluate
-    the right-hand side as the determinant det Q (see ``antisym_rhs_poly``),
-    not as the r! permutation sum, which the tests keep as an oracle.
+    coefficient (-1)^{r(r-1)/2} of prod (z_i x_i)^{i-1}); exact equality at
+    ``samples`` random rational points for any r.  Both checks evaluate the
+    right-hand side as the determinant det Q (see ``_antisym_sides``), not
+    as the r! permutation sum, which the tests keep as an oracle.
     """
     symbolic_checked = r <= 4
     symbolic_ok = True
     monomial_ok = True
     if symbolic_checked:
-        lhs = antisym_lhs_poly(r)
-        rhs = antisym_rhs_poly(r)
+        nv = 2 * r
+        lhs, rhs = _antisym_sides([MultiPoly.variable(nv, i) for i in range(r)],
+                                  [MultiPoly.variable(nv, r + i) for i in range(r)],
+                                  MultiPoly.constant(nv, 1))
         symbolic_ok = lhs == rhs
         exp = tuple(range(r)) + tuple(range(r))  # x_i^(i-1), z_i^(i-1)
-        want = Fraction((-1) ** (r * (r - 1) // 2))
+        want = (-1) ** (r * (r - 1) // 2)
         monomial_ok = lhs.coefficient(exp) == want and rhs.coefficient(exp) == want
     rng = random.Random(seed)
     samples_ok = True
     for _ in range(samples):
         xs = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
         zs = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
-        if _antisym_lhs_value(xs, zs) != _antisym_rhs_value(xs, zs):
+        # Both sides are homogeneous of degree r(r-1), so at the point scaled
+        # by the common denominator D each is D^{r(r-1)} != 0 times its value
+        # at the rational point: the integer point decides the same equality.
+        den = math.lcm(*(v.denominator for v in xs + zs))
+        lhs, rhs = _antisym_sides([int(v * den) for v in xs], [int(v * den) for v in zs], 1)
+        if lhs != rhs:
             samples_ok = False
             break
     return AntisymReport(

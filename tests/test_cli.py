@@ -179,6 +179,19 @@ def test_uh_matrix_command(capsys):
     assert len(data["entries"][0][0]) == 2  # [re, im]
 
 
+@pytest.mark.parametrize("command", [["uh-matrix"], ["verify", "--suite", "identities"]])
+def test_out_dash_writes_stdout(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 0
+    default = capsys.readouterr().out
+    assert main(command + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == default != ""
+    assert main(command + ["--out", "file.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "file.json").read_text() == default
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.json"]
+
+
 def test_series_command_matches_library(capsys, cfg21):
     assert main(["series", "--side", "plus", "--delta", "1", "--order", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -222,14 +235,23 @@ def test_charge_command_runs(capsys):
     assert len(data["value"]) == 2
 
 
-@pytest.mark.parametrize("z, raised_by", [
-    ("1e-8,0.5e-8", "Gamma overflows"),  # Gamma(1 + w_t / z) at |w_t / z| ~ 3e7
-    ("1e300,0", "psi factor overflows"),  # z^{dim/2} overflows in cmath.exp
+@pytest.mark.parametrize("argv, raised_by", [
+    # Gamma(1 + w_t / z) at |w_t / z| ~ 3e7
+    pytest.param(["--class", "e:1", "--w=-1.2,3.1416", "--z", "1e-8,0.5e-8"],
+                 "Gamma overflows", id="1e-8,0.5e-8-Gamma overflows"),
+    # z^{dim/2} overflows in cmath.exp
+    pytest.param(["--class", "e:1", "--w=-1.2,3.1416", "--z", "1e300,0"],
+                 "psi factor overflows", id="1e300,0-psi factor overflows"),
+    # the order-80 I-series coefficient at e = 80 is inf/inf on both sides
+    pytest.param(["--class", "1", "--w=-1.5,3.14159", "--z", "3,1", "--side", "minus"],
+                 "I-series coefficient at delta = (0,), degree e = 80",
+                 id="3,1-I-series coefficient"),
 ])
-def test_charge_overflow_is_an_evaluation_error(capsys, z, raised_by):
-    # both used to end in a traceback and exit 1: a NonFiniteError from the
-    # Gamma class, and a raw OverflowError from the psi diagonal factor
-    assert main(["charge", "--class", "e:1", "--w=-1.2,3.1416", "--z", z]) == 2
+def test_charge_overflow_is_an_evaluation_error(capsys, argv, raised_by):
+    # the first two used to end in a traceback and exit 1: a NonFiniteError
+    # from the Gamma class, and a raw OverflowError from the psi diagonal
+    # factor; the third exited 0 and printed a null value
+    assert main(["charge"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("evaluation error:") and raised_by in err
 
@@ -295,14 +317,16 @@ def test_identities_tolerance_is_an_unknown_key(tmp_path):
 
 
 def test_nan_central_charge_fails(tmp_path, capsys):
-    # at z = 3 + i the order-80 I-series overflows to NaN on the minus side;
-    # max(worst, nan) would keep worst = 0 and pass fm-continuation
+    # at z = 3 + i the order-80 I-series overflows on the minus side; a NaN
+    # value there once passed fm-continuation, and now i_function raises
     path = tmp_path / "rc.json"
     path.write_text(json.dumps({"z_eval": [[3, 1], [2, 0]]}))
     assert main(["verify", "--suite", "central-charge", "--config", str(path)]) == 1
     cases = {c["case"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
-    assert cases["fm-continuation"]["status"] == "fail"
-    assert cases["fm-continuation"]["max_rel_err"] is None
+    case = cases["fm-continuation"]
+    assert case["status"] == "error" and case["max_rel_err"] is None
+    assert case["params"]["error"].startswith("NonFiniteError: I-series coefficient")
+    assert cases["linearity"]["status"] == cases["leading-asymptotics"]["status"] == "pass"
 
 
 # every case that accumulates an error in numkernel.worst_error, directly

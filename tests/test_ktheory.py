@@ -57,6 +57,7 @@ def test_binomial_product_small_cases():
     {(0, 0): Fraction(1, 2)},  # was the zero character
     {(0, 0): 1.5},  # was multiplicity 1
     {(0.5, 0): 1},  # was the weight (0, 0)
+    {(0, 0): math.inf},  # was an OverflowError
 ])
 def test_virtual_character_rejects_a_non_integral_entry(terms):
     with pytest.raises(ValueError, match="not an exact integer"):
@@ -243,6 +244,20 @@ def test_euler_characteristic_linear(cfg21):
     b = unit_class(cfg21, "minus")
     total = euler_characteristic(cfg21, a + b)
     assert abs(total - euler_characteristic(cfg21, a) - euler_characteristic(cfg21, b)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["cfg21", "cfg32"])
+def test_euler_characteristic_takes_a_class_through_its_chern_character(fixture, request):
+    # one evaluation path: a class's values are chern_character's, the
+    # factored form for a hinted class and the expanded sum for a combination
+    cfg = request.getfixturevalue(fixture)
+    hinted = generator_e(cfg, fixed_point_deltas(cfg)[0])
+    combo = _random_combo(cfg, random.Random(5))
+    for A in (hinted, combo):
+        for scale in (1.0, TWO_PI_I / (3 + 1j)):
+            values = chern_character(cfg, A, scale)
+            assert euler_characteristic(cfg, A, scale=scale) == \
+                euler_characteristic(cfg, values, A.side, scale)
 
 
 def test_chi_z_at_2pi_i_reduces_to_plain_chi(cfg21):

@@ -20,14 +20,12 @@ from flopwall.ktheory import (
     unit_class,
 )
 from flopwall.numkernel import MultiPoly, PoleError, sin_over_2i
+from flopwall import wallcross
 from flopwall.wallcross import (
     LocalizedCohClass,
     PsiContext,
-    _antisym_lhs_value,
-    _antisym_rhs_value,
+    _antisym_sides,
     antisym_identity_check,
-    antisym_lhs_poly,
-    antisym_rhs_poly,
     basis_class,
     coeff_C,
     coeff_CH,
@@ -158,16 +156,24 @@ def test_uh_ch_commutes_with_fm(fixture, request):
 # antisymmetric identity
 # ----------------------------------------------------------------------
 
+def _symbolic_sides(r):
+    """Both sides of the identity in MultiPoly variables x_1..x_r, z_1..z_r."""
+    nv = 2 * r
+    x = [MultiPoly.variable(nv, i) for i in range(r)]
+    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
+    return _antisym_sides(x, z, MultiPoly.constant(nv, 1))
+
+
 def test_antisym_r1_trivial():
     rep = antisym_identity_check(1, samples=5, seed=0)
     assert rep.ok
-    assert antisym_lhs_poly(1) == antisym_rhs_poly(1)
+    lhs, rhs = _symbolic_sides(1)
+    assert lhs == rhs == MultiPoly.constant(2, 1)
 
 
 def test_antisym_r2_expansion_matches_hand_oracle():
     # hand expansion of the two-permutation sum
-    lhs = antisym_lhs_poly(2)
-    rhs = antisym_rhs_poly(2)
+    lhs, rhs = _symbolic_sides(2)
     assert lhs == rhs
     # (z_2 - z_1)(x_1 - x_2): check two representative coefficients
     assert rhs.coefficient((1, 0, 0, 1)) == 1     # x_1 z_2
@@ -190,9 +196,9 @@ def test_antisym_sampled(r):
 
 def test_antisym_leading_monomial_sign():
     for r in (2, 3, 4):
-        lhs = antisym_lhs_poly(r)
+        lhs, _ = _symbolic_sides(r)
         exp = tuple(range(r)) + tuple(range(r))
-        assert lhs.coefficient(exp) == F((-1) ** (r * (r - 1) // 2))
+        assert lhs.coefficient(exp) == (-1) ** (r * (r - 1) // 2)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -203,7 +209,8 @@ def test_antisym_random_points_r3(seed):
 
 
 # The right-hand side as defined, a signed sum over all r! permutations: the
-# independent oracle for its determinant form.
+# independent oracle for its determinant form.  Ring operations only, so it
+# runs on MultiPoly variables as on numbers.
 
 def _perm_sign(perm) -> int:
     sign = 1
@@ -218,19 +225,26 @@ def _leibniz_rhs(xs, zs, one):
     r = len(xs)
     out = one - one
     for perm in permutations(range(r)):
-        term = one * _perm_sign(perm)
+        term = one
         for l in range(r):
             for j in range(r):
                 if j != perm[l]:
                     term = term * (xs[j] - zs[l])
-        out = out + term
+        out = out + term if _perm_sign(perm) > 0 else out - term
     return out
 
 
 def _random_point(rng, r):
+    """A rational point drawn as antisym_identity_check draws its samples."""
     xs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
     zs = [F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
     return xs, zs
+
+
+def _cleared(xs, zs):
+    """The point times the lcm D of its denominators, as ints, and D."""
+    den = math.lcm(*(v.denominator for v in xs + zs))
+    return [int(v * den) for v in xs], [int(v * den) for v in zs], den
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -238,57 +252,105 @@ def test_antisym_determinant_matches_leibniz_symbolic(r):
     nv = 2 * r
     x = [MultiPoly.variable(nv, i) for i in range(r)]
     z = [MultiPoly.variable(nv, r + i) for i in range(r)]
-    assert antisym_rhs_poly(r) == _leibniz_rhs(x, z, MultiPoly.constant(nv, 1))
+    assert _symbolic_sides(r)[1] == _leibniz_rhs(x, z, MultiPoly.constant(nv, 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_antisym_determinant_matches_leibniz_sampled(r):
     rng = random.Random(100 + r)
     for _ in range(4):
-        xs, zs = _random_point(rng, r)
-        assert _antisym_rhs_value(xs, zs) == _leibniz_rhs(xs, zs, F(1))
+        xs, zs, _ = _cleared(*_random_point(rng, r))
+        assert _antisym_sides(xs, zs, 1)[1] == _leibniz_rhs(xs, zs, 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_antisym_determinant_degenerate_points(r):
-    # x_1 = z_0 zeroes Q_{0,0}, so elimination must search for a pivot;
-    # z_0 = z_1 makes two rows of Q equal and x_0 = x_1 two columns.
+    # x_1 = z_0 zeroes Q_{0,0}; z_0 = z_1 makes two rows of Q equal and
+    # x_0 = x_1 two columns
     rng = random.Random(200 + r)
     xs, zs = _random_point(rng, r)
     xs[1] = zs[0]
-    pivot = (xs, zs)
+    zero_entry = _cleared(xs, zs)[:2]
     xs, zs = _random_point(rng, r)
-    rows = (xs, [zs[0], zs[0]] + zs[2:])
+    rows = _cleared(xs, [zs[0], zs[0]] + zs[2:])[:2]
     xs, zs = _random_point(rng, r)
-    cols = ([xs[0], xs[0]] + xs[2:], zs)
-    for xs, zs in (pivot, rows, cols):
-        want = _leibniz_rhs(xs, zs, F(1))
-        assert _antisym_rhs_value(xs, zs) == want == _antisym_lhs_value(xs, zs)
-    assert _antisym_rhs_value(*rows) == 0 and _antisym_rhs_value(*cols) == 0
-    assert _antisym_rhs_value(*pivot) != 0
+    cols = _cleared([xs[0], xs[0]] + xs[2:], zs)[:2]
+    for xs, zs in (zero_entry, rows, cols):
+        lhs, rhs = _antisym_sides(xs, zs, 1)
+        assert rhs == _leibniz_rhs(xs, zs, 1) == lhs
+    assert _antisym_sides(*rows, 1)[1] == 0 and _antisym_sides(*cols, 1)[1] == 0
+    assert _antisym_sides(*zero_entry, 1)[1] != 0
 
 
 @pytest.mark.parametrize("r", [8, 10])
 def test_antisym_determinant_sampled_large_r(r):
     rng = random.Random(300 + r)
     for _ in range(3):
-        xs, zs = _random_point(rng, r)
-        assert _antisym_rhs_value(xs, zs) == _antisym_lhs_value(xs, zs)
+        xs, zs, _ = _cleared(*_random_point(rng, r))
+        lhs, rhs = _antisym_sides(xs, zs, 1)
+        assert lhs == rhs != 0
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_antisym_perturbed_rhs_differs(r):
     # negative control: moving one z in the right-hand side alone breaks it
     rng = random.Random(400 + r)
-    xs, zs = _random_point(rng, r)
-    bumped = zs[:-1] + [zs[-1] + F(1, 7)]
-    assert _antisym_rhs_value(xs, bumped) != _antisym_lhs_value(xs, zs)
+    xs, zs, _ = _cleared(*_random_point(rng, r))
+    bumped = zs[:-1] + [zs[-1] + 1]
+    assert _antisym_sides(xs, bumped, 1)[1] != _antisym_sides(xs, zs, 1)[0]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_antisym_determinant_sign_control(r):
     # negative control: a determinant with the wrong overall sign must fail
-    assert antisym_rhs_poly(r) != -antisym_lhs_poly(r)
+    lhs, rhs = _symbolic_sides(r)
+    assert rhs != MultiPoly(2 * r) - lhs
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_antisym_check_fails_with_one_wrong_factor_of_q(monkeypatch, r):
+    # negative control: Q_{0,0} takes x_1 + z_0 for its factor x_1 - z_0
+    def q_entry(xs, zs, l, j, one):
+        out = one
+        for jp, x in enumerate(xs):
+            if jp != j:
+                out = out * (x + zs[l] if (l, j, jp) == (0, 0, 1) else x - zs[l])
+        return out
+
+    monkeypatch.setattr(wallcross, "_antisym_q_entry", q_entry)
+    rep = antisym_identity_check(r, samples=20, seed=0)
+    assert not rep.ok and not rep.samples_ok
+    assert rep.symbolic_checked == (r <= 4)
+    if r <= 4:
+        assert not rep.symbolic_ok
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_antisym_samples_are_the_seeded_points_cleared_of_denominators(monkeypatch, r):
+    # the sampled check evaluates the seeded rational points times the lcm D
+    # of their denominators; each side is homogeneous of degree r(r-1), so
+    # there it is D^{r(r-1)} times its value at the rational point
+    seen = []
+
+    def record(xs, zs, one):
+        if one == 1:
+            seen.append((xs, zs))
+        return _antisym_sides(xs, zs, one)
+
+    monkeypatch.setattr(wallcross, "_antisym_sides", record)
+    for seed in (0, 5):
+        seen.clear()
+        assert antisym_identity_check(r, samples=4, seed=seed).ok
+        rng = random.Random(seed)
+        assert len(seen) == 4
+        for xs, zs in seen:
+            rational = _random_point(rng, r)
+            assert _cleared(*rational)[:2] == (xs, zs)
+            den = _cleared(*rational)[2]
+            for at_int, at_rational in zip(_antisym_sides(xs, zs, 1),
+                                           _antisym_sides(*rational, F(1))):
+                assert type(at_int) is int
+                assert at_int == den ** (r * (r - 1)) * at_rational
 
 
 # ----------------------------------------------------------------------
