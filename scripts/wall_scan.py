@@ -18,7 +18,7 @@ import sys
 
 from flopwall.cli import RunConfig
 from flopwall.hypergeom import PathSpec, barnes_integrate, h_series
-from flopwall.wallcross import coeff_C
+from flopwall.wallcross import transition_matrix
 
 
 def main() -> int:
@@ -38,7 +38,7 @@ def main() -> int:
     path = PathSpec.standard(cfg)
     plus = [h_series(cfg, "plus", (l,), args.order) for l in range(n)]
     minus = [h_series(cfg, "minus", (k,), args.order) for k in range(n)]
-    transfer = [[coeff_C(cfg, (k,), (l,)) for k in range(n)] for l in range(n)]
+    transfer = transition_matrix(cfg, "C").entries  # transfer[k][l] = C((k,), (l,))
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -58,7 +58,7 @@ def main() -> int:
                 if w.real < -0.5:
                     ref = plus[l].eval(w)
                 elif w.real > 0.5:
-                    ref = sum(transfer[l][k] * minus[k].eval(-w) for k in range(n))
+                    ref = sum(transfer[k][l] * minus[k].eval(-w) for k in range(n))
                 else:
                     ref = None
                 if ref is None:

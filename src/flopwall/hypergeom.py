@@ -55,11 +55,11 @@ from .numkernel import (
 from .wallcross import (
     LocalizedCohClass,
     PsiContext,
-    coeff_C,
     gamma_class,
     pairing,
     psi_apply,
     psi_on_coh,
+    transition_matrix,
 )
 
 
@@ -936,6 +936,7 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
     w_out = math.log(q_outside) + 1j * h
 
     minus = [h_series(config, "minus", (k,), order) for k in range(n)]
+    coeffs = transition_matrix(config, "C").entries  # coeffs[k][l] = C((k,), (l,))
     inside_err = {}
     outside_err = {}
     for l in range(n):
@@ -944,9 +945,7 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         b_in = barnes_integrate(w_in, config, l, tol=max(1e-12, tol * abs(s_in) / 10.0))
         inside_err[(l,)] = abs(b_in - s_in) / abs(s_in)
 
-        target = sum(
-            coeff_C(config, (k,), (l,)) * minus[k].eval(-w_out) for k in range(n)
-        )
+        target = sum(coeffs[k][l] * minus[k].eval(-w_out) for k in range(n))
         b_out = barnes_integrate(w_out, config, l, tol=max(1e-12, tol * abs(target) / 10.0))
         outside_err[(l,)] = abs(b_out - target) / abs(target)
 
@@ -958,7 +957,7 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         b = np.array([barnes_integrate(wm, config, l, tol=1e-12) for wm in sample_ws])
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         for k in range(n):
-            want = coeff_C(config, (k,), (l,))
+            want = coeffs[k][l]
             worst = worst_error(worst, abs(sol[k] - want) / abs(want))
     return ContinuationReport(
         config=config, inside_err=inside_err, outside_err=outside_err, coeff_err=worst

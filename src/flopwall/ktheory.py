@@ -113,9 +113,6 @@ class VirtualCharacter:
     def __eq__(self, other) -> bool:
         return isinstance(other, VirtualCharacter) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def evaluate(self, xs: Sequence[complex], zs: Sequence[complex], scale: complex = 1.0) -> complex:
         """Chern-character value: sum of c * exp(scale * <w, (x, z)>)."""
         total = 0j

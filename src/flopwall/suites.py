@@ -56,9 +56,9 @@ from .wallcross import (
     PsiContext,
     antisym_identity_check,
     coeff_C,
-    coeff_CH,
     pairing,
     psi_apply,
+    transition_matrix,
     u_apply,
     u_matrix_numeric,
     uh_apply,
@@ -252,10 +252,8 @@ def ktheory_suite(env: SuiteEnv) -> list:
         def thunk(n=n, r=r):
             cfg = env.config_for(n, r)
             deltas = fixed_point_deltas(cfg)
-            mat = np.array(
-                [[chern_character(cfg, fm_generator_formula(cfg, dm))[dp] for dp in deltas]
-                 for dm in deltas]
-            )
+            chs = [chern_character(cfg, fm_generator_formula(cfg, dm)) for dm in deltas]
+            mat = np.array([[ch[dp] for dp in deltas] for ch in chs])
             svals = np.linalg.svd(mat, compute_uv=False)
             ratio = svals[-1] / svals[0]
             return _bool_case(ratio > 1e-10, ratio)
@@ -305,12 +303,13 @@ def wallcross_suite(env: SuiteEnv) -> list:
     for r, n in _COLLAPSE_GRID:
         def thunk(n=n, r=r):
             cfg = env.config_for(n, r)
-            deltas = fixed_point_deltas(cfg)
+            C = transition_matrix(cfg, "C")
+            CH = transition_matrix(cfg, "CH")
+            ch_row = dict(zip(CH.rows, CH.entries))
             worst = 0.0
-            for dm in deltas:
-                for dp in deltas:
-                    terms = [coeff_CH(cfg, perm, dp) for perm in permutations(dm)]
-                    want = coeff_C(cfg, dm, dp)
+            for dm, c_row in zip(C.rows, C.entries):
+                for col, want in enumerate(c_row):
+                    terms = [ch_row[perm][col] for perm in permutations(dm)]
                     # the orbit sum can cancel hugely at unlucky draws; the
                     # triangle bound is the honest accuracy scale then
                     scale = max(abs(want), sum(abs(t) for t in terms) * 1e-2)

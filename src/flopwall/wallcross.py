@@ -5,6 +5,8 @@ Everything acts in restriction coordinates: a cohomology class on one side
 is the vector of its values at that side's fixed points.  Expanding a class
 in the fixed-point basis [pt_d]/e(N_d) shows that the transfer map acts on
 restriction vectors simply as (U_H b)|_dp = sum_dm C(dm, dp) * b|_dm.
+The coefficients C, CK and CH all come from one kernel per (config,
+scale), which computes each exponential and sine it needs once.
 """
 
 from __future__ import annotations
@@ -39,58 +41,65 @@ from .numkernel import (
 # Transfer coefficients
 # ----------------------------------------------------------------------
 
+class _Lazy(dict):
+    """Index pair -> ``fn(i, j)``, computed on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+def _coeff_kernel(config: FlopConfig, scale: complex):
+    """Transfer coefficients of one (config, scale), as ``entry(kind, row, col)``.
+
+    The row is the minus-side tuple (an increasing delta for 'C', any
+    function tuple f for 'CK', an injective one for 'CH') and the column
+    the increasing plus-side delta, paired slot by slot:
+
+    C  = prod_i exp((n-r)(x_{dp_i} - z_{dm_i})/2) *
+         prod_{j not in dm} sin((x_{dp_i} - z_j)/2i) / sin((z_{dm_i} - z_j)/2i)
+    CK = the same with the sine product over j != f_i, defined for
+         non-injective f as well
+    CH = CK * prod_{i<k} sin((z_{f_i} - z_{f_k})/2i) / sin((x_{dp_i} - x_{dp_k})/2i),
+         which vanishes on a repeated index; summed over the S_r-orbit of an
+         increasing delta it recovers C
+
+    at weights multiplied by ``scale``.  Every sine is one of
+    sin((w_p - w_q)/2i) over the weights w = (x, z), kept in one table keyed
+    by the index pair (p, q); each exponential and sine is computed once per
+    kernel, on first use.
+    """
+    n, r = config.n, config.r
+    xs, zs = config.complex_weights(scale)
+    ws = xs + zs
+    ex = _Lazy(lambda a, b: cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0))
+    sin = _Lazy(lambda p, q: sin_over_2i(ws[p] - ws[q]))
+
+    def entry(kind: str, row, col) -> complex:
+        out = 1.0 + 0j
+        for a, b in zip(col, row):
+            out *= ex[a, b]
+            skip = row if kind == "C" else (b,)
+            for j in range(n):
+                if j not in skip:
+                    out *= sin[a, n + j] / sin[n + b, n + j]
+        if kind == "CH":
+            for i in range(r):
+                for k in range(i + 1, r):
+                    out *= sin[n + row[i], n + row[k]] / sin[col[i], col[k]]
+        return out
+
+    return entry
+
+
 def coeff_C(config: FlopConfig, delta_minus, delta_plus, scale: complex = 1.0) -> complex:
-    """Transfer coefficient between two fixed points, paired in increasing order.
-
-    C = prod_i exp((n-r)(x_{dp_i} - z_{dm_i})/2) *
-        prod_{j not in dm} sin((x_{dp_i} - z_j)/2i) / sin((z_{dm_i} - z_j)/2i)
-
-    evaluated at weights multiplied by ``scale``.
-    """
-    xs, zs = config.complex_weights(scale)
-    n, r = config.n, config.r
-    dm, dp = tuple(delta_minus), tuple(delta_plus)
-    out = 1.0 + 0j
-    for a, b in zip(dp, dm):
-        out *= cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0)
-        for j in range(n):
-            if j not in dm:
-                out *= sin_over_2i(xs[a] - zs[j]) / sin_over_2i(zs[b] - zs[j])
-    return out
-
-
-def coeff_CK(config: FlopConfig, f_minus, delta_plus, scale: complex = 1.0) -> complex:
-    """Abelianized transfer coefficient; f_minus is any function tuple.
-
-    Same exponential prefactor as C but with sine products over all
-    j != f_i, so it is defined for non-injective f as well.
-    """
-    xs, zs = config.complex_weights(scale)
-    n, r = config.n, config.r
-    f, dp = tuple(f_minus), tuple(delta_plus)
-    out = 1.0 + 0j
-    for a, b in zip(dp, f):
-        out *= cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0)
-        for j in range(n):
-            if j != b:
-                out *= sin_over_2i(xs[a] - zs[j]) / sin_over_2i(zs[b] - zs[j])
-    return out
-
-
-def coeff_CH(config: FlopConfig, f_minus, delta_plus, scale: complex = 1.0) -> complex:
-    """CK corrected by the antisymmetrizing sine ratio.
-
-    Vanishes whenever f_minus repeats an index; summing it over the
-    S_r-orbit of an increasing delta_minus recovers coeff_C.
-    """
-    xs, zs = config.complex_weights(scale)
-    r = config.r
-    f, dp = tuple(f_minus), tuple(delta_plus)
-    out = coeff_CK(config, f_minus, delta_plus, scale)
-    for i in range(r):
-        for k in range(i + 1, r):
-            out *= sin_over_2i(zs[f[i]] - zs[f[k]]) / sin_over_2i(xs[dp[i]] - xs[dp[k]])
-    return out
+    """One entry of the 'C' transfer matrix (see ``_coeff_kernel``)."""
+    return _coeff_kernel(config, scale)("C", tuple(delta_minus), tuple(delta_plus))
 
 
 @dataclass(frozen=True)
@@ -119,16 +128,12 @@ def transition_matrix(config: FlopConfig, kind: str = "C", scale: complex = 1.0)
     cols = tuple(fixed_point_deltas(config))
     if kind == "C":
         rows = cols
-        fn = coeff_C
-    elif kind == "CK":
-        rows = tuple(lab.f for lab in enumerate_abelian(config, "minus"))
-        fn = coeff_CK
-    elif kind == "CH":
-        rows = tuple(lab.f for lab in enumerate_abelian(config, "minus", injective_only=True))
-        fn = coeff_CH
+    elif kind in ("CK", "CH"):
+        rows = tuple(lab.f for lab in enumerate_abelian(config, "minus", injective_only=kind == "CH"))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    entries = tuple(tuple(fn(config, rw, cl, scale) for cl in cols) for rw in rows)
+    entry = _coeff_kernel(config, scale)
+    entries = tuple(tuple(entry(kind, rw, cl) for cl in cols) for rw in rows)
     return TransitionMatrix(kind=kind, rows=rows, cols=cols, entries=entries)
 
 
@@ -143,14 +148,6 @@ class LocalizedCohClass:
     side: str
     values: dict  # delta tuple -> complex
 
-    def __add__(self, other: "LocalizedCohClass") -> "LocalizedCohClass":
-        if other.side != self.side:
-            raise ValueError("side mismatch")
-        return LocalizedCohClass(self.side, {d: self.values[d] + other.values[d] for d in self.values})
-
-    def scaled(self, c: complex) -> "LocalizedCohClass":
-        return LocalizedCohClass(self.side, {d: c * v for d, v in self.values.items()})
-
 
 def basis_class(config: FlopConfig, side: str, delta) -> LocalizedCohClass:
     delta = tuple(delta)
@@ -163,10 +160,10 @@ def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) 
     """Transfer map in restriction coordinates: (U_H b)|_dp = sum C(dm,dp) b|_dm."""
     if beta.side != "minus":
         raise ValueError("uh_apply expects a minus-side class")
-    deltas = fixed_point_deltas(config)
+    mat = transition_matrix(config, "C", scale)
     values = {}
-    for dp in deltas:
-        values[dp] = sum(coeff_C(config, dm, dp, scale) * beta.values[dm] for dm in deltas)
+    for c, dp in enumerate(mat.cols):
+        values[dp] = sum(row[c] * beta.values[dm] for dm, row in zip(mat.rows, mat.entries))
     return LocalizedCohClass("plus", values)
 
 

@@ -47,10 +47,9 @@ from flopwall.wallcross import (
     LocalizedCohClass,
     PsiContext,
     antisym_identity_check,
-    coeff_C,
-    coeff_CH,
     pairing,
     psi_apply,
+    transition_matrix,
     u_apply,
     u_matrix_numeric,
     uh_apply,
@@ -75,11 +74,12 @@ def test_criterion_02_sr_collapse():
     worst = 0.0
     for r, n in ((2, 3), (2, 4), (3, 5)):
         cfg = default_config(n, r)
-        deltas = fixed_point_deltas(cfg)
-        for dm in deltas:
-            for dp in deltas:
-                total = sum(coeff_CH(cfg, f, dp) for f in permutations(dm))
-                want = coeff_C(cfg, dm, dp)
+        C = transition_matrix(cfg, "C")
+        CH = transition_matrix(cfg, "CH")
+        ch_row = dict(zip(CH.rows, CH.entries))
+        for dm, c_row in zip(C.rows, C.entries):
+            for col, want in enumerate(c_row):
+                total = sum(ch_row[f][col] for f in permutations(dm))
                 worst = max(worst, abs(total - want) / abs(want))
     _verdict(2, worst < 1e-10, "symmetric-group collapse of ordered transfer coefficients", worst)
 

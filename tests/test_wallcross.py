@@ -19,8 +19,9 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import MultiPoly, PoleError, sin_over_2i
+from flopwall.numkernel import TWO_PI_I, MultiPoly, PoleError, sin_over_2i
 from flopwall import wallcross
+from flopwall.suites import SuiteEnv, collect_cases
 from flopwall.wallcross import (
     LocalizedCohClass,
     PsiContext,
@@ -28,8 +29,6 @@ from flopwall.wallcross import (
     antisym_identity_check,
     basis_class,
     coeff_C,
-    coeff_CH,
-    coeff_CK,
     pairing,
     psi_apply,
     psi_inverse,
@@ -81,15 +80,15 @@ def test_coeff_c_equals_character_ratio(cfg21):
 
 
 def test_ck_ch_reduce_to_c_at_r1(cfg31):
-    for k in range(3):
-        for l in range(3):
-            c = coeff_C(cfg31, (k,), (l,))
-            assert coeff_CK(cfg31, (k,), (l,)) == c
-            assert coeff_CH(cfg31, (k,), (l,)) == c
+    C = transition_matrix(cfg31, "C")
+    for kind in ("CK", "CH"):
+        M = transition_matrix(cfg31, kind)
+        assert M.rows == C.rows and M.entries == C.entries
 
 
 def test_ch_vanishes_on_repeats(cfg32):
-    val = coeff_CH(cfg32, (1, 1), (0, 1))
+    # the CH matrix has injective rows only, so ask the kernel directly
+    val = wallcross._coeff_kernel(cfg32, 1.0)("CH", (1, 1), (0, 1))
     assert abs(val) < 1e-15
 
 
@@ -105,12 +104,138 @@ def test_coeff_c_invariant_under_simultaneous_reordering(cfg42):
 @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (3, 5)])
 def test_sr_collapse(r, n):
     cfg = random_config(n, r, seed=21)
-    deltas = fixed_point_deltas(cfg)
-    for dm in deltas:
-        for dp in deltas:
-            total = sum(coeff_CH(cfg, f, dp) for f in permutations(dm))
-            want = coeff_C(cfg, dm, dp)
+    C = transition_matrix(cfg, "C")
+    CH = transition_matrix(cfg, "CH")
+    ch_row = dict(zip(CH.rows, CH.entries))
+    for dm, c_row in zip(C.rows, C.entries):
+        for col, want in enumerate(c_row):
+            total = sum(ch_row[f][col] for f in permutations(dm))
             assert abs(total - want) <= 1e-10 * abs(want)
+
+
+# Reference loops, one per kind, written out separately as the kernel's
+# oracle: every entry of the kernel must be the same float.
+
+def _ref_C(config, dm, dp, scale):
+    xs, zs = config.complex_weights(scale)
+    n, r = config.n, config.r
+    out = 1.0 + 0j
+    for a, b in zip(dp, dm):
+        out *= cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0)
+        for j in range(n):
+            if j not in dm:
+                out *= sin_over_2i(xs[a] - zs[j]) / sin_over_2i(zs[b] - zs[j])
+    return out
+
+
+def _ref_CK(config, f, dp, scale):
+    xs, zs = config.complex_weights(scale)
+    n, r = config.n, config.r
+    out = 1.0 + 0j
+    for a, b in zip(dp, f):
+        out *= cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0)
+        for j in range(n):
+            if j != b:
+                out *= sin_over_2i(xs[a] - zs[j]) / sin_over_2i(zs[b] - zs[j])
+    return out
+
+
+def _ref_CH(config, f, dp, scale):
+    xs, zs = config.complex_weights(scale)
+    out = _ref_CK(config, f, dp, scale)
+    for i in range(config.r):
+        for k in range(i + 1, config.r):
+            out *= sin_over_2i(zs[f[i]] - zs[f[k]]) / sin_over_2i(xs[dp[i]] - xs[dp[k]])
+    return out
+
+
+_REFS = {"C": _ref_C, "CK": _ref_CK, "CH": _ref_CH}
+
+
+@st.composite
+def _configs(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    r = draw(st.integers(min_value=1, max_value=n - 1))
+    return random_config(n, r, seed=draw(st.integers(min_value=0, max_value=10**6)))
+
+
+@given(_configs(), st.sampled_from([1.0, 2.0, 3.0 + 1j, TWO_PI_I / 2.0, TWO_PI_I / (3.0 + 1j)]))
+@settings(max_examples=30, deadline=None)
+def test_transition_matrix_entries_equal_the_reference_loops(cfg, scale):
+    for kind, ref in _REFS.items():
+        M = transition_matrix(cfg, kind, scale)
+        for rw, row in zip(M.rows, M.entries):
+            for cl, val in zip(M.cols, row):
+                assert val == ref(cfg, rw, cl, scale), (kind, rw, cl)
+                if kind == "C":
+                    assert coeff_C(cfg, rw, cl, scale) == val
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (4, 1), (5, 1), (4, 2), (5, 3), (5, 4)])
+def test_coeff_c_computes_r_exponentials_and_2r_n_minus_r_sines(monkeypatch, n, r):
+    cfg = random_config(n, r, seed=5)
+    sines = _count_calls(monkeypatch, wallcross, "sin_over_2i")
+    exps = _count_calls(monkeypatch, cmath, "exp")
+    dm, dp = tuple(range(r)), tuple(range(n - r, n))
+    coeff_C(cfg, dm, dp, 2.0)
+    assert sines[0] == 2 * r * (n - r)
+    assert exps[0] == r
+
+
+@pytest.mark.parametrize("kind", ["C", "CK", "CH"])
+def test_transition_matrix_computes_each_sine_once(monkeypatch, kind):
+    cfg = random_config(5, 3, seed=5)
+    sines = _count_calls(monkeypatch, wallcross, "sin_over_2i")
+    transition_matrix(cfg, kind)
+    assert 0 < sines[0] <= 3 * cfg.n ** 2
+
+
+def _mutant_kernel(kind_for):
+    """A kernel that answers each kind with the reference loop of ``kind_for[kind]``."""
+    def kernel(config, scale):
+        return lambda kind, row, col: _REFS[kind_for.get(kind, kind)](config, row, col, scale)
+    return kernel
+
+
+def _statuses(prefix):
+    return {c.name: c.thunk()[0] for c in collect_cases(SuiteEnv(), "wallcross")
+            if c.name.startswith(prefix)}
+
+
+def test_reference_kernel_passes_the_wallcross_cases(monkeypatch):
+    monkeypatch.setattr(wallcross, "_coeff_kernel", _mutant_kernel({}))
+    for prefix in ("sr-collapse-", "fm-diagram-", "c-r1-specialization"):
+        statuses = _statuses(prefix)
+        assert statuses and set(statuses.values()) == {"pass"}, statuses
+
+
+def test_dropping_the_ch_pair_ratio_fails_every_collapse_case(monkeypatch):
+    monkeypatch.setattr(wallcross, "_coeff_kernel", _mutant_kernel({"CH": "CK"}))
+    statuses = _statuses("sr-collapse-")
+    assert len(statuses) == 3 and set(statuses.values()) == {"fail"}, statuses
+
+
+def test_ck_skip_rule_for_c_fails_collapse_and_fm_diagram(monkeypatch):
+    monkeypatch.setattr(wallcross, "_coeff_kernel", _mutant_kernel({"C": "CK"}))
+    collapse = _statuses("sr-collapse-")
+    assert len(collapse) == 3 and set(collapse.values()) == {"fail"}, collapse
+    # at r = 1, j not in dm and j != dm_1 are the same rule, so only the
+    # r >= 2 diagrams can see the mutation
+    diagram = _statuses("fm-diagram-")
+    assert diagram == {"fm-diagram-n2-r1": "pass", "fm-diagram-n3-r1": "pass",
+                       "fm-diagram-n3-r2": "fail", "fm-diagram-n4-r2": "fail"}, diagram
 
 
 def test_transition_matrix_shapes(cfg32):
@@ -131,10 +256,7 @@ def test_uh_apply_basis_and_linearity(cfg21):
     for dp in deltas:
         assert abs(b0.values[dp] - coeff_C(cfg21, deltas[0], dp)) < 1e-15
     b1 = uh_apply(cfg21, basis_class(cfg21, "minus", deltas[1]))
-    both = uh_apply(
-        cfg21,
-        basis_class(cfg21, "minus", deltas[0]) + basis_class(cfg21, "minus", deltas[1]).scaled(2.0),
-    )
+    both = uh_apply(cfg21, LocalizedCohClass("minus", {deltas[0]: 1.0 + 0j, deltas[1]: 2.0 + 0j}))
     for dp in deltas:
         assert abs(both.values[dp] - b0.values[dp] - 2.0 * b1.values[dp]) < 1e-14
 
@@ -380,8 +502,8 @@ def test_psi_zero_and_factorization(cfg21):
 
 
 def test_pairing_symmetric_and_unit(cfg21):
-    a = basis_class(cfg21, "minus", (0,)).scaled(1.3 + 0.2j)
-    b = basis_class(cfg21, "minus", (0,)).scaled(0.4 - 2j) + basis_class(cfg21, "minus", (1,))
+    a = LocalizedCohClass("minus", {(0,): 1.3 + 0.2j, (1,): 0j})
+    b = LocalizedCohClass("minus", {(0,): 0.4 - 2j, (1,): 1.0 + 0j})
     assert abs(pairing(cfg21, a, b) - pairing(cfg21, b, a)) < 1e-15
     ones = LocalizedCohClass("minus", {d: 1.0 + 0j for d in fixed_point_deltas(cfg21)})
     from flopwall.flopgeom import FixedPointLabel, euler_class_normal
