@@ -104,11 +104,12 @@ class FlopConfig:
     def fixed_point_table(self) -> dict:
         """(side, delta) -> (exact tangent weights, their product e(N))."""
         table = {}
+        xz = self.x + self.z
         for side in SIDES:
             for delta in fixed_point_deltas(self):
                 label = FixedPointLabel(side, delta)
                 vectors = tangent_weight_vectors(self, label)
-                weights = tuple(weight_value(self, vec) for vec in vectors)
+                weights = tuple(sum(c * w for c, w in zip(vec, xz) if c) for vec in vectors)
                 if 0 in weights:
                     raise DegenerateWeightError(f"zero tangent weight at {label}")
                 euler = Fraction(1)
@@ -204,20 +205,12 @@ def restrict_chern_roots(config: FlopConfig, label: FixedPointLabel) -> list:
     return [-config.x[d] for d in label.delta]
 
 
-def _xvec(i: int, n: int) -> WeightVector:
+def _weight_vector(p: int, q: int, n: int) -> WeightVector:
+    """e_p - e_q in Z^{2n}: index i < n is x_i, index n + j is z_j; zero if p == q."""
     v = [0] * (2 * n)
-    v[i] = 1
+    v[p] = 1
+    v[q] -= 1
     return tuple(v)
-
-
-def _zvec(j: int, n: int) -> WeightVector:
-    v = [0] * (2 * n)
-    v[n + j] = 1
-    return tuple(v)
-
-
-def _vsub(a: WeightVector, b: WeightVector) -> WeightVector:
-    return tuple(p - q for p, q in zip(a, b))
 
 
 def tangent_weight_vectors(config: FlopConfig, label: FixedPointLabel) -> list:
@@ -229,29 +222,18 @@ def tangent_weight_vectors(config: FlopConfig, label: FixedPointLabel) -> list:
     if label.side == "minus":
         for d in delta:
             for j in rest:
-                out.append(_vsub(_zvec(j, n), _zvec(d, n)))
+                out.append(_weight_vector(n + j, n + d, n))
         for d in delta:
             for j in range(n):
-                out.append(_vsub(_zvec(d, n), _xvec(j, n)))
+                out.append(_weight_vector(n + d, j, n))
     else:
         for d in delta:
             for j in rest:
-                out.append(_vsub(_xvec(d, n), _xvec(j, n)))
+                out.append(_weight_vector(d, j, n))
         for d in delta:
             for j in range(n):
-                out.append(_vsub(_zvec(j, n), _xvec(d, n)))
+                out.append(_weight_vector(n + j, d, n))
     return out
-
-
-def weight_value(config: FlopConfig, vec: WeightVector) -> Fraction:
-    n = config.n
-    total = Fraction(0)
-    for i in range(n):
-        if vec[i]:
-            total += vec[i] * config.x[i]
-        if vec[n + i]:
-            total += vec[n + i] * config.z[i]
-    return total
 
 
 def weight_complex(xs: Sequence[complex], zs: Sequence[complex], vec: WeightVector) -> complex:

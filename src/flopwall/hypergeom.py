@@ -982,9 +982,15 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
     one-variable series whose coefficient of degree e sums the compositions
     of e.  The leading coefficient on the plus side is exactly 1.  The
     minus side is the plus side on ``config.flipped()``; only ``ctx.z`` is
-    read from the context.  A composition whose product is not finite (it
-    multiplies out its numerator before it divides) raises NonFiniteError
-    naming delta and its degree e.
+    read from the context.
+
+    Slot k at degree e holds the telescoped product
+    prod_j prod_{h=-e+1}^{0} (z_j - x_dk + h z) / prod_j prod_{h=1}^{e} (x_dk - x_j + h z),
+    built from degree e - 1 by one numerator and one denominator factor per
+    j, interleaved, so the running value stays near the size of the
+    coefficient.  A composition multiplies its r slot values and its pair
+    factors; one whose value is not finite raises NonFiniteError naming
+    delta and its degree e.
     """
     if side == "minus":
         return i_function(config.flipped(), "plus", delta, order, ctx)
@@ -996,18 +1002,22 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
     d = tuple(delta)
 
     offset = sum(xs[i] for i in d) * ctx.inv_z
+    slots = []
+    for dk in d:
+        v = 1.0 + 0j
+        values = [v]
+        for e in range(1, order + 1):
+            hh = 1 - e
+            for j in range(n):
+                v *= zs[j] - xs[dk] + hh * zv
+                v /= xs[dk] - xs[j] + e * zv
+            values.append(v)
+        slots.append(values)
     coeffs: dict = {}
     for es in _compositions_up_to(r, order):
         c = 1.0 + 0j
         for k in range(r):
-            e = es[k]
-            # prod_i prod_{h=-e+1}^{0} (z_i - x_dk + h z) / prod_j prod_{h=1}^{e} (x_dk - x_j + h z)
-            for i in range(n):
-                for hh in range(-e + 1, 1):
-                    c *= zs[i] - xs[d[k]] + hh * zv
-            for j in range(n):
-                for hh in range(1, e + 1):
-                    c /= xs[d[k]] - xs[j] + hh * zv
+            c *= slots[k][es[k]]
         # paired root-factor telescoping: (-1)^m (A + m z)/A per pair i < k
         for k in range(r):
             for i in range(k):

@@ -13,16 +13,14 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence
 
 from .flopgeom import (
     DegenerateWeightError,
     FixedPointLabel,
     FlopConfig,
-    WeightVector,
-    _vsub,
-    _xvec,
-    _zvec,
+    _weight_vector,
     fixed_point_deltas,
     tangent_weight_vectors,
     weight_complex,
@@ -65,42 +63,18 @@ class VirtualCharacter:
         out.terms = {v: c for v, c in terms.items() if c}
         return out
 
-    def _check_nvars(self, other: "VirtualCharacter") -> None:
+    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         if other.nvars != self.nvars:
             raise ValueError("weight vector length mismatch")
-
-    @classmethod
-    def unit(cls, nvars: int) -> "VirtualCharacter":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def line(cls, vec: WeightVector) -> "VirtualCharacter":
-        return cls(len(vec), {tuple(vec): 1})
-
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        self._check_nvars(other)
         terms = dict(self.terms)
         for v, c in other.terms.items():
             terms[v] = terms.get(v, 0) + c
         return VirtualCharacter._canonical(self.nvars, terms)
 
-    def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter._canonical(self.nvars, {v: -c for v, c in self.terms.items()})
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        return self + (-other)
-
-    def __mul__(self, other) -> "VirtualCharacter":
-        if isinstance(other, int):
-            return VirtualCharacter._canonical(self.nvars,
-                                               {v: other * c for v, c in self.terms.items()})
-        self._check_nvars(other)
-        terms: dict = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                v = tuple(a + b for a, b in zip(v1, v2))
-                terms[v] = terms.get(v, 0) + c1 * c2
-        return VirtualCharacter._canonical(self.nvars, terms)
+    def __mul__(self, k: int) -> "VirtualCharacter":
+        if not isinstance(k, int):
+            return NotImplemented
+        return VirtualCharacter._canonical(self.nvars, {v: k * c for v, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -127,12 +101,27 @@ class VirtualCharacter:
 
 
 def binomial_product(nvars: int, vectors) -> VirtualCharacter:
-    """prod (1 - e^w) over the weight vectors, repeats included; 1 if empty."""
-    one = VirtualCharacter.unit(nvars)
-    out = one
+    """prod (1 - e^w) over the weight vectors, repeats included; 1 if empty.
+
+    Each factor is one pass over the terms so far: a term c e^v gives c e^v
+    and then -c e^{v + w}, and the terms that cancel are dropped, so the
+    terms come out in the order of the expanded character product, which
+    ``evaluate`` sums in.  ValueError on a vector of another length than
+    ``nvars`` or with an entry that is not an exact integer; a zero vector
+    makes the product zero.
+    """
+    terms = {(0,) * nvars: 1}
     for vec in vectors:
-        out = out * (one - VirtualCharacter.line(vec))
-    return out
+        vec = tuple(_exact_int(v) for v in vec)
+        if len(vec) != nvars:
+            raise ValueError("weight vector length mismatch")
+        out: dict = {}
+        for v, c in terms.items():
+            out[v] = out.get(v, 0) + c
+            vw = tuple(map(add, v, vec))
+            out[vw] = out.get(vw, 0) - c
+        terms = {v: c for v, c in out.items() if c}
+    return VirtualCharacter._canonical(nvars, terms)
 
 
 @dataclass(frozen=True)
@@ -179,7 +168,7 @@ def unit_class(config: FlopConfig, side: str) -> LocalizedKClass:
 def _generator_vectors(n: int, delta0, delta_minus) -> tuple:
     """The weight vectors z_i - z_j, i in delta0 and j outside delta_minus."""
     rest = [j for j in range(n) if j not in delta_minus]
-    return tuple(_vsub(_zvec(i, n), _zvec(j, n)) for i in delta0 for j in rest)
+    return tuple(_weight_vector(n + i, n + j, n) for i in delta0 for j in rest)
 
 
 def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
@@ -204,7 +193,7 @@ def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
     n = config.n
     rest = [j for j in range(n) if j not in delta_minus]
     return _binomial_class(config, "plus", {
-        dp: tuple(_vsub(_xvec(i, n), _zvec(j, n)) for i in dp for j in rest)
+        dp: tuple(_weight_vector(i, n + j, n) for i in dp for j in rest)
         for dp in fixed_point_deltas(config)
     })
 
@@ -221,14 +210,14 @@ def tilde_tangent_weight_vectors(config: FlopConfig, delta_minus, delta_plus) ->
     for d in dm:
         for j in range(n):
             if j not in dm:
-                out.append(_vsub(_zvec(j, n), _zvec(d, n)))
+                out.append(_weight_vector(n + j, n + d, n))
     for d in dm:
         for e in dp:
-            out.append(_vsub(_zvec(d, n), _xvec(e, n)))
+            out.append(_weight_vector(n + d, e, n))
     for e in dp:
         for k in range(n):
             if k not in dp:
-                out.append(_vsub(_xvec(e, n), _xvec(k, n)))
+                out.append(_weight_vector(e, k, n))
     return out
 
 

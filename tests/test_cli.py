@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from flopwall.cli import RunConfig, _stable_json, emit, main, run_suite
-from flopwall.flopgeom import ConfigError
-from flopwall.hypergeom import h_series
+from flopwall.flopgeom import ConfigError, fixed_point_deltas
+from flopwall.hypergeom import h_series, i_function_factored
+from flopwall.ktheory import unit_class
+from flopwall.wallcross import LocalizedCohClass, PsiContext, pairing, psi_apply
 
 
 def run_cli(args, **kw):
@@ -242,18 +244,31 @@ def test_charge_command_runs(capsys):
     # z^{dim/2} overflows in cmath.exp
     pytest.param(["--class", "e:1", "--w=-1.2,3.1416", "--z", "1e300,0"],
                  "psi factor overflows", id="1e300,0-psi factor overflows"),
-    # the order-80 I-series coefficient at e = 80 is inf/inf on both sides
-    pytest.param(["--class", "1", "--w=-1.5,3.14159", "--z", "3,1", "--side", "minus"],
-                 "I-series coefficient at delta = (0,), degree e = 80",
-                 id="3,1-I-series coefficient"),
 ])
 def test_charge_overflow_is_an_evaluation_error(capsys, argv, raised_by):
-    # the first two used to end in a traceback and exit 1: a NonFiniteError
-    # from the Gamma class, and a raw OverflowError from the psi diagonal
-    # factor; the third exited 0 and printed a null value
+    # both used to end in a traceback and exit 1: a NonFiniteError from the
+    # Gamma class, and a raw OverflowError from the psi diagonal factor
     assert main(["charge"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("evaluation error:") and raised_by in err
+
+
+def test_charge_at_z_3_plus_i_matches_the_factored_form(capsys):
+    # the order-80 I-series at z = 3 + i once overflowed to inf/inf at
+    # e = 80; its coefficients are finite, and the value is the pairing
+    # built from the independent integral-structure form of the I-series
+    argv = ["charge", "--class", "1", "--w=-1.5,3.14159", "--z", "3,1", "--side", "minus"]
+    assert main(argv) == 0
+    got = complex(*json.loads(capsys.readouterr().out)["value"])
+    rc = RunConfig()
+    cfg = rc.flop_config()
+    ctx = PsiContext.create(cfg, "minus", z=3 + 1j)
+    w = -1.5 + 3.14159j
+    i_vals = {d: i_function_factored(cfg, "minus", d, rc.order, ctx.rotated()).eval(w)
+              for d in fixed_point_deltas(cfg)}
+    want = pairing(cfg, LocalizedCohClass("minus", i_vals),
+                   psi_apply(ctx, unit_class(cfg, "minus")))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_barnes_sine_prefactor_overflow_exits_two(capsys, tmp_path):
@@ -316,16 +331,18 @@ def test_identities_tolerance_is_an_unknown_key(tmp_path):
     assert "identities" not in RunConfig().echo()["tol"]
 
 
-def test_nan_central_charge_fails(tmp_path, capsys):
-    # at z = 3 + i the order-80 I-series overflows on the minus side; a NaN
-    # value there once passed fm-continuation, and now i_function raises
+def test_central_charge_at_z_3_plus_i_passes(tmp_path, capsys):
+    # at z = 3 + i the order-80 I-series on the minus side once overflowed:
+    # a NaN there passed fm-continuation with error 0, and later i_function
+    # raised.  Its coefficients are finite now, and the continued charge
+    # agrees with a nonzero error below tol
     path = tmp_path / "rc.json"
     path.write_text(json.dumps({"z_eval": [[3, 1], [2, 0]]}))
-    assert main(["verify", "--suite", "central-charge", "--config", str(path)]) == 1
+    assert main(["verify", "--suite", "central-charge", "--config", str(path)]) == 0
     cases = {c["case"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
     case = cases["fm-continuation"]
-    assert case["status"] == "error" and case["max_rel_err"] is None
-    assert case["params"]["error"].startswith("NonFiniteError: I-series coefficient")
+    assert case["status"] == "pass"
+    assert 0 < case["max_rel_err"] < RunConfig().suite_env().tol("central_charge")
     assert cases["linearity"]["status"] == cases["leading-asymptotics"]["status"] == "pass"
 
 

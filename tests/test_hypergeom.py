@@ -1635,6 +1635,97 @@ def test_i_function_reordering_symmetry(cfg32):
         assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-12 * max(1.0, abs(a.coefficient(e)))
 
 
+def _i_function_oracle(config, side, delta, order, z, shift=0):
+    """35-digit coefficients of the I-series restriction, and per degree the
+    sum of |terms| added into it.
+
+    Each side from its own formula at the exact weights, with the numerator
+    and the denominator of every slot carried as separate running products
+    (no float exponent range to stay inside).  ``shift`` moves h to h + shift
+    in the numerator factors, for a negative control.
+    """
+    with mpmath.workdps(35):
+        x = [mpmath.mpf(v.numerator) / v.denominator for v in config.x]
+        zw = [mpmath.mpf(v.numerator) / v.denominator for v in config.z]
+        zv = mpmath.mpc(z)
+        if side == "plus":
+            own = [x[i] for i in delta]
+            num = [[zj - xd for zj in zw] for xd in own]
+            den = [[xd - xj for xj in x] for xd in own]
+        else:
+            own = [zw[i] for i in delta]
+            num = [[zd - xj for xj in x] for zd in own]
+            den = [[zi - zd for zi in zw] for zd in own]
+        slots = []
+        for k in range(len(delta)):
+            top, bottom, values = mpmath.mpc(1), mpmath.mpc(1), [mpmath.mpc(1)]
+            for e in range(1, order + 1):
+                for a in num[k]:
+                    top *= a + (1 - e + shift) * zv
+                for b in den[k]:
+                    bottom *= b + e * zv
+                values.append(top / bottom)
+            slots.append(values)
+        coeffs, bound = {}, {}
+        for es in iter_product(range(order + 1), repeat=len(delta)):
+            tot = sum(es)
+            if tot > order:
+                continue
+            c = mpmath.fprod(slots[k][e] for k, e in enumerate(es))
+            for k in range(len(delta)):
+                for i in range(k):
+                    A = own[k] - own[i]
+                    m = es[k] - es[i] if side == "plus" else es[i] - es[k]
+                    c *= (-1) ** (m % 2) * (A + m * zv) / A
+            coeffs[tot] = coeffs.get(tot, 0) + c
+            bound[tot] = bound.get(tot, 0) + abs(c)
+        return coeffs, bound
+
+
+def _i_function_oracle_error(config, side, order, ctx, shift=0):
+    """Worst |got - want| / sum |terms| over every delta and degree."""
+    worst = 0.0
+    for d in fixed_point_deltas(config):
+        coeffs, bound = _i_function_oracle(config, side, d, order, ctx.z, shift)
+        got = i_function(config, side, d, order, ctx)
+        assert got.coeffs.keys() == {(e,) for e in coeffs}
+        for e, want in coeffs.items():
+            err = abs(mpmath.mpc(got.coefficient(e)) - want) / bound[e]
+            worst = max(worst, float(err))
+    return worst
+
+
+@pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j])
+@pytest.mark.parametrize("fixture, order", [("cfg21", 80), ("cfg31", 80), ("cfg32", 12)])
+def test_i_function_matches_the_mpmath_oracle(fixture, order, z, request):
+    # order 80 reaches the degrees 60 to 80 whose product once overflowed
+    # at z = 3 + i on the rotated context
+    cfg = request.getfixturevalue(fixture)
+    for side in ("plus", "minus"):
+        ctx = PsiContext.create(cfg, side, z=z)
+        for c in (ctx, ctx.rotated()):
+            assert _i_function_oracle_error(cfg, side, order, c) <= 1e-13, (side, c.z)
+
+
+def test_i_function_oracle_sees_a_shifted_numerator(cfg21):
+    # negative control: h -> h + 1 in the numerator factors must not pass
+    ctx = PsiContext.create(cfg21, "plus", z=3.0 + 1j).rotated()
+    assert _i_function_oracle_error(cfg21, "plus", 12, ctx, shift=1) > 1e-3
+    assert _i_function_oracle_error(cfg21, "plus", 12, ctx) <= 1e-13
+
+
+def test_i_function_raises_on_a_coefficient_that_is_not_finite():
+    # z_0 - x_0 = -2e308 overflows, so the degree-1 coefficient is not
+    # finite; the context is built directly, since create() converts that
+    # tangent weight to a float and overflows first
+    big = Fraction(10 ** 308)
+    cfg = FlopConfig(2, 1, (big, Fraction(0)), (-big, Fraction(1)))
+    ctx = PsiContext(config=cfg, side="plus", log_z=math.log(2.0))
+    with pytest.raises(NonFiniteError, match=re.escape(
+            "I-series coefficient at delta = (0,), degree e = 1")):
+        i_function(cfg, "plus", (0,), 4, ctx)
+
+
 def test_i_restriction_continued_agrees_inside(cfg21):
     # inside the wall the continued restriction equals the assembled series
     z = 2.0 + 0j

@@ -15,7 +15,6 @@ from flopwall.flopgeom import (
     fixed_point_deltas,
     random_config,
     tangent_weight_vectors,
-    weight_value,
 )
 from flopwall.ktheory import (
     LocalizedKClass,
@@ -35,22 +34,22 @@ from flopwall.ktheory import (
 from flopwall.numkernel import TWO_PI_I
 
 
+def _char(terms):
+    return VirtualCharacter(4, terms)
+
+
 def test_binomial_product_small_cases():
-    one = VirtualCharacter.unit(4)
     w1 = (1, 0, 0, -1)
     w2 = (0, 1, -1, 0)
-    assert binomial_product(4, ()) == one
-    assert binomial_product(4, [w1]) == one - VirtualCharacter.line(w1)
-    want = (
-        one
-        - VirtualCharacter.line(w1)
-        - VirtualCharacter.line(w2)
-        + VirtualCharacter.line(tuple(a + b for a, b in zip(w1, w2)))
-    )
-    assert binomial_product(4, [w1, w2]) == want
+    w12 = tuple(a + b for a, b in zip(w1, w2))
+    zero = (0, 0, 0, 0)
+    assert binomial_product(4, ()) == _char({zero: 1})
+    assert binomial_product(4, [w1]) == _char({zero: 1, w1: -1})
+    assert binomial_product(4, [w1, w2]) == _char({zero: 1, w1: -1, w2: -1, w12: 1})
     # a repeated vector is a repeated factor: (1 - e^w)^2
-    twice = one - 2 * VirtualCharacter.line(w1) + VirtualCharacter.line(tuple(2 * a for a in w1))
-    assert binomial_product(4, [w1, w1]) == twice
+    assert binomial_product(4, [w1, w1]) == _char({zero: 1, w1: -2, tuple(2 * a for a in w1): 1})
+    # a zero vector is the factor 1 - e^0 = 0
+    assert binomial_product(4, [w1, zero, w2]).is_zero()
 
 
 @pytest.mark.parametrize("terms", [
@@ -71,10 +70,20 @@ def test_virtual_character_takes_integral_entries_of_any_type():
 
 
 def test_virtual_character_arithmetic_rejects_another_length():
-    two, three = VirtualCharacter.unit(2), VirtualCharacter.unit(3)
-    for op in (lambda: two + three, lambda: three - two, lambda: three * two, lambda: two * three):
+    two, three = VirtualCharacter(2, {(0, 0): 1}), VirtualCharacter(3, {(0, 0, 0): 1})
+    for op in (lambda: two + three, lambda: three + two):
         with pytest.raises(ValueError, match="weight vector length mismatch"):
             op()
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1, 0, 0, -1), (0, 0.5, 0, 0)],  # a non-integral entry
+    [(1, 0, 0, -1), (0, 1, -1)],  # another length
+    [(0, 0, 0, 0), (1, 0, 0)],  # after a zero factor, still checked
+])
+def test_binomial_product_rejects_a_bad_vector(vectors):
+    with pytest.raises(ValueError, match="not an exact integer|weight vector length mismatch"):
+        binomial_product(4, vectors)
 
 
 # The arithmetic builds its results without re-validating its canonical
@@ -89,10 +98,6 @@ def _add_reference(a, b):
     return VirtualCharacter(a.nvars, terms)
 
 
-def _neg_reference(a):
-    return VirtualCharacter(a.nvars, {v: -c for v, c in a.terms.items()})
-
-
 def _mul_reference(a, b):
     if isinstance(b, int):
         return VirtualCharacter(a.nvars, {v: b * c for v, c in a.terms.items()})
@@ -105,11 +110,16 @@ def _mul_reference(a, b):
 
 
 def _binomial_reference(nvars, vectors):
-    one = VirtualCharacter.unit(nvars)
+    """The repeated character product (1 - e^{w_1}) (1 - e^{w_2}) ..."""
+    one = VirtualCharacter(nvars, {(0,) * nvars: 1})
     out = one
     for vec in vectors:
-        out = _mul_reference(out, _add_reference(one, _neg_reference(VirtualCharacter.line(vec))))
+        out = _mul_reference(out, _add_reference(one, VirtualCharacter(nvars, {vec: -1})))
     return out
+
+
+def _items(chi):
+    return chi.nvars, list(chi.terms.items())
 
 
 _vectors = st.tuples(*[st.integers(-1, 1)] * 4)
@@ -118,24 +128,44 @@ _characters = st.dictionaries(_vectors, st.integers(-3, 3), max_size=6).map(
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=_characters, b=_characters, k=st.integers(-2, 2),
-       vectors=st.lists(_vectors, max_size=4))
-def test_virtual_character_arithmetic_equals_the_validated_reference(a, b, k, vectors):
-    def items(chi):
-        return chi.nvars, list(chi.terms.items())
+@given(a=_characters, b=_characters, k=st.integers(-2, 2))
+def test_virtual_character_arithmetic_equals_the_validated_reference(a, b, k):
+    assert _items(a + b) == _items(_add_reference(a, b))
+    assert _items(a * k) == _items(k * a) == _items(_mul_reference(a, k))
 
-    assert items(a + b) == items(_add_reference(a, b))
-    assert items(-a) == items(_neg_reference(a))
-    assert items(a - b) == items(_add_reference(a, _neg_reference(b)))
-    assert items(a * b) == items(_mul_reference(a, b))
-    assert items(a * k) == items(k * a) == items(_mul_reference(a, k))
-    assert items(binomial_product(4, vectors)) == items(_binomial_reference(4, vectors))
+
+# draws from a pool of three vectors, so factors repeat; the zero vector
+# and negative entries are in the pool's range
+_factor_lists = st.lists(_vectors, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=_factor_lists, zero_at=st.none() | st.integers(0, 6))
+def test_binomial_product_equals_the_repeated_product(vectors, zero_at):
+    if zero_at is not None:
+        vectors = vectors[:zero_at] + [(0, 0, 0, 0)] + vectors[zero_at:]
+    got = binomial_product(4, vectors)
+    want = _binomial_reference(4, vectors)
+    assert got == want
+    assert _items(got) == _items(want)
+
+
+def test_binomial_product_keeps_the_order_of_the_repeated_product():
+    # (1 - e^a)^2 (1 - e^{2a}) drops its e^{2a} term, which the factor
+    # 1 - e^{-a} makes again after e^{-a}; a pass that kept the dead key
+    # would sum e^{2a} before e^a
+    a = (1, 0, 0, -1)
+    vectors = [a, a, tuple(2 * v for v in a), tuple(-v for v in a)]
+    got = _items(binomial_product(4, vectors))
+    assert got == _items(_binomial_reference(4, vectors))
+    assert [v for v, _ in got[1]][1:4] == [(-1, 0, 0, 1), (1, 0, 0, -1), (3, 0, 0, -3)]
 
 
 def test_generator_restrictions_exact(cfg21):
     gen = generator_e(cfg21, (0,))
     # at its own point: 1 - e^{z_1 - z_2}
-    want = VirtualCharacter.unit(4) - VirtualCharacter.line((0, 0, 1, -1))
+    want = VirtualCharacter(4, {(0, 0, 0, 0): 1, (0, 0, 1, -1): -1})
     assert gen.restrictions[(0,)] == want
     # vanishes exactly at the other fixed point
     assert gen.restrictions[(1,)].is_zero()
@@ -152,7 +182,9 @@ def test_generator_vanishing_everywhere_else(cfg32):
 
 
 def _tilde_tangent_weights(cfg, dm, dp):
-    return [weight_value(cfg, vec) for vec in tilde_tangent_weight_vectors(cfg, dm, dp)]
+    xz = cfg.x + cfg.z
+    return [sum((c * w for c, w in zip(vec, xz)), Fraction(0))
+            for vec in tilde_tangent_weight_vectors(cfg, dm, dp)]
 
 
 def test_tilde_tangent_weights(cfg21, cfg32):
@@ -170,9 +202,8 @@ def test_fm_closed_formula_r1(cfg21):
     x, z = cfg21.x, cfg21.z
     closed = fm_generator_formula(cfg21, (0,))
     for l in range(2):
-        want = VirtualCharacter.unit(4) - VirtualCharacter.line(
-            tuple((1 if i == l else 0) for i in range(2)) + (0, -1)
-        )
+        line = tuple((1 if i == l else 0) for i in range(2)) + (0, -1)
+        want = VirtualCharacter(4, {(0, 0, 0, 0): 1, line: -1})
         assert closed.restrictions[(l,)] == want
 
 
@@ -268,7 +299,8 @@ def test_chi_z_at_2pi_i_reduces_to_plain_chi(cfg21):
         return VirtualCharacter(char.nvars, {tuple(-a for a in v): c for v, c in char.terms.items()})
 
     prod = LocalizedKClass(
-        "minus", {d: dual(C.restrictions[d]) * D.restrictions[d] for d in C.restrictions}
+        "minus", {d: _mul_reference(dual(C.restrictions[d]), D.restrictions[d])
+                  for d in C.restrictions}
     )
     want = euler_characteristic(cfg21, prod)
     assert abs(got - want) < 1e-12
