@@ -17,6 +17,7 @@ import sys
 from flopwall.cli import RunConfig
 from flopwall.hypergeom import central_charge, central_charge_plus_continued
 from flopwall.ktheory import fm_generator_formula, generator_e
+from flopwall.numkernel import NonFiniteError, PoleError
 from flopwall.wallcross import PsiContext
 
 
@@ -33,8 +34,12 @@ def main() -> int:
         print("charge profile needs r = 1", file=sys.stderr)
         return 2
 
-    ctxm = PsiContext.create(cfg, "minus", z=args.z)
-    ctxp = PsiContext.create(cfg, "plus", z=args.z)
+    try:
+        ctxm = PsiContext.create(cfg, "minus", z=args.z)
+        ctxp = PsiContext.create(cfg, "plus", z=args.z)
+    except (NonFiniteError, PoleError) as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 2
     height = (cfg.n - cfg.r) * math.pi
     dm = (0,)
     Em = generator_e(cfg, dm)

@@ -21,12 +21,15 @@ The two sides are exchanged by the flop involution x -> -z, z -> -x.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Literal, Sequence
+
+from .numkernel import _Lazy
 
 Side = Literal["plus", "minus"]
 
@@ -61,7 +64,9 @@ class FlopConfig:
 
     The instance also holds its weight table: the complex view of x and z,
     built here, and per side and fixed point the exact tangent weights and
-    their Euler class, built on first use (``fixed_point_table``).
+    their Euler class, built on first use (``fixed_point_table``).  ktheory
+    keeps its localization denominators per scale on the instance too
+    (``ktheory._wedges``); all of it lives as long as the instance.
     """
 
     n: int
@@ -102,20 +107,28 @@ class FlopConfig:
 
     @cached_property
     def fixed_point_table(self) -> dict:
-        """(side, delta) -> (exact tangent weights, their product e(N))."""
-        table = {}
+        """(side, delta) -> (exact tangent weights, their product e(N)).
+
+        Every weight is w_p - w_q over w = x + z (``tangent_weight_pairs``).
+        With w = num / den over the lcm den of the denominators, the weight
+        is Fraction(num[p] - num[q], den), built once per pair, and the Euler
+        class is one Fraction: the product of the integer differences over
+        den ** dim.
+        """
         xz = self.x + self.z
+        den = math.lcm(*(w.denominator for w in xz))
+        num = [w.numerator * (den // w.denominator) for w in xz]
+        weight = _Lazy(lambda p, q: Fraction(num[p] - num[q], den))
+        table = {}
         for side in SIDES:
             for delta in fixed_point_deltas(self):
                 label = FixedPointLabel(side, delta)
-                vectors = tangent_weight_vectors(self, label)
-                weights = tuple(sum(c * w for c, w in zip(vec, xz) if c) for vec in vectors)
-                if 0 in weights:
+                pairs = tangent_weight_pairs(self, label)
+                diffs = [num[p] - num[q] for p, q in pairs]
+                if 0 in diffs:
                     raise DegenerateWeightError(f"zero tangent weight at {label}")
-                euler = Fraction(1)
-                for w in weights:
-                    euler *= w
-                table[side, delta] = (weights, euler)
+                table[side, delta] = (tuple(weight[pq] for pq in pairs),
+                                      Fraction(math.prod(diffs), den ** len(diffs)))
         return table
 
     def flipped(self) -> "FlopConfig":
@@ -213,27 +226,22 @@ def _weight_vector(p: int, q: int, n: int) -> WeightVector:
     return tuple(v)
 
 
-def tangent_weight_vectors(config: FlopConfig, label: FixedPointLabel) -> list:
-    """Tangent weights at the fixed point as integer vectors in Z^{2n}."""
+def tangent_weight_pairs(config: FlopConfig, label: FixedPointLabel) -> list:
+    """Tangent weights at the fixed point as index pairs (p, q): the weight
+    is w_p - w_q over w = x + z (index i < n is x_i, index n + j is z_j)."""
     n = config.n
     delta = label.delta
     rest = [j for j in range(n) if j not in delta]
-    out = []
     if label.side == "minus":
-        for d in delta:
-            for j in rest:
-                out.append(_weight_vector(n + j, n + d, n))
-        for d in delta:
-            for j in range(n):
-                out.append(_weight_vector(n + d, j, n))
-    else:
-        for d in delta:
-            for j in rest:
-                out.append(_weight_vector(d, j, n))
-        for d in delta:
-            for j in range(n):
-                out.append(_weight_vector(n + j, d, n))
-    return out
+        return ([(n + j, n + d) for d in delta for j in rest]
+                + [(n + d, j) for d in delta for j in range(n)])
+    return ([(d, j) for d in delta for j in rest]
+            + [(n + j, d) for d in delta for j in range(n)])
+
+
+def tangent_weight_vectors(config: FlopConfig, label: FixedPointLabel) -> list:
+    """Tangent weights at the fixed point as integer vectors in Z^{2n}."""
+    return [_weight_vector(p, q, config.n) for p, q in tangent_weight_pairs(config, label)]
 
 
 def weight_complex(xs: Sequence[complex], zs: Sequence[complex], vec: WeightVector) -> complex:

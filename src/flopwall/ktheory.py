@@ -25,7 +25,7 @@ from .flopgeom import (
     tangent_weight_vectors,
     weight_complex,
 )
-from .numkernel import TWO_PI_I, _exact_int
+from .numkernel import TWO_PI_I, _Lazy, _exact_int
 
 
 class VirtualCharacter:
@@ -230,6 +230,30 @@ def _wedge_dual_value(xs, zs, vectors, scale: complex) -> complex:
     return total
 
 
+def _wedges(config: FlopConfig, scale: complex) -> _Lazy:
+    """The localization denominators of one (config, scale), each built on
+    first use and held on the instance for its lifetime.
+
+    Key (side, delta) gives wedge(N_delta) over the fixed point's tangent
+    weights; key (delta_minus, delta_plus) gives wedge(N_(dm,dp)) over the
+    common resolution's.  Each is ``_wedge_dual_value`` at ``scale``.
+    """
+    memo = config.__dict__.setdefault("_wedges", {})
+    wedges = memo.get(scale)
+    if wedges is None:
+        xs, zs = config.complex_weights()
+
+        def wedge(a, b) -> complex:
+            if isinstance(a, str):
+                vectors = tangent_weight_vectors(config, FixedPointLabel(a, b))
+            else:
+                vectors = tilde_tangent_weight_vectors(config, a, b)
+            return _wedge_dual_value(xs, zs, vectors, scale)
+
+        wedges = memo[scale] = _Lazy(wedge)
+    return wedges
+
+
 def chern_character(config: FlopConfig, A: LocalizedKClass, scale: complex = 1.0) -> dict:
     """Restriction vector of the Chern character at exponent scale ``scale``.
 
@@ -262,16 +286,14 @@ def fm_transform(config: FlopConfig, data, scale: complex = 1.0) -> dict:
         vec = chern_character(config, data, scale)
     else:
         vec = dict(data)
-    xs, zs = config.complex_weights()
+    wedges = _wedges(config, scale)
     deltas = fixed_point_deltas(config)
     out = {}
     for dp in deltas:
-        plus_wedge = _wedge_dual_value(
-            xs, zs, tangent_weight_vectors(config, FixedPointLabel("plus", dp)), scale
-        )
+        plus_wedge = wedges["plus", dp]
         total = 0j
         for dm in deltas:
-            tilde = _wedge_dual_value(xs, zs, tilde_tangent_weight_vectors(config, dm, dp), scale)
+            tilde = wedges[dm, dp]
             if tilde == 0:
                 raise DegenerateWeightError("vanishing localization denominator")
             total += vec[dm] * plus_wedge / tilde
@@ -322,12 +344,10 @@ def euler_characteristic(config: FlopConfig, data, side: str | None = None, scal
         raise ValueError("side is required for numeric restriction data")
     else:
         vec = data
-    xs, zs = config.complex_weights()
+    wedges = _wedges(config, scale)
     total = 0j
     for d, val in vec.items():
-        wedge = _wedge_dual_value(
-            xs, zs, tangent_weight_vectors(config, FixedPointLabel(side, d)), scale
-        )
+        wedge = wedges[side, d]
         if wedge == 0:
             raise DegenerateWeightError("vanishing localization denominator")
         total += val / wedge

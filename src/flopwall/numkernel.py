@@ -1,5 +1,5 @@
-"""Complex special-function kernels, the worst-error accumulator and exact
-multivariate polynomials.
+"""Complex special-function kernels, the worst-error accumulator, a table
+filled on first use, and exact multivariate polynomials.
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
 goes through the complex kernels below.  All functions are pure.  The Gamma
@@ -135,6 +135,19 @@ def worst_error(*terms: float) -> float:
             return math.nan
         worst = max(worst, t)
     return worst
+
+
+class _Lazy(dict):
+    """Key tuple -> ``fn(*key)``, computed on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
 
 
 # ----------------------------------------------------------------------

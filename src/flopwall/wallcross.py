@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .flopgeom import (
@@ -31,6 +31,7 @@ from .numkernel import (
     NonFiniteError,
     PoleError,
     TWO_PI_I,
+    _Lazy,
     gamma,
     is_nonpositive_integer,
     sin_over_2i,
@@ -40,19 +41,6 @@ from .numkernel import (
 # ----------------------------------------------------------------------
 # Transfer coefficients
 # ----------------------------------------------------------------------
-
-class _Lazy(dict):
-    """Index pair -> ``fn(i, j)``, computed on first use."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(*key)
-        return value
-
 
 def _coeff_kernel(config: FlopConfig, scale: complex):
     """Transfer coefficients of one (config, scale), as ``entry(kind, row, col)``.
@@ -278,11 +266,14 @@ class PsiContext:
 
     All z-dependence downstream is taken through log_z, so rotating the
     argument by e^{-i pi} is just log_z - i pi with no branch ambiguity.
+    ``diag`` holds psi's diagonal factor per fixed point of this context,
+    filled by ``psi_diag_factor`` on first use; every context starts empty.
     """
 
     config: FlopConfig
     side: str
     log_z: complex
+    diag: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def create(cls, config: FlopConfig, side: str, z: complex | None = None,
@@ -294,8 +285,15 @@ class PsiContext:
         ctx = cls(config=config, side=side, log_z=log_z)
         inv_z = ctx.inv_z
         for d in fixed_point_deltas(config):
-            for w in tangent_weights(config, FixedPointLabel(side, d)):
-                if is_nonpositive_integer(1.0 + complex(w) * inv_z):
+            for t, w in enumerate(tangent_weights(config, FixedPointLabel(side, d))):
+                try:
+                    wc = complex(w)
+                except OverflowError:
+                    size = math.log10(abs(w.numerator)) - math.log10(w.denominator)
+                    raise NonFiniteError(
+                        f"tangent weight {t} at {side} {d} (|w| ~ 10^{size:.1f}) is not a finite float"
+                    ) from None
+                if is_nonpositive_integer(1.0 + wc * inv_z):
                     raise PoleError(f"1 + w/z hits a Gamma pole for w = {w}")
         return ctx
 
@@ -326,19 +324,23 @@ def gamma_class(config: FlopConfig, side: str, delta, inv_z: complex) -> complex
 
 
 def psi_diag_factor(ctx: PsiContext, delta) -> complex:
-    """Per-fixed-point diagonal factor of psi.
+    """Per-fixed-point diagonal factor of psi, held in ``ctx.diag``.
 
     z^{dim/2} * exp((sum_t w_t / z) log z) * prod_t Gamma(1 + w_t / z),
     over the tangent weights at the fixed point.  Raises NonFiniteError
     where an exponential factor overflows.
     """
-    weight_sum = complex(sum(tangent_weights(ctx.config, FixedPointLabel(ctx.side, delta))))
-    try:
-        out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
-        out *= cmath.exp(weight_sum * ctx.inv_z * ctx.log_z)
-    except OverflowError:
-        raise NonFiniteError(f"psi factor overflows at log z = {ctx.log_z!r}") from None
-    return out * gamma_class(ctx.config, ctx.side, delta, ctx.inv_z)
+    delta = tuple(delta)
+    out = ctx.diag.get(delta)
+    if out is None:
+        weights = tangent_weights(ctx.config, FixedPointLabel(ctx.side, delta))
+        try:
+            out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
+            out *= cmath.exp(complex(sum(weights)) * ctx.inv_z * ctx.log_z)
+        except OverflowError:
+            raise NonFiniteError(f"psi factor overflows at log z = {ctx.log_z!r}") from None
+        out = ctx.diag[delta] = out * gamma_class(ctx.config, ctx.side, delta, ctx.inv_z)
+    return out
 
 
 def psi_on_coh(ctx: PsiContext, beta: LocalizedCohClass) -> LocalizedCohClass:

@@ -65,6 +65,28 @@ def test_report_json_byte_identical(tmp_path):
         assert case["runtime_ms"] is None  # timings excluded by default
 
 
+def _rows(report):
+    return [{k: v for k, v in c.items() if k != "runtime_ms"} for c in report.cases]
+
+
+@pytest.mark.parametrize("payload", [{}, {"weights": {"seed": 7}}], ids=["default", "seed7"])
+def test_no_state_carries_between_cases_or_runs(tmp_path, payload):
+    # the weight table, the wedges and psi's diagonal are held on the
+    # config and context instances of one run: a case reads the same alone
+    # and after every other suite, and a second run repeats the first
+    from flopwall.suites import SUITE_ORDER
+
+    rc = RunConfig.from_json_dict(payload)
+    full = run_suite(rc, "all")
+    alone = [row for name in SUITE_ORDER for row in _rows(run_suite(rc, name))]
+    assert _rows(full) == alone
+    again = run_suite(rc, "all")
+    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+    emit(full, "json", str(f1))
+    emit(again, "json", str(f2))
+    assert f1.read_bytes() == f2.read_bytes()
+
+
 def test_report_csv_and_text(tmp_path):
     rc = RunConfig()
     report = run_suite(rc, "identities")
@@ -251,6 +273,17 @@ def test_charge_overflow_is_an_evaluation_error(capsys, argv, raised_by):
     assert main(["charge"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("evaluation error:") and raised_by in err
+
+
+def test_charge_with_a_weight_beyond_the_float_range_exits_two(tmp_path, capsys):
+    # the tangent weight z_0 - x_0 = -2e308 once escaped PsiContext.create
+    # as a raw OverflowError, a traceback and exit 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "weights": {"x": ["1e308", "0"], "z": ["-1e308", "1"]}}))
+    argv = ["charge", "--class", "1", "--w=-1.5,3.14159", "--z", "2,0", "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("evaluation error: tangent weight 1 at minus (0,)"), err
 
 
 def test_charge_at_z_3_plus_i_matches_the_factored_form(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flopwall import flopgeom
+from flopwall.cli import RunConfig, run_suite
 from flopwall.flopgeom import (
     AbelianLabel,
     ConfigError,
@@ -17,6 +18,7 @@ from flopwall.flopgeom import (
     enumerate_abelian,
     enumerate_fixed_points,
     euler_class_normal,
+    fixed_point_deltas,
     random_config,
     restrict_chern_roots,
     tangent_weights,
@@ -186,3 +188,78 @@ def test_relations_fail_with_the_other_sides_roots(monkeypatch):
         return restrict_chern_roots(config, FixedPointLabel(other, label.delta))
 
     _relations_fail_on_both_sides(monkeypatch, other_side)
+
+
+def _ref_fixed_point_table(cfg):
+    """The Fraction-sum table the integer-numerator builder replaced, kept
+    as its oracle: each weight is the sum of its integer vector against
+    (x, z), and the Euler class their running product."""
+    n = cfg.n
+    xz = cfg.x + cfg.z
+
+    def vec(p, q):
+        v = [0] * (2 * n)
+        v[p] = 1
+        v[q] -= 1
+        return v
+
+    table = {}
+    for side in ("plus", "minus"):
+        for delta in fixed_point_deltas(cfg):
+            rest = [j for j in range(n) if j not in delta]
+            if side == "minus":
+                vectors = ([vec(n + j, n + d) for d in delta for j in rest]
+                           + [vec(n + d, j) for d in delta for j in range(n)])
+            else:
+                vectors = ([vec(d, j) for d in delta for j in rest]
+                           + [vec(n + j, d) for d in delta for j in range(n)])
+            weights = tuple(sum(c * w for c, w in zip(v, xz) if c) for v in vectors)
+            euler = F(1)
+            for w in weights:
+                euler *= w
+            table[side, delta] = (weights, euler)
+    return table
+
+
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n - 1))),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([F(1, 10), F(1), F(7, 3)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fixed_point_table_equals_the_fraction_sum_oracle(nr, seed, scale):
+    n, r = nr
+    cfg = random_config(n, r, seed=seed, scale=scale)
+    want = _ref_fixed_point_table(cfg)
+    got = cfg.fixed_point_table
+    assert got == want
+    for weights, euler in got.values():
+        assert all(type(w) is F for w in weights) and type(euler) is F
+
+
+def test_tangent_weight_cases_fail_with_a_reversed_minus_pair(monkeypatch):
+    # The flipped config builds its own table: were its plus side derived
+    # from the original's minus side, this reversal would carry over to it
+    # and the involution check would pass on wrong weights.
+    def cases():
+        report = run_suite(RunConfig(), "geometry")
+        return {c["case"]: c["status"] for c in report.cases if c["case"].startswith("tangent-weights-")}
+
+    assert set(cases().values()) == {"pass"}
+    pairs = flopgeom.tangent_weight_pairs
+
+    def reversed_first_minus_pair(config, label):
+        # one pair at one fixed point: reversing the first pair at every
+        # minus point swaps z_j - z_d and z_d - z_j at n = 2 and keeps the
+        # multiset the check compares
+        out = pairs(config, label)
+        if label.side == "minus" and label.delta == tuple(range(config.r)):
+            p, q = out[0]
+            out[0] = (q, p)
+        return out
+
+    monkeypatch.setattr(flopgeom, "tangent_weight_pairs", reversed_first_minus_pair)
+    got = cases()
+    assert len(got) == len(_RELATION_GRID)
+    assert set(got.values()) == {"fail"}

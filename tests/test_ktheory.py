@@ -31,7 +31,9 @@ from flopwall.ktheory import (
     unit_class,
     _wedge_dual_value,
 )
+from flopwall import ktheory
 from flopwall.numkernel import TWO_PI_I
+from flopwall.suites import SuiteEnv, collect_cases
 
 
 def _char(terms):
@@ -371,3 +373,86 @@ def test_fm_restriction_matrix_nonsingular(cfg32):
     )
     svals = np.linalg.svd(mat, compute_uv=False)
     assert svals[-1] / svals[0] > 1e-10
+
+
+def _ref_fm_transform(cfg, vec, scale):
+    """``fm_transform`` on numeric restriction values as the per-call
+    formula: every wedge rebuilt from its weight vectors."""
+    xs, zs = cfg.complex_weights()
+    deltas = fixed_point_deltas(cfg)
+    out = {}
+    for dp in deltas:
+        plus_wedge = _wedge_dual_value(
+            xs, zs, tangent_weight_vectors(cfg, FixedPointLabel("plus", dp)), scale)
+        total = 0j
+        for dm in deltas:
+            tilde = _wedge_dual_value(xs, zs, tilde_tangent_weight_vectors(cfg, dm, dp), scale)
+            total += vec[dm] * plus_wedge / tilde
+        out[dp] = total
+    return out
+
+
+def _ref_euler_characteristic(cfg, vec, side, scale):
+    xs, zs = cfg.complex_weights()
+    total = 0j
+    for d, val in vec.items():
+        total += val / _wedge_dual_value(
+            xs, zs, tangent_weight_vectors(cfg, FixedPointLabel(side, d)), scale)
+    return total
+
+
+@pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j])
+def test_wedges_held_per_scale_equal_the_per_call_formula(cfg32, z):
+    s = TWO_PI_I / z
+    A = generator_e(cfg32, (0, 2)).scaled(2) + unit_class(cfg32, "minus")
+    # interleaved, so that each scale meets the tables the others filled
+    for scale in (1.0, s, -s, 1.0, -s, s, s, 1.0):
+        ch = chern_character(cfg32, A, scale)
+        image = fm_transform(cfg32, A, scale)
+        assert image == _ref_fm_transform(cfg32, ch, scale)
+        assert euler_characteristic(cfg32, A, scale=scale) == _ref_euler_characteristic(
+            cfg32, ch, "minus", scale)
+        assert euler_characteristic(cfg32, image, "plus", scale) == _ref_euler_characteristic(
+            cfg32, image, "plus", scale)
+
+
+def test_second_fm_transform_reads_its_denominators_from_the_instance(cfg32, monkeypatch):
+    calls = []
+    wedge = ktheory._wedge_dual_value
+    monkeypatch.setattr(ktheory, "_wedge_dual_value", lambda *a: calls.append(a) or wedge(*a))
+    s = TWO_PI_I / 2.0
+    A = generator_e(cfg32, (0, 1))
+    k = len(fixed_point_deltas(cfg32))
+    first = fm_transform(cfg32, A, s)
+    # A's factored Chern values, then wedge(N_dp) and wedge(N_(dm,dp))
+    assert len(calls) == k + k + k * k
+    calls.clear()
+    assert fm_transform(cfg32, A, s) == first
+    assert len(calls) == k  # A's Chern values only
+    calls.clear()
+    fm_transform(cfg32, A, -s)  # another scale builds its own
+    assert len(calls) == k + k + k * k
+
+
+_WEDGE_CASES = {"chi-invariance-n2-r1", "chi-invariance-n3-r2",
+                "integral-pairing-z2+0i", "integral-pairing-z3+1i"}
+
+
+def _wedge_case_statuses():
+    env = SuiteEnv()
+    return {c.name: c.thunk()[0] for suite in ("ktheory", "wallcross")
+            for c in collect_cases(env, suite) if c.name in _WEDGE_CASES}
+
+
+def test_a_wedge_memo_keyed_without_the_scale_fails_the_pairing_cases(monkeypatch):
+    assert _wedge_case_statuses() == dict.fromkeys(_WEDGE_CASES, "pass")
+    wedges = ktheory._wedges
+
+    def first_scale_only(config, scale):
+        memo = config.__dict__.setdefault("_unscaled_wedges", {})
+        if not memo:
+            memo[None] = wedges(config, scale)
+        return memo[None]
+
+    monkeypatch.setattr(ktheory, "_wedges", first_scale_only)
+    assert _wedge_case_statuses() == dict.fromkeys(_WEDGE_CASES, "fail")

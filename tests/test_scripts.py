@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/ on the default n = 2, r = 1 instance."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import flopwall
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, returncode=0):
     # the scripts import flopwall; run them against the same copy as the tests
     src = str(Path(flopwall.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -19,8 +20,8 @@ def run_script(name, *args, cwd):
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc.stdout if returncode == 0 else proc.stderr
 
 
 def test_wall_scan_matches_the_series_at_every_reference_point(tmp_path):
@@ -39,3 +40,10 @@ def test_charge_profile_agrees_across_the_wall(tmp_path):
     rel = [float(line.split()[-1]) for line in lines[1:]]
     assert len(rel) == 5  # the default --q-values
     assert max(rel) <= 1e-8
+
+
+def test_charge_profile_reports_a_weight_beyond_the_float_range(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "weights": {"x": ["1e308", "0"], "z": ["-1e308", "1"]}}))
+    err = run_script("charge_profile.py", "--config", str(path), cwd=tmp_path, returncode=2)
+    assert err.startswith("evaluation error: tangent weight 1 at minus (0,)"), err

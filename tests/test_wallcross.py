@@ -19,7 +19,7 @@ from flopwall.ktheory import (
     generator_e,
     unit_class,
 )
-from flopwall.numkernel import TWO_PI_I, MultiPoly, PoleError, sin_over_2i
+from flopwall.numkernel import TWO_PI_I, MultiPoly, NonFiniteError, PoleError, sin_over_2i
 from flopwall import wallcross
 from flopwall.suites import SuiteEnv, collect_cases
 from flopwall.wallcross import (
@@ -577,3 +577,56 @@ def test_u_requires_matching_branch(cfg21):
     ctxp = PsiContext.create(cfg21, "plus", z=2.0 + 0j).rotated()
     with pytest.raises(ValueError):
         u_apply(ctxp, ctxm, basis_class(cfg21, "minus", (0,)))
+
+
+def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
+    sides = []
+    gamma_class = wallcross.gamma_class
+
+    def counted(config, side, delta, inv_z):
+        sides.append(side)
+        return gamma_class(config, side, delta, inv_z)
+
+    monkeypatch.setattr(wallcross, "gamma_class", counted)
+    ctxm = PsiContext.create(cfg32, "minus", z=2.0 + 0j)
+    ctxp = PsiContext.create(cfg32, "plus", z=2.0 + 0j)
+    rows = u_matrix_numeric(ctxp, ctxm)
+    k = len(fixed_point_deltas(cfg32))
+    assert len(rows) == k
+    # each u_apply reads psi's diagonal at every fixed point of both
+    # contexts; the parent computed it k times over, k^2 calls per side
+    assert 0 < sides.count("minus") <= k and 0 < sides.count("plus") <= k
+    assert len(sides) == sides.count("minus") + sides.count("plus")
+    # a new context starts with an empty memo
+    assert PsiContext.create(cfg32, "minus", z=2.0 + 0j).diag == {}
+    assert ctxm.rotated().diag == {}
+
+
+_PSI_CASES = {"integral-pairing-z2+0i", "integral-pairing-z3+1i", "symplectic-pairing", "fm-continuation"}
+
+
+def _psi_case_statuses():
+    env = SuiteEnv()
+    return {c.name: c.thunk()[0] for suite in ("wallcross", "central-charge")
+            for c in collect_cases(env, suite) if c.name in _PSI_CASES}
+
+
+def test_one_psi_memo_shared_across_contexts_fails_the_integral_structure_cases(monkeypatch):
+    assert _psi_case_statuses() == dict.fromkeys(_PSI_CASES, "pass")
+    shared: dict = {}
+    create, rotated = PsiContext.create.__func__, PsiContext.rotated
+
+    def share(ctx):
+        object.__setattr__(ctx, "diag", shared)
+        return ctx
+
+    monkeypatch.setattr(PsiContext, "create", classmethod(lambda cls, *a, **kw: share(create(cls, *a, **kw))))
+    monkeypatch.setattr(PsiContext, "rotated", lambda self: share(rotated(self)))
+    assert _psi_case_statuses() == dict.fromkeys(_PSI_CASES, "fail")
+
+
+def test_psi_context_rejects_a_weight_beyond_the_float_range():
+    cfg = FlopConfig(2, 1, (F(10) ** 308, F(0)), (-F(10) ** 308, F(1)))
+    # z_0 - x_0 = -2e308 overflows complex(); it used to escape as OverflowError
+    with pytest.raises(NonFiniteError, match=r"tangent weight 1 at minus \(0,\)"):
+        PsiContext.create(cfg, "minus", z=2.0)
