@@ -29,8 +29,6 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Literal, Sequence
 
-from .numkernel import _Lazy
-
 Side = Literal["plus", "minus"]
 
 SIDES = ("plus", "minus")
@@ -64,9 +62,7 @@ class FlopConfig:
 
     The instance also holds its weight table: the complex view of x and z,
     built here, and per side and fixed point the exact tangent weights and
-    their Euler class, built on first use (``fixed_point_table``).  ktheory
-    keeps its localization denominators per scale on the instance too
-    (``ktheory._wedges``); all of it lives as long as the instance.
+    their Euler class, built on first use (``fixed_point_table``).
     """
 
     n: int
@@ -111,14 +107,12 @@ class FlopConfig:
 
         Every weight is w_p - w_q over w = x + z (``tangent_weight_pairs``).
         With w = num / den over the lcm den of the denominators, the weight
-        is Fraction(num[p] - num[q], den), built once per pair, and the Euler
-        class is one Fraction: the product of the integer differences over
-        den ** dim.
+        is Fraction(num[p] - num[q], den), and the Euler class is one
+        Fraction: the product of the integer differences over den ** dim.
         """
         xz = self.x + self.z
         den = math.lcm(*(w.denominator for w in xz))
         num = [w.numerator * (den // w.denominator) for w in xz]
-        weight = _Lazy(lambda p, q: Fraction(num[p] - num[q], den))
         table = {}
         for side in SIDES:
             for delta in fixed_point_deltas(self):
@@ -127,7 +121,7 @@ class FlopConfig:
                 diffs = [num[p] - num[q] for p, q in pairs]
                 if 0 in diffs:
                     raise DegenerateWeightError(f"zero tangent weight at {label}")
-                table[side, delta] = (tuple(weight[pq] for pq in pairs),
+                table[side, delta] = (tuple(Fraction(d, den) for d in diffs),
                                       Fraction(math.prod(diffs), den ** len(diffs)))
         return table
 

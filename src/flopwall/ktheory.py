@@ -232,7 +232,8 @@ def _wedge_dual_value(xs, zs, vectors, scale: complex) -> complex:
 
 def _wedges(config: FlopConfig, scale: complex) -> _Lazy:
     """The localization denominators of one (config, scale), each built on
-    first use and held on the instance for its lifetime.
+    first use and held for the config's lifetime in its ``__dict__`` entry
+    ``_wedges``, keyed by scale.
 
     Key (side, delta) gives wedge(N_delta) over the fixed point's tangent
     weights; key (delta_minus, delta_plus) gives wedge(N_(dm,dp)) over the

@@ -14,8 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .flopgeom import (
     FixedPointLabel,
@@ -266,14 +267,17 @@ class PsiContext:
 
     All z-dependence downstream is taken through log_z, so rotating the
     argument by e^{-i pi} is just log_z - i pi with no branch ambiguity.
-    ``diag`` holds psi's diagonal factor per fixed point of this context,
-    filled by ``psi_diag_factor`` on first use; every context starts empty.
     """
 
     config: FlopConfig
     side: str
     log_z: complex
-    diag: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def diag(self) -> dict:
+        """psi's diagonal factor per fixed point of this context, filled by
+        ``psi_diag_factor`` on first use and held on the instance."""
+        return {}
 
     @classmethod
     def create(cls, config: FlopConfig, side: str, z: complex | None = None,

@@ -50,19 +50,21 @@ def test_missing_config_file_exits_two():
 
 
 def test_report_json_byte_identical(tmp_path):
+    # a second run on one RunConfig repeats the first, also over every suite
     rc = RunConfig(seed=5)
-    report1 = run_suite(rc, "identities")
-    report2 = run_suite(rc, "identities")
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit(report1, "json", str(f1))
-    emit(report2, "json", str(f2))
-    assert f1.read_bytes() == f2.read_bytes()
-    data = json.loads(f1.read_text())
-    assert set(data) == {"version", "seed", "config", "cases"}
-    assert data["seed"] == 5
-    for case in data["cases"]:
-        assert set(case) == {"suite", "case", "params", "status", "max_rel_err", "runtime_ms"}
-        assert case["runtime_ms"] is None  # timings excluded by default
+    for suite in ("identities", "all"):
+        report1 = run_suite(rc, suite)
+        report2 = run_suite(rc, suite)
+        f1, f2 = tmp_path / f"{suite}-a.json", tmp_path / f"{suite}-b.json"
+        emit(report1, "json", str(f1))
+        emit(report2, "json", str(f2))
+        assert f1.read_bytes() == f2.read_bytes(), suite
+        data = json.loads(f1.read_text())
+        assert set(data) == {"version", "seed", "config", "cases"}
+        assert data["seed"] == 5
+        for case in data["cases"]:
+            assert set(case) == {"suite", "case", "params", "status", "max_rel_err", "runtime_ms"}
+            assert case["runtime_ms"] is None  # timings excluded by default
 
 
 def _rows(report):
@@ -70,21 +72,15 @@ def _rows(report):
 
 
 @pytest.mark.parametrize("payload", [{}, {"weights": {"seed": 7}}], ids=["default", "seed7"])
-def test_no_state_carries_between_cases_or_runs(tmp_path, payload):
+def test_no_state_carries_between_cases(payload):
     # the weight table, the wedges and psi's diagonal are held on the
     # config and context instances of one run: a case reads the same alone
-    # and after every other suite, and a second run repeats the first
+    # and after every other suite
     from flopwall.suites import SUITE_ORDER
 
     rc = RunConfig.from_json_dict(payload)
-    full = run_suite(rc, "all")
     alone = [row for name in SUITE_ORDER for row in _rows(run_suite(rc, name))]
-    assert _rows(full) == alone
-    again = run_suite(rc, "all")
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit(full, "json", str(f1))
-    emit(again, "json", str(f2))
-    assert f1.read_bytes() == f2.read_bytes()
+    assert _rows(run_suite(rc, "all")) == alone
 
 
 def test_report_csv_and_text(tmp_path):
