@@ -6,13 +6,12 @@ hypergeometric series, and their Mellin-Barnes continuation across the
 wall, together with the verification suites tying them together.
 """
 
-from .flopgeom import FlopConfig, FixedPointLabel, AbelianLabel
+from .flopgeom import FlopConfig, FixedPointLabel
 from .numkernel import MultiPoly, PoleError
 
 __all__ = [
     "FlopConfig",
     "FixedPointLabel",
-    "AbelianLabel",
     "MultiPoly",
     "PoleError",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .flopgeom import ConfigError, FlopConfig, enumerate_fixed_points, random_config
+from .flopgeom import ConfigError, FlopConfig, fixed_point_deltas, random_config
 from .hypergeom import (
     MIN_BARNES_TOL,
     NonConvergenceError,
@@ -76,7 +76,8 @@ class RunConfig:
 
     Weights are given either explicitly (decimal or "p/q" strings) or as
     {"seed", "scale"} for random rational generation, never both; the seed
-    is recorded in every report.
+    is recorded in every report.  A top-level seed beside the weights' seed
+    must equal it.
     """
 
     n: int = 2
@@ -129,7 +130,10 @@ class RunConfig:
             elif weights:
                 kwargs["random_weights"] = True
                 if "seed" in weights:
-                    kwargs["seed"] = int(weights["seed"])
+                    seed = int(weights["seed"])
+                    if kwargs.get("seed", seed) != seed:
+                        raise ConfigError(f"seed {kwargs['seed']} differs from the weights seed {seed}")
+                    kwargs["seed"] = seed
                 if "scale" in weights:
                     kwargs["weight_scale"] = Fraction(str(weights["scale"]))
             if "z_eval" in data:
@@ -325,9 +329,8 @@ def cmd_fixed_points(args) -> int:
     rc = _load_run_config(args)
     cfg = rc.flop_config()
     sides = ("plus", "minus") if args.side == "both" else (args.side,)
-    out = {}
-    for side in sides:
-        out[side] = [[i + 1 for i in lab.delta] for lab in enumerate_fixed_points(cfg, side)]
+    points = [[i + 1 for i in d] for d in fixed_point_deltas(cfg)]
+    out = {side: points for side in sides}
     sys.stdout.write(_stable_json(out) + "\n")
     return 0
 

@@ -17,6 +17,11 @@ restriction at a fixed point gives:
                         u {z_j - x_d : d in delta, all j}
 
 The two sides are exchanged by the flop involution x -> -z, z -> -x.
+
+Every such weight is an index pair (p, q): the weight w_p - w_q over
+w = x + z, index i < n for x_i and n + j for z_j (``tangent_weight_pairs``).
+A fixed point is its delta tuple (``fixed_point_deltas``), with
+``FixedPointLabel`` adding the side where a function needs one.
 """
 
 from __future__ import annotations
@@ -26,16 +31,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
-from typing import Literal, Sequence
+from itertools import combinations
+from typing import Literal
 
 Side = Literal["plus", "minus"]
 
 SIDES = ("plus", "minus")
-
-#: Weight vectors are integer tuples of length 2n: the first n entries pair
-#: with the x weights, the last n with the z weights.
-WeightVector = tuple
 
 
 class ConfigError(ValueError):
@@ -87,7 +88,7 @@ class FlopConfig:
                     raise DegenerateWeightError(f"z[{i}] == z[{j}]")
                 if x[i] == z[j]:
                     raise DegenerateWeightError(f"x[{i}] == z[{j}]")
-        object.__setattr__(self, "_complex", (tuple(map(complex, x)), tuple(map(complex, z))))
+        object.__setattr__(self, "_complex", (_complex_view("x", x), _complex_view("z", z)))
 
     @property
     def dim(self) -> int:
@@ -138,11 +139,25 @@ class FlopConfig:
         return flip
 
 
+def _complex_view(name: str, weights: tuple) -> tuple:
+    """The weights as complex numbers; ConfigError naming one that does not fit a float."""
+    out = []
+    for i, v in enumerate(weights):
+        try:
+            out.append(complex(v))
+        except OverflowError:
+            size = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+            raise ConfigError(f"weight {name}[{i}] (|w| ~ 10^{size:.1f}) does not fit a float") from None
+    return tuple(out)
+
+
 def random_config(n: int, r: int, seed: int, scale=Fraction(1, 10)) -> FlopConfig:
     """Draw generic rational weights p/q, p in [-50, 50], q in [1, 50].
 
     Rejection-sampled until generic; the scale factor (default 1/10) keeps
-    series arguments small.  Deterministic for a fixed seed.
+    series arguments small.  Deterministic for a fixed seed.  Only a
+    degenerate draw is retried: any other ConfigError, such as r outside
+    0 < r < n, no draw can mend, so it is raised.
     """
     rng = random.Random(seed)
     scale = Fraction(scale)
@@ -150,7 +165,7 @@ def random_config(n: int, r: int, seed: int, scale=Fraction(1, 10)) -> FlopConfi
         vals = [Fraction(rng.randint(-50, 50), rng.randint(1, 50)) * scale for _ in range(2 * n)]
         try:
             return FlopConfig(n, r, tuple(vals[:n]), tuple(vals[n:]))
-        except ConfigError:
+        except DegenerateWeightError:
             continue
 
 
@@ -171,34 +186,9 @@ class FixedPointLabel:
         object.__setattr__(self, "delta", delta)
 
 
-@dataclass(frozen=True, order=True)
-class AbelianLabel:
-    """Fixed point of the associated abelian quotient: any function tuple."""
-
-    side: str
-    f: tuple
-
-    def __post_init__(self):
-        _check_side(self.side)
-        object.__setattr__(self, "f", tuple(int(i) for i in self.f))
-
-
-def enumerate_fixed_points(config: FlopConfig, side: str) -> list[FixedPointLabel]:
-    """All C(n, r) labels on the given side, lexicographic."""
-    _check_side(side)
-    return [FixedPointLabel(side, d) for d in combinations(range(config.n), config.r)]
-
-
 def fixed_point_deltas(config: FlopConfig) -> list[tuple]:
+    """All C(n, r) fixed points of either side as increasing r-tuples, lexicographic."""
     return list(combinations(range(config.n), config.r))
-
-
-def enumerate_abelian(config: FlopConfig, side: str, injective_only: bool = False) -> list[AbelianLabel]:
-    """All n^r functions {1..r} -> {1..n}, or the n!/(n-r)! injective ones."""
-    _check_side(side)
-    if injective_only:
-        return [AbelianLabel(side, f) for f in permutations(range(config.n), config.r)]
-    return [AbelianLabel(side, f) for f in product(range(config.n), repeat=config.r)]
 
 
 def restrict_chern_roots(config: FlopConfig, label: FixedPointLabel) -> list:
@@ -212,14 +202,6 @@ def restrict_chern_roots(config: FlopConfig, label: FixedPointLabel) -> list:
     return [-config.x[d] for d in label.delta]
 
 
-def _weight_vector(p: int, q: int, n: int) -> WeightVector:
-    """e_p - e_q in Z^{2n}: index i < n is x_i, index n + j is z_j; zero if p == q."""
-    v = [0] * (2 * n)
-    v[p] = 1
-    v[q] -= 1
-    return tuple(v)
-
-
 def tangent_weight_pairs(config: FlopConfig, label: FixedPointLabel) -> list:
     """Tangent weights at the fixed point as index pairs (p, q): the weight
     is w_p - w_q over w = x + z (index i < n is x_i, index n + j is z_j)."""
@@ -231,22 +213,6 @@ def tangent_weight_pairs(config: FlopConfig, label: FixedPointLabel) -> list:
                 + [(n + d, j) for d in delta for j in range(n)])
     return ([(d, j) for d in delta for j in rest]
             + [(n + j, d) for d in delta for j in range(n)])
-
-
-def tangent_weight_vectors(config: FlopConfig, label: FixedPointLabel) -> list:
-    """Tangent weights at the fixed point as integer vectors in Z^{2n}."""
-    return [_weight_vector(p, q, config.n) for p, q in tangent_weight_pairs(config, label)]
-
-
-def weight_complex(xs: Sequence[complex], zs: Sequence[complex], vec: WeightVector) -> complex:
-    n = len(xs)
-    total = 0j
-    for i in range(n):
-        if vec[i]:
-            total += vec[i] * xs[i]
-        if vec[n + i]:
-            total += vec[n + i] * zs[i]
-    return total
 
 
 def tangent_weights(config: FlopConfig, label: FixedPointLabel) -> tuple:

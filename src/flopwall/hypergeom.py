@@ -82,7 +82,9 @@ class OffsetSeries:
         prefactor * sum_es c_es prod_k q_k^{a_k + e_k},
 
     with ``coeffs`` keyed by exponent tuples es, (e,) for one variable, and
-    ``order`` the truncation of each variable.  ``prefactor`` is scalar
+    ``order`` the truncation of the total degree e_1 + ... + e_r: the
+    constructors here store every es with total degree <= order and no
+    other.  ``prefactor`` is scalar
     metadata multiplying the whole series (kept separate so
     abelian/non-abelian bookkeeping can split it off).
     """
@@ -96,8 +98,7 @@ class OffsetSeries:
         """Value with every variable at log q = w, never a bare q.
 
         Every stored term is summed, in the order of ``coeffs``, which the
-        constructors here fill by increasing exponent; for r > 1 that
-        includes the total degrees above ``order`` that ``specialize`` drops.
+        constructors here fill by increasing exponent.
         """
         a = sum(self.offsets)
         exp = cmath.exp
@@ -107,16 +108,14 @@ class OffsetSeries:
         return total * self.prefactor
 
     def specialize(self) -> "OffsetSeries":
-        """One-variable series at q_1 = ... = q_r = q: offsets add, indices collapse.
-
-        Only total degrees up to ``order`` are kept; past it a box truncation
-        misses most compositions of the degree.
+        """One-variable series at q_1 = ... = q_r = q: offsets add, indices
+        collapse, and the coefficient of degree e sums the stored
+        compositions of e, in the order of ``coeffs``.
         """
         coeffs: dict = {}
         for es, c in self.coeffs.items():
             tot = sum(es)
-            if tot <= self.order:
-                coeffs[tot,] = coeffs.get((tot,), 0j) + c
+            coeffs[tot,] = coeffs.get((tot,), 0j) + c
         return OffsetSeries((sum(self.offsets),), coeffs, self.order, self.prefactor)
 
     @property
@@ -144,22 +143,29 @@ class OffsetSeries:
 
 
 def series_product(factors) -> OffsetSeries:
-    """Outer product of series: offsets and exponent tuples concatenate."""
+    """Outer product of series: offsets and exponent tuples concatenate.
+
+    Its order is the least of the factors', and only the terms of total
+    degree up to it are kept.
+    """
     factors = list(factors)
+    order = min(f.order for f in factors)
     prefactor = 1.0 + 0j
     for f in factors:
         prefactor *= f.prefactor
     coeffs: dict = {}
     for terms in iter_product(*(f.coeffs.items() for f in factors)):
-        es, c = (), 1.0 + 0j
-        for e, ce in terms:
-            es += e
+        es = sum((e for e, _ in terms), ())
+        if sum(es) > order:
+            continue
+        c = 1.0 + 0j
+        for _, ce in terms:
             c *= ce
         coeffs[es] = c
     return OffsetSeries(
         offsets=sum((f.offsets for f in factors), ()),
         coeffs=coeffs,
-        order=min(f.order for f in factors),
+        order=order,
         prefactor=prefactor,
     )
 
@@ -190,6 +196,13 @@ def _u(weight_scale: complex) -> complex:
     return complex(weight_scale) / TWO_PI_I
 
 
+def _compositions_up_to(r: int, order: int) -> list:
+    """Every r-tuple of non-negative integers with sum <= order, lexicographic."""
+    if r == 1:
+        return [(e,) for e in range(order + 1)]
+    return [(e,) + rest for e in range(order + 1) for rest in _compositions_up_to(r - 1, order - e)]
+
+
 def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
     """The 1/Gamma factors of every slot k of d and exponent e <= order.
 
@@ -197,8 +210,9 @@ def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
     1/Gamma(1 + (x_{d_k} - x_j) u + e) and 1/Gamma(1 + (z_j - x_{d_k}) u - e).
     They depend on (k, e) only, so every coefficient of the series reads
     its factors here, and all of them come from one ``recip_gamma`` call.
-    The arguments go to it in the order in which a loop over the exponent
-    box in ``iter_product`` order first meets them, every slot at e = 0 and
+    The arguments go to it in the order in which a loop over the
+    compositions of total degree <= order, in lexicographic order
+    (``_compositions_up_to``), first meets them, every slot at e = 0 and
     then slots r - 1 down to 0 at e = 1, ..., order, so an error is the one
     the scalar call at the first argument that loop rejects would raise
     (``_kernel_values``).
@@ -251,8 +265,8 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
              weight_scale: complex = 1.0) -> OffsetSeries:
     """Fixed-point restriction of the wall-crossing series, curve class zero.
 
-    A series in r variables, one per slot of delta, each truncated at
-    ``order``.  The sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i)
+    A series in r variables, one per slot of delta, truncated at total
+    degree ``order``.  The sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i)
     is carried as metadata, not folded into the coefficients, so the stored
     coefficients are those of the Gamma-product form.  Support is e >= 0 in
     every variable.  The 2n r (order + 1) distinct 1/Gamma factors come from
@@ -294,7 +308,7 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
 
     table = _recip_table(config, d, order, u)
     coeffs: dict = {}
-    for es in iter_product(range(order + 1), repeat=r):
+    for es in _compositions_up_to(r, order):
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
@@ -967,10 +981,6 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
 # ----------------------------------------------------------------------
 # I-series (restrictions) and central charges
 # ----------------------------------------------------------------------
-
-def _compositions_up_to(r: int, order: int):
-    return (es for es in iter_product(range(order + 1), repeat=r) if sum(es) <= order)
-
 
 def i_function(config: FlopConfig, side: str, delta, order: int,
                ctx: PsiContext) -> OffsetSeries:

@@ -6,6 +6,11 @@ points, each restriction a finite integer combination of torus characters
 resolution is computed by localization; for the generator basis the
 transfer simplifies exactly by multiset cancellation of binomial factors
 and is cross-checked against the closed product formula.
+
+A torus weight is an index pair (p, q), the weight w_p - w_q over
+w = x + z (index i < n for x_i, n + j for z_j), as in ``flopgeom``.  The
+keys of a ``VirtualCharacter`` are the one place where a weight is an
+integer vector in Z^{2n}; ``binomial_product`` turns pairs into them.
 """
 
 from __future__ import annotations
@@ -13,17 +18,14 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
 from typing import Mapping, Sequence
 
 from .flopgeom import (
     DegenerateWeightError,
     FixedPointLabel,
     FlopConfig,
-    _weight_vector,
     fixed_point_deltas,
-    tangent_weight_vectors,
-    weight_complex,
+    tangent_weight_pairs,
 )
 from .numkernel import TWO_PI_I, _Lazy, _exact_int
 
@@ -88,10 +90,18 @@ class VirtualCharacter:
         return isinstance(other, VirtualCharacter) and self.terms == other.terms
 
     def evaluate(self, xs: Sequence[complex], zs: Sequence[complex], scale: complex = 1.0) -> complex:
-        """Chern-character value: sum of c * exp(scale * <w, (x, z)>)."""
+        """Chern-character value: sum of c * exp(scale * <w, (x, z)>), each
+        dot product summed over x_0, z_0, x_1, z_1, ... in turn."""
+        n = len(xs)
         total = 0j
         for vec, c in self.terms.items():
-            total += c * cmath.exp(scale * weight_complex(xs, zs, vec))
+            w = 0j
+            for i in range(n):
+                if vec[i]:
+                    w += vec[i] * xs[i]
+                if vec[n + i]:
+                    w += vec[n + i] * zs[i]
+            total += c * cmath.exp(scale * w)
         return total
 
     def __repr__(self):
@@ -100,25 +110,29 @@ class VirtualCharacter:
         return f"VirtualCharacter({len(self.terms)} terms, rank {self.rank()})"
 
 
-def binomial_product(nvars: int, vectors) -> VirtualCharacter:
-    """prod (1 - e^w) over the weight vectors, repeats included; 1 if empty.
+def binomial_product(n: int, pairs) -> VirtualCharacter:
+    """prod (1 - e^{w_p - w_q}) over the index pairs, repeats included; 1 if empty.
 
-    Each factor is one pass over the terms so far: a term c e^v gives c e^v
-    and then -c e^{v + w}, and the terms that cancel are dropped, so the
-    terms come out in the order of the expanded character product, which
-    ``evaluate`` sums in.  ValueError on a vector of another length than
-    ``nvars`` or with an entry that is not an exact integer; a zero vector
-    makes the product zero.
+    The character of 2n variables, keyed by weight vectors in Z^{2n}.  Each
+    factor is one pass over the terms so far: a term c e^v gives c e^v and
+    then -c e^{v + e_p - e_q}, and the terms that cancel are dropped, so
+    the terms come out in the order of the expanded character product,
+    which ``evaluate`` sums in.  ValueError on an index outside 0..2n - 1;
+    a pair (p, p) makes the product zero.
     """
+    nvars = 2 * n
+    indices = range(nvars)
     terms = {(0,) * nvars: 1}
-    for vec in vectors:
-        vec = tuple(_exact_int(v) for v in vec)
-        if len(vec) != nvars:
-            raise ValueError("weight vector length mismatch")
+    for p, q in pairs:
+        if p not in indices or q not in indices:
+            raise ValueError(f"weight index pair {(p, q)} outside 0..{nvars - 1}")
         out: dict = {}
         for v, c in terms.items():
             out[v] = out.get(v, 0) + c
-            vw = tuple(map(add, v, vec))
+            vw = list(v)
+            vw[p] += 1
+            vw[q] -= 1
+            vw = tuple(vw)
             out[vw] = out.get(vw, 0) - c
         terms = {v: c for v, c in out.items() if c}
     return VirtualCharacter._canonical(nvars, terms)
@@ -128,8 +142,8 @@ def binomial_product(nvars: int, vectors) -> VirtualCharacter:
 class LocalizedKClass:
     """K-class stored as one virtual character per fixed point of one side.
 
-    ``factor_vectors``, when present, records that the restriction at each
-    point is the product of (1 - e^w) over the listed weight vectors.  It
+    ``factor_pairs``, when present, records that the restriction at each
+    point is the product of (1 - e^w) over the listed weight pairs.  It
     is purely a numerical-evaluation hint: expanding the product and
     summing exponentials cancels catastrophically when the product is
     tiny, while the factored form keeps full relative accuracy.  Linear
@@ -138,7 +152,7 @@ class LocalizedKClass:
 
     side: str
     restrictions: Mapping  # delta tuple -> VirtualCharacter
-    factor_vectors: Mapping | None = None  # delta tuple -> tuple of weight vectors
+    factor_pairs: Mapping | None = None  # delta tuple -> tuple of weight pairs
 
     def __add__(self, other: "LocalizedKClass") -> "LocalizedKClass":
         if other.side != self.side:
@@ -152,12 +166,12 @@ class LocalizedKClass:
         return LocalizedKClass(self.side, {d: k * v for d, v in self.restrictions.items()})
 
 
-def _binomial_class(config: FlopConfig, side: str, vectors_at: dict) -> LocalizedKClass:
-    """Class restricting at each delta to the binomial product over vectors_at[delta]."""
+def _binomial_class(config: FlopConfig, side: str, pairs_at: dict) -> LocalizedKClass:
+    """Class restricting at each delta to the binomial product over pairs_at[delta]."""
     return LocalizedKClass(
         side,
-        {d: binomial_product(2 * config.n, vecs) for d, vecs in vectors_at.items()},
-        vectors_at,
+        {d: binomial_product(config.n, pairs) for d, pairs in pairs_at.items()},
+        pairs_at,
     )
 
 
@@ -165,10 +179,10 @@ def unit_class(config: FlopConfig, side: str) -> LocalizedKClass:
     return _binomial_class(config, side, {d: () for d in fixed_point_deltas(config)})
 
 
-def _generator_vectors(n: int, delta0, delta_minus) -> tuple:
-    """The weight vectors z_i - z_j, i in delta0 and j outside delta_minus."""
+def _generator_pairs(n: int, delta0, delta_minus) -> tuple:
+    """The weights z_i - z_j, i in delta0 and j outside delta_minus."""
     rest = [j for j in range(n) if j not in delta_minus]
-    return tuple(_weight_vector(n + i, n + j, n) for i in delta0 for j in rest)
+    return tuple((n + i, n + j) for i in delta0 for j in rest)
 
 
 def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
@@ -180,7 +194,7 @@ def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
     exponent appears.
     """
     return _binomial_class(config, "minus", {
-        d0: _generator_vectors(config.n, d0, delta_minus) for d0 in fixed_point_deltas(config)
+        d0: _generator_pairs(config.n, d0, delta_minus) for d0 in fixed_point_deltas(config)
     })
 
 
@@ -193,40 +207,30 @@ def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
     n = config.n
     rest = [j for j in range(n) if j not in delta_minus]
     return _binomial_class(config, "plus", {
-        dp: tuple(_weight_vector(i, n + j, n) for i in dp for j in rest)
+        dp: tuple((i, n + j) for i in dp for j in rest)
         for dp in fixed_point_deltas(config)
     })
 
 
-def tilde_tangent_weight_vectors(config: FlopConfig, delta_minus, delta_plus) -> list:
-    """Tangent weights of the common resolution at the pair (dm, dp).
+def tilde_tangent_weight_pairs(config: FlopConfig, delta_minus, delta_plus) -> list:
+    """Tangent weights of the common resolution at the pair (dm, dp), as
+    index pairs.
 
     Blocks: {z_j - z_d : j not in dm, d in dm}, {z_d - x_e : d in dm, e in dp},
     {x_e - x_k : k not in dp, e in dp}; 2rn - r^2 in total.
     """
     n = config.n
     dm, dp = tuple(delta_minus), tuple(delta_plus)
-    out = []
-    for d in dm:
-        for j in range(n):
-            if j not in dm:
-                out.append(_weight_vector(n + j, n + d, n))
-    for d in dm:
-        for e in dp:
-            out.append(_weight_vector(n + d, e, n))
-    for e in dp:
-        for k in range(n):
-            if k not in dp:
-                out.append(_weight_vector(e, k, n))
-    return out
+    return ([(n + j, n + d) for d in dm for j in range(n) if j not in dm]
+            + [(n + d, e) for d in dm for e in dp]
+            + [(e, k) for e in dp for k in range(n) if k not in dp])
 
 
-def _wedge_dual_value(xs, zs, vectors, scale: complex) -> complex:
-    """prod (1 - e^{-scale * w}) over the weight vectors."""
+def _wedge_dual_value(ws, pairs, scale: complex) -> complex:
+    """prod (1 - e^{-scale * (w_p - w_q)}) over the index pairs, ws = xs + zs."""
     total = 1.0 + 0j
-    for vec in vectors:
-        w = weight_complex(xs, zs, vec)
-        total *= 1.0 - cmath.exp(-scale * w)
+    for p, q in pairs:
+        total *= 1.0 - cmath.exp(-scale * (ws[p] - ws[q]))
     return total
 
 
@@ -243,13 +247,14 @@ def _wedges(config: FlopConfig, scale: complex) -> _Lazy:
     wedges = memo.get(scale)
     if wedges is None:
         xs, zs = config.complex_weights()
+        ws = xs + zs
 
         def wedge(a, b) -> complex:
             if isinstance(a, str):
-                vectors = tangent_weight_vectors(config, FixedPointLabel(a, b))
+                pairs = tangent_weight_pairs(config, FixedPointLabel(a, b))
             else:
-                vectors = tilde_tangent_weight_vectors(config, a, b)
-            return _wedge_dual_value(xs, zs, vectors, scale)
+                pairs = tilde_tangent_weight_pairs(config, a, b)
+            return _wedge_dual_value(ws, pairs, scale)
 
         wedges = memo[scale] = _Lazy(wedge)
     return wedges
@@ -265,8 +270,9 @@ def chern_character(config: FlopConfig, A: LocalizedKClass, scale: complex = 1.0
     cancels to something tiny.
     """
     xs, zs = config.complex_weights()
-    if A.factor_vectors is not None:
-        return {d: _wedge_dual_value(xs, zs, A.factor_vectors[d], -scale) for d in A.restrictions}
+    if A.factor_pairs is not None:
+        ws = xs + zs
+        return {d: _wedge_dual_value(ws, A.factor_pairs[d], -scale) for d in A.restrictions}
     return {d: chi.evaluate(xs, zs, scale) for d, chi in A.restrictions.items()}
 
 
@@ -308,26 +314,22 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
     The localization quotient wedge(N_dp)/wedge(N_(dm,dp)) times the
     generator's own restriction is a ratio of products of binomials
     (1 - e^w); for the generator basis the denominator multiset cancels
-    entirely into the numerator, leaving an exact virtual character.
+    entirely into the numerator, leaving an exact virtual character.  The
+    multisets hold index pairs; the dual weight -w of (p, q) is (q, p).
     """
-    n = config.n
     dm = tuple(delta_minus)
     # generator restriction at dm: factors (1 - e^{z_i - z_j})
-    generator = _generator_vectors(n, dm, dm)
-    vectors_at = {}
+    generator = _generator_pairs(config.n, dm, dm)
+    pairs_at = {}
     for dp in fixed_point_deltas(config):
         num = Counter(generator)
-        den: Counter = Counter()
-        # wedge(N_dp): factors (1 - e^{-w})
-        for vec in tangent_weight_vectors(config, FixedPointLabel("plus", dp)):
-            num[tuple(-a for a in vec)] += 1
-        for vec in tilde_tangent_weight_vectors(config, dm, dp):
-            den[tuple(-a for a in vec)] += 1
-        num.subtract(den)
+        # wedge(N_dp) over wedge(N_(dm,dp)): factors (1 - e^{-w})
+        num.update((q, p) for p, q in tangent_weight_pairs(config, FixedPointLabel("plus", dp)))
+        num.subtract((q, p) for p, q in tilde_tangent_weight_pairs(config, dm, dp))
         if any(c < 0 for c in num.values()):
             raise ArithmeticError("binomial cancellation failed; not a generator transfer")
-        vectors_at[dp] = tuple(sorted(num.elements()))
-    return _binomial_class(config, "plus", vectors_at)
+        pairs_at[dp] = tuple(sorted(num.elements()))
+    return _binomial_class(config, "plus", pairs_at)
 
 
 def euler_characteristic(config: FlopConfig, data, side: str | None = None, scale: complex = 1.0) -> complex:

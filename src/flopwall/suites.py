@@ -21,7 +21,6 @@ from .flopgeom import (
     FixedPointLabel,
     FlopConfig,
     check_relations,
-    enumerate_fixed_points,
     euler_class_normal,
     fixed_point_deltas,
     random_config,
@@ -178,12 +177,12 @@ def geometry_suite(env: SuiteEnv) -> list:
             expected = 2 * r * n - r * r
             all_minus = []
             all_plus_flipped = []
-            for lab in enumerate_fixed_points(cfg, "minus"):
-                tw = tangent_weights(cfg, lab)
+            for d in fixed_point_deltas(cfg):
+                tw = tangent_weights(cfg, FixedPointLabel("minus", d))
                 if len(tw) != expected or any(w == 0 for w in tw):
                     return _bool_case(False)
                 all_minus.extend(tw)
-                plus_lab = FixedPointLabel("plus", lab.delta)
+                plus_lab = FixedPointLabel("plus", d)
                 all_plus_flipped.extend(tangent_weights(flipped, plus_lab))
                 if len(tangent_weights(cfg, plus_lab)) != expected:
                     return _bool_case(False)
@@ -220,8 +219,7 @@ def ktheory_suite(env: SuiteEnv) -> list:
         def thunk(n=n, r=r):
             cfg = env.config_for(n, r)
             worst = 0.0
-            for lab in enumerate_fixed_points(cfg, "minus"):
-                dm = lab.delta
+            for dm in fixed_point_deltas(cfg):
                 closed = fm_generator_formula(cfg, dm)
                 exact = fm_transform_generator_exact(cfg, dm)
                 for dp, chi in closed.restrictions.items():
@@ -238,12 +236,12 @@ def ktheory_suite(env: SuiteEnv) -> list:
     for r, n in _FM_GRID:
         def thunk(n=n, r=r):
             cfg = env.config_for(n, r)
-            for lab in enumerate_fixed_points(cfg, "minus"):
-                e = generator_e(cfg, lab.delta)
+            for dm in fixed_point_deltas(cfg):
+                e = generator_e(cfg, dm)
                 for d0, chi in e.restrictions.items():
-                    if d0 != lab.delta and not chi.is_zero():
+                    if d0 != dm and not chi.is_zero():
                         return _bool_case(False)
-                    if d0 == lab.delta and chi.is_zero():
+                    if d0 == dm and chi.is_zero():
                         return _bool_case(False)
             return _bool_case(True, 0.0)
         cases.append(CaseSpec("ktheory", f"generator-vanishing-n{n}-r{r}", {"n": n, "r": r}, thunk))
@@ -321,8 +319,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
         def thunk(n=n, r=r):
             cfg = env.config_for(n, r)
             worst = 0.0
-            for lab in enumerate_fixed_points(cfg, "minus"):
-                dm = lab.delta
+            for dm in fixed_point_deltas(cfg):
                 ch_e = chern_character(cfg, generator_e(cfg, dm))
                 ch_fm = chern_character(cfg, fm_generator_formula(cfg, dm))
                 image = uh_apply(cfg, LocalizedCohClass("minus", ch_e))
@@ -444,6 +441,8 @@ def continuation_suite(env: SuiteEnv) -> list:
             K = h_series(cfg, "plus", dp, 10)
             factors = [f_factor_series(cfg, dp, k, 10) for k in range(cfg.r)]
             assembled = delta_hat_apply(series_product(factors))
+            if K.coeffs.keys() != assembled.coeffs.keys():
+                return _bool_case(False)
             for es, c in K.coeffs.items():
                 worst = worst_error(worst, abs(c - assembled.coeffs[es]))
         return _err_case(worst, env.tol("structure"))

@@ -17,11 +17,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations, product
 
 from .flopgeom import (
     FixedPointLabel,
     FlopConfig,
-    enumerate_abelian,
     euler_class_normal,
     fixed_point_deltas,
     tangent_weights,
@@ -117,8 +117,10 @@ def transition_matrix(config: FlopConfig, kind: str = "C", scale: complex = 1.0)
     cols = tuple(fixed_point_deltas(config))
     if kind == "C":
         rows = cols
-    elif kind in ("CK", "CH"):
-        rows = tuple(lab.f for lab in enumerate_abelian(config, "minus", injective_only=kind == "CH"))
+    elif kind == "CK":
+        rows = tuple(product(range(config.n), repeat=config.r))
+    elif kind == "CH":
+        rows = tuple(permutations(range(config.n), config.r))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     entry = _coeff_kernel(config, scale)
@@ -136,13 +138,6 @@ class LocalizedCohClass:
 
     side: str
     values: dict  # delta tuple -> complex
-
-
-def basis_class(config: FlopConfig, side: str, delta) -> LocalizedCohClass:
-    delta = tuple(delta)
-    return LocalizedCohClass(
-        side, {d: (1.0 + 0j if d == delta else 0j) for d in fixed_point_deltas(config)}
-    )
 
 
 def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) -> LocalizedCohClass:
@@ -399,23 +394,30 @@ def u_apply(ctx_plus: PsiContext, ctx_minus: PsiContext, beta: LocalizedCohClass
     substitutes lambda -> 2 pi i lambda / z into any function of the
     weights, the transfer coefficients included.
     """
+    _check_u_contexts(ctx_plus, ctx_minus)
+    stripped = psi_inverse(ctx_minus, beta)
+    moved = uh_apply(ctx_minus.config, stripped, scale=ctx_minus.ch_scale)
+    return psi_on_coh(ctx_plus, moved)
+
+
+def _check_u_contexts(ctx_plus: PsiContext, ctx_minus: PsiContext) -> None:
     if ctx_plus.side != "plus" or ctx_minus.side != "minus":
         raise ValueError("contexts must be (plus, minus)")
     if abs(ctx_plus.log_z - ctx_minus.log_z) > 1e-14:
         raise ValueError("contexts must share the same log z")
     if ctx_plus.config is not ctx_minus.config and ctx_plus.config != ctx_minus.config:
         raise ValueError("contexts must share the configuration")
-    stripped = psi_inverse(ctx_minus, beta)
-    moved = uh_apply(ctx_minus.config, stripped, scale=ctx_minus.ch_scale)
-    return psi_on_coh(ctx_plus, moved)
 
 
 def u_matrix_numeric(ctx_plus: PsiContext, ctx_minus: PsiContext):
-    """Matrix of u_apply on the fixed-point basis (row = minus delta)."""
+    """Matrix of u_apply on the fixed-point basis (row = minus delta).
+
+    Entry (dm, dp) is psi_plus(dp) * C(dm, dp) / psi_minus(dm), C at the
+    2 pi i / z - scaled weights, read from one transfer matrix.
+    """
+    _check_u_contexts(ctx_plus, ctx_minus)
     config = ctx_minus.config
-    deltas = fixed_point_deltas(config)
-    rows = []
-    for dm in deltas:
-        img = u_apply(ctx_plus, ctx_minus, basis_class(config, "minus", dm))
-        rows.append([img.values[dp] for dp in deltas])
-    return rows
+    inv_minus = [1 / psi_diag_factor(ctx_minus, dm) for dm in fixed_point_deltas(config)]
+    mat = transition_matrix(config, "C", ctx_minus.ch_scale)
+    plus = [psi_diag_factor(ctx_plus, dp) for dp in mat.cols]
+    return [[p * (c * inv) for p, c in zip(plus, row)] for inv, row in zip(inv_minus, mat.entries)]

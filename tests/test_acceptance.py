@@ -15,7 +15,7 @@ from flopwall.flopgeom import (
     check_relations,
     fixed_point_deltas,
     random_config,
-    tangent_weight_vectors,
+    tangent_weight_pairs,
     tangent_weights,
 )
 from flopwall.hypergeom import (
@@ -130,7 +130,7 @@ def test_criterion_05_euler_chi_z_invariance():
                 out = out + generator_e(cfg, dm).scaled(rng.randint(-3, 3))
             return out
 
-        xs, zs = cfg.complex_weights()
+        ws = sum(cfg.complex_weights(), ())
         for _ in range(5):
             A, B = combo(), combo()
             chi_m = euler_characteristic(cfg, A)
@@ -143,8 +143,8 @@ def test_criterion_05_euler_chi_z_invariance():
                 fb = fm_transform(cfg, B, s)
                 rhs = 0j
                 for dp in fa:
-                    vecs = tangent_weight_vectors(cfg, FixedPointLabel("plus", dp))
-                    rhs += fa[dp] * fb[dp] / _wedge_dual_value(xs, zs, vecs, s)
+                    pairs = tangent_weight_pairs(cfg, FixedPointLabel("plus", dp))
+                    rhs += fa[dp] * fb[dp] / _wedge_dual_value(ws, pairs, s)
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     _verdict(5, worst < 1e-10, "Euler characteristic and modified pairing invariant under FM", worst)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,6 +346,38 @@ def test_runconfig_random_weights():
     cfg2 = rc.flop_config()
     assert cfg1 == cfg2
     assert cfg1.n == 3 and cfg1.r == 2
+
+
+@pytest.mark.parametrize("payload, message", [
+    # no draw mends r = n: the draw was retried for ever
+    ({"n": 2, "r": 2, "weights": {"seed": 1}}, "need 0 < r < n"),
+    # a weight beyond the float range ended in an OverflowError traceback
+    ({"n": 2, "r": 1, "weights": {"x": ["1e309", "0"], "z": ["-1e308", "1"]}},
+     r"weight x\[0\] \(\|w\| ~ 10\^309\.0\) does not fit a float"),
+    ({"weights": {"seed": 1, "scale": "1e400"}}, r"weight x\[\d\] .* does not fit a float"),
+], ids=["r-equals-n", "weight-beyond-float", "scale-beyond-float"])
+def test_a_config_no_draw_can_mend_exits_two(tmp_path, payload, message):
+    # in a subprocess with a timeout, so that a retry loop fails the test
+    # instead of hanging it
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(["fixed-points", "--config", str(path)], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error:"), proc.stderr
+    assert re.search(message, proc.stderr), proc.stderr
+
+
+def test_a_top_level_seed_must_equal_the_weights_seed(tmp_path, capsys):
+    # the top-level seed was dropped for the weights seed without a word
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps({"seed": 3, "weights": {"seed": 5}}))
+    assert main(["fixed-points", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "seed 3 differs from the weights seed 5" in err
+    # equal seeds, as perfbench passes them, stay accepted
+    rc = RunConfig.from_json_dict({"seed": 5, "weights": {"seed": 5}})
+    assert rc.seed == 5 and rc.flop_config() == RunConfig.from_json_dict(
+        {"weights": {"seed": 5}}).flop_config()
 
 
 def test_runconfig_rejects_unknown_tol():

@@ -9,35 +9,35 @@ from hypothesis import strategies as st
 from flopwall import flopgeom
 from flopwall.cli import RunConfig, run_suite
 from flopwall.flopgeom import (
-    AbelianLabel,
     ConfigError,
     DegenerateWeightError,
     FixedPointLabel,
     FlopConfig,
     check_relations,
-    enumerate_abelian,
-    enumerate_fixed_points,
     euler_class_normal,
     fixed_point_deltas,
     random_config,
     restrict_chern_roots,
     tangent_weights,
 )
+from flopwall.wallcross import transition_matrix
 
 F = Fraction
 
 
 def test_enumeration_examples(cfg21, cfg32):
-    assert [lab.delta for lab in enumerate_fixed_points(cfg21, "minus")] == [(0,), (1,)]
-    assert [lab.delta for lab in enumerate_fixed_points(cfg32, "plus")] == [(0, 1), (0, 2), (1, 2)]
+    assert fixed_point_deltas(cfg21) == [(0,), (1,)]
+    assert fixed_point_deltas(cfg32) == [(0, 1), (0, 2), (1, 2)]
     cfg52 = random_config(5, 2, seed=3)
-    assert len(enumerate_fixed_points(cfg52, "plus")) == 10
+    assert len(fixed_point_deltas(cfg52)) == 10
 
 
 def test_abelian_enumeration(cfg21, cfg32):
-    assert [lab.f for lab in enumerate_abelian(cfg21, "minus")] == [(0,), (1,)]
-    assert len(enumerate_abelian(cfg32, "plus")) == 9
-    assert len(enumerate_abelian(cfg32, "plus", injective_only=True)) == 6
+    # the fixed points of the abelian quotient are the rows of CK: every
+    # function tuple; CH keeps the injective ones
+    assert transition_matrix(cfg21, "CK").rows == ((0,), (1,))
+    assert transition_matrix(cfg32, "CK").rows == tuple((i, j) for i in range(3) for j in range(3))
+    assert transition_matrix(cfg32, "CH").rows == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def test_label_validation():
@@ -45,7 +45,6 @@ def test_label_validation():
         FixedPointLabel("plus", (2, 1))
     with pytest.raises(ValueError):
         FixedPointLabel("north", (0,))
-    AbelianLabel("minus", (1, 1))  # repetitions allowed
 
 
 def test_chern_root_restrictions(cfg21, cfg32):
@@ -74,8 +73,8 @@ def test_tangent_weights_plus_oracle(cfg21):
 
 def test_tangent_weight_cardinality(cfg32):
     for side in ("plus", "minus"):
-        for lab in enumerate_fixed_points(cfg32, side):
-            assert len(tangent_weights(cfg32, lab)) == 8  # 2*2*3 - 4
+        for d in fixed_point_deltas(cfg32):
+            assert len(tangent_weights(cfg32, FixedPointLabel(side, d))) == 8  # 2*2*3 - 4
 
 
 def test_euler_class_example(cfg21):
@@ -121,9 +120,9 @@ def test_flop_involution_exchanges_sides(r, n, seed):
     flipped = cfg.flipped()
     minus_all = []
     plus_flipped_all = []
-    for lab in enumerate_fixed_points(cfg, "minus"):
-        minus_all.extend(tangent_weights(cfg, lab))
-        plus_flipped_all.extend(tangent_weights(flipped, FixedPointLabel("plus", lab.delta)))
+    for d in fixed_point_deltas(cfg):
+        minus_all.extend(tangent_weights(cfg, FixedPointLabel("minus", d)))
+        plus_flipped_all.extend(tangent_weights(flipped, FixedPointLabel("plus", d)))
     assert sorted(minus_all) == sorted(plus_flipped_all)
 
 
@@ -132,7 +131,8 @@ def test_flop_involution_exchanges_sides(r, n, seed):
 def test_tangent_count_and_euler_nonzero(seed):
     cfg = random_config(3, 2, seed=seed)
     for side in ("plus", "minus"):
-        for lab in enumerate_fixed_points(cfg, side):
+        for d in fixed_point_deltas(cfg):
+            lab = FixedPointLabel(side, d)
             tw = tangent_weights(cfg, lab)
             assert len(tw) == cfg.dim
             assert euler_class_normal(cfg, lab) != 0
@@ -150,7 +150,7 @@ def test_relations_pass(r, n):
             assert report.ok, (seed, side, report.failures())
             # the degree n - r part is allowed to be nonzero and is never flagged
             assert sorted(report.cases) == [
-                (lab.delta, l) for lab in enumerate_fixed_points(cfg, side)
+                (d, l) for d in fixed_point_deltas(cfg)
                 for l in range(n - r + 1, n + 1)
             ]
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flopwall import cli, hypergeom
+from flopwall import cli, hypergeom, suites
 from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.hypergeom import (
     NonConvergenceError,
@@ -52,7 +52,7 @@ from flopwall.numkernel import (
     recip_gamma,
     sin_over_2i,
 )
-from flopwall.suites import default_config
+from flopwall.suites import SuiteEnv, collect_cases, default_config
 from flopwall.wallcross import PsiContext, coeff_C
 
 
@@ -70,16 +70,18 @@ def test_offset_series_eval_uses_log_q():
 
 
 def test_multi_series_specialize():
+    # a series holds the compositions of total degree <= order, here 2
     ms = OffsetSeries(
         offsets=(0.1j, 0.2j),
-        coeffs={(0, 0): 1 + 0j, (1, 0): 2 + 0j, (0, 1): 3 + 0j, (1, 1): 4 + 0j},
-        order=1,
+        coeffs={(0, 0): 1 + 0j, (0, 1): 3 + 0j, (0, 2): 5 + 0j, (1, 0): 2 + 0j,
+                (1, 1): 4 + 0j, (2, 0): 6 + 0j},
+        order=2,
         prefactor=2.0 + 0j,
     )
     s = ms.specialize()
     assert abs(s.offset - 0.3j) < 1e-16
-    # degree 2 exceeds the order: the box holds (1, 1) but not (2, 0), (0, 2)
-    assert s.coeffs == {(0,): 1 + 0j, (1,): 5 + 0j}
+    # degree e sums the compositions of e, in the order of the keys
+    assert list(s.coeffs.items()) == [((0,), 1 + 0j), ((1,), 5 + 0j), ((2,), 15 + 0j)]
     assert s.prefactor == 2.0 + 0j
     # eval puts every variable at the same log q and sums the stored terms
     w = -0.4 + 1.1j
@@ -191,6 +193,36 @@ def test_factor_structure_check_fails_on_a_wrong_assembly():
     assert worst(lambda fs: delta_hat_apply(series_product(fs[::-1]))) > 1e-12
 
 
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (4, 3)])
+def test_series_hold_the_compositions_up_to_the_order(n, r):
+    # total degree <= order, lexicographic: the keys the specialization sums
+    cfg = default_config(n, r)
+    d = fixed_point_deltas(cfg)[0]
+    order = 6
+    want = [es for es in iter_product(range(order + 1), repeat=r) if sum(es) <= order]
+    for side in ("plus", "minus"):
+        assert list(h_series(cfg, side, d, order).coeffs) == want
+    product = series_product([f_factor_series(cfg, d, k, order) for k in range(r)])
+    assert list(product.coeffs) == want
+
+
+def test_factor_structure_case_fails_when_the_key_sets_differ(monkeypatch):
+    # a term the series lacks, even a zero one, fails the case
+    def case_status():
+        env = SuiteEnv()
+        case, = [c for c in collect_cases(env, "continuation") if c.name == "factor-structure-n3-r2"]
+        return case.thunk()[0]
+
+    assert case_status() == "pass"
+
+    def with_an_extra_key(factors):
+        out = series_product(factors)
+        return replace(out, coeffs={**out.coeffs, (out.order, 1): 0j})
+
+    monkeypatch.setattr(suites, "series_product", with_an_extra_key)
+    assert case_status() == "fail"
+
+
 # ----------------------------------------------------------------------
 # minus side against hand-written minus formulas
 # ----------------------------------------------------------------------
@@ -210,6 +242,8 @@ def _h_series_minus_reference(config, delta, order, weight_scale=1.0):
             prefactor /= sin_over_2i(weight_scale * (zs[d[i]] - zs[d[k]]))
     coeffs = {}
     for es in iter_product(range(order + 1), repeat=r):
+        if sum(es) > order:
+            continue
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
@@ -326,6 +360,8 @@ def _h_series_scalar(config, side, delta, order, weight_scale=1.0):
             prefactor /= den
     coeffs = {}
     for es in iter_product(range(order + 1), repeat=r):
+        if sum(es) > order:
+            continue
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):

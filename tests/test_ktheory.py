@@ -3,18 +3,21 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flopwall.cli import RunConfig, run_suite
 from flopwall.flopgeom import (
+    SIDES,
     FixedPointLabel,
-    enumerate_fixed_points,
     fixed_point_deltas,
     random_config,
-    tangent_weight_vectors,
+    tangent_weight_pairs,
 )
 from flopwall.ktheory import (
     LocalizedKClass,
@@ -27,7 +30,7 @@ from flopwall.ktheory import (
     fm_transform,
     fm_transform_generator_exact,
     generator_e,
-    tilde_tangent_weight_vectors,
+    tilde_tangent_weight_pairs,
     unit_class,
     _wedge_dual_value,
 )
@@ -40,18 +43,102 @@ def _char(terms):
     return VirtualCharacter(4, terms)
 
 
+# The 2n-vector form of a weight that the index pairs replaced, kept as the
+# oracle of the pair form: e_p - e_q in Z^{2n}, its value summed over
+# x_0, z_0, x_1, z_1, ... in turn, and the common resolution's weights.
+
+def _weight_vector(p, q, n):
+    v = [0] * (2 * n)
+    v[p] = 1
+    v[q] -= 1
+    return tuple(v)
+
+
+def _weight_complex(xs, zs, vec):
+    n = len(xs)
+    total = 0j
+    for i in range(n):
+        if vec[i]:
+            total += vec[i] * xs[i]
+        if vec[n + i]:
+            total += vec[n + i] * zs[i]
+    return total
+
+
+def _tilde_tangent_weight_vectors(cfg, dm, dp):
+    n = cfg.n
+    out = []
+    for d in dm:
+        for j in range(n):
+            if j not in dm:
+                out.append(_weight_vector(n + j, n + d, n))
+    for d in dm:
+        for e in dp:
+            out.append(_weight_vector(n + d, e, n))
+    for e in dp:
+        for k in range(n):
+            if k not in dp:
+                out.append(_weight_vector(e, k, n))
+    return out
+
+
+def _vectors(pairs, n):
+    return [_weight_vector(p, q, n) for p, q in pairs]
+
+
+def _binomial_of_vectors(nvars, vectors):
+    """The terms of prod (1 - e^w) over weight vectors, one pass per factor."""
+    terms = {(0,) * nvars: 1}
+    for vec in vectors:
+        out = {}
+        for v, c in terms.items():
+            out[v] = out.get(v, 0) + c
+            vw = tuple(map(add, v, vec))
+            out[vw] = out.get(vw, 0) - c
+        terms = {v: c for v, c in out.items() if c}
+    return list(terms.items())
+
+
+def _wedge_of_vectors(xs, zs, vectors, scale):
+    total = 1.0 + 0j
+    for vec in vectors:
+        total *= 1.0 - cmath.exp(-scale * _weight_complex(xs, zs, vec))
+    return total
+
+
+def _fm_exact_vectors(cfg, dm):
+    """The multiset cancellation of ``fm_transform_generator_exact`` on
+    weight vectors: dp -> the sorted vectors of the closed product."""
+    n = cfg.n
+    rest = [j for j in range(n) if j not in dm]
+    generator = [_weight_vector(n + i, n + j, n) for i in dm for j in rest]
+    out = {}
+    for dp in fixed_point_deltas(cfg):
+        num = Counter(generator)
+        den = Counter()
+        for vec in _vectors(tangent_weight_pairs(cfg, FixedPointLabel("plus", dp)), n):
+            num[tuple(-a for a in vec)] += 1
+        for vec in _tilde_tangent_weight_vectors(cfg, dm, dp):
+            den[tuple(-a for a in vec)] += 1
+        num.subtract(den)
+        assert all(c >= 0 for c in num.values())
+        out[dp] = sorted(num.elements())
+    return out
+
+
 def test_binomial_product_small_cases():
-    w1 = (1, 0, 0, -1)
-    w2 = (0, 1, -1, 0)
-    w12 = tuple(a + b for a, b in zip(w1, w2))
+    # n = 2: indices 0, 1 are x_0, x_1 and 2, 3 are z_0, z_1
+    a, b = (0, 3), (1, 2)  # x_0 - z_1 and x_1 - z_0
+    w1, w2 = (1, 0, 0, -1), (0, 1, -1, 0)
+    w12 = tuple(u + v for u, v in zip(w1, w2))
     zero = (0, 0, 0, 0)
-    assert binomial_product(4, ()) == _char({zero: 1})
-    assert binomial_product(4, [w1]) == _char({zero: 1, w1: -1})
-    assert binomial_product(4, [w1, w2]) == _char({zero: 1, w1: -1, w2: -1, w12: 1})
-    # a repeated vector is a repeated factor: (1 - e^w)^2
-    assert binomial_product(4, [w1, w1]) == _char({zero: 1, w1: -2, tuple(2 * a for a in w1): 1})
-    # a zero vector is the factor 1 - e^0 = 0
-    assert binomial_product(4, [w1, zero, w2]).is_zero()
+    assert binomial_product(2, ()) == _char({zero: 1})
+    assert binomial_product(2, [a]) == _char({zero: 1, w1: -1})
+    assert binomial_product(2, [a, b]) == _char({zero: 1, w1: -1, w2: -1, w12: 1})
+    # a repeated pair is a repeated factor: (1 - e^w)^2
+    assert binomial_product(2, [a, a]) == _char({zero: 1, w1: -2, tuple(2 * u for u in w1): 1})
+    # a pair (p, p) is the factor 1 - e^0 = 0
+    assert binomial_product(2, [a, (2, 2), b]).is_zero()
 
 
 @pytest.mark.parametrize("terms", [
@@ -79,13 +166,14 @@ def test_virtual_character_arithmetic_rejects_another_length():
 
 
 @pytest.mark.parametrize("vectors", [
-    [(1, 0, 0, -1), (0, 0.5, 0, 0)],  # a non-integral entry
-    [(1, 0, 0, -1), (0, 1, -1)],  # another length
-    [(0, 0, 0, 0), (1, 0, 0)],  # after a zero factor, still checked
+    [(0, 3), (0, 4)],  # an index past 2n - 1
+    [(0, 3), (-1, 2)],  # a negative index, which would wrap round to z_1
+    [(1, 1), (4, 0)],  # after a zero factor, still checked
 ])
 def test_binomial_product_rejects_a_bad_vector(vectors):
-    with pytest.raises(ValueError, match="not an exact integer|weight vector length mismatch"):
-        binomial_product(4, vectors)
+    # each factor is an index pair, and each index names one of the 2n weights
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        binomial_product(2, vectors)
 
 
 # The arithmetic builds its results without re-validating its canonical
@@ -124,8 +212,8 @@ def _items(chi):
     return chi.nvars, list(chi.terms.items())
 
 
-_vectors = st.tuples(*[st.integers(-1, 1)] * 4)
-_characters = st.dictionaries(_vectors, st.integers(-3, 3), max_size=6).map(
+_keys = st.tuples(*[st.integers(-1, 1)] * 4)
+_characters = st.dictionaries(_keys, st.integers(-3, 3), max_size=6).map(
     lambda terms: VirtualCharacter(4, terms))
 
 
@@ -136,32 +224,35 @@ def test_virtual_character_arithmetic_equals_the_validated_reference(a, b, k):
     assert _items(a * k) == _items(k * a) == _items(_mul_reference(a, k))
 
 
-# draws from a pool of three vectors, so factors repeat; the zero vector
-# and negative entries are in the pool's range
-_factor_lists = st.lists(_vectors, min_size=1, max_size=3).flatmap(
-    lambda pool: st.lists(st.sampled_from(pool), max_size=6))
+# draws from a pool of three pairs, so factors repeat; a pair (p, p) and
+# both orders of a pair are in the pool's range
+_factor_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                         max_size=3).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=6))
 
 
 @settings(max_examples=150, deadline=None)
-@given(vectors=_factor_lists, zero_at=st.none() | st.integers(0, 6))
-def test_binomial_product_equals_the_repeated_product(vectors, zero_at):
+@given(pairs=_factor_lists, zero_at=st.none() | st.integers(0, 6))
+def test_binomial_product_equals_the_repeated_product(pairs, zero_at):
     if zero_at is not None:
-        vectors = vectors[:zero_at] + [(0, 0, 0, 0)] + vectors[zero_at:]
-    got = binomial_product(4, vectors)
-    want = _binomial_reference(4, vectors)
+        pairs = pairs[:zero_at] + [(1, 1)] + pairs[zero_at:]
+    got = binomial_product(2, pairs)
+    want = _binomial_reference(4, _vectors(pairs, 2))
     assert got == want
     assert _items(got) == _items(want)
 
 
 def test_binomial_product_keeps_the_order_of_the_repeated_product():
-    # (1 - e^a)^2 (1 - e^{2a}) drops its e^{2a} term, which the factor
-    # 1 - e^{-a} makes again after e^{-a}; a pass that kept the dead key
-    # would sum e^{2a} before e^a
-    a = (1, 0, 0, -1)
-    vectors = [a, a, tuple(2 * v for v in a), tuple(-v for v in a)]
-    got = _items(binomial_product(4, vectors))
-    assert got == _items(_binomial_reference(4, vectors))
-    assert [v for v, _ in got[1]][1:4] == [(-1, 0, 0, 1), (1, 0, 0, -1), (3, 0, 0, -3)]
+    # with a = x_0 - x_1, b = x_1 - z_0 and c = a + b = x_0 - z_0, the
+    # factor 1 - e^c cancels the e^c term of (1 - e^a)(1 - e^b), and a
+    # second 1 - e^b makes it again from e^a; a pass that kept the dead key
+    # would sum e^c before e^{2b} instead of right after e^a
+    a, b, c = (0, 1), (1, 2), (0, 2)
+    pairs = [a, b, c, b]
+    got = _items(binomial_product(2, pairs))
+    assert got == _items(_binomial_reference(4, _vectors(pairs, 2)))
+    keys = [v for v, _ in got[1]]
+    assert keys.index(_weight_vector(*c, 2)) == keys.index(_weight_vector(*a, 2)) + 1
+    assert keys.index(_weight_vector(*c, 2)) > keys.index((0, 2, -2, 0))  # e^{2b}
 
 
 def test_generator_restrictions_exact(cfg21):
@@ -174,10 +265,10 @@ def test_generator_restrictions_exact(cfg21):
 
 
 def test_generator_vanishing_everywhere_else(cfg32):
-    for lab in enumerate_fixed_points(cfg32, "minus"):
-        gen = generator_e(cfg32, lab.delta)
+    for dm in fixed_point_deltas(cfg32):
+        gen = generator_e(cfg32, dm)
         for d0, chi in gen.restrictions.items():
-            if d0 == lab.delta:
+            if d0 == dm:
                 assert not chi.is_zero()
             else:
                 assert chi.is_zero()
@@ -185,8 +276,7 @@ def test_generator_vanishing_everywhere_else(cfg32):
 
 def _tilde_tangent_weights(cfg, dm, dp):
     xz = cfg.x + cfg.z
-    return [sum((c * w for c, w in zip(vec, xz)), Fraction(0))
-            for vec in tilde_tangent_weight_vectors(cfg, dm, dp)]
+    return [xz[p] - xz[q] for p, q in tilde_tangent_weight_pairs(cfg, dm, dp)]
 
 
 def test_tilde_tangent_weights(cfg21, cfg32):
@@ -211,18 +301,18 @@ def test_fm_closed_formula_r1(cfg21):
 
 def test_fm_exact_equals_closed(cfg21, cfg31, cfg32, cfg42):
     for cfg in (cfg21, cfg31, cfg32, cfg42):
-        for lab in enumerate_fixed_points(cfg, "minus"):
-            exact = fm_transform_generator_exact(cfg, lab.delta)
-            closed = fm_generator_formula(cfg, lab.delta)
+        for dm in fixed_point_deltas(cfg):
+            exact = fm_transform_generator_exact(cfg, dm)
+            closed = fm_generator_formula(cfg, dm)
             assert exact.restrictions == closed.restrictions
 
 
 def test_fm_localization_matches_closed_numerically(cfg32):
     # the closed product formula is the oracle for the kernel localization sum
     worst = 0.0
-    for lab in enumerate_fixed_points(cfg32, "minus"):
-        got = fm_transform(cfg32, generator_e(cfg32, lab.delta))
-        want = chern_character(cfg32, fm_generator_formula(cfg32, lab.delta))
+    for dm in fixed_point_deltas(cfg32):
+        got = fm_transform(cfg32, generator_e(cfg32, dm))
+        want = chern_character(cfg32, fm_generator_formula(cfg32, dm))
         for dp in got:
             worst = max(worst, abs(got[dp] - want[dp]) / max(1.0, abs(want[dp])))
     assert worst < 1e-12
@@ -315,8 +405,8 @@ def test_chi_z_unit_pairing_unwound(cfg21):
     xs, zs = cfg21.complex_weights()
     want = 0j
     for d in fixed_point_deltas(cfg21):
-        vecs = tangent_weight_vectors(cfg21, FixedPointLabel("minus", d))
-        want += 1.0 / _wedge_dual_value(xs, zs, vecs, TWO_PI_I / z)
+        pairs = tangent_weight_pairs(cfg21, FixedPointLabel("minus", d))
+        want += 1.0 / _wedge_dual_value(xs + zs, pairs, TWO_PI_I / z)
     assert abs(got - want) < 1e-13
 
 
@@ -333,14 +423,14 @@ def test_chi_z_fm_invariance(cfg21, z):
         xs, zs = cfg21.complex_weights()
         rhs = 0j
         for dp in fc:
-            vecs = tangent_weight_vectors(cfg21, FixedPointLabel("plus", dp))
-            rhs += fc[dp] * fd[dp] / _wedge_dual_value(xs, zs, vecs, s)
+            pairs = tangent_weight_pairs(cfg21, FixedPointLabel("plus", dp))
+            rhs += fc[dp] * fd[dp] / _wedge_dual_value(xs + zs, pairs, s)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_factored_and_expanded_chern_agree(cfg32):
     gen = generator_e(cfg32, (0, 1))
-    assert gen.factor_vectors is not None
+    assert gen.factor_pairs is not None
     stripped = LocalizedKClass(gen.side, gen.restrictions)  # expansion path
     xs, zs = cfg32.complex_weights()
     a = chern_character(cfg32, gen)
@@ -355,9 +445,9 @@ def test_chern_conditioning_on_near_cancelling_products():
     # exponential sum loses ~7 digits on this instance)
     cfg = random_config(4, 2, seed=41)
     worst = 0.0
-    for lab in enumerate_fixed_points(cfg, "minus"):
-        want = chern_character(cfg, fm_generator_formula(cfg, lab.delta))
-        got = fm_transform(cfg, generator_e(cfg, lab.delta))
+    for dm in fixed_point_deltas(cfg):
+        want = chern_character(cfg, fm_generator_formula(cfg, dm))
+        got = fm_transform(cfg, generator_e(cfg, dm))
         for dp in want:
             worst = max(worst, abs(got[dp] - want[dp]) / abs(want[dp]))
     assert worst < 1e-10
@@ -377,16 +467,16 @@ def test_fm_restriction_matrix_nonsingular(cfg32):
 
 def _ref_fm_transform(cfg, vec, scale):
     """``fm_transform`` on numeric restriction values as the per-call
-    formula: every wedge rebuilt from its weight vectors."""
+    formula: every wedge rebuilt from its weight pairs."""
     xs, zs = cfg.complex_weights()
     deltas = fixed_point_deltas(cfg)
     out = {}
     for dp in deltas:
         plus_wedge = _wedge_dual_value(
-            xs, zs, tangent_weight_vectors(cfg, FixedPointLabel("plus", dp)), scale)
+            xs + zs, tangent_weight_pairs(cfg, FixedPointLabel("plus", dp)), scale)
         total = 0j
         for dm in deltas:
-            tilde = _wedge_dual_value(xs, zs, tilde_tangent_weight_vectors(cfg, dm, dp), scale)
+            tilde = _wedge_dual_value(xs + zs, tilde_tangent_weight_pairs(cfg, dm, dp), scale)
             total += vec[dm] * plus_wedge / tilde
         out[dp] = total
     return out
@@ -397,7 +487,7 @@ def _ref_euler_characteristic(cfg, vec, side, scale):
     total = 0j
     for d, val in vec.items():
         total += val / _wedge_dual_value(
-            xs, zs, tangent_weight_vectors(cfg, FixedPointLabel(side, d)), scale)
+            xs + zs, tangent_weight_pairs(cfg, FixedPointLabel(side, d)), scale)
     return total
 
 
@@ -456,3 +546,94 @@ def test_a_wedge_memo_keyed_without_the_scale_fails_the_pairing_cases(monkeypatc
 
     monkeypatch.setattr(ktheory, "_wedges", first_scale_only)
     assert _wedge_case_statuses() == dict.fromkeys(_WEDGE_CASES, "fail")
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n - 1))),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([2.0 + 0j, 3.0 + 1j]),
+)
+def test_pair_form_equals_the_vector_form(nr, seed, z):
+    # every wedge, factored Chern value and character of the pair form is
+    # == to the one the 2n-vector form gave, at the scales 1 and +-2 pi i / z
+    n, r = nr
+    cfg = random_config(n, r, seed=seed)
+    xs, zs = cfg.complex_weights()
+    deltas = fixed_point_deltas(cfg)
+    classes = [unit_class(cfg, "minus"), unit_class(cfg, "plus")]
+    for dm in deltas:
+        exact = fm_transform_generator_exact(cfg, dm)
+        for dp, vectors in _fm_exact_vectors(cfg, dm).items():
+            assert sorted(_vectors(exact.factor_pairs[dp], n)) == vectors
+        classes += [generator_e(cfg, dm), fm_generator_formula(cfg, dm), exact]
+    for A in classes:
+        for d, chi in A.restrictions.items():
+            assert list(chi.terms.items()) == _binomial_of_vectors(2 * n, _vectors(A.factor_pairs[d], n))
+    for scale in (1.0, TWO_PI_I / z, -TWO_PI_I / z):
+        wedges = ktheory._wedges(cfg, scale)
+        for side in SIDES:
+            for d in deltas:
+                pairs = tangent_weight_pairs(cfg, FixedPointLabel(side, d))
+                assert wedges[side, d] == _wedge_of_vectors(xs, zs, _vectors(pairs, n), scale)
+        for dm in deltas:
+            for dp in deltas:
+                want = _wedge_of_vectors(xs, zs, _tilde_tangent_weight_vectors(cfg, dm, dp), scale)
+                assert wedges[dm, dp] == want
+        for A in classes:
+            assert chern_character(cfg, A, scale) == {
+                d: _wedge_of_vectors(xs, zs, _vectors(A.factor_pairs[d], n), -scale)
+                for d in A.restrictions}
+
+
+def _ktheory_statuses():
+    return {c["case"]: c["status"] for c in run_suite(RunConfig(), "ktheory").cases}
+
+
+def test_one_reversed_tilde_pair_fails_every_fm_formula_case(monkeypatch):
+    def fm_formula(statuses):
+        return {k: v for k, v in statuses.items() if k.startswith("fm-formula-")}
+
+    assert set(fm_formula(_ktheory_statuses()).values()) == {"pass"}
+    pairs = ktheory.tilde_tangent_weight_pairs
+
+    def reversed_first_pair(config, dm, dp):
+        # one pair at one (dm, dp): z_j - z_d becomes z_d - z_j
+        out = pairs(config, dm, dp)
+        if dm == dp == tuple(range(config.r)):
+            p, q = out[0]
+            out[0] = (q, p)
+        return out
+
+    monkeypatch.setattr(ktheory, "tilde_tangent_weight_pairs", reversed_first_pair)
+    got = fm_formula(_ktheory_statuses())
+    assert len(got) == 4 and "pass" not in got.values(), got
+
+
+def test_one_reversed_generator_pair_fails_its_cases(monkeypatch):
+    def by_grid(statuses):
+        grid = {}
+        for case, status in statuses.items():
+            for prefix in ("fm-formula-", "generator-vanishing-"):
+                if case.startswith(prefix):
+                    grid.setdefault(case[len(prefix):], []).append(status)
+        return grid
+
+    before = by_grid(_ktheory_statuses())
+    assert len(before) == 4 and all(s == ["pass", "pass"] for s in before.values())
+    pairs = ktheory._generator_pairs
+
+    def reversed_first_pair(n, delta0, delta_minus):
+        # one pair of the generator at its own fixed point: z_i - z_j
+        # becomes z_j - z_i; elsewhere its zero factor keeps it zero
+        out = pairs(n, delta0, delta_minus)
+        if tuple(delta0) == tuple(delta_minus):
+            (p, q), *rest = out
+            out = ((q, p), *rest)
+        return out
+
+    monkeypatch.setattr(ktheory, "_generator_pairs", reversed_first_pair)
+    after = by_grid(_ktheory_statuses())
+    assert after.keys() == before.keys()
+    assert all(s != ["pass", "pass"] for s in after.values()), after

@@ -21,13 +21,12 @@ from flopwall.ktheory import (
 )
 from flopwall.numkernel import TWO_PI_I, MultiPoly, NonFiniteError, PoleError, sin_over_2i
 from flopwall import wallcross
-from flopwall.suites import SuiteEnv, collect_cases
+from flopwall.suites import SuiteEnv, collect_cases, default_config
 from flopwall.wallcross import (
     LocalizedCohClass,
     PsiContext,
     _antisym_sides,
     antisym_identity_check,
-    basis_class,
     coeff_C,
     pairing,
     psi_apply,
@@ -252,10 +251,10 @@ def test_transition_matrix_shapes(cfg32):
 
 def test_uh_apply_basis_and_linearity(cfg21):
     deltas = fixed_point_deltas(cfg21)
-    b0 = uh_apply(cfg21, basis_class(cfg21, "minus", deltas[0]))
+    b0 = uh_apply(cfg21, LocalizedCohClass("minus", {deltas[0]: 1.0 + 0j, deltas[1]: 0j}))
     for dp in deltas:
         assert abs(b0.values[dp] - coeff_C(cfg21, deltas[0], dp)) < 1e-15
-    b1 = uh_apply(cfg21, basis_class(cfg21, "minus", deltas[1]))
+    b1 = uh_apply(cfg21, LocalizedCohClass("minus", {deltas[0]: 0j, deltas[1]: 1.0 + 0j}))
     both = uh_apply(cfg21, LocalizedCohClass("minus", {deltas[0]: 1.0 + 0j, deltas[1]: 2.0 + 0j}))
     for dp in deltas:
         assert abs(both.values[dp] - b0.values[dp] - 2.0 * b1.values[dp]) < 1e-14
@@ -576,7 +575,9 @@ def test_u_requires_matching_branch(cfg21):
     ctxm = PsiContext.create(cfg21, "minus", z=2.0 + 0j)
     ctxp = PsiContext.create(cfg21, "plus", z=2.0 + 0j).rotated()
     with pytest.raises(ValueError):
-        u_apply(ctxp, ctxm, basis_class(cfg21, "minus", (0,)))
+        u_apply(ctxp, ctxm, LocalizedCohClass("minus", {(0,): 1.0 + 0j, (1,): 0j}))
+    with pytest.raises(ValueError):
+        u_matrix_numeric(ctxp, ctxm)
 
 
 def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
@@ -600,6 +601,33 @@ def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
     # a new context starts with an empty memo
     assert PsiContext.create(cfg32, "minus", z=2.0 + 0j).diag == {}
     assert ctxm.rotated().diag == {}
+
+
+def _u_matrix_by_basis_classes(ctx_plus, ctx_minus):
+    """The matrix as u_apply gives it on each basis class, one per row."""
+    deltas = fixed_point_deltas(ctx_minus.config)
+    rows = []
+    for dm in deltas:
+        basis = LocalizedCohClass("minus", {d: (1.0 + 0j if d == dm else 0j) for d in deltas})
+        image = u_apply(ctx_plus, ctx_minus, basis)
+        rows.append([image.values[dp] for dp in deltas])
+    return rows
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j, -2.0 + 0j])
+def test_u_matrix_is_u_apply_on_the_basis_from_one_transfer_matrix(n, r, z, monkeypatch):
+    built = []
+    transition_matrix = wallcross.transition_matrix
+    monkeypatch.setattr(wallcross, "transition_matrix",
+                        lambda *a: built.append(a[1:]) or transition_matrix(*a))
+    for cfg in (default_config(n, r), random_config(n, r, seed=1)):
+        ctxm = PsiContext.create(cfg, "minus", z=z)
+        ctxp = PsiContext.create(cfg, "plus", z=z)
+        built.clear()
+        got = u_matrix_numeric(ctxp, ctxm)
+        assert built == [("C", ctxm.ch_scale)]
+        assert got == _u_matrix_by_basis_classes(ctxp, ctxm)
 
 
 _PSI_CASES = {"integral-pairing-z2+0i", "integral-pairing-z3+1i", "symplectic-pairing", "fm-continuation"}
