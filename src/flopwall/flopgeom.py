@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,11 +131,16 @@ class FlopConfig:
         """The flop involution x -> -z, z -> -x (exchanges the two sides).
 
         Built on the first call and held, with this instance as its flip.
+        The flip holds this instance through a weak reference: a strong one
+        would make a reference cycle, which only the cyclic collector frees,
+        so every dropped config would keep its tables until it ran.
         """
         flip = self.__dict__.get("_flip")
+        if isinstance(flip, weakref.ref):
+            flip = flip()
         if flip is None:
             flip = FlopConfig(self.n, self.r, tuple(-v for v in self.z), tuple(-v for v in self.x))
-            object.__setattr__(flip, "_flip", self)
+            object.__setattr__(flip, "_flip", weakref.ref(self))
             object.__setattr__(self, "_flip", flip)
         return flip
 

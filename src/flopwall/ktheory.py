@@ -16,6 +16,7 @@ integer vector in Z^{2n}; ``binomial_product`` turns pairs into them.
 from __future__ import annotations
 
 import cmath
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -242,18 +243,21 @@ def _wedges(config: FlopConfig, scale: complex) -> _Lazy:
     Key (side, delta) gives wedge(N_delta) over the fixed point's tangent
     weights; key (delta_minus, delta_plus) gives wedge(N_(dm,dp)) over the
     common resolution's.  Each is ``_wedge_dual_value`` at ``scale``.
+    The table reaches the config through a weak reference, for the reason
+    ``FlopConfig.flipped`` gives.
     """
     memo = config.__dict__.setdefault("_wedges", {})
     wedges = memo.get(scale)
     if wedges is None:
         xs, zs = config.complex_weights()
         ws = xs + zs
+        owner = weakref.ref(config)
 
         def wedge(a, b) -> complex:
             if isinstance(a, str):
-                pairs = tangent_weight_pairs(config, FixedPointLabel(a, b))
+                pairs = tangent_weight_pairs(owner(), FixedPointLabel(a, b))
             else:
-                pairs = tilde_tangent_weight_pairs(config, a, b)
+                pairs = tilde_tangent_weight_pairs(owner(), a, b)
             return _wedge_dual_value(ws, pairs, scale)
 
         wedges = memo[scale] = _Lazy(wedge)

@@ -11,14 +11,16 @@ come from ``scipy.special`` (``loggamma``, the principal branch, and
 a non-finite error makes it NaN, which fails every tolerance.
 ``MultiPoly`` is the integer polynomial ring of the symbolic
 antisymmetric-identity check: it adds, subtracts, multiplies and compares
-polynomials, and holds no power-series layer.
+polynomials, and holds no power-series layer.  Its monomial keys are packed
+integers, FIELD = 16 bits per variable, so a monomial product is one
+integer addition; a product whose total-degree bound would no longer fit a
+field raises ValueError instead of carrying into the next variable.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -165,45 +167,74 @@ def _exact_int(v) -> int:
     return i
 
 
-Exponent = tuple  # tuple[int, ...]
+FIELD = 16
+"""Bits per variable in a packed monomial key (see ``MultiPoly``)."""
 
 
-def _graded_lex_key(exp: Exponent):
+def _pack(exp, nvars: int) -> int:
+    """The key of the exponent tuple ``exp``; ValueError unless it has
+    ``nvars`` entries, none negative, of total degree below 2**FIELD."""
+    exp = tuple(int(e) for e in exp)
+    if len(exp) != nvars or any(e < 0 for e in exp):
+        raise ValueError(f"bad exponent {exp} for {nvars} variables")
+    if sum(exp) >> FIELD:
+        raise ValueError(f"exponent {exp} has a total degree beyond a {FIELD}-bit field")
+    return sum(e << (i * FIELD) for i, e in enumerate(exp))
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    mask = (1 << FIELD) - 1
+    return tuple(key >> (i * FIELD) & mask for i in range(nvars))
+
+
+def _graded_lex_key(exp: tuple):
     return (sum(exp), tuple(-e for e in exp))
 
 
 class MultiPoly:
     """Multivariate polynomial with integer coefficients.
 
-    Terms are a map from exponent tuples to nonzero ``int`` coefficients;
-    graded lexicographic order is used wherever terms are listed, so equal
-    polynomials compare equal structurally.  The constructor takes any
-    exact integer, an integral ``Fraction`` too, and raises ValueError on any
-    other coefficient.  Both operands of an operation are polynomials in the
-    same variables: there are no scalar operands.
+    Terms map packed monomial keys to nonzero ``int`` coefficients: variable
+    i's exponent is the FIELD-bit field at offset i*FIELD of one ``int``
+    (Monagan and Pearce, CASC 2007), so a monomial product is a key sum.
+    The constructor and ``coefficient`` take exponent tuples; ``sorted_terms``
+    and ``repr`` unpack them, in graded lexicographic order.  A monomial has
+    one key, so equal polynomials have equal ``terms``; ``{}`` is zero.
+
+    ``degree_bound`` bounds the total degree of the terms: the largest in the
+    constructor, the sum of the operands' bounds for a product and their
+    maximum for a sum or difference.  No exponent exceeds it, so while it
+    stays below 2**FIELD no field carries into the next; a product whose
+    bound would reach 2**FIELD raises ValueError before any key is added.
+
+    Coefficients are exact integers (an integral ``Fraction`` too; anything
+    else raises ValueError).  Both operands of an operation are polynomials
+    in the same variables: there are no scalar operands.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "degree_bound")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = int(nvars)
         clean: dict = {}
+        degree = 0
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != self.nvars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp} for {self.nvars} variables")
+            key = _pack(exp, self.nvars)
             coeff = _exact_int(coeff)
             if coeff:
-                clean[exp] = coeff
+                clean[key] = coeff
+                degree = max(degree, sum(int(e) for e in exp))
         self.terms = clean
+        self.degree_bound = degree
 
     @classmethod
-    def _from_terms(cls, nvars: int, terms: dict) -> "MultiPoly":
-        # Result of a ring operation: exponents are already valid tuples and
-        # coefficients ints, so only the zeros are dropped.
+    def _from_terms(cls, nvars: int, terms: dict, degree_bound: int) -> "MultiPoly":
+        # Result of a ring operation: packed keys and nonzero int
+        # coefficients, so nothing is validated.
         out = object.__new__(cls)
         out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = terms
+        out.degree_bound = degree_bound
         return out
 
     # -- constructors ---------------------------------------------------
@@ -228,28 +259,41 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         get = terms.get
-        for exp, coeff in other.terms.items():
-            terms[exp] = get(exp, 0) + coeff
-        return MultiPoly._from_terms(self.nvars, terms)
+        for key, coeff in other.terms.items():
+            c = get(key, 0) + coeff
+            if c:
+                terms[key] = c
+            else:  # coeff != 0, so the key was there
+                del terms[key]
+        return MultiPoly._from_terms(self.nvars, terms, max(self.degree_bound, other.degree_bound))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         terms = dict(self.terms)
         get = terms.get
-        for exp, coeff in other.terms.items():
-            terms[exp] = get(exp, 0) - coeff
-        return MultiPoly._from_terms(self.nvars, terms)
+        for key, coeff in other.terms.items():
+            c = get(key, 0) - coeff
+            if c:
+                terms[key] = c
+            else:  # coeff != 0, so the key was there
+                del terms[key]
+        return MultiPoly._from_terms(self.nvars, terms, max(self.degree_bound, other.degree_bound))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        degree = self.degree_bound + other.degree_bound
+        if degree >> FIELD:
+            raise ValueError(f"product degree bound {degree} does not fit a {FIELD}-bit exponent field")
         terms: dict = {}
         get = terms.get
         right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                exp = tuple(map(operator.add, e1, e2))
-                terms[exp] = get(exp, 0) + c1 * c2
-        return MultiPoly._from_terms(self.nvars, terms)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        if 0 in terms.values():  # a scan in C; most products cancel nothing
+            terms = {k: c for k, c in terms.items() if c}
+        return MultiPoly._from_terms(self.nvars, terms, degree)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -258,11 +302,18 @@ class MultiPoly:
 
     # -- queries ----------------------------------------------------------
     def coefficient(self, exp: Sequence[int]) -> int:
-        """Coefficient of the monomial ``exp``."""
-        return self.terms.get(tuple(int(e) for e in exp), 0)
+        """Coefficient of the monomial ``exp``; 0 for an exponent tuple that
+        is no monomial of this ring."""
+        try:
+            key = _pack(exp, self.nvars)
+        except ValueError:
+            return 0
+        return self.terms.get(key, 0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _graded_lex_key(t[0]))
+        """``(exponent tuple, coefficient)`` pairs in graded lexicographic order."""
+        terms = [(_unpack(key, self.nvars), coeff) for key, coeff in self.terms.items()]
+        return sorted(terms, key=lambda t: _graded_lex_key(t[0]))
 
     def __repr__(self):
         if not self.terms:

@@ -213,6 +213,12 @@ def _random_generator_combo(cfg: FlopConfig, rng: random.Random):
     return combo
 
 
+def _localization_bound(cfg: FlopConfig, vec: dict, side: str, scale: complex) -> float:
+    """sum_d |vec_d / wedge(N_d)|: the triangle bound of
+    ``euler_characteristic(cfg, vec, side, scale)``, term by term."""
+    return sum(abs(euler_characteristic(cfg, {d: v}, side, scale)) for d, v in vec.items())
+
+
 def ktheory_suite(env: SuiteEnv) -> list:
     cases = []
     for r, n in _FM_GRID:
@@ -271,10 +277,17 @@ def ktheory_suite(env: SuiteEnv) -> list:
                 for z in env.z_values:
                     s = 2j * math.pi / z
                     lhs = chi_z_pairing(cfg, A, B, z)
-                    fa = fm_transform(cfg, chern_character(cfg, A, -s), -s)
+                    ca, cb = chern_character(cfg, A, -s), chern_character(cfg, B, s)
+                    fa = fm_transform(cfg, ca, -s)
                     fb = fm_transform(cfg, B, s)
-                    rhs = euler_characteristic(cfg, {dp: fa[dp] * fb[dp] for dp in fa}, "plus", s)
-                    worst = worst_error(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+                    plus = {dp: fa[dp] * fb[dp] for dp in fa}
+                    rhs = euler_characteristic(cfg, plus, "plus", s)
+                    # normalize by the larger triangle bound of the two
+                    # localization sums: at disjoint support the pairing is
+                    # exactly 0 and the plus-side terms cancel
+                    bound = max(_localization_bound(cfg, {d: ca[d] * cb[d] for d in ca}, "minus", s),
+                                _localization_bound(cfg, plus, "plus", s), 1e-30)
+                    worst = worst_error(worst, abs(lhs - rhs) / bound)
             return _err_case(worst, env.tol("chi_invariance"))
         cases.append(CaseSpec("ktheory", f"chi-invariance-n{n}-r{r}", {"n": n, "r": r}, thunk))
     return cases

@@ -6,7 +6,8 @@ is the vector of its values at that side's fixed points.  Expanding a class
 in the fixed-point basis [pt_d]/e(N_d) shows that the transfer map acts on
 restriction vectors simply as (U_H b)|_dp = sum_dm C(dm, dp) * b|_dm.
 The coefficients C, CK and CH all come from one kernel per (config,
-scale), which computes each exponential and sine it needs once.
+scale), which computes each exponential and sine it needs once; each
+matrix is built once per (config, kind, scale) and held on the config.
 """
 
 from __future__ import annotations
@@ -114,18 +115,31 @@ class TransitionMatrix:
 
 
 def transition_matrix(config: FlopConfig, kind: str = "C", scale: complex = 1.0) -> TransitionMatrix:
-    cols = tuple(fixed_point_deltas(config))
-    if kind == "C":
-        rows = cols
-    elif kind == "CK":
-        rows = tuple(product(range(config.n), repeat=config.r))
-    elif kind == "CH":
-        rows = tuple(permutations(range(config.n), config.r))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    entry = _coeff_kernel(config, scale)
-    entries = tuple(tuple(entry(kind, rw, cl) for cl in cols) for rw in rows)
-    return TransitionMatrix(kind=kind, rows=rows, cols=cols, entries=entries)
+    """The transfer matrix of one (config, kind, scale); see ``_transfer``."""
+    return _transfer(config, kind, scale)
+
+
+def _transfer(config: FlopConfig, kind: str, scale: complex) -> TransitionMatrix:
+    """The transfer matrix of one (config, kind, scale), built on first use
+    and held for the config's lifetime in its ``__dict__`` entry
+    ``_transfer``, keyed by (kind, scale).  Its entries are tuples, so every
+    caller can share it."""
+    memo = config.__dict__.setdefault("_transfer", {})
+    mat = memo.get((kind, scale))
+    if mat is None:
+        cols = tuple(fixed_point_deltas(config))
+        if kind == "C":
+            rows = cols
+        elif kind == "CK":
+            rows = tuple(product(range(config.n), repeat=config.r))
+        elif kind == "CH":
+            rows = tuple(permutations(range(config.n), config.r))
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        entry = _coeff_kernel(config, scale)
+        entries = tuple(tuple(entry(kind, rw, cl) for cl in cols) for rw in rows)
+        mat = memo[kind, scale] = TransitionMatrix(kind=kind, rows=rows, cols=cols, entries=entries)
+    return mat
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +158,7 @@ def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) 
     """Transfer map in restriction coordinates: (U_H b)|_dp = sum C(dm,dp) b|_dm."""
     if beta.side != "minus":
         raise ValueError("uh_apply expects a minus-side class")
-    mat = transition_matrix(config, "C", scale)
+    mat = _transfer(config, "C", scale)
     values = {}
     for c, dp in enumerate(mat.cols):
         values[dp] = sum(row[c] * beta.values[dm] for dm, row in zip(mat.rows, mat.entries))
@@ -418,6 +432,6 @@ def u_matrix_numeric(ctx_plus: PsiContext, ctx_minus: PsiContext):
     _check_u_contexts(ctx_plus, ctx_minus)
     config = ctx_minus.config
     inv_minus = [1 / psi_diag_factor(ctx_minus, dm) for dm in fixed_point_deltas(config)]
-    mat = transition_matrix(config, "C", ctx_minus.ch_scale)
+    mat = _transfer(config, "C", ctx_minus.ch_scale)
     plus = [psi_diag_factor(ctx_plus, dp) for dp in mat.cols]
     return [[p * (c * inv) for p, c in zip(plus, row)] for inv, row in zip(inv_minus, mat.entries)]

@@ -548,6 +548,20 @@ def test_a_wedge_memo_keyed_without_the_scale_fails_the_pairing_cases(monkeypatc
     assert _wedge_case_statuses() == dict.fromkeys(_WEDGE_CASES, "fail")
 
 
+def test_chi_invariance_n3_r2_passes_on_seeded_instances():
+    # at several seeds the third draw's A and B have disjoint support, so
+    # chi_z(A, B) is exactly 0 while the plus-side sum cancels terms up to
+    # ~1e15; the case normalizes by the localization sums' triangle bounds
+    failed = {}
+    for seed in range(20):
+        env = SuiteEnv(seed=0, base_config=random_config(3, 2, seed))
+        case = next(c for c in collect_cases(env, "ktheory") if c.name == "chi-invariance-n3-r2")
+        status, err = case.thunk()
+        if status != "pass":
+            failed[seed] = err
+    assert failed == {}
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6).flatmap(

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flopwall import numkernel
 from flopwall.numkernel import (
+    FIELD,
     MultiPoly,
     NonFiniteError,
     PoleError,
@@ -317,3 +320,109 @@ def test_poly_integral_fraction_coefficients_are_ints():
             MultiPoly(2, {(1, 1): bad})
         with pytest.raises(ValueError, match="not an exact integer"):
             MultiPoly.constant(2, bad)
+
+
+# The tuple-keyed MultiPoly that packed keys replaced, kept as the oracle of
+# the packed form: terms keyed by exponent tuples, a product's exponent the
+# elementwise sum of its factors'.
+
+class _TuplePoly:
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {tuple(e): c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            terms[exp] = terms.get(exp, 0) + coeff
+        return _TuplePoly(self.nvars, terms)
+
+    def __sub__(self, other):
+        terms = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            terms[exp] = terms.get(exp, 0) - coeff
+        return _TuplePoly(self.nvars, terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(map(operator.add, e1, e2))
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return _TuplePoly(self.nvars, terms)
+
+    def coefficient(self, exp):
+        return self.terms.get(tuple(exp), 0)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
+
+    def __repr__(self):
+        if not self.terms:
+            return "MultiPoly(0)"
+        bits = []
+        for exp, coeff in self.sorted_terms():
+            mono = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
+            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
+        return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+@st.composite
+def _poly_triples(draw):
+    nv = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 4)] * nv)
+    coeffs = st.integers(-10**20, 10**20) | st.integers(-3, 3)
+    return nv, [draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(3)]
+
+
+@given(_poly_triples())
+@settings(max_examples=200, deadline=None)
+def test_packed_poly_equals_the_tuple_keyed_oracle(triple):
+    nv, dicts = triple
+    packed = [MultiPoly(nv, d) for d in dicts]
+    tuples = [_TuplePoly(nv, d) for d in dicts]
+    (p, q, s), (op, oq, os_) = packed, tuples
+    pairs = [
+        (p, op), (p + q, op + oq), (p - q, op - oq), (q - q, oq - oq), ((p - q) + q, (op - oq) + oq),
+        (p * q, op * oq), (p * q - s, op * oq - os_), ((p - q) * (q + s) * p, (op - oq) * (oq + os_) * op),
+    ]
+    for got, want in pairs:
+        assert got.sorted_terms() == want.sorted_terms()
+        assert repr(got) == repr(want)
+        assert (got.terms == {}) == (want.terms == {})
+        for exp in list(want.terms)[:4] + [(0,) * nv, (5,) * nv]:
+            assert got.coefficient(exp) == want.coefficient(exp)
+        assert got == MultiPoly(nv, dict(want.sorted_terms()))
+
+
+def test_product_whose_degree_bound_reaches_the_field_raises():
+    top = (1 << FIELD) - 1
+    p = MultiPoly(2, {(top, 0): 7})
+    x = MultiPoly.variable(2, 0)
+    one = MultiPoly.constant(2, 1)
+    # a bound of 2**FIELD - 1 still fits a field
+    assert (p * one).sorted_terms() == [((top, 0), 7)]
+    assert (p * one).degree_bound == top
+    for bad in (lambda: p * x, lambda: x * p, lambda: (p + x) * x):
+        with pytest.raises(ValueError, match="degree bound"):
+            bad()
+    # the guard reads the bound, not the terms: x - x is 0 of bound 1
+    assert (x - x).terms == {} and (x - x).degree_bound == 1
+    with pytest.raises(ValueError, match="degree bound"):
+        p * (x - x)
+    # a monomial whose total degree does not fit is refused at construction
+    with pytest.raises(ValueError, match="total degree"):
+        MultiPoly(2, {(top, 1): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        MultiPoly(2, {(1, -1): 1})
+    # (-1, 1) would pack to the key of (top, 0): it is no monomial, so 0
+    assert p.coefficient((-1, 1)) == 0 and p.coefficient((top, 0, 0)) == 0
+
+
+def test_packed_keys_follow_the_field_width(monkeypatch):
+    monkeypatch.setattr(numkernel, "FIELD", 2)
+    x, z = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert x.terms == {1: 1} and z.terms == {4: 1}
+    assert ((x + z) * (x - z)).sorted_terms() == [((2, 0), 1), ((0, 2), -1)]
+    with pytest.raises(ValueError, match="degree bound"):
+        (x * x) * (z * z)

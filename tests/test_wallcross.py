@@ -1,8 +1,10 @@
 """Transfer coefficients, the antisymmetric identity, psi, and U."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
@@ -15,12 +17,14 @@ from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.ktheory import (
     chern_character,
     chi_z_pairing,
+    euler_characteristic,
     fm_generator_formula,
+    fm_transform,
     generator_e,
     unit_class,
 )
 from flopwall.numkernel import TWO_PI_I, MultiPoly, NonFiniteError, PoleError, sin_over_2i
-from flopwall import wallcross
+from flopwall import numkernel, wallcross
 from flopwall.suites import SuiteEnv, collect_cases, default_config
 from flopwall.wallcross import (
     LocalizedCohClass,
@@ -428,6 +432,16 @@ def test_antisym_determinant_sign_control(r):
     assert rhs != MultiPoly(2 * r) - lhs
 
 
+def test_antisym_check_raises_with_two_bit_exponent_fields(monkeypatch):
+    # negative control of the packed keys: at 2 bits per variable the r = 3
+    # expansion (degree 6) no longer fits a field, and the product raises
+    # instead of carrying into the next variable's field
+    monkeypatch.setattr(numkernel, "FIELD", 2)
+    assert antisym_identity_check(2, samples=3).ok  # degree 2 still fits
+    with pytest.raises(ValueError, match="degree bound"):
+        antisym_identity_check(3)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_antisym_check_fails_with_one_wrong_factor_of_q(monkeypatch, r):
     # negative control: Q_{0,0} takes x_1 + z_0 for its factor x_1 - z_0
@@ -618,9 +632,8 @@ def _u_matrix_by_basis_classes(ctx_plus, ctx_minus):
 @pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j, -2.0 + 0j])
 def test_u_matrix_is_u_apply_on_the_basis_from_one_transfer_matrix(n, r, z, monkeypatch):
     built = []
-    transition_matrix = wallcross.transition_matrix
-    monkeypatch.setattr(wallcross, "transition_matrix",
-                        lambda *a: built.append(a[1:]) or transition_matrix(*a))
+    transfer = wallcross._transfer
+    monkeypatch.setattr(wallcross, "_transfer", lambda *a: built.append(a[1:]) or transfer(*a))
     for cfg in (default_config(n, r), random_config(n, r, seed=1)):
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
@@ -658,3 +671,85 @@ def test_psi_context_rejects_a_weight_beyond_the_float_range():
     # z_0 - x_0 = -2e308 overflows complex(); it used to escape as OverflowError
     with pytest.raises(NonFiniteError, match=r"tangent weight 1 at minus \(0,\)"):
         PsiContext.create(cfg, "minus", z=2.0)
+
+
+def test_uh_apply_reads_one_transfer_matrix_per_config_and_scale(monkeypatch):
+    kernels = []
+    coeff_kernel = wallcross._coeff_kernel
+    monkeypatch.setattr(wallcross, "_coeff_kernel", lambda *a: kernels.append(a[1]) or coeff_kernel(*a))
+    cfg = default_config(3, 2)
+    s = TWO_PI_I / (3.0 + 1j)
+    deltas = fixed_point_deltas(cfg)
+    for scale in (1.0, s, 1.0, s):
+        for dm in deltas:
+            basis = LocalizedCohClass("minus", {d: (1.0 + 0j if d == dm else 0j) for d in deltas})
+            uh_apply(cfg, basis, scale)
+    assert kernels == [1.0, s]
+    assert transition_matrix(cfg, "C", s) is transition_matrix(cfg, "C", s)
+    assert transition_matrix(cfg, "CH", s) is not transition_matrix(cfg, "C", s)
+    assert kernels == [1.0, s, s]
+    # an equal config is another instance, with its own matrices
+    twin = default_config(3, 2)
+    assert twin == cfg and transition_matrix(twin, "C", s) is not transition_matrix(cfg, "C", s)
+    assert transition_matrix(twin, "C", s) == transition_matrix(cfg, "C", s)
+
+
+def test_fm_diagram_builds_its_transfer_matrix_once(monkeypatch):
+    # the case moves one class per minus fixed point through U_H at scale 1
+    kernels = []
+    coeff_kernel = wallcross._coeff_kernel
+    monkeypatch.setattr(wallcross, "_coeff_kernel", lambda *a: kernels.append(a[1]) or coeff_kernel(*a))
+    cases = [c for c in collect_cases(SuiteEnv(), "wallcross") if c.name.startswith("fm-diagram-")]
+    assert len(cases) == 4
+    for case in cases:
+        kernels.clear()
+        assert case.thunk()[0] == "pass"
+        assert kernels == [1.0]
+
+
+def test_a_transfer_memo_keyed_without_the_scale_fails_the_symplectic_case(monkeypatch):
+    # symplectic-pairing moves classes through U at the scales 2 pi i / z and
+    # -2 pi i / z of one config: a memo that ignores the scale reuses the
+    # first one's C for the second
+    def status():
+        return next(c.thunk()[0] for c in collect_cases(SuiteEnv(), "wallcross")
+                    if c.name == "symplectic-pairing")
+
+    assert status() == "pass"
+    transfer = wallcross._transfer
+
+    def kind_only(config, kind, scale):
+        memo = config.__dict__.setdefault("_unscaled_transfer", {})
+        if kind not in memo:
+            memo[kind] = transfer(config, kind, scale)
+        return memo[kind]
+
+    monkeypatch.setattr(wallcross, "_transfer", kind_only)
+    assert status() == "fail"
+
+
+def test_a_dropped_config_is_freed_without_the_cyclic_collector():
+    # the config, its flip and the tables held on them (weights, wedges and
+    # transfer matrices) form no reference cycle, so refcounting frees them
+    # when the last reference goes, not the next run of the cyclic collector
+    cfg = random_config(3, 2, seed=4)
+    flip = cfg.flipped()
+    assert flip.flipped() is cfg
+    s = TWO_PI_I / 2.0
+    one = unit_class(cfg, "minus")
+    euler_characteristic(cfg, one, scale=s)
+    fm_transform(cfg, one, s)
+    transition_matrix(cfg, "C", s)
+    transition_matrix(flip, "CH")
+    assert flip.fixed_point_table and "_wedges" in cfg.__dict__
+    refs = [weakref.ref(cfg), weakref.ref(flip)]
+    gc.disable()
+    try:
+        del cfg, flip, one
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+    # a flip that outlives its config builds an equal one on demand
+    flip = default_config(3, 2).flipped()
+    again = flip.flipped()
+    assert again == default_config(3, 2) and again.flipped() is flip
