@@ -28,6 +28,11 @@ line's lattice the three Gamma factors that hold no weight come from
 process-wide tables (``_ladder_rows``, ``_lattice_rows``).  The correction
 residues take all their Gamma values from one ``log_gamma`` call and all
 their 1/Gamma values from one ``recip_gamma`` call (``_residues``).
+
+Every one-variable series also solves the hypergeometric ODE that
+``ode_check`` states, so its continuation is a product of Taylor step
+matrices along the path (``ode_transfer``), and the transfer coefficients
+at r = 1 are that ODE's connection matrix (``verify_continuation_r1``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -319,6 +325,15 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     return OffsetSeries(offsets=offsets, coeffs=coeffs, order=order, prefactor=prefactor)
 
 
+def _ode_operator(config: FlopConfig, weight_scale: complex = 1.0) -> tuple:
+    """The plus-side hypergeometric operator P(theta) - c e^w Q(theta),
+    theta = d/dw: the roots x_j u of P, the roots z_j u of Q and the sign
+    c = (-1)^{n-r+1}, u the weight unit."""
+    xs, zs = config.complex_weights()
+    u = _u(weight_scale)
+    return [x * u for x in xs], [z * u for z in zs], (-1.0) ** ((config.n - config.r + 1) % 2)
+
+
 def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
               weight_scale: complex = 1.0) -> float:
     """Maximum relative residual of the hypergeometric recurrence.
@@ -327,31 +342,29 @@ def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
     ``f_factor_series``; a series in more variables raises ValueError.
     The annihilating operator, in the logarithmic derivative theta, is
         prod_j (theta - x_j u) - q (-1)^{n-r+1} prod_j (theta - z_j u)
-    on the plus side, with u the weight unit; the minus side is the plus
-    side on ``config.flipped()``.  At coefficient level it couples index e
-    to e - 1 only, so the residual at each e is directly computable from
-    two adjacent coefficients.
+    on the plus side, with u the weight unit (``_ode_operator``); the minus
+    side is the plus side on ``config.flipped()``.  At coefficient level it
+    couples index e to e - 1 only, so the residual at each e is directly
+    computable from two adjacent coefficients.
     """
     if side == "minus":
         return ode_check(config.flipped(), series, "plus", weight_scale)
     if side != "plus":
         raise ValueError(f"bad side {side!r}")
-    xs, zs = config.complex_weights()
-    u = _u(weight_scale)
-    sign = (-1.0) ** ((config.n - config.r + 1) % 2)
+    x_roots, z_roots, sign = _ode_operator(config, weight_scale)
 
-    def prod(weights, theta):
+    def prod(roots, theta):
         out = 1.0 + 0j
-        for wgt in weights:
-            out *= theta - wgt * u
+        for root in roots:
+            out *= theta - root
         return out
 
     a = series.offset
     worst = 0.0
     tiny = 1e-300
     for e in range(series.order + 1):
-        lhs = series.coefficient(e) * prod(xs, a + e)
-        rhs = sign * series.coefficient(e - 1) * prod(zs, a + e - 1) if e > 0 else 0j
+        lhs = series.coefficient(e) * prod(x_roots, a + e)
+        rhs = sign * series.coefficient(e - 1) * prod(z_roots, a + e - 1) if e > 0 else 0j
         denom = max(abs(lhs), abs(rhs), tiny)
         worst = worst_error(worst, abs(lhs - rhs) / denom)
     return worst
@@ -403,6 +416,142 @@ def _pole_line_distance(im_w: float, wall_height: float) -> float:
     ref = wall_height + math.pi
     k = round((im_w - ref) / (2.0 * math.pi))
     return abs(im_w - (ref + 2.0 * math.pi * k))
+
+
+# ----------------------------------------------------------------------
+# Taylor continuation of the hypergeometric ODE
+# ----------------------------------------------------------------------
+
+# the Cauchy circle of a Taylor step has this fraction of the distance d from
+# the path to the nearest singular point as its radius rho ...
+_CAUCHY_FRACTION = 0.75
+
+# ... and a step covers at most this fraction of rho
+_STEP_RATIO = 1.0 / 3.0
+
+
+class OdeTransfer(NamedTuple):
+    """The transfer matrix of the hypergeometric ODE along a segment, and
+    the Taylor scheme that built it (``ode_transfer``).
+
+    ``matrix`` maps the jet (f, f', ..., f^(n-1)) of a solution at the
+    start of the segment to its jet at the end.  It is the product of
+    ``steps`` Taylor step matrices of ``terms`` + 1 coefficients each, and
+    ``tail`` estimates the modulus of the Taylor terms dropped from any
+    entry of a step matrix.
+    """
+
+    matrix: np.ndarray
+    steps: int
+    terms: int
+    tail: float
+
+
+def _taylor_terms(kappa: float, rho: float, n: int) -> tuple[int, float]:
+    """The least N >= n with tau_N <= _EPS, and tau_N.
+
+    tau_N = max(1, rho^(1-n)) * sum_{k>N} k^(n-1) kappa^(k-n+1) bounds the
+    dropped terms of every derivative of order m < n relative to B (see
+    ``ode_transfer``).  The ratio of its successive terms is at most
+    kappa ((N+2)/(N+1))^(n-1) < 1, so the first term over one minus that
+    ratio bounds the sum.
+    """
+    scale = max(1.0, rho ** (1 - n))
+    N = n
+    while True:
+        first = scale * (N + 1) ** (n - 1) * kappa ** (N + 2 - n)
+        tau = first / (1.0 - kappa * ((N + 2) / (N + 1)) ** (n - 1))
+        if tau <= _EPS:
+            return N, tau
+        N += 1
+
+
+def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTransfer:
+    """Transfer matrix of the plus-side operator P(theta) f = c e^w Q(theta) f
+    along the horizontal segment from ``w_from`` to ``w_to``, at weight scale 1.
+
+    The operator is the one ``ode_check`` states (``_ode_operator``), with
+    theta = d/dw, P = prod_j (theta - x_j u), Q = prod_j (theta - z_j u) and
+    c = (-1)^{n-r+1}; the minus series, as functions of -w, solve it too.
+    P and Q are monic, so its only finite singular points are the zeros of
+    1 - c e^w, on the pole lines Im w = (n - r + 1) pi + 2 pi Z at Re w = 0,
+    whatever the weights and the weight scale.  A segment at the wall height
+    (n - r) pi keeps a distance d >= pi from them; PathError if d < 0.1.
+
+    Taylor step.  About a point w0 of the segment, with E = c e^{w0}, a
+    solution f(w0 + t) = sum_k a_k t^k has, at t^k,
+        (1 - E) (k+1)_n a_{k+n} = -sum_{m<n} (p_m - E q_m) (k+1)_m a_{k+m}
+                                  + E sum_{j<k} g_j / (k - j)!,
+    with p_m, q_m the coefficients of P and Q, (k+1)_m the rising factorial
+    and g_j = sum_{m<=n} q_m (j+1)_m a_{j+m} the coefficients of Q(theta) f,
+    since e^{w0 + t} Q(theta) f has the coefficients E sum_{j<=k} g_j / (k-j)!.
+    The recurrence is linear in the jet (f, ..., f^(n-1)) at w0, so each
+    step's matrix comes from the n unit jets, and the steps share one pass
+    of the recurrence, a column per step and unit jet; the transfer matrix
+    is the product of the step matrices.
+
+    Error control (van der Hoeven, "Fast evaluation of holonomic functions",
+    TCS 210, 1999; Mezzarobba and Salvy, "Effective bounds for P-recursive
+    sequences", JSC 45, 2010).  The coefficients of the operator are
+    analytic off the singular points, so every solution is analytic on the
+    disc |t| < d about w0, and Cauchy's estimate on the circle |t| = rho,
+    rho = 3 d / 4, gives |a_k| <= B rho^-k with B the maximum of |f| there.
+    With kappa = |h| / rho, the terms k > N dropped from f^(m)(w0 + h),
+    m < n, then sum to at most B rho^-m sum_{k>N} k^m kappa^(k-m), which is
+    at most B tau_N (``_taylor_terms``).  So the segment is cut into the
+    fewest equal steps with kappa <= 1/3, and N is the least order with
+    tau_N below the machine epsilon: on the continuation path of
+    ``verify_continuation_r1``, 3 steps of 37 (n = 2) or 42 (n = 3)
+    coefficients.  B is not known; its estimate max_k |a_k| rho^k from the
+    coefficients computed, times tau_N, is recorded as ``tail``, the
+    largest over the steps and the unit jets.
+    """
+    if w_from.imag != w_to.imag:
+        raise ValueError(f"the segment from {w_from} to {w_to} is not horizontal")
+    n = config.n
+    x_roots, z_roots, sign = _ode_operator(config)
+    lo, hi = sorted((w_from.real, w_to.real))
+    gap = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    d = math.hypot(gap, _pole_line_distance(w_from.imag, (n - config.r) * math.pi))
+    if d < 0.1:
+        raise PathError(f"the segment from {w_from} to {w_to} passes within {d:.3g} "
+                        f"of a singular point of the ODE")
+    rho = _CAUCHY_FRACTION * d
+    steps = max(1, math.ceil(abs(w_to - w_from) / (_STEP_RATIO * rho)))
+    h = (w_to - w_from) / steps
+    N, tau = _taylor_terms(abs(h) / rho, rho, n)
+
+    # p_m, q_m for m = 0 ... n, and for k = 0 ... N - n the rising factorials
+    # (k+1)_m, m = 0 ... n
+    p = np.poly(x_roots)[::-1]
+    q = np.poly(z_roots)[::-1]
+    ks = np.arange(N - n + 1)
+    rising = np.cumprod(np.column_stack([np.ones(ks.size)] + [ks + m for m in range(1, n + 1)]),
+                        axis=1)
+    p_low, q_low = rising[:, :n] * p[:n], rising[:, :n] * q[:n]
+    inv_fact = 1.0 / np.array([math.factorial(k) for k in range(N + 1)], dtype=float)
+    # the jet at t = h of sum_k a_k t^k: row m holds k! / (k - m)! h^(k - m)
+    falling = np.array([[math.perm(k, m) for k in range(N + 1)] for m in range(n)], dtype=float)
+    at_h = falling * h ** np.maximum(np.arange(N + 1) - np.arange(n)[:, None], 0)
+
+    # the coefficients of the n unit jets at every step's start, one column
+    # per (step, jet), all from one pass of the recurrence: column i n + m
+    # starts at a_m = 1/m! and has E = E_i
+    E = np.repeat(sign * np.exp(w_from + h * np.arange(steps)), n)
+    lead = 1.0 / np.outer(rising[:, n], 1.0 - E)
+    a = np.zeros((N + 1, steps * n), dtype=complex)
+    a[:n] = np.tile(np.diag(inv_fact[:n]), steps)
+    g = np.empty((N - n + 1, steps * n), dtype=complex)
+    for k in range(N - n + 1):
+        known = a[k:k + n]
+        q_part = q_low[k] @ known
+        a[k + n] = (E * (inv_fact[k:0:-1] @ g[:k] + q_part) - p_low[k] @ known) * lead[k]
+        g[k] = q_part + rising[k, n] * a[k + n]
+    tail = float((np.abs(a) * (rho ** np.arange(N + 1))[:, None]).max()) * tau
+    jets = np.eye(n, dtype=complex)
+    for step in np.split(at_h @ a, steps, axis=1):
+        jets = step @ jets
+    return OdeTransfer(matrix=jets, steps=steps, terms=N, tail=tail)
 
 
 # ----------------------------------------------------------------------
@@ -916,12 +1065,20 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
 
 @dataclass
 class ContinuationReport:
-    """Per-fixed-point relative errors of the r = 1 wall-crossing check."""
+    """Per-fixed-point relative errors of the r = 1 wall-crossing check.
+
+    ``inside_err`` and ``outside_err`` compare the Barnes value at each plus
+    fixed point with the series before and past the wall, and ``coeff_err``
+    compares the ODE's connection matrix C_ode with the transfer matrix C,
+    entry by entry.  ``ode`` is the Taylor transfer of the ODE that gave
+    C_ode, with its step count, order and tail estimate.
+    """
 
     config: FlopConfig
     inside_err: dict
     outside_err: dict
     coeff_err: float
+    ode: OdeTransfer
 
     @property
     def max_err(self) -> float:
@@ -931,6 +1088,15 @@ class ContinuationReport:
         return self.max_err < tol
 
 
+def _series_jet(series: OffsetSeries, w: complex, n: int, sign: int = 1) -> np.ndarray:
+    """(f, f', ..., f^(n-1)) at w of f(v) = series(sign v), for a
+    one-variable series, every stored term summed."""
+    es, cs = zip(*((e, c) for (e,), c in series.coeffs.items()))
+    exps = sign * (series.offset + np.array(es))
+    terms = np.array(cs) * np.exp(w * exps)
+    return series.prefactor * (exps ** np.arange(n)[:, None] @ terms)
+
+
 def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 80,
                            q_inside: float = 0.3, q_outside: float = 3.0) -> ContinuationReport:
     """Wall crossing at r = 1: series inside the wall, transferred series past it.
@@ -938,9 +1104,17 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
     At each plus fixed point l the Mellin-Barnes value is compared against
     the plus series at |q| = q_inside and against the coefficient-weighted
     sum of minus series at |q| = q_outside (under q_+ = 1/q_-), both on the
-    path height (n - 1) pi.  The transfer coefficients are additionally
-    re-extracted from the past-wall values by a least-squares solve at
-    n + 2 sample points and compared entrywise.
+    path height (n - 1) pi: 2n ``barnes_integrate`` calls in all.
+
+    The transfer coefficients are checked a second way, as the connection
+    matrix of the hypergeometric ODE that both series solve:
+    C_ode = S_out^-1 M S_in, with M the ODE's transfer matrix from w_in to
+    w_out (``ode_transfer``), S_in the jets of the plus series at w_in and
+    S_out the jets of w -> h^-_k(-w) at w_out, one column per fixed point.
+    Its Taylor steps keep every dropped tail below the machine epsilon times
+    the size of the solutions on their Cauchy circles, of radius 3/4 of the
+    distance (>= pi) to the singular points e^w = c.  C_ode is compared
+    with ``transition_matrix(config, "C")`` entry by entry.
     """
     if config.r != 1:
         raise ValueError("verify_continuation_r1 needs r = 1")
@@ -950,12 +1124,12 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
     w_out = math.log(q_outside) + 1j * h
 
     minus = [h_series(config, "minus", (k,), order) for k in range(n)]
+    plus = [h_series(config, "plus", (l,), order) for l in range(n)]
     coeffs = transition_matrix(config, "C").entries  # coeffs[k][l] = C((k,), (l,))
     inside_err = {}
     outside_err = {}
     for l in range(n):
-        plus = h_series(config, "plus", (l,), order)
-        s_in = plus.eval(w_in)
+        s_in = plus[l].eval(w_in)
         b_in = barnes_integrate(w_in, config, l, tol=max(1e-12, tol * abs(s_in) / 10.0))
         inside_err[(l,)] = abs(b_in - s_in) / abs(s_in)
 
@@ -963,19 +1137,16 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         b_out = barnes_integrate(w_out, config, l, tol=max(1e-12, tol * abs(target) / 10.0))
         outside_err[(l,)] = abs(b_out - target) / abs(target)
 
-    # re-extract the transfer coefficients from past-wall samples
-    sample_ws = [math.log(q_outside + 0.4 * m) + 1j * h for m in range(n + 2)]
+    ode = ode_transfer(config, w_in, w_out)
+    jets_in = np.column_stack([_series_jet(f, w_in, n) for f in plus])
+    jets_out = np.column_stack([_series_jet(f, w_out, n, sign=-1) for f in minus])
+    c_ode = np.linalg.solve(jets_out, ode.matrix @ jets_in)
     worst = 0.0
-    for l in range(n):
-        A = np.array([[minus[k].eval(-wm) for k in range(n)] for wm in sample_ws])
-        b = np.array([barnes_integrate(wm, config, l, tol=1e-12) for wm in sample_ws])
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        for k in range(n):
-            want = coeffs[k][l]
-            worst = worst_error(worst, abs(sol[k] - want) / abs(want))
-    return ContinuationReport(
-        config=config, inside_err=inside_err, outside_err=outside_err, coeff_err=worst
-    )
+    for k in range(n):
+        for l in range(n):
+            worst = worst_error(worst, abs(c_ode[k, l] - coeffs[k][l]) / abs(coeffs[k][l]))
+    return ContinuationReport(config=config, inside_err=inside_err, outside_err=outside_err,
+                              coeff_err=worst, ode=ode)
 
 
 # ----------------------------------------------------------------------

@@ -371,10 +371,9 @@ def wallcross_suite(env: SuiteEnv) -> list:
                     probes += [generator_e(cfg, dm) for dm in deltas]
                 else:
                     probes += [fm_generator_formula(cfg, dm) for dm in deltas]
-                for C in probes:
-                    for D in probes:
-                        pc = psi_apply(rot, C)
-                        pd = psi_apply(ctx, D)
+                images = [(psi_apply(rot, E), psi_apply(ctx, E)) for E in probes]
+                for C, (pc, _) in zip(probes, images):
+                    for D, (_, pd) in zip(probes, images):
                         lhs = pairing(cfg, pc, pd)
                         rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, C, D, z)
                         # normalize by the triangle bound of the localization

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from flopwall.cli import RunConfig, _stable_json, emit, main, run_suite
-from flopwall.flopgeom import ConfigError, fixed_point_deltas
+from flopwall.flopgeom import ConfigError, fixed_point_deltas, random_config
 from flopwall.hypergeom import h_series, i_function_factored
 from flopwall.ktheory import unit_class
+from flopwall.numkernel import PoleError
+from flopwall.suites import SuiteEnv, collect_cases
 from flopwall.wallcross import LocalizedCohClass, PsiContext, pairing, psi_apply
 
 
@@ -449,8 +451,45 @@ def test_full_suite_passes():
     assert report.exit_status == 0
 
 
+class _SeededGrid(SuiteEnv):
+    """Every grid point of every suite at random_config(n, r, weights_seed),
+    not only the run config's own (n, r)."""
+
+    def __init__(self, weights_seed: int):
+        super().__init__()
+        self.weights_seed = weights_seed
+
+    def config_for(self, n: int, r: int):
+        if (n, r) not in self._grid_configs:
+            self._grid_configs[n, r] = random_config(n, r, seed=self.weights_seed)
+        return self._grid_configs[n, r]
+
+
+# random_config(3, 2, s) has a tangent weight of exactly -2 at s = 4 and 10,
+# so Gamma(1 + w/z) sits on a pole at z = 2, the first evaluation point: the
+# two cases that build the Gamma class at (3, 2) raise PoleError there, as
+# the contract of PsiContext.create asks
+_SEEDED_POLES = {(s, case) for s in (4, 10) for case in ("i-factorization-n3-r2", "i-reordering-symmetry")}
+
+
+def test_every_case_passes_on_seeded_grids():
+    for seed in range(20):
+        for case in collect_cases(_SeededGrid(seed), "all"):
+            if (seed, case.name) in _SEEDED_POLES:
+                with pytest.raises(PoleError, match=re.escape("1 + w/z hits a Gamma pole for w = -2")):
+                    case.thunk()
+            else:
+                assert case.thunk()[0] == "pass", (seed, case.name)
+
+
+def test_continuation_suite_passes_on_a_seeded_n3_instance(tmp_path):
+    path = tmp_path / "seed0.json"
+    path.write_text(json.dumps({"n": 3, "r": 1, "weights": {"seed": 0}}))
+    assert main(["verify", "--suite", "continuation", "--config", str(path)]) == 0
+
+
 def test_collect_cases_registry():
-    from flopwall.suites import SUITE_ORDER, SuiteEnv, collect_cases
+    from flopwall.suites import SUITE_ORDER
 
     env = SuiteEnv()
     per_suite = {name: len(collect_cases(env, name)) for name in SUITE_ORDER}

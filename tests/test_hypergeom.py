@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flopwall import cli, hypergeom, suites
+from flopwall import cli, hypergeom, suites, wallcross
 from flopwall.flopgeom import FlopConfig, fixed_point_deltas, random_config
 from flopwall.hypergeom import (
     NonConvergenceError,
@@ -1626,6 +1626,112 @@ def test_verify_continuation_report(cfg21):
     assert rep.ok(1e-8)
     assert set(rep.inside_err) == {(0,), (1,)}
     assert rep.coeff_err < 1e-8
+
+
+def _wall_crossing_statuses():
+    return {c.name: c.thunk()[0] for c in collect_cases(SuiteEnv(), "continuation")
+            if c.name.startswith("wall-crossing-")}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_continuation_makes_2n_barnes_calls(n, monkeypatch):
+    # one inside and one past-wall value per fixed point; the coefficient
+    # check reads the ODE, so a sampled fit left in place shows here
+    calls = []
+    barnes = hypergeom.barnes_integrate
+    monkeypatch.setattr(hypergeom, "barnes_integrate", lambda *a, **kw: calls.append(a[0]) or barnes(*a, **kw))
+    rep = verify_continuation_r1(default_config(n, 1))
+    assert len(calls) == 2 * n
+    assert rep.ok(1e-8)
+
+
+def test_a_stepper_with_the_wrong_sign_fails_the_wall_crossing_cases(monkeypatch):
+    assert _wall_crossing_statuses() == {"wall-crossing-n2-r1": "pass", "wall-crossing-n3-r1": "pass"}
+    operator = hypergeom._ode_operator
+
+    def flipped_sign(*a):
+        x_roots, z_roots, sign = operator(*a)
+        return x_roots, z_roots, -sign
+
+    monkeypatch.setattr(hypergeom, "_ode_operator", flipped_sign)
+    assert _wall_crossing_statuses() == {"wall-crossing-n2-r1": "fail", "wall-crossing-n3-r1": "fail"}
+
+
+def test_one_perturbed_transfer_coefficient_fails_the_wall_crossing_cases(monkeypatch):
+    transfer = wallcross._transfer
+
+    def perturbed(config, kind, scale):
+        mat = transfer(config, kind, scale)
+        rows = [list(row) for row in mat.entries]
+        rows[0][1] *= 1.0 + 1e-6
+        return replace(mat, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(wallcross, "_transfer", perturbed)
+    assert _wall_crossing_statuses() == {"wall-crossing-n2-r1": "fail", "wall-crossing-n3-r1": "fail"}
+    # the connection matrix sees it on its own, not only the past-wall values
+    for n in (2, 3):
+        assert verify_continuation_r1(default_config(n, 1)).coeff_err > 5e-7
+
+
+def _odefun_transfer(cfg, w_from, w_to, dps):
+    """The transfer matrix of the ODE of ``ode_transfer`` by mpmath.odefun,
+    at ``dps`` digits, along w = w_from + t for real t from 0 to w_to - w_from.
+
+    One system carries the n unit jets, the n-th derivative of each from
+    (1 - E) f^(n) = -sum_{m<n} (p_m - E q_m) f^(m), E = c e^w, with P and Q
+    expanded from their roots at the working precision.
+    """
+    n = cfg.n
+    with mpmath.workdps(dps):
+        x_roots, z_roots, sign = hypergeom._ode_operator(cfg)
+
+        def monic(roots):
+            coeffs = [mpmath.mpc(1)]
+            for root in roots:
+                coeffs = [mpmath.mpc(0)] + coeffs
+                for i in range(len(coeffs) - 1):
+                    coeffs[i] -= mpmath.mpc(root) * coeffs[i + 1]
+            return coeffs
+
+        p, q = monic(x_roots), monic(z_roots)
+        w0 = mpmath.mpc(w_from)
+
+        def rhs(t, y):
+            E = sign * mpmath.exp(w0 + t)
+            out = []
+            for col in range(n):
+                f = y[col * n:(col + 1) * n]
+                out += f[1:] + [-sum((p[m] - E * q[m]) * f[m] for m in range(n)) / (1 - E)]
+            return out
+
+        solution = mpmath.odefun(rhs, 0, [mpmath.mpc(m == col) for col in range(n) for m in range(n)])
+        end = solution(mpmath.mpf(w_to.real) - mpmath.mpf(w_from.real))
+        return np.array([[complex(end[col * n + m]) for col in range(n)] for m in range(n)])
+
+
+@pytest.mark.parametrize("n,dps", [(2, 30), (3, 20)])
+def test_ode_transfer_matches_mpmath_odefun(n, dps):
+    # three steps, each with a dropped tail below eps times the estimated
+    # size of its solutions and rounding in sums of up to 42 terms: 1e-14
+    # relative to the largest entry is about 45 eps (measured: 9.7e-17 at
+    # n = 2 and 8.4e-17 at n = 3)
+    cfg = default_config(n, 1)
+    # the path of verify_continuation_r1, from |q| = 0.3 to 3 at height (n - 1) pi
+    w_in, w_out = (math.log(q) + 1j * (n - 1) * math.pi for q in (0.3, 3.0))
+    got = hypergeom.ode_transfer(cfg, w_in, w_out)
+    want = _odefun_transfer(cfg, w_in, w_out, dps)
+    assert np.abs(got.matrix - want).max() <= 1e-14 * np.abs(want).max()
+    assert (got.steps, got.terms) == (3, {2: 36, 3: 41}[n])
+    assert 0.0 < got.tail < 1e-15
+
+
+def test_ode_transfer_rejects_a_segment_through_a_singular_point():
+    cfg = default_config(2, 1)
+    # e^w = c = 1 at w = 2 pi i, on the pole line above the wall height pi
+    with pytest.raises(PathError, match="singular point"):
+        hypergeom.ode_transfer(cfg, -1.0 + 2j * math.pi, 1.0 + 2j * math.pi)
+    with pytest.raises(ValueError, match="not horizontal"):
+        hypergeom.ode_transfer(cfg, -1.0 + 1j * math.pi, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from flopwall.ktheory import (
     unit_class,
 )
 from flopwall.numkernel import TWO_PI_I, MultiPoly, NonFiniteError, PoleError, sin_over_2i
-from flopwall import numkernel, wallcross
+from flopwall import numkernel, suites, wallcross
 from flopwall.suites import SuiteEnv, collect_cases, default_config
 from flopwall.wallcross import (
     LocalizedCohClass,
@@ -650,6 +650,21 @@ def _psi_case_statuses():
     env = SuiteEnv()
     return {c.name: c.thunk()[0] for suite in ("wallcross", "central-charge")
             for c in collect_cases(env, suite) if c.name in _PSI_CASES}
+
+
+def test_integral_pairing_builds_each_psi_image_once_per_side(monkeypatch):
+    # per side, one image of each probe (the unit class and one class per
+    # fixed point) in the rotated context and one in the context itself
+    calls = []
+    apply = suites.psi_apply
+    monkeypatch.setattr(suites, "psi_apply", lambda ctx, A: calls.append(ctx) or apply(ctx, A))
+    cases = [c for c in collect_cases(SuiteEnv(), "wallcross") if c.name.startswith("integral-pairing-")]
+    assert len(cases) == 2
+    probes = 1 + len(fixed_point_deltas(default_config(2, 1)))
+    for case in cases:
+        calls.clear()
+        assert case.thunk()[0] == "pass"
+        assert len(calls) == 2 * 2 * probes
 
 
 def test_one_psi_memo_shared_across_contexts_fails_the_integral_structure_cases(monkeypatch):
