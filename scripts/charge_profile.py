@@ -15,7 +15,7 @@ import math
 import sys
 
 from flopwall.cli import RunConfig
-from flopwall.hypergeom import central_charge, central_charge_plus_continued
+from flopwall.hypergeom import NonConvergenceError, central_charge, central_charge_plus_continued
 from flopwall.ktheory import fm_generator_formula, generator_e
 from flopwall.numkernel import NonFiniteError, PoleError
 from flopwall.wallcross import PsiContext
@@ -34,24 +34,24 @@ def main() -> int:
         print("charge profile needs r = 1", file=sys.stderr)
         return 2
 
-    try:
-        ctxm = PsiContext.create(cfg, "minus", z=args.z)
-        ctxp = PsiContext.create(cfg, "plus", z=args.z)
-    except (NonFiniteError, PoleError) as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 2
     height = (cfg.n - cfg.r) * math.pi
     dm = (0,)
     Em = generator_e(cfg, dm)
     Ep = fm_generator_formula(cfg, dm)
-
-    print(f"{'|q+|':>8}  {'Z_- (series)':>28}  {'Z_+ (continued)':>28}  rel_diff")
-    for q in (float(t) for t in args.q_values.split(",")):
-        w = math.log(q) + 1j * height
-        z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=rc.order)
-        z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
-        rel = abs(z_plus - z_minus) / abs(z_minus)
-        print(f"{q:8.3f}  {z_minus:28.16e}  {z_plus:28.16e}  {rel:.2e}")
+    try:
+        ctxm = PsiContext.create(cfg, "minus", z=args.z)
+        ctxp = PsiContext.create(cfg, "plus", z=args.z)
+        print(f"{'|q+|':>8}  {'Z_- (series)':>28}  {'Z_+ (continued)':>28}  rel_diff")
+        for q in (float(t) for t in args.q_values.split(",")):
+            # the minus series at -w converges for |q+| > 1 only
+            w = math.log(q) + 1j * height
+            z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=rc.order)
+            z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
+            rel = abs(z_plus - z_minus) / abs(z_minus)
+            print(f"{q:8.3f}  {z_minus:28.16e}  {z_plus:28.16e}  {rel:.2e}")
+    except (NonConvergenceError, NonFiniteError, PoleError) as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -30,18 +30,8 @@ from .hypergeom import (
 )
 from .numkernel import NonFiniteError, PoleError
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
-from .suites import DEFAULT_TOLS, SuiteEnv, collect_cases, default_config
+from .suites import DEFAULT_TOLS, SUITES, SuiteEnv, collect_cases, default_config
 from .wallcross import PsiContext, transition_matrix
-
-SUITE_CHOICES = (
-    "identities",
-    "geometry",
-    "ktheory",
-    "wallcross",
-    "continuation",
-    "central-charge",
-    "all",
-)
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +55,12 @@ def _finite_complex(re_part, im_part) -> complex:
     return value
 
 
+def _nonzero_z(z: complex) -> complex:
+    if z == 0:
+        raise ConfigError("z must be nonzero")
+    return z
+
+
 def _check_order(order: int) -> None:
     if order < 0:
         raise ConfigError(f"series order must be non-negative, got {order}")
@@ -77,7 +73,8 @@ class RunConfig:
     Weights are given either explicitly (decimal or "p/q" strings) or as
     {"seed", "scale"} for random rational generation, never both; the seed
     is recorded in every report.  A top-level seed beside the weights' seed
-    must equal it.
+    must equal it.  Random weights are drawn once, on loading, and kept as
+    ``x`` and ``z``.
     """
 
     n: int = 2
@@ -85,26 +82,23 @@ class RunConfig:
     x: tuple | None = None
     z: tuple | None = None
     seed: int = 0
-    weight_scale: Fraction = Fraction(1, 10)
-    random_weights: bool = False
     z_eval: tuple = (2.0 + 0j, 3.0 + 1j)
     order: int = 80
     tols: dict = field(default_factory=dict)
 
     def flop_config(self) -> FlopConfig:
-        if self.random_weights:
-            return random_config(self.n, self.r, seed=self.seed, scale=self.weight_scale)
-        if self.x is not None and self.z is not None:
+        """A new instance, so that no table built on one carries to the next run."""
+        if self.x is not None:
             return FlopConfig(self.n, self.r, self.x, self.z)
         return default_config(self.n, self.r)
 
-    def suite_env(self) -> SuiteEnv:
+    def suite_env(self, config: FlopConfig) -> SuiteEnv:
         return SuiteEnv(
             seed=self.seed,
             order=self.order,
             z_values=tuple(self.z_eval),
             tols=dict(self.tols),
-            base_config=self.flop_config(),
+            base_config=config,
         )
 
     @classmethod
@@ -121,6 +115,7 @@ class RunConfig:
             _check_order(kwargs.get("order", 0))
             weights = data.get("weights", {})
             _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
+            draw = None
             if "x" in weights or "z" in weights:
                 beside = sorted({"seed", "scale"} & set(weights))
                 if beside:
@@ -128,38 +123,42 @@ class RunConfig:
                 kwargs["x"] = tuple(Fraction(str(v)) for v in weights["x"])
                 kwargs["z"] = tuple(Fraction(str(v)) for v in weights["z"])
             elif weights:
-                kwargs["random_weights"] = True
                 if "seed" in weights:
                     seed = int(weights["seed"])
                     if kwargs.get("seed", seed) != seed:
                         raise ConfigError(f"seed {kwargs['seed']} differs from the weights seed {seed}")
                     kwargs["seed"] = seed
-                if "scale" in weights:
-                    kwargs["weight_scale"] = Fraction(str(weights["scale"]))
+                draw = {"scale": Fraction(str(weights["scale"]))} if "scale" in weights else {}
             if "z_eval" in data:
                 vals = data["z_eval"]
                 if vals and isinstance(vals[0], (int, float)):
                     vals = [vals]
-                kwargs["z_eval"] = tuple(_finite_complex(a, b) for a, b in vals)
+                kwargs["z_eval"] = tuple(_nonzero_z(_finite_complex(a, b)) for a, b in vals)
+                if not vals:
+                    raise ConfigError("z_eval needs at least one value")
             if "tol" in data:
                 _reject_unknown("tolerance keys", data["tol"], DEFAULT_TOLS)
                 kwargs["tols"] = {k: float(v) for k, v in data["tol"].items()}
-            return cls(**kwargs)
+            rc = cls(**kwargs)
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
+        if draw is not None:
+            # a ConfigError of the draw, which no retry mends, keeps its own text
+            drawn = random_config(rc.n, rc.r, seed=rc.seed, **draw)
+            rc.x, rc.z = drawn.x, drawn.z
+        return rc
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def echo(self) -> dict:
-        cfg = self.flop_config()
+    def echo(self, config: FlopConfig) -> dict:
         return {
-            "n": cfg.n,
-            "r": cfg.r,
-            "x": [str(v) for v in cfg.x],
-            "z": [str(v) for v in cfg.z],
+            "n": config.n,
+            "r": config.r,
+            "x": [str(v) for v in config.x],
+            "z": [str(v) for v in config.z],
             "z_eval": [[zz.real, zz.imag] for zz in self.z_eval],
             "order": self.order,
             "tol": {k: self.tols.get(k, DEFAULT_TOLS[k]) for k in sorted(DEFAULT_TOLS)},
@@ -193,9 +192,10 @@ class Report:
 
 
 def run_suite(run_config: RunConfig, suite: str) -> Report:
-    """Execute one suite (or "all"), its cases in declaration order."""
-    env = run_config.suite_env()
-    specs = collect_cases(env, suite)
+    """Execute one suite (or "all"), its cases in declaration order, on a
+    new instance of the run config's ``FlopConfig``."""
+    cfg = run_config.flop_config()
+    specs = collect_cases(run_config.suite_env(cfg), suite)
 
     def execute(spec):
         start = time.perf_counter()
@@ -215,7 +215,7 @@ def run_suite(run_config: RunConfig, suite: str) -> Report:
         }
 
     cases = [execute(spec) for spec in specs]
-    return Report(version=__version__, seed=run_config.seed, config=run_config.echo(), cases=cases)
+    return Report(version=__version__, seed=run_config.seed, config=run_config.echo(cfg), cases=cases)
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +391,7 @@ def cmd_charge(args) -> int:
     rc = _load_run_config(args)
     cfg = rc.flop_config()
     w = _parse_complex(args.w)
-    z = _parse_complex(args.z)
+    z = _nonzero_z(_parse_complex(args.z))
     ctx = PsiContext.create(cfg, args.side, z=z)
     spec = args.klass
     if spec == "1":
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--config", help="run-config JSON file")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")

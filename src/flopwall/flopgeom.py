@@ -167,6 +167,8 @@ def random_config(n: int, r: int, seed: int, scale=Fraction(1, 10)) -> FlopConfi
     """
     rng = random.Random(seed)
     scale = Fraction(scale)
+    if scale == 0:
+        raise ConfigError("weight scale 0 makes every draw degenerate")
     while True:
         vals = [Fraction(rng.randint(-50, 50), rng.randint(1, 50)) * scale for _ in range(2 * n)]
         try:
@@ -245,9 +247,6 @@ class RelationReport:
     @property
     def ok(self) -> bool:
         return all(self.cases.values())
-
-    def failures(self):
-        return [k for k, v in self.cases.items() if not v]
 
 
 def check_relations(config: FlopConfig, side: str) -> RelationReport:

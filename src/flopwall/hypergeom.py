@@ -104,13 +104,17 @@ class OffsetSeries:
         """Value with every variable at log q = w, never a bare q.
 
         Every stored term is summed, in the order of ``coeffs``, which the
-        constructors here fill by increasing exponent.
+        constructors here fill by increasing exponent.  NonFiniteError
+        where a power of q overflows.
         """
         a = sum(self.offsets)
         exp = cmath.exp
         total = 0j
-        for es, c in self.coeffs.items():
-            total += c * exp(w * sum(es, a))  # a + e_1 + ... + e_r
+        try:
+            for es, c in self.coeffs.items():
+                total += c * exp(w * sum(es, a))  # a + e_1 + ... + e_r
+        except OverflowError:
+            raise NonFiniteError(f"a power of q overflows at w = {w!r}") from None
         return total * self.prefactor
 
     def specialize(self) -> "OffsetSeries":
@@ -379,36 +383,32 @@ class PathSpec:
     """Piecewise-linear continuation path in the w = log q plane.
 
     Runs from Re w << 0 to Re w >> 0 and crosses the wall at height
-    (n - r) pi; construction rejects paths that come within ``margin`` of
+    (n - r) pi; construction rejects paths that come within _PATH_MARGIN of
     the pole lines Im w = (n - r + 1) pi + 2 pi Z while |Re w| <= 1.
     """
 
     points: tuple
     wall_height: float
-    margin: float = 0.1
 
     def __post_init__(self):
         for p in self.points:
             if abs(p.real) <= 1.0:
-                if _pole_line_distance(p.imag, self.wall_height) < self.margin:
-                    raise PathError(f"path point {p} within {self.margin} of a pole line")
+                if _pole_line_distance(p.imag, self.wall_height) < _PATH_MARGIN:
+                    raise PathError(f"path point {p} within {_PATH_MARGIN} of a pole line")
 
     @classmethod
-    def standard(cls, config: FlopConfig, re_span: float = 6.0, samples: int = 41) -> "PathSpec":
+    def standard(cls, config: FlopConfig) -> "PathSpec":
+        """Three legs of 13 equal steps through w = -6, -3 + i h, 3 + i h and
+        6, h the wall height: 40 points."""
         h = (config.n - config.r) * math.pi
-        knots = [
-            complex(-re_span, 0.0),
-            complex(-re_span / 2.0, h),
-            complex(re_span / 2.0, h),
-            complex(re_span, 0.0),
-        ]
-        pts = []
-        per_leg = max(2, samples // (len(knots) - 1))
-        for a, b in zip(knots, knots[1:]):
-            for t in range(per_leg):
-                pts.append(a + (b - a) * (t / per_leg))
-        pts.append(knots[-1])
-        return cls(points=tuple(pts), wall_height=h)
+        knots = [complex(-6.0, 0.0), complex(-3.0, h), complex(3.0, h), complex(6.0, 0.0)]
+        pts = [a + (b - a) * (t / 13) for a, b in zip(knots, knots[1:]) for t in range(13)]
+        return cls(points=(*pts, knots[-1]), wall_height=h)
+
+
+# least distance from a continuation path, or a segment of the ODE's Taylor
+# continuation, to the pole lines or the singular points on them
+_PATH_MARGIN = 0.1
 
 
 def _pole_line_distance(im_w: float, wall_height: float) -> float:
@@ -476,7 +476,7 @@ def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTrans
     P and Q are monic, so its only finite singular points are the zeros of
     1 - c e^w, on the pole lines Im w = (n - r + 1) pi + 2 pi Z at Re w = 0,
     whatever the weights and the weight scale.  A segment at the wall height
-    (n - r) pi keeps a distance d >= pi from them; PathError if d < 0.1.
+    (n - r) pi keeps a distance d >= pi from them; PathError if d < _PATH_MARGIN.
 
     Taylor step.  About a point w0 of the segment, with E = c e^{w0}, a
     solution f(w0 + t) = sum_k a_k t^k has, at t^k,
@@ -513,7 +513,7 @@ def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTrans
     lo, hi = sorted((w_from.real, w_to.real))
     gap = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     d = math.hypot(gap, _pole_line_distance(w_from.imag, (n - config.r) * math.pi))
-    if d < 0.1:
+    if d < _PATH_MARGIN:
         raise PathError(f"the segment from {w_from} to {w_to} passes within {d:.3g} "
                         f"of a singular point of the ODE")
     rho = _CAUCHY_FRACTION * d
@@ -1074,7 +1074,6 @@ class ContinuationReport:
     C_ode, with its step count, order and tail estimate.
     """
 
-    config: FlopConfig
     inside_err: dict
     outside_err: dict
     coeff_err: float
@@ -1083,9 +1082,6 @@ class ContinuationReport:
     @property
     def max_err(self) -> float:
         return worst_error(*self.inside_err.values(), *self.outside_err.values(), self.coeff_err)
-
-    def ok(self, tol: float) -> bool:
-        return self.max_err < tol
 
 
 def _series_jet(series: OffsetSeries, w: complex, n: int, sign: int = 1) -> np.ndarray:
@@ -1097,13 +1093,18 @@ def _series_jet(series: OffsetSeries, w: complex, n: int, sign: int = 1) -> np.n
     return series.prefactor * (exps ** np.arange(n)[:, None] @ terms)
 
 
-def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 80,
-                           q_inside: float = 0.3, q_outside: float = 3.0) -> ContinuationReport:
+# |q| of the two points of the r = 1 wall-crossing check, inside the wall
+# and past it
+Q_INSIDE = 0.3
+Q_OUTSIDE = 3.0
+
+
+def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 80) -> ContinuationReport:
     """Wall crossing at r = 1: series inside the wall, transferred series past it.
 
     At each plus fixed point l the Mellin-Barnes value is compared against
-    the plus series at |q| = q_inside and against the coefficient-weighted
-    sum of minus series at |q| = q_outside (under q_+ = 1/q_-), both on the
+    the plus series at |q| = Q_INSIDE and against the coefficient-weighted
+    sum of minus series at |q| = Q_OUTSIDE (under q_+ = 1/q_-), both on the
     path height (n - 1) pi: 2n ``barnes_integrate`` calls in all.
 
     The transfer coefficients are checked a second way, as the connection
@@ -1120,8 +1121,8 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         raise ValueError("verify_continuation_r1 needs r = 1")
     n = config.n
     h = (n - 1) * math.pi
-    w_in = math.log(q_inside) + 1j * h
-    w_out = math.log(q_outside) + 1j * h
+    w_in = math.log(Q_INSIDE) + 1j * h
+    w_out = math.log(Q_OUTSIDE) + 1j * h
 
     minus = [h_series(config, "minus", (k,), order) for k in range(n)]
     plus = [h_series(config, "plus", (l,), order) for l in range(n)]
@@ -1145,8 +1146,7 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
     for k in range(n):
         for l in range(n):
             worst = worst_error(worst, abs(c_ode[k, l] - coeffs[k][l]) / abs(coeffs[k][l]))
-    return ContinuationReport(config=config, inside_err=inside_err, outside_err=outside_err,
-                              coeff_err=worst, ode=ode)
+    return ContinuationReport(inside_err=inside_err, outside_err=outside_err, coeff_err=worst, ode=ode)
 
 
 # ----------------------------------------------------------------------
@@ -1230,7 +1230,7 @@ def i_function_factored(config: FlopConfig, side: str, delta, order: int,
     )
 
 
-def _psi_of(config: FlopConfig, side: str, E, ctx: PsiContext) -> LocalizedCohClass:
+def _psi_of(side: str, E, ctx: PsiContext) -> LocalizedCohClass:
     if isinstance(E, LocalizedKClass):
         return psi_apply(ctx, E)
     # numeric restriction values already at the context's Chern scale
@@ -1242,29 +1242,32 @@ def central_charge(config: FlopConfig, side: str, E, w: complex,
     """Pairing of the I-series at the rotated argument with the psi-image of E.
 
     Z(E) = sum_d I|_d(e^{-i pi} z)(w) * psi(E)(z)|_d / e(N_d); ``E`` is a
-    K-class or a dict of its Chern values at scale 2 pi i / z.
+    K-class or a dict of its Chern values at scale 2 pi i / z.  The I-series
+    converges for |q| < 1 only, since e^w = (-1)^{n-r+1} are the singular
+    points of its ODE: NonConvergenceError unless Re w < 0.
     """
+    if not w.real < 0:
+        raise NonConvergenceError(f"the I-series diverges at w = {w!r}; it needs Re w < 0")
     rot = ctx.rotated()
-    psi_e = _psi_of(config, side, E, ctx)
+    psi_e = _psi_of(side, E, ctx)
     i_vals = {d: i_function(config, side, d, order, rot).eval(w)
               for d in fixed_point_deltas(config)}
     return pairing(config, LocalizedCohClass(side, i_vals), psi_e)
 
 
-def i_restriction_continued(config: FlopConfig, l: int, w: complex,
-                            ctx: PsiContext, tol: float = 1e-11) -> complex:
-    """Continuation of the plus-side I restriction past the wall (r = 1)."""
+def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiContext) -> complex:
+    """Continuation of the plus-side I restriction past the wall (r = 1),
+    its Barnes integral to the absolute accuracy 1e-11."""
     if config.r != 1:
         raise ValueError("continued I restriction implemented for r = 1")
     gam = gamma_class(config, "plus", (l,), ctx.inv_z)
-    return gam * barnes_integrate(w, config, l, tol=tol, weight_scale=ctx.ch_scale)
+    return gam * barnes_integrate(w, config, l, tol=1e-11, weight_scale=ctx.ch_scale)
 
 
-def central_charge_plus_continued(config: FlopConfig, E, w: complex,
-                                  ctx: PsiContext, tol: float = 1e-11) -> complex:
+def central_charge_plus_continued(config: FlopConfig, E, w: complex, ctx: PsiContext) -> complex:
     """Plus-side central charge with the I-series continued past the wall."""
     rot = ctx.rotated()
-    psi_e = _psi_of(config, "plus", E, ctx)
-    i_vals = {(l,): i_restriction_continued(config, l, w, rot, tol=tol)
+    psi_e = _psi_of("plus", E, ctx)
+    i_vals = {(l,): i_restriction_continued(config, l, w, rot)
               for (l,) in fixed_point_deltas(config)}
     return pairing(config, LocalizedCohClass("plus", i_vals), psi_e)

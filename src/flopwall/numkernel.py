@@ -60,18 +60,18 @@ def _finite(v):
     return v
 
 
-def is_nonpositive_integer(s, tol: float = POLE_TOL) -> bool:
-    """Whether ``s``, or any element of an ndarray ``s``, is within ``tol``
+def is_nonpositive_integer(s) -> bool:
+    """Whether ``s``, or any element of an ndarray ``s``, is within POLE_TOL
     of a non-positive integer; a non-finite value never is.  Of an array,
-    only the elements within ``tol`` of the real axis are rounded."""
+    only the elements within POLE_TOL of the real axis are rounded."""
     if isinstance(s, np.ndarray):
-        near = s[np.abs(s.imag) <= tol]
-        return near.size > 0 and any(is_nonpositive_integer(v, tol) for v in near)
+        near = s[np.abs(s.imag) <= POLE_TOL]
+        return near.size > 0 and any(is_nonpositive_integer(v) for v in near)
     s = complex(s)
-    if not (abs(s.imag) <= tol and math.isfinite(s.real)):
+    if not (abs(s.imag) <= POLE_TOL and math.isfinite(s.real)):
         return False
     k = round(s.real)
-    return k <= 0 and abs(s.real - k) <= tol
+    return k <= 0 and abs(s.real - k) <= POLE_TOL
 
 
 def log_gamma(s):

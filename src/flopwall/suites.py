@@ -27,6 +27,8 @@ from .flopgeom import (
     tangent_weights,
 )
 from .hypergeom import (
+    Q_INSIDE,
+    Q_OUTSIDE,
     NonConvergenceError,
     barnes_integrate,
     central_charge,
@@ -434,7 +436,7 @@ def continuation_suite(env: SuiteEnv) -> list:
             rep = verify_continuation_r1(cfg, tol=env.tol("continuation"), order=env.order)
             return _err_case(rep.max_err, env.tol("continuation"))
         cases.append(CaseSpec("continuation", f"wall-crossing-n{n}-r1",
-                              {"n": n, "r": 1, "order": env.order, "q": [0.3, 3.0]}, thunk))
+                              {"n": n, "r": 1, "order": env.order, "q": [Q_INSIDE, Q_OUTSIDE]}, thunk))
 
     def guard():
         cfg = env.config_for(2, 1)
@@ -483,36 +485,26 @@ def continuation_suite(env: SuiteEnv) -> list:
         return _bool_case(res > 1e-4, res)
     cases.append(CaseSpec("continuation", "ode-sensitivity-control", {"bump": 1e-3}, ode_sensitivity))
 
-    def itoh_r1():
-        cfg = env.config_for(2, 1)
-        worst = 0.0
-        for z in env.z_values:
-            for side in ("plus", "minus"):
-                ctx = PsiContext.create(cfg, side, z=z)
-                for d in fixed_point_deltas(cfg):
-                    direct = i_function(cfg, side, d, 20, ctx)
-                    assembled = i_function_factored(cfg, side, d, 20, ctx)
-                    for e in direct.coeffs:
-                        scale = max(1.0, abs(direct.coeffs[e]))
-                        worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
-                    if abs(direct.offset - assembled.offset) > 1e-13:
-                        return _bool_case(False)
-        return _err_case(worst, env.tol("itoh"))
-    cases.append(CaseSpec("continuation", "i-factorization-n2-r1", {"n": 2, "r": 1, "order": 20}, itoh_r1))
-
-    def itoh_r2():
-        cfg = env.config_for(3, 2)
-        ctx_by_side = {s: PsiContext.create(cfg, s, z=env.z_values[0]) for s in ("plus", "minus")}
-        worst = 0.0
-        for side, ctx in ctx_by_side.items():
-            for d in fixed_point_deltas(cfg):
-                direct = i_function(cfg, side, d, 8, ctx)
-                assembled = i_function_factored(cfg, side, d, 8, ctx)
-                for e in direct.coeffs:
-                    scale = max(1.0, abs(direct.coeffs[e]))
-                    worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
-        return _err_case(worst, env.tol("itoh"))
-    cases.append(CaseSpec("continuation", "i-factorization-n3-r2", {"n": 3, "r": 2, "order": 8}, itoh_r2))
+    # the I-series direct and through its integral-structure factors, on
+    # both sides at every fixed point and z
+    for n, r, z_values, order in ((2, 1, env.z_values, 20), (3, 2, env.z_values[:1], 8)):
+        def itoh(n=n, r=r, z_values=z_values, order=order):
+            cfg = env.config_for(n, r)
+            worst = 0.0
+            for z in z_values:
+                for side in ("plus", "minus"):
+                    ctx = PsiContext.create(cfg, side, z=z)
+                    for d in fixed_point_deltas(cfg):
+                        direct = i_function(cfg, side, d, order, ctx)
+                        assembled = i_function_factored(cfg, side, d, order, ctx)
+                        for e in direct.coeffs:
+                            scale = max(1.0, abs(direct.coeffs[e]))
+                            worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
+                        if abs(direct.offset - assembled.offset) > 1e-13:
+                            return _bool_case(False)
+            return _err_case(worst, env.tol("itoh"))
+        cases.append(CaseSpec("continuation", f"i-factorization-n{n}-r{r}",
+                              {"n": n, "r": r, "order": order}, itoh))
 
     def i_symmetry():
         cfg = env.config_for(3, 2)
@@ -586,6 +578,7 @@ def central_charge_suite(env: SuiteEnv) -> list:
     return cases
 
 
+# the suites by name, in the order in which "all" runs them
 SUITES = {
     "identities": identities_suite,
     "geometry": geometry_suite,
@@ -595,15 +588,10 @@ SUITES = {
     "central-charge": central_charge_suite,
 }
 
-SUITE_ORDER = ("identities", "geometry", "ktheory", "wallcross", "continuation", "central-charge")
-
 
 def collect_cases(env: SuiteEnv, suite: str) -> list:
     if suite == "all":
-        out = []
-        for name in SUITE_ORDER:
-            out.extend(SUITES[name](env))
-        return out
+        return [case for make in SUITES.values() for case in make(env)]
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     return SUITES[suite](env)

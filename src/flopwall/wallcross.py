@@ -87,9 +87,9 @@ def _coeff_kernel(config: FlopConfig, scale: complex):
     return entry
 
 
-def coeff_C(config: FlopConfig, delta_minus, delta_plus, scale: complex = 1.0) -> complex:
-    """One entry of the 'C' transfer matrix (see ``_coeff_kernel``)."""
-    return _coeff_kernel(config, scale)("C", tuple(delta_minus), tuple(delta_plus))
+def coeff_C(config: FlopConfig, delta_minus, delta_plus) -> complex:
+    """One entry of the 'C' transfer matrix at scale 1 (see ``_coeff_kernel``)."""
+    return _coeff_kernel(config, 1.0)("C", tuple(delta_minus), tuple(delta_plus))
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,7 @@ class TransitionMatrix:
         }
 
 
-def transition_matrix(config: FlopConfig, kind: str = "C", scale: complex = 1.0) -> TransitionMatrix:
-    """The transfer matrix of one (config, kind, scale); see ``_transfer``."""
-    return _transfer(config, kind, scale)
-
-
-def _transfer(config: FlopConfig, kind: str, scale: complex) -> TransitionMatrix:
+def transition_matrix(config: FlopConfig, kind: str, scale: complex = 1.0) -> TransitionMatrix:
     """The transfer matrix of one (config, kind, scale), built on first use
     and held for the config's lifetime in its ``__dict__`` entry
     ``_transfer``, keyed by (kind, scale).  Its entries are tuples, so every
@@ -158,7 +153,7 @@ def uh_apply(config: FlopConfig, beta: LocalizedCohClass, scale: complex = 1.0) 
     """Transfer map in restriction coordinates: (U_H b)|_dp = sum C(dm,dp) b|_dm."""
     if beta.side != "minus":
         raise ValueError("uh_apply expects a minus-side class")
-    mat = _transfer(config, "C", scale)
+    mat = transition_matrix(config, "C", scale)
     values = {}
     for c, dp in enumerate(mat.cols):
         values[dp] = sum(row[c] * beta.values[dm] for dm, row in zip(mat.rows, mat.entries))
@@ -289,14 +284,18 @@ class PsiContext:
         return {}
 
     @classmethod
-    def create(cls, config: FlopConfig, side: str, z: complex | None = None,
-               log_z: complex | None = None) -> "PsiContext":
-        if log_z is None:
-            if z is None or z == 0:
-                raise ValueError("need z != 0 or an explicit log_z")
-            log_z = cmath.log(z)
-        ctx = cls(config=config, side=side, log_z=log_z)
-        inv_z = ctx.inv_z
+    def create(cls, config: FlopConfig, side: str, z: complex) -> "PsiContext":
+        """The context of ``z`` on the principal branch of log z.
+
+        ValueError at z = 0 (from ``cmath.log``), NonFiniteError where 1/z
+        or a tangent weight does not fit a float, and PoleError where
+        1 + w/z sits on a Gamma pole for a tangent weight w.
+        """
+        ctx = cls(config=config, side=side, log_z=cmath.log(z))
+        try:
+            inv_z = ctx.inv_z
+        except OverflowError:
+            raise NonFiniteError(f"1/z does not fit a float at z = {z!r}") from None
         for d in fixed_point_deltas(config):
             for t, w in enumerate(tangent_weights(config, FixedPointLabel(side, d))):
                 try:
@@ -432,6 +431,6 @@ def u_matrix_numeric(ctx_plus: PsiContext, ctx_minus: PsiContext):
     _check_u_contexts(ctx_plus, ctx_minus)
     config = ctx_minus.config
     inv_minus = [1 / psi_diag_factor(ctx_minus, dm) for dm in fixed_point_deltas(config)]
-    mat = _transfer(config, "C", ctx_minus.ch_scale)
+    mat = transition_matrix(config, "C", ctx_minus.ch_scale)
     plus = [psi_diag_factor(ctx_plus, dp) for dp in mat.cols]
     return [[p * (c * inv) for p, c in zip(plus, row)] for inv, row in zip(inv_minus, mat.entries)]

@@ -181,7 +181,7 @@ def test_criterion_07_r1_wall_crossing():
     worst = 0.0
     for n in (2, 3):
         cfg = default_config(n, 1)
-        rep = verify_continuation_r1(cfg, tol=1e-8, order=80, q_inside=0.3, q_outside=3.0)
+        rep = verify_continuation_r1(cfg, tol=1e-8, order=80)
         worst = max(worst, rep.max_err)
     _verdict(7, worst < 1e-8,
              "Mellin-Barnes continuation matches the series on both sides of the wall", worst)

@@ -1,9 +1,12 @@
 """Every public top-level function and class of the package has a caller in
 the program itself (``src/``, ``scripts/`` or ``perfbench/``), not only in
 the tests: a helper that only tests reach is dead code with a test on it.
+Likewise every parameter with a default is set by some program call: one
+that no run sets is an option that cannot change a run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import flopwall
@@ -72,3 +75,106 @@ def test_a_helper_without_program_caller_is_found():
     assert "coeff_CK" in set(_public_definitions(wallcross))
     assert "coeff_CK" not in _references(sources)
     assert "coeff_CK" in _references(sources + ["coeff_CK(None, (), ())\n"])
+
+
+# defaulted parameters that no program caller sets, and why each is kept
+UNSET_KEPT = {
+    "cli.py:main(argv)": "the console script calls main(); the tests pass argv",
+    "hypergeom.py:f_factor_series(weight_scale)": "the factor jets are next continued at 2 pi i / z",
+    "hypergeom.py:ode_check(weight_scale)": "checks those factor series at 2 pi i / z",
+}
+
+
+def _walk(node, enclosing=None):
+    """(enclosing def or lambda, node, whether node sits in a class body) for
+    every node under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield enclosing, child, isinstance(node, ast.ClassDef)
+        yield from _walk(child, child if isinstance(child, (ast.FunctionDef, ast.Lambda)) else enclosing)
+
+
+def _defaulted(tree):
+    """(function, position or None, parameter) of every parameter with a
+    default; the position leaves out a method's self or cls.
+
+    Special methods are left out, since syntax calls them, not their name;
+    so is a default that is the parameter's own name (``def thunk(n=n)``),
+    which binds a loop variable and is no option.
+    """
+    for _, node, method in _walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+            continue
+        a = node.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        pos = (a.posonlyargs + a.args)[int(method and not static):]
+        params = list(enumerate(pos)) + [(None, p) for p in a.kwonlyargs]
+        defaults = [None] * (len(pos) - len(a.defaults)) + a.defaults + a.kw_defaults
+        for (i, p), d in zip(params, defaults):
+            if d is not None and not (isinstance(d, ast.Name) and d.id == p.arg):
+                yield node.name, i, p.arg
+
+
+def _argument(call, index, param):
+    """The argument of ``call`` that sets ``param`` at position ``index``, or None;
+    ``**kw`` sets every parameter and ``*args`` every later position."""
+    for kw in call.keywords:
+        if kw.arg in (param, None):
+            return kw.value
+    for i, arg in enumerate(call.args):
+        if index is not None and (i == index or isinstance(arg, ast.Starred) and i <= index):
+            return arg
+    return None
+
+
+def _unset_parameters(files, kept=frozenset()):
+    """``file:function(parameter)`` of each defaulted parameter of the package
+    that no call in ``files``, (path, source) pairs, sets.
+
+    A call matches by name.  A recursive call does not count, and a call that
+    passes its caller's own defaulted parameter of the same name counts only
+    if that one is set; a ``kept`` parameter counts as set.
+    """
+    trees = [(path, ast.parse(source)) for path, source in files]
+    defaulted = {(path, fn, i, p) for path, tree in trees for fn, i, p in _defaulted(tree)}
+    own = {(fn, p) for _, fn, _, p in defaulted}
+    calls = [(enc, node) for _, tree in trees for enc, node, _ in _walk(tree) if isinstance(node, ast.Call)]
+    done = {re.fullmatch(r"\w+\.py:(\w+)\((\w+)\)", k).groups() for k in kept}
+    through = set()
+    for _, fn, i, p in defaulted:
+        for enc, call in calls:
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            caller = getattr(enc, "name", None)
+            arg = _argument(call, i, p) if name == fn != caller else None
+            if isinstance(arg, ast.Name) and arg.id == p and (caller, p) in own:
+                through.add(((fn, p), (caller, p)))
+            elif arg is not None:
+                done.add((fn, p))
+    while more := {k for k, src in through if src in done} - done:
+        done |= more
+    return sorted(f"{path.name}:{fn}({p})" for path, fn, _, p in defaulted
+                  if path.parent == PACKAGE and (fn, p) not in done)
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_caller():
+    files = [(p, p.read_text()) for p in _program_files()]
+    assert _unset_parameters(files, UNSET_KEPT) == [], "defaulted parameters no program caller sets"
+    # each kept parameter is still unset, so the list holds no stale entry
+    assert set(UNSET_KEPT) <= set(_unset_parameters(files))
+
+
+def test_a_parameter_set_only_by_recursion_or_an_unset_pass_through_is_found():
+    extra = ("def _halve(x, depth=0):\n"
+             "    return _halve(x / 2, depth + 1) if depth < 3 else x\n"
+             "def _outer(x, tol=1e-9):\n"
+             "    return _inner(x, tol=tol)\n"
+             "def _inner(x, tol=1e-9):\n"
+             "    return x + tol\n"
+             "def halve_both(x):\n"
+             "    return _halve(x), _outer(x)\n")
+    files = [(p, p.read_text() + extra if p.name == "wallcross.py" else p.read_text())
+             for p in _program_files()]
+    found = ["wallcross.py:_halve(depth)", "wallcross.py:_inner(tol)", "wallcross.py:_outer(tol)"]
+    assert _unset_parameters(files, UNSET_KEPT) == found
+    # once a caller sets the outer tol, the one it passes through is set too
+    files.append((ROOT / "scripts" / "extra.py", "_outer(1.0, 1e-6)\n"))
+    assert _unset_parameters(files, UNSET_KEPT) == found[:1]

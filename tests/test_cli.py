@@ -15,7 +15,7 @@ from flopwall.flopgeom import ConfigError, fixed_point_deltas, random_config
 from flopwall.hypergeom import h_series, i_function_factored
 from flopwall.ktheory import unit_class
 from flopwall.numkernel import PoleError
-from flopwall.suites import SuiteEnv, collect_cases
+from flopwall.suites import DEFAULT_TOLS, SuiteEnv, collect_cases
 from flopwall.wallcross import LocalizedCohClass, PsiContext, pairing, psi_apply
 
 
@@ -79,10 +79,10 @@ def test_no_state_carries_between_cases(payload):
     # the weight table, the wedges and psi's diagonal are held on the
     # config and context instances of one run: a case reads the same alone
     # and after every other suite
-    from flopwall.suites import SUITE_ORDER
+    from flopwall.suites import SUITES
 
     rc = RunConfig.from_json_dict(payload)
-    alone = [row for name in SUITE_ORDER for row in _rows(run_suite(rc, name))]
+    alone = [row for name in SUITES for row in _rows(run_suite(rc, name))]
     assert _rows(run_suite(rc, "all")) == alone
 
 
@@ -132,6 +132,9 @@ def test_weights_seed_or_scale_beside_explicit_lists_exits_two(tmp_path, extra):
     (["barnes", "--w=-1,3.14", "--tol", "inf"], None),
     (["series", "--side", "plus", "--delta", "1", "--order", "-3"], None),
     (["verify", "--suite", "identities"], '{"order": -1}'),
+    (["charge", "--class", "1", "--w=-1,3.14", "--z", "0,0"], None),
+    (["verify", "--suite", "identities"], '{"z_eval": [[0, 0]]}'),
+    (["verify", "--suite", "identities"], '{"z_eval": []}'),
 ])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv, config):
     # non-finite complex parts, a Barnes tol the quadrature cannot meet and
@@ -265,10 +268,21 @@ def test_charge_command_runs(capsys):
     # z^{dim/2} overflows in cmath.exp
     pytest.param(["--class", "e:1", "--w=-1.2,3.1416", "--z", "1e300,0"],
                  "psi factor overflows", id="1e300,0-psi factor overflows"),
+    # 1/z overflows in PsiContext.inv_z
+    pytest.param(["--class", "1", "--w=-1,3.14", "--z", "1e-320,0"],
+                 "1/z does not fit a float", id="1e-320,0-1/z overflows"),
+    # q^a = e^{a w} overflows for Re a < 0 deep inside the disc |q| < 1
+    pytest.param(["--class", "1", "--w=-1e4,3.14", "--side", "plus"],
+                 "a power of q overflows", id="w=-1e4-power of q overflows"),
+    # the I-series has radius |q| = 1; at Re w = 0.5 its truncation summed
+    # to 1.6e5 - 6.0e5i, exit 0
+    pytest.param(["--class", "1", "--w=0.5,3.14", "--z", "2,0"],
+                 "the I-series diverges at w = ", id="w=0.5-I-series diverges"),
+    pytest.param(["--class", "1", "--w=0,3.14", "--z", "2,0"],
+                 "the I-series diverges at w = ", id="w=0-I-series diverges"),
 ])
 def test_charge_overflow_is_an_evaluation_error(capsys, argv, raised_by):
-    # both used to end in a traceback and exit 1: a NonFiniteError from the
-    # Gamma class, and a raw OverflowError from the psi diagonal factor
+    # all but the divergent rows used to end in a traceback and exit 1
     assert main(["charge"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("evaluation error:") and raised_by in err
@@ -337,7 +351,7 @@ def test_runconfig_parsing_roundtrip(tmp_path):
     assert (cfg.n, cfg.r) == (3, 1)
     assert str(cfg.x[0]) == "31/100"
     assert rc.tols["continuation"] == 1e-7
-    env = rc.suite_env()
+    env = rc.suite_env(cfg)
     assert env.tol("continuation") == 1e-7
     assert env.tol("integral_pairing") == 1e-8
 
@@ -346,7 +360,8 @@ def test_runconfig_random_weights():
     rc = RunConfig.from_json_dict({"n": 3, "r": 2, "weights": {"seed": 4, "scale": "1/10"}})
     cfg1 = rc.flop_config()
     cfg2 = rc.flop_config()
-    assert cfg1 == cfg2
+    assert cfg1 == cfg2 and cfg1 is not cfg2
+    assert (rc.x, rc.z) == (cfg1.x, cfg1.z)  # drawn once, on loading
     assert cfg1.n == 3 and cfg1.r == 2
 
 
@@ -357,7 +372,9 @@ def test_runconfig_random_weights():
     ({"n": 2, "r": 1, "weights": {"x": ["1e309", "0"], "z": ["-1e308", "1"]}},
      r"weight x\[0\] \(\|w\| ~ 10\^309\.0\) does not fit a float"),
     ({"weights": {"seed": 1, "scale": "1e400"}}, r"weight x\[\d\] .* does not fit a float"),
-], ids=["r-equals-n", "weight-beyond-float", "scale-beyond-float"])
+    # every draw at scale 0 is degenerate: the draw was retried for ever
+    ({"weights": {"seed": 1, "scale": "0"}}, "weight scale 0 makes every draw degenerate"),
+], ids=["r-equals-n", "weight-beyond-float", "scale-beyond-float", "scale-zero"])
 def test_a_config_no_draw_can_mend_exits_two(tmp_path, payload, message):
     # in a subprocess with a timeout, so that a retry loop fails the test
     # instead of hanging it
@@ -392,7 +409,8 @@ def test_identities_tolerance_is_an_unknown_key(tmp_path):
     path = tmp_path / "rc.json"
     path.write_text(json.dumps({"tol": {"identities": 5}}))
     assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
-    assert "identities" not in RunConfig().echo()["tol"]
+    rc = RunConfig()
+    assert "identities" not in rc.echo(rc.flop_config())["tol"]
 
 
 def test_central_charge_at_z_3_plus_i_passes(tmp_path, capsys):
@@ -406,7 +424,7 @@ def test_central_charge_at_z_3_plus_i_passes(tmp_path, capsys):
     cases = {c["case"]: c for c in json.loads(capsys.readouterr().out)["cases"]}
     case = cases["fm-continuation"]
     assert case["status"] == "pass"
-    assert 0 < case["max_rel_err"] < RunConfig().suite_env().tol("central_charge")
+    assert 0 < case["max_rel_err"] < DEFAULT_TOLS["central_charge"]
     assert cases["linearity"]["status"] == cases["leading-asymptotics"]["status"] == "pass"
 
 
@@ -489,10 +507,10 @@ def test_continuation_suite_passes_on_a_seeded_n3_instance(tmp_path):
 
 
 def test_collect_cases_registry():
-    from flopwall.suites import SUITE_ORDER
+    from flopwall.suites import SUITES
 
     env = SuiteEnv()
-    per_suite = {name: len(collect_cases(env, name)) for name in SUITE_ORDER}
+    per_suite = {name: len(collect_cases(env, name)) for name in SUITES}
     assert all(count > 0 for count in per_suite.values())
     assert len(collect_cases(env, "all")) == sum(per_suite.values())
     with pytest.raises(ValueError):

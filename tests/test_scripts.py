@@ -47,3 +47,9 @@ def test_charge_profile_reports_a_weight_beyond_the_float_range(tmp_path):
     path.write_text(json.dumps({"n": 2, "r": 1, "weights": {"x": ["1e308", "0"], "z": ["-1e308", "1"]}}))
     err = run_script("charge_profile.py", "--config", str(path), cwd=tmp_path, returncode=2)
     assert err.startswith("evaluation error: tangent weight 1 at minus (0,)"), err
+
+
+def test_charge_profile_reports_a_q_where_the_minus_series_diverges(tmp_path):
+    # at |q+| = 1/2 the minus series runs at |q-| = 2, outside its disc
+    err = run_script("charge_profile.py", "--q-values", "0.5", cwd=tmp_path, returncode=2)
+    assert err.startswith("evaluation error: the I-series diverges at w = "), err
