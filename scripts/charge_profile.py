@@ -18,7 +18,7 @@ from flopwall.cli import RunConfig
 from flopwall.hypergeom import NonConvergenceError, central_charge, central_charge_plus_continued
 from flopwall.ktheory import fm_generator_formula, generator_e
 from flopwall.numkernel import NonFiniteError, PoleError
-from flopwall.wallcross import PsiContext
+from flopwall.wallcross import PsiContext, psi_apply
 
 
 def main() -> int:
@@ -36,17 +36,17 @@ def main() -> int:
 
     height = (cfg.n - cfg.r) * math.pi
     dm = (0,)
-    Em = generator_e(cfg, dm)
-    Ep = fm_generator_formula(cfg, dm)
     try:
         ctxm = PsiContext.create(cfg, "minus", z=args.z)
         ctxp = PsiContext.create(cfg, "plus", z=args.z)
         print(f"{'|q+|':>8}  {'Z_- (series)':>28}  {'Z_+ (continued)':>28}  rel_diff")
+        psi_m = psi_apply(ctxm, generator_e(cfg, dm))
+        psi_p = psi_apply(ctxp, fm_generator_formula(cfg, dm))
         for q in (float(t) for t in args.q_values.split(",")):
             # the minus series at -w converges for |q+| > 1 only
             w = math.log(q) + 1j * height
-            z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=rc.order)
-            z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
+            z_minus = central_charge(cfg, psi_m, -w, ctxm, order=rc.order)
+            z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
             rel = abs(z_plus - z_minus) / abs(z_minus)
             print(f"{q:8.3f}  {z_minus:28.16e}  {z_plus:28.16e}  {rel:.2e}")
     except (NonConvergenceError, NonFiniteError, PoleError) as exc:

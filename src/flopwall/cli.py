@@ -28,10 +28,10 @@ from .hypergeom import (
     central_charge,
     h_series,
 )
-from .numkernel import NonFiniteError, PoleError
+from .numkernel import NonFiniteError, PoleError, _exact_int
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
 from .suites import DEFAULT_TOLS, SUITES, SuiteEnv, collect_cases, default_config
-from .wallcross import PsiContext, transition_matrix
+from .wallcross import PsiContext, psi_apply, transition_matrix
 
 
 # ----------------------------------------------------------------------
@@ -59,6 +59,13 @@ def _nonzero_z(z: complex) -> complex:
     if z == 0:
         raise ConfigError("z must be nonzero")
     return z
+
+
+def _tolerance(name: str, value) -> float:
+    tol = float(value)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tolerance {name!r} must be finite and positive, got {value!r}")
+    return tol
 
 
 def _check_order(order: int) -> None:
@@ -111,7 +118,7 @@ class RunConfig:
             kwargs: dict = {}
             for key in ("n", "r", "seed", "order"):
                 if key in data:
-                    kwargs[key] = int(data[key])
+                    kwargs[key] = _exact_int(data[key])
             _check_order(kwargs.get("order", 0))
             weights = data.get("weights", {})
             _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
@@ -124,7 +131,7 @@ class RunConfig:
                 kwargs["z"] = tuple(Fraction(str(v)) for v in weights["z"])
             elif weights:
                 if "seed" in weights:
-                    seed = int(weights["seed"])
+                    seed = _exact_int(weights["seed"])
                     if kwargs.get("seed", seed) != seed:
                         raise ConfigError(f"seed {kwargs['seed']} differs from the weights seed {seed}")
                     kwargs["seed"] = seed
@@ -137,8 +144,10 @@ class RunConfig:
                 if not vals:
                     raise ConfigError("z_eval needs at least one value")
             if "tol" in data:
+                if not isinstance(data["tol"], dict):
+                    raise ConfigError("tol is a JSON object of tolerances")
                 _reject_unknown("tolerance keys", data["tol"], DEFAULT_TOLS)
-                kwargs["tols"] = {k: float(v) for k, v in data["tol"].items()}
+                kwargs["tols"] = {k: _tolerance(k, v) for k, v in data["tol"].items()}
             rc = cls(**kwargs)
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
@@ -404,7 +413,7 @@ def cmd_charge(args) -> int:
             E = fm_generator_formula(cfg, dm)
     else:
         raise ConfigError(f"bad --class {spec!r}; use '1' or 'e:i,j,...'")
-    value = central_charge(cfg, args.side, E, w, ctx, order=rc.order)
+    value = central_charge(cfg, psi_apply(ctx, E), w, ctx, order=rc.order)
     sys.stdout.write(
         _stable_json({"class": spec, "side": args.side, "w": w, "z": z, "value": value}) + "\n"
     )

@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .flopgeom import FlopConfig, fixed_point_deltas
-from .ktheory import LocalizedKClass
 from .numkernel import (
     POLE_TOL,
     NonFiniteError,
@@ -63,8 +62,6 @@ from .wallcross import (
     PsiContext,
     gamma_class,
     pairing,
-    psi_apply,
-    psi_on_coh,
     transition_matrix,
 )
 
@@ -1230,29 +1227,22 @@ def i_function_factored(config: FlopConfig, side: str, delta, order: int,
     )
 
 
-def _psi_of(side: str, E, ctx: PsiContext) -> LocalizedCohClass:
-    if isinstance(E, LocalizedKClass):
-        return psi_apply(ctx, E)
-    # numeric restriction values already at the context's Chern scale
-    return psi_on_coh(ctx, LocalizedCohClass(side, dict(E)))
-
-
-def central_charge(config: FlopConfig, side: str, E, w: complex,
+def central_charge(config: FlopConfig, psi_e: LocalizedCohClass, w: complex,
                    ctx: PsiContext, order: int = 60) -> complex:
     """Pairing of the I-series at the rotated argument with the psi-image of E.
 
-    Z(E) = sum_d I|_d(e^{-i pi} z)(w) * psi(E)(z)|_d / e(N_d); ``E`` is a
-    K-class or a dict of its Chern values at scale 2 pi i / z.  The I-series
-    converges for |q| < 1 only, since e^w = (-1)^{n-r+1} are the singular
-    points of its ODE: NonConvergenceError unless Re w < 0.
+    Z(E) = sum_d I|_d(e^{-i pi} z)(w) * psi(E)(z)|_d / e(N_d), on the side
+    of ``psi_e``, the image of E in ``ctx`` (``psi_apply`` or
+    ``psi_on_coh``).  The I-series converges for |q| < 1 only, since
+    e^w = (-1)^{n-r+1} are the singular points of its ODE:
+    NonConvergenceError unless Re w < 0.
     """
     if not w.real < 0:
         raise NonConvergenceError(f"the I-series diverges at w = {w!r}; it needs Re w < 0")
     rot = ctx.rotated()
-    psi_e = _psi_of(side, E, ctx)
-    i_vals = {d: i_function(config, side, d, order, rot).eval(w)
+    i_vals = {d: i_function(config, psi_e.side, d, order, rot).eval(w)
               for d in fixed_point_deltas(config)}
-    return pairing(config, LocalizedCohClass(side, i_vals), psi_e)
+    return pairing(config, LocalizedCohClass(psi_e.side, i_vals), psi_e)
 
 
 def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiContext) -> complex:
@@ -1264,10 +1254,11 @@ def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiCont
     return gam * barnes_integrate(w, config, l, tol=1e-11, weight_scale=ctx.ch_scale)
 
 
-def central_charge_plus_continued(config: FlopConfig, E, w: complex, ctx: PsiContext) -> complex:
-    """Plus-side central charge with the I-series continued past the wall."""
+def central_charge_plus_continued(config: FlopConfig, psi_e: LocalizedCohClass, w: complex,
+                                  ctx: PsiContext) -> complex:
+    """Plus-side central charge with the I-series continued past the wall;
+    ``psi_e`` is the psi-image of the plus class in ``ctx``."""
     rot = ctx.rotated()
-    psi_e = _psi_of("plus", E, ctx)
     i_vals = {(l,): i_restriction_continued(config, l, w, rot)
               for (l,) in fixed_point_deltas(config)}
     return pairing(config, LocalizedCohClass("plus", i_vals), psi_e)

@@ -280,23 +280,20 @@ def chern_character(config: FlopConfig, A: LocalizedKClass, scale: complex = 1.0
     return {d: chi.evaluate(xs, zs, scale) for d, chi in A.restrictions.items()}
 
 
-def fm_transform(config: FlopConfig, data, scale: complex = 1.0) -> dict:
+def fm_transform(config: FlopConfig, A: LocalizedKClass, scale: complex = 1.0) -> dict:
     """Fourier-Mukai transfer by localization, in restriction coordinates.
 
-    Input is a minus-side class (or a ready-made dict of numeric minus-side
-    restriction values at exponent scale ``scale``); output is the dict of
-    plus-side restriction values at the same scale:
+    Input is a minus-side class; output is the dict of plus-side
+    restriction values at exponent scale ``scale``:
 
-        FM(A)|_dp = sum_dm A|_dm * wedge(N_dp) / wedge(N_(dm,dp))
+        FM(A)|_dp = sum_dm ch(A)|_dm * wedge(N_dp) / wedge(N_(dm,dp))
 
-    with wedge(N) the product of (1 - e^{-scale*w}) over tangent weights.
+    with ch(A) its ``chern_character`` at ``scale`` and wedge(N) the
+    product of (1 - e^{-scale*w}) over tangent weights.
     """
-    if isinstance(data, LocalizedKClass):
-        if data.side != "minus":
-            raise ValueError("fm_transform expects a minus-side class")
-        vec = chern_character(config, data, scale)
-    else:
-        vec = dict(data)
+    if A.side != "minus":
+        raise ValueError("fm_transform expects a minus-side class")
+    vec = chern_character(config, A, scale)
     wedges = _wedges(config, scale)
     deltas = fixed_point_deltas(config)
     out = {}
@@ -336,21 +333,13 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
     return _binomial_class(config, "plus", pairs_at)
 
 
-def euler_characteristic(config: FlopConfig, data, side: str | None = None, scale: complex = 1.0) -> complex:
-    """K-theoretic localization sum: sum_d value(d) / wedge(N_d).
+def euler_characteristic(config: FlopConfig, vec: dict, side: str, scale: complex = 1.0) -> complex:
+    """K-theoretic localization sum: sum_d vec[d] / wedge(N_d).
 
-    ``data`` may be a LocalizedKClass, whose values are its
-    ``chern_character`` at ``scale``, or a dict of numeric restriction values
-    at exponent scale ``scale`` (then ``side`` is required).  It is the one
-    such sum: ``chi_z_pairing`` sums through it.
+    ``vec`` holds numeric restriction values at ``side``'s fixed points, at
+    exponent scale ``scale``; for a class they are its ``chern_character``.
+    It is the one such sum: ``chi_z_pairing`` sums through it.
     """
-    if isinstance(data, LocalizedKClass):
-        side = data.side
-        vec = chern_character(config, data, scale)
-    elif side is None:
-        raise ValueError("side is required for numeric restriction data")
-    else:
-        vec = data
     wedges = _wedges(config, scale)
     total = 0j
     for d, val in vec.items():

@@ -59,9 +59,9 @@ from .wallcross import (
     coeff_C,
     pairing,
     psi_apply,
+    psi_on_coh,
     transition_matrix,
     u_apply,
-    u_matrix_numeric,
     uh_apply,
     LocalizedCohClass,
 )
@@ -273,14 +273,14 @@ def ktheory_suite(env: SuiteEnv) -> list:
             for _ in range(5):
                 A = _random_generator_combo(cfg, rng)
                 B = _random_generator_combo(cfg, rng)
-                chi_m = euler_characteristic(cfg, A)
-                chi_p = euler_characteristic(cfg, fm_transform(cfg, A), side="plus")
+                chi_m = euler_characteristic(cfg, chern_character(cfg, A), "minus")
+                chi_p = euler_characteristic(cfg, fm_transform(cfg, A), "plus")
                 worst = worst_error(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
                 for z in env.z_values:
                     s = 2j * math.pi / z
                     lhs = chi_z_pairing(cfg, A, B, z)
                     ca, cb = chern_character(cfg, A, -s), chern_character(cfg, B, s)
-                    fa = fm_transform(cfg, ca, -s)
+                    fa = fm_transform(cfg, A, -s)
                     fb = fm_transform(cfg, B, s)
                     plus = {dp: fa[dp] * fb[dp] for dp in fa}
                     rhs = euler_characteristic(cfg, plus, "plus", s)
@@ -416,8 +416,13 @@ def wallcross_suite(env: SuiteEnv) -> list:
         z = env.z_values[0]
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
-        mat = np.array(u_matrix_numeric(ctxp, ctxm))
-        svals = np.linalg.svd(mat, compute_uv=False)
+        # the matrix of U on the fixed-point basis, one row per minus delta
+        deltas = fixed_point_deltas(cfg)
+        rows = []
+        for dm in deltas:
+            basis = LocalizedCohClass("minus", {d: 1.0 + 0j if d == dm else 0j for d in deltas})
+            rows.append([u_apply(ctxp, ctxm, basis).values[dp] for dp in deltas])
+        svals = np.linalg.svd(np.array(rows), compute_uv=False)
         ratio = svals[-1] / svals[0]
         return _bool_case(ratio > 1e-10, ratio)
     cases.append(CaseSpec("wallcross", "u-nonsingular", {"n": 2, "r": 1}, u_nonsingular))
@@ -535,9 +540,9 @@ def central_charge_suite(env: SuiteEnv) -> list:
         deltas = fixed_point_deltas(cfg)
         A = generator_e(cfg, deltas[0])
         B = generator_e(cfg, deltas[1])
-        za = central_charge(cfg, "minus", A, w, ctx, order=60)
-        zb = central_charge(cfg, "minus", B, w, ctx, order=60)
-        zab = central_charge(cfg, "minus", A + B, w, ctx, order=60)
+        za = central_charge(cfg, psi_apply(ctx, A), w, ctx, order=60)
+        zb = central_charge(cfg, psi_apply(ctx, B), w, ctx, order=60)
+        zab = central_charge(cfg, psi_apply(ctx, A + B), w, ctx, order=60)
         err = abs(zab - za - zb) / max(abs(za) + abs(zb), 1e-30)
         return _err_case(err, 1e-12)
     cases.append(CaseSpec("central-charge", "linearity", {"n": 2, "r": 1}, linearity))
@@ -552,12 +557,12 @@ def central_charge_suite(env: SuiteEnv) -> list:
         for kind in ("structure-sheaf", "generator"):
             if kind == "structure-sheaf":
                 Em = unit_class(cfg, "minus")
-                Ep = fm_transform(cfg, chern_character(cfg, Em, ctxp.ch_scale), ctxp.ch_scale)
+                psi_p = psi_on_coh(ctxp, LocalizedCohClass("plus", fm_transform(cfg, Em, ctxp.ch_scale)))
             else:
                 Em = generator_e(cfg, (0,))
-                Ep = fm_generator_formula(cfg, (0,))
-            z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=env.order)
-            z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
+                psi_p = psi_apply(ctxp, fm_generator_formula(cfg, (0,)))
+            z_minus = central_charge(cfg, psi_apply(ctxm, Em), -w, ctxm, order=env.order)
+            z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
             worst = worst_error(worst, abs(z_plus - z_minus) / max(abs(z_minus), 1e-30))
         return _err_case(worst, env.tol("central_charge"))
     cases.append(CaseSpec("central-charge", "fm-continuation", {"n": 2, "r": 1, "q": 3.0}, continuation))
@@ -568,10 +573,10 @@ def central_charge_suite(env: SuiteEnv) -> list:
         ctx = PsiContext.create(cfg, "plus", z=z)
         rot = ctx.rotated()
         w = -30.0 + 1j * math.pi
-        E = fm_generator_formula(cfg, (0,))
-        full = central_charge(cfg, "plus", E, w, ctx, order=40)
+        psi_e = psi_apply(ctx, fm_generator_formula(cfg, (0,)))
+        full = central_charge(cfg, psi_e, w, ctx, order=40)
         i_lead = {d: i_function(cfg, "plus", d, 0, rot).eval(w) for d in fixed_point_deltas(cfg)}
-        lead = pairing(cfg, LocalizedCohClass("plus", i_lead), psi_apply(ctx, E))
+        lead = pairing(cfg, LocalizedCohClass("plus", i_lead), psi_e)
         err = abs(full - lead) / max(abs(full), 1e-30)
         return _err_case(err, 1e-8)
     cases.append(CaseSpec("central-charge", "leading-asymptotics", {"n": 2, "r": 1, "w": -30.0}, leading_behaviour))

@@ -87,11 +87,6 @@ def _coeff_kernel(config: FlopConfig, scale: complex):
     return entry
 
 
-def coeff_C(config: FlopConfig, delta_minus, delta_plus) -> complex:
-    """One entry of the 'C' transfer matrix at scale 1 (see ``_coeff_kernel``)."""
-    return _coeff_kernel(config, 1.0)("C", tuple(delta_minus), tuple(delta_plus))
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Coefficient matrix, rows on the minus side, columns the plus fixed points.
@@ -135,6 +130,14 @@ def transition_matrix(config: FlopConfig, kind: str, scale: complex = 1.0) -> Tr
         entries = tuple(tuple(entry(kind, rw, cl) for cl in cols) for rw in rows)
         mat = memo[kind, scale] = TransitionMatrix(kind=kind, rows=rows, cols=cols, entries=entries)
     return mat
+
+
+def coeff_C(config: FlopConfig, delta_minus, delta_plus) -> complex:
+    """One entry of the 'C' transfer matrix at scale 1, read from the matrix
+    held on the config (``transition_matrix``).  Both labels are increasing
+    deltas; ValueError on any other."""
+    mat = transition_matrix(config, "C")
+    return mat.entries[mat.rows.index(tuple(delta_minus))][mat.cols.index(tuple(delta_plus))]
 
 
 # ----------------------------------------------------------------------
@@ -407,30 +410,12 @@ def u_apply(ctx_plus: PsiContext, ctx_minus: PsiContext, beta: LocalizedCohClass
     substitutes lambda -> 2 pi i lambda / z into any function of the
     weights, the transfer coefficients included.
     """
-    _check_u_contexts(ctx_plus, ctx_minus)
-    stripped = psi_inverse(ctx_minus, beta)
-    moved = uh_apply(ctx_minus.config, stripped, scale=ctx_minus.ch_scale)
-    return psi_on_coh(ctx_plus, moved)
-
-
-def _check_u_contexts(ctx_plus: PsiContext, ctx_minus: PsiContext) -> None:
     if ctx_plus.side != "plus" or ctx_minus.side != "minus":
         raise ValueError("contexts must be (plus, minus)")
     if abs(ctx_plus.log_z - ctx_minus.log_z) > 1e-14:
         raise ValueError("contexts must share the same log z")
     if ctx_plus.config is not ctx_minus.config and ctx_plus.config != ctx_minus.config:
         raise ValueError("contexts must share the configuration")
-
-
-def u_matrix_numeric(ctx_plus: PsiContext, ctx_minus: PsiContext):
-    """Matrix of u_apply on the fixed-point basis (row = minus delta).
-
-    Entry (dm, dp) is psi_plus(dp) * C(dm, dp) / psi_minus(dm), C at the
-    2 pi i / z - scaled weights, read from one transfer matrix.
-    """
-    _check_u_contexts(ctx_plus, ctx_minus)
-    config = ctx_minus.config
-    inv_minus = [1 / psi_diag_factor(ctx_minus, dm) for dm in fixed_point_deltas(config)]
-    mat = transition_matrix(config, "C", ctx_minus.ch_scale)
-    plus = [psi_diag_factor(ctx_plus, dp) for dp in mat.cols]
-    return [[p * (c * inv) for p, c in zip(plus, row)] for inv, row in zip(inv_minus, mat.entries)]
+    stripped = psi_inverse(ctx_minus, beta)
+    moved = uh_apply(ctx_minus.config, stripped, scale=ctx_minus.ch_scale)
+    return psi_on_coh(ctx_plus, moved)

@@ -49,9 +49,9 @@ from flopwall.wallcross import (
     antisym_identity_check,
     pairing,
     psi_apply,
+    psi_on_coh,
     transition_matrix,
     u_apply,
-    u_matrix_numeric,
     uh_apply,
 )
 
@@ -133,13 +133,13 @@ def test_criterion_05_euler_chi_z_invariance():
         ws = sum(cfg.complex_weights(), ())
         for _ in range(5):
             A, B = combo(), combo()
-            chi_m = euler_characteristic(cfg, A)
-            chi_p = euler_characteristic(cfg, fm_transform(cfg, A), side="plus")
+            chi_m = euler_characteristic(cfg, chern_character(cfg, A), "minus")
+            chi_p = euler_characteristic(cfg, fm_transform(cfg, A), "plus")
             worst = max(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
             for z in (2.0 + 0j, 3.0 + 1j):
                 s = TWO_PI_I / z
                 lhs = chi_z_pairing(cfg, A, B, z)
-                fa = fm_transform(cfg, chern_character(cfg, A, -s), -s)
+                fa = fm_transform(cfg, A, -s)
                 fb = fm_transform(cfg, B, s)
                 rhs = 0j
                 for dp in fa:
@@ -236,12 +236,12 @@ def test_criterion_10_central_charge_continuation():
     for kind in ("structure-sheaf", "generator"):
         if kind == "structure-sheaf":
             Em = unit_class(cfg, "minus")
-            Ep = fm_transform(cfg, chern_character(cfg, Em, ctxp.ch_scale), ctxp.ch_scale)
+            psi_p = psi_on_coh(ctxp, LocalizedCohClass("plus", fm_transform(cfg, Em, ctxp.ch_scale)))
         else:
             Em = generator_e(cfg, (0,))
-            Ep = fm_generator_formula(cfg, (0,))
-        z_minus = central_charge(cfg, "minus", Em, -w, ctxm, order=80)
-        z_plus = central_charge_plus_continued(cfg, Ep, w, ctxp)
+            psi_p = psi_apply(ctxp, fm_generator_formula(cfg, (0,)))
+        z_minus = central_charge(cfg, psi_apply(ctxm, Em), -w, ctxm, order=80)
+        z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
         worst = max(worst, abs(z_plus - z_minus) / abs(z_minus))
     _verdict(10, worst < 1e-6, "central charges related by continuation across the wall", worst)
 
@@ -265,7 +265,9 @@ def test_criterion_11_symplectic_preservation():
         lhs = pairing(cfg, u_apply(rotp, rotm, f_rot), u_apply(ctxp, ctxm, g))
         rhs = pairing(cfg, f_rot, g)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    mat = np.array(u_matrix_numeric(ctxp, ctxm))
+    deltas = fixed_point_deltas(cfg)
+    basis = [LocalizedCohClass("minus", {d: float(d == dm) for d in deltas}) for dm in deltas]
+    mat = np.array([[u_apply(ctxp, ctxm, b).values[dp] for dp in deltas] for b in basis])
     svals = np.linalg.svd(mat, compute_uv=False)
     nonsingular = svals[-1] / svals[0] > 1e-10
     _verdict(11, worst < 1e-8 and nonsingular,

@@ -1,8 +1,9 @@
 """Every public top-level function and class of the package has a caller in
 the program itself (``src/``, ``scripts/`` or ``perfbench/``), not only in
 the tests: a helper that only tests reach is dead code with a test on it.
-Likewise every parameter with a default is set by some program call: one
-that no run sets is an option that cannot change a run.
+Likewise every parameter with a default, a dataclass field with a default
+included, is set by some program call: one that no run sets is an option
+that cannot change a run.
 """
 
 import ast
@@ -93,8 +94,31 @@ def _walk(node, enclosing=None):
         yield from _walk(child, child if isinstance(child, (ast.FunctionDef, ast.Lambda)) else enclosing)
 
 
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields(node):
+    """(position, field) of each constructor field with a default of a
+    dataclass; a ``field(init=False)`` is no constructor field."""
+    pos = 0
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
+            continue
+        spec = {}
+        if isinstance(stmt.value, ast.Call) and getattr(stmt.value.func, "id", None) == "field":
+            spec = {kw.arg: kw.value for kw in stmt.value.keywords}
+        if getattr(spec.get("init"), "value", True) is False:
+            continue
+        if stmt.value is not None and (not spec or {"default", "default_factory"} & set(spec)):
+            yield pos, stmt.target.id
+        pos += 1
+
+
 def _defaulted(tree):
     """(function, position or None, parameter) of every parameter with a
+    default, and (class, position, field) of every dataclass field with a
     default; the position leaves out a method's self or cls.
 
     Special methods are left out, since syntax calls them, not their name;
@@ -102,6 +126,9 @@ def _defaulted(tree):
     which binds a loop variable and is no option.
     """
     for _, node, method in _walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for i, name in _dataclass_fields(node):
+                yield node.name, i, name
         if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
             continue
         a = node.args
@@ -126,9 +153,22 @@ def _argument(call, index, param):
     return None
 
 
+def _called_names(tree):
+    """(enclosing def or lambda, called name, call) of every call in ``tree``;
+    a ``cls(...)`` call in a class's method is named by the class."""
+    classes = {id(call): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for call in ast.walk(node)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"}
+    for enc, node, _ in _walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            yield enc, classes.get(id(node), name), node
+
+
 def _unset_parameters(files, kept=frozenset()):
     """``file:function(parameter)`` of each defaulted parameter of the package
-    that no call in ``files``, (path, source) pairs, sets.
+    that no call in ``files``, (path, source) pairs, sets; a dataclass field
+    is ``file:Class(field)``.
 
     A call matches by name.  A recursive call does not count, and a call that
     passes its caller's own defaulted parameter of the same name counts only
@@ -137,12 +177,11 @@ def _unset_parameters(files, kept=frozenset()):
     trees = [(path, ast.parse(source)) for path, source in files]
     defaulted = {(path, fn, i, p) for path, tree in trees for fn, i, p in _defaulted(tree)}
     own = {(fn, p) for _, fn, _, p in defaulted}
-    calls = [(enc, node) for _, tree in trees for enc, node, _ in _walk(tree) if isinstance(node, ast.Call)]
+    calls = [call for _, tree in trees for call in _called_names(tree)]
     done = {re.fullmatch(r"\w+\.py:(\w+)\((\w+)\)", k).groups() for k in kept}
     through = set()
     for _, fn, i, p in defaulted:
-        for enc, call in calls:
-            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        for enc, name, call in calls:
             caller = getattr(enc, "name", None)
             arg = _argument(call, i, p) if name == fn != caller else None
             if isinstance(arg, ast.Name) and arg.id == p and (caller, p) in own:
@@ -178,3 +217,25 @@ def test_a_parameter_set_only_by_recursion_or_an_unset_pass_through_is_found():
     # once a caller sets the outer tol, the one it passes through is set too
     files.append((ROOT / "scripts" / "extra.py", "_outer(1.0, 1e-6)\n"))
     assert _unset_parameters(files, UNSET_KEPT) == found[:1]
+
+
+def test_a_dataclass_field_no_caller_sets_is_found():
+    # b is set by position, d through cls(...), and the init=False memo is
+    # no constructor field, so c sits at position 2
+    extra = ("@dataclass\n"
+             "class _Probe:\n"
+             "    a: int\n"
+             "    b: int = 0\n"
+             "    memo: dict = field(default_factory=dict, init=False)\n"
+             "    c: tuple = ()\n"
+             "    d: list = field(default_factory=list)\n"
+             "    @classmethod\n"
+             "    def make(cls, d):\n"
+             "        return cls(1, d=d)\n"
+             "def probe():\n"
+             "    return _Probe(1, 2), _Probe.make([])\n")
+    files = [(p, p.read_text() + extra if p.name == "wallcross.py" else p.read_text())
+             for p in _program_files()]
+    assert _unset_parameters(files, UNSET_KEPT) == ["wallcross.py:_Probe(c)"]
+    files.append((ROOT / "scripts" / "extra.py", "_Probe(0, 1, ())\n"))
+    assert _unset_parameters(files, UNSET_KEPT) == []

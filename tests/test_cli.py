@@ -135,10 +135,20 @@ def test_weights_seed_or_scale_beside_explicit_lists_exits_two(tmp_path, extra):
     (["charge", "--class", "1", "--w=-1,3.14", "--z", "0,0"], None),
     (["verify", "--suite", "identities"], '{"z_eval": [[0, 0]]}'),
     (["verify", "--suite", "identities"], '{"z_eval": []}'),
+    (["verify", "--suite", "identities"], '{"tol": []}'),
+    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": "inf"}}'),
+    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": -1}}'),
+    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": "nan"}}'),
+    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": 0}}'),
+    (["verify", "--suite", "identities"], '{"n": 2.7}'),
+    (["verify", "--suite", "identities"], '{"order": 1.5}'),
+    (["verify", "--suite", "identities"], '{"weights": {"seed": 1.9}}'),
 ])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv, config):
     # non-finite complex parts, a Barnes tol the quadrature cannot meet and
-    # a negative series order used to return null values or a traceback
+    # a negative series order used to return null values or a traceback; a
+    # tolerance that is not finite and positive made its cases pass or fail
+    # whatever their error, and a non-integer n, order or seed was truncated
     if config is not None:
         path = tmp_path / "rc.json"
         path.write_text(config)

@@ -37,7 +37,6 @@ from flopwall.hypergeom import (
     verify_continuation_r1,
 )
 from flopwall.ktheory import (
-    chern_character,
     fm_generator_formula,
     fm_transform,
     generator_e,
@@ -53,7 +52,7 @@ from flopwall.numkernel import (
     sin_over_2i,
 )
 from flopwall.suites import SuiteEnv, collect_cases, default_config
-from flopwall.wallcross import PsiContext, coeff_C
+from flopwall.wallcross import LocalizedCohClass, PsiContext, coeff_C, psi_apply, psi_on_coh
 
 
 # ----------------------------------------------------------------------
@@ -1888,9 +1887,9 @@ def test_central_charge_linear(cfg21):
     w = -1.2 + 1j * math.pi
     A = generator_e(cfg21, (0,))
     B = generator_e(cfg21, (1,))
-    za = central_charge(cfg21, "minus", A, w, ctx, order=40)
-    zb = central_charge(cfg21, "minus", B, w, ctx, order=40)
-    zab = central_charge(cfg21, "minus", A + B, w, ctx, order=40)
+    za = central_charge(cfg21, psi_apply(ctx, A), w, ctx, order=40)
+    zb = central_charge(cfg21, psi_apply(ctx, B), w, ctx, order=40)
+    zab = central_charge(cfg21, psi_apply(ctx, A + B), w, ctx, order=40)
     assert abs(zab - za - zb) <= 1e-12 * max(1.0, abs(zab))
 
 
@@ -1902,10 +1901,10 @@ def test_central_charge_continuation(cfg21):
     for kind in ("one", "gen"):
         if kind == "one":
             Em = unit_class(cfg21, "minus")
-            Ep = fm_transform(cfg21, chern_character(cfg21, Em, ctxp.ch_scale), ctxp.ch_scale)
+            psi_p = psi_on_coh(ctxp, LocalizedCohClass("plus", fm_transform(cfg21, Em, ctxp.ch_scale)))
         else:
             Em = generator_e(cfg21, (0,))
-            Ep = fm_generator_formula(cfg21, (0,))
-        z_minus = central_charge(cfg21, "minus", Em, -w, ctxm, order=80)
-        z_plus = central_charge_plus_continued(cfg21, Ep, w, ctxp)
+            psi_p = psi_apply(ctxp, fm_generator_formula(cfg21, (0,)))
+        z_minus = central_charge(cfg21, psi_apply(ctxm, Em), -w, ctxm, order=80)
+        z_plus = central_charge_plus_continued(cfg21, psi_p, w, ctxp)
         assert abs(z_plus - z_minus) <= 1e-6 * abs(z_minus)

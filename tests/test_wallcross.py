@@ -38,7 +38,6 @@ from flopwall.wallcross import (
     psi_on_coh,
     transition_matrix,
     u_apply,
-    u_matrix_numeric,
     uh_apply,
 )
 
@@ -96,12 +95,14 @@ def test_ch_vanishes_on_repeats(cfg32):
 
 
 def test_coeff_c_invariant_under_simultaneous_reordering(cfg42):
+    # the matrix holds increasing labels only, so ask the kernel directly
+    entry = wallcross._coeff_kernel(cfg42, 1.0)
     dm, dp = (0, 2), (1, 3)
     base = coeff_C(cfg42, dm, dp)
     for perm in permutations(range(2)):
         pm = tuple(dm[p] for p in perm)
         pp = tuple(dp[p] for p in perm)
-        assert abs(coeff_C(cfg42, pm, pp) - base) < 1e-14 * abs(base)
+        assert abs(entry("C", pm, pp) - base) < 1e-14 * abs(base)
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (3, 5)])
@@ -188,13 +189,21 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (4, 1), (5, 1), (4, 2), (5, 3), (5, 4)])
 def test_coeff_c_computes_r_exponentials_and_2r_n_minus_r_sines(monkeypatch, n, r):
+    # one entry of a new kernel computes only what it needs
     cfg = random_config(n, r, seed=5)
     sines = _count_calls(monkeypatch, wallcross, "sin_over_2i")
     exps = _count_calls(monkeypatch, cmath, "exp")
     dm, dp = tuple(range(r)), tuple(range(n - r, n))
-    coeff_C(cfg, dm, dp)
+    wallcross._coeff_kernel(cfg, 1.0)("C", dm, dp)
     assert sines[0] == 2 * r * (n - r)
     assert exps[0] == r
+    # coeff_C reads every entry from the one matrix held on the config: a
+    # call per entry (n^2 at r = 1) builds one kernel
+    kernels = _count_calls(monkeypatch, wallcross, "_coeff_kernel")
+    deltas = fixed_point_deltas(cfg)
+    got = [[coeff_C(cfg, rw, cl) for cl in deltas] for rw in deltas]
+    assert kernels[0] == 1
+    assert tuple(map(tuple, got)) == transition_matrix(cfg, "C").entries
 
 
 @pytest.mark.parametrize("kind", ["C", "CK", "CH"])
@@ -577,10 +586,21 @@ def test_u_preserves_pairing(cfg21):
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
+def _u_matrix_by_basis_classes(ctx_plus, ctx_minus):
+    """The matrix as u_apply gives it on each basis class, one per row."""
+    deltas = fixed_point_deltas(ctx_minus.config)
+    rows = []
+    for dm in deltas:
+        basis = LocalizedCohClass("minus", {d: (1.0 + 0j if d == dm else 0j) for d in deltas})
+        image = u_apply(ctx_plus, ctx_minus, basis)
+        rows.append([image.values[dp] for dp in deltas])
+    return rows
+
+
 def test_u_matrix_nonsingular(cfg21):
     ctxm = PsiContext.create(cfg21, "minus", z=2.0 + 0j)
     ctxp = PsiContext.create(cfg21, "plus", z=2.0 + 0j)
-    mat = np.array(u_matrix_numeric(ctxp, ctxm))
+    mat = np.array(_u_matrix_by_basis_classes(ctxp, ctxm))
     svals = np.linalg.svd(mat, compute_uv=False)
     assert svals[-1] / svals[0] > 1e-10
 
@@ -590,8 +610,6 @@ def test_u_requires_matching_branch(cfg21):
     ctxp = PsiContext.create(cfg21, "plus", z=2.0 + 0j).rotated()
     with pytest.raises(ValueError):
         u_apply(ctxp, ctxm, LocalizedCohClass("minus", {(0,): 1.0 + 0j, (1,): 0j}))
-    with pytest.raises(ValueError):
-        u_matrix_numeric(ctxp, ctxm)
 
 
 def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
@@ -605,7 +623,7 @@ def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
     monkeypatch.setattr(wallcross, "gamma_class", counted)
     ctxm = PsiContext.create(cfg32, "minus", z=2.0 + 0j)
     ctxp = PsiContext.create(cfg32, "plus", z=2.0 + 0j)
-    rows = u_matrix_numeric(ctxp, ctxm)
+    rows = _u_matrix_by_basis_classes(ctxp, ctxm)
     k = len(fixed_point_deltas(cfg32))
     assert len(rows) == k
     # each u_apply reads psi's diagonal at every fixed point of both
@@ -617,30 +635,22 @@ def test_u_matrix_builds_each_gamma_class_once_per_context(cfg32, monkeypatch):
     assert ctxm.rotated().diag == {}
 
 
-def _u_matrix_by_basis_classes(ctx_plus, ctx_minus):
-    """The matrix as u_apply gives it on each basis class, one per row."""
-    deltas = fixed_point_deltas(ctx_minus.config)
-    rows = []
-    for dm in deltas:
-        basis = LocalizedCohClass("minus", {d: (1.0 + 0j if d == dm else 0j) for d in deltas})
-        image = u_apply(ctx_plus, ctx_minus, basis)
-        rows.append([image.values[dp] for dp in deltas])
-    return rows
-
-
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
 @pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j, -2.0 + 0j])
 def test_u_matrix_is_u_apply_on_the_basis_from_one_transfer_matrix(n, r, z, monkeypatch):
-    built = []
-    transfer = wallcross.transition_matrix
-    monkeypatch.setattr(wallcross, "transition_matrix", lambda *a: built.append(a[1:]) or transfer(*a))
+    # entry (dm, dp) is psi_plus(dp) * C(dm, dp) / psi_minus(dm), C at the
+    # 2 pi i / z - scaled weights, and every row reads one held matrix
+    kernels = _count_calls(monkeypatch, wallcross, "_coeff_kernel")
     for cfg in (default_config(n, r), random_config(n, r, seed=1)):
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
-        built.clear()
-        got = u_matrix_numeric(ctxp, ctxm)
-        assert built == [("C", ctxm.ch_scale)]
-        assert got == _u_matrix_by_basis_classes(ctxp, ctxm)
+        kernels[0] = 0
+        got = _u_matrix_by_basis_classes(ctxp, ctxm)
+        assert kernels[0] == 1
+        mat = transition_matrix(cfg, "C", ctxm.ch_scale)
+        want = [[wallcross.psi_diag_factor(ctxp, dp) * (c * (1 / wallcross.psi_diag_factor(ctxm, dm)))
+                 for dp, c in zip(mat.cols, row)] for dm, row in zip(mat.rows, mat.entries)]
+        assert got == want
 
 
 _PSI_CASES = {"integral-pairing-z2+0i", "integral-pairing-z3+1i", "symplectic-pairing", "fm-continuation"}
@@ -752,7 +762,7 @@ def test_a_dropped_config_is_freed_without_the_cyclic_collector():
     assert flip.flipped() is cfg
     s = TWO_PI_I / 2.0
     one = unit_class(cfg, "minus")
-    euler_characteristic(cfg, one, scale=s)
+    euler_characteristic(cfg, chern_character(cfg, one, s), "minus", s)
     fm_transform(cfg, one, s)
     transition_matrix(cfg, "C", s)
     transition_matrix(flip, "CH")
