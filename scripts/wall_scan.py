@@ -18,13 +18,13 @@ import sys
 
 from flopwall.cli import RunConfig
 from flopwall.hypergeom import PathSpec, barnes_integrate, h_series
+from flopwall.suites import SERIES_ORDER
 from flopwall.wallcross import transition_matrix
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", help="run-config JSON (defaults to the built-in n=2, r=1 instance)")
-    ap.add_argument("--order", type=int, default=80)
     ap.add_argument("--out", default="wall_scan.csv")
     args = ap.parse_args()
 
@@ -36,8 +36,8 @@ def main() -> int:
 
     n = cfg.n
     path = PathSpec.standard(cfg)
-    plus = [h_series(cfg, "plus", (l,), args.order) for l in range(n)]
-    minus = [h_series(cfg, "minus", (k,), args.order) for k in range(n)]
+    plus = [h_series(cfg, "plus", (l,), SERIES_ORDER) for l in range(n)]
+    minus = [h_series(cfg, "minus", (k,), SERIES_ORDER) for k in range(n)]
     transfer = transition_matrix(cfg, "C").entries  # transfer[k][l] = C((k,), (l,))
 
     with open(args.out, "w", newline="") as fh:

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +30,7 @@ from .hypergeom import (
 )
 from .numkernel import NonFiniteError, PoleError, _exact_int
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
-from .suites import DEFAULT_TOLS, SUITES, SuiteEnv, collect_cases, default_config
+from .suites import DEFAULT_TOLS, SERIES_ORDER, SUITES, SuiteEnv, collect_cases, default_config
 from .wallcross import PsiContext, psi_apply, transition_matrix
 
 
@@ -38,7 +38,7 @@ from .wallcross import PsiContext, psi_apply, transition_matrix
 # Run configuration
 # ----------------------------------------------------------------------
 
-_CONFIG_KEYS = ("n", "r", "seed", "order", "weights", "z_eval", "tol")
+_CONFIG_KEYS = ("n", "r", "seed", "weights", "z_eval")
 _WEIGHTS_KEYS = ("x", "z", "seed", "scale")
 
 
@@ -46,6 +46,13 @@ def _reject_unknown(what: str, data: dict, known) -> None:
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown {what} {sorted(unknown)}")
+
+
+def _number(name: str, value):
+    """``value`` itself; a JSON boolean is no number, though ``bool`` is an ``int``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
 
 
 def _finite_complex(re_part, im_part) -> complex:
@@ -61,13 +68,6 @@ def _nonzero_z(z: complex) -> complex:
     return z
 
 
-def _tolerance(name: str, value) -> float:
-    tol = float(value)
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"tolerance {name!r} must be finite and positive, got {value!r}")
-    return tol
-
-
 def _check_order(order: int) -> None:
     if order < 0:
         raise ConfigError(f"series order must be non-negative, got {order}")
@@ -75,13 +75,15 @@ def _check_order(order: int) -> None:
 
 @dataclass
 class RunConfig:
-    """Instance data plus suite knobs, JSON-loadable.
+    """The instance, the seed and the evaluation points, JSON-loadable.
 
     Weights are given either explicitly (decimal or "p/q" strings) or as
     {"seed", "scale"} for random rational generation, never both; the seed
     is recorded in every report.  A top-level seed beside the weights' seed
     must equal it.  Random weights are drawn once, on loading, and kept as
-    ``x`` and ``z``.
+    ``x`` and ``z``.  The tolerances and the series order are engine
+    constants (``suites.DEFAULT_TOLS``, ``suites.SERIES_ORDER``), echoed in
+    every report; no run config sets them.
     """
 
     n: int = 2
@@ -90,8 +92,6 @@ class RunConfig:
     z: tuple | None = None
     seed: int = 0
     z_eval: tuple = (2.0 + 0j, 3.0 + 1j)
-    order: int = 80
-    tols: dict = field(default_factory=dict)
 
     def flop_config(self) -> FlopConfig:
         """A new instance, so that no table built on one carries to the next run."""
@@ -100,13 +100,7 @@ class RunConfig:
         return default_config(self.n, self.r)
 
     def suite_env(self, config: FlopConfig) -> SuiteEnv:
-        return SuiteEnv(
-            seed=self.seed,
-            order=self.order,
-            z_values=tuple(self.z_eval),
-            tols=dict(self.tols),
-            base_config=config,
-        )
+        return SuiteEnv(seed=self.seed, z_values=tuple(self.z_eval), base_config=config)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
@@ -116,11 +110,12 @@ class RunConfig:
                 raise ConfigError("a run configuration is a JSON object")
             _reject_unknown("keys", data, _CONFIG_KEYS)
             kwargs: dict = {}
-            for key in ("n", "r", "seed", "order"):
+            for key in ("n", "r", "seed"):
                 if key in data:
-                    kwargs[key] = _exact_int(data[key])
-            _check_order(kwargs.get("order", 0))
+                    kwargs[key] = _exact_int(_number(key, data[key]))
             weights = data.get("weights", {})
+            if not isinstance(weights, dict):
+                raise ConfigError("weights is a JSON object")
             _reject_unknown("weights keys", weights, _WEIGHTS_KEYS)
             draw = None
             if "x" in weights or "z" in weights:
@@ -131,7 +126,7 @@ class RunConfig:
                 kwargs["z"] = tuple(Fraction(str(v)) for v in weights["z"])
             elif weights:
                 if "seed" in weights:
-                    seed = _exact_int(weights["seed"])
+                    seed = _exact_int(_number("weights seed", weights["seed"]))
                     if kwargs.get("seed", seed) != seed:
                         raise ConfigError(f"seed {kwargs['seed']} differs from the weights seed {seed}")
                     kwargs["seed"] = seed
@@ -140,14 +135,12 @@ class RunConfig:
                 vals = data["z_eval"]
                 if vals and isinstance(vals[0], (int, float)):
                     vals = [vals]
-                kwargs["z_eval"] = tuple(_nonzero_z(_finite_complex(a, b)) for a, b in vals)
+                kwargs["z_eval"] = tuple(
+                    _nonzero_z(_finite_complex(_number("a z_eval part", a), _number("a z_eval part", b)))
+                    for a, b in vals
+                )
                 if not vals:
                     raise ConfigError("z_eval needs at least one value")
-            if "tol" in data:
-                if not isinstance(data["tol"], dict):
-                    raise ConfigError("tol is a JSON object of tolerances")
-                _reject_unknown("tolerance keys", data["tol"], DEFAULT_TOLS)
-                kwargs["tols"] = {k: _tolerance(k, v) for k, v in data["tol"].items()}
             rc = cls(**kwargs)
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad run configuration: {exc}") from exc
@@ -169,8 +162,8 @@ class RunConfig:
             "x": [str(v) for v in config.x],
             "z": [str(v) for v in config.z],
             "z_eval": [[zz.real, zz.imag] for zz in self.z_eval],
-            "order": self.order,
-            "tol": {k: self.tols.get(k, DEFAULT_TOLS[k]) for k in sorted(DEFAULT_TOLS)},
+            "order": SERIES_ORDER,
+            "tol": dict(DEFAULT_TOLS),
         }
 
 
@@ -413,7 +406,7 @@ def cmd_charge(args) -> int:
             E = fm_generator_formula(cfg, dm)
     else:
         raise ConfigError(f"bad --class {spec!r}; use '1' or 'e:i,j,...'")
-    value = central_charge(cfg, psi_apply(ctx, E), w, ctx, order=rc.order)
+    value = central_charge(cfg, psi_apply(ctx, E), w, ctx, order=SERIES_ORDER)
     sys.stdout.write(
         _stable_json({"class": spec, "side": args.side, "w": w, "z": z, "value": value}) + "\n"
     )

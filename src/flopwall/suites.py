@@ -66,6 +66,7 @@ from .wallcross import (
     LocalizedCohClass,
 )
 
+# the pinned tolerance of each numerical check, by name; echoed in every report
 DEFAULT_TOLS = {
     "collapse": 1e-10,
     "fm_diagram": 1e-10,
@@ -79,6 +80,9 @@ DEFAULT_TOLS = {
     "central_charge": 1e-6,
     "symplectic": 1e-8,
 }
+
+# order of the reference I-series: the continuation checks, `charge` and the scripts
+SERIES_ORDER = 80
 
 # weights reused for the fixed (r, n) grids of the acceptance criteria
 _DEFAULT_X = ("31/100", "-17/100", "23/100", "-41/100", "7/100")
@@ -98,18 +102,13 @@ def default_config(n: int = 2, r: int = 1) -> FlopConfig:
 
 @dataclass
 class SuiteEnv:
-    """Everything a suite needs: configs, tolerances, evaluation points."""
+    """Everything a suite needs: the seed, the evaluation points and the configs."""
 
     seed: int = 0
-    order: int = 80
     z_values: tuple = (2.0 + 0j, 3.0 + 1j)
-    tols: dict = field(default_factory=dict)
     base_config: FlopConfig | None = None
     # one config per fixed grid point, so its weight table is built once per run
     _grid_configs: dict = field(default_factory=dict, init=False, repr=False)
-
-    def tol(self, name: str) -> float:
-        return self.tols.get(name, DEFAULT_TOLS[name])
 
     def config_for(self, n: int, r: int) -> FlopConfig:
         if self.base_config is not None and (self.base_config.n, self.base_config.r) == (n, r):
@@ -238,7 +237,7 @@ def ktheory_suite(env: SuiteEnv) -> list:
                 for dp in numeric:
                     scale = max(1.0, abs(ch_closed[dp]))
                     worst = worst_error(worst, abs(numeric[dp] - ch_closed[dp]) / scale)
-            return _err_case(worst, env.tol("fm_formula"))
+            return _err_case(worst, DEFAULT_TOLS["fm_formula"])
         cases.append(CaseSpec("ktheory", f"fm-formula-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
     for r, n in _FM_GRID:
@@ -290,7 +289,7 @@ def ktheory_suite(env: SuiteEnv) -> list:
                     bound = max(_localization_bound(cfg, {d: ca[d] * cb[d] for d in ca}, "minus", s),
                                 _localization_bound(cfg, plus, "plus", s), 1e-30)
                     worst = worst_error(worst, abs(lhs - rhs) / bound)
-            return _err_case(worst, env.tol("chi_invariance"))
+            return _err_case(worst, DEFAULT_TOLS["chi_invariance"])
         cases.append(CaseSpec("ktheory", f"chi-invariance-n{n}-r{r}", {"n": n, "r": r}, thunk))
     return cases
 
@@ -327,7 +326,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                     # triangle bound is the honest accuracy scale then
                     scale = max(abs(want), sum(abs(t) for t in terms) * 1e-2)
                     worst = worst_error(worst, abs(sum(terms) - want) / scale)
-            return _err_case(worst, env.tol("collapse"))
+            return _err_case(worst, DEFAULT_TOLS["collapse"])
         cases.append(CaseSpec("wallcross", f"sr-collapse-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
     for r, n in _FM_GRID:
@@ -340,7 +339,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                 image = uh_apply(cfg, LocalizedCohClass("minus", ch_e))
                 for dp, want in ch_fm.items():
                     worst = worst_error(worst, abs(image.values[dp] - want) / abs(want))
-            return _err_case(worst, env.tol("fm_diagram"))
+            return _err_case(worst, DEFAULT_TOLS["fm_diagram"])
         cases.append(CaseSpec("wallcross", f"fm-diagram-n{n}-r{r}", {"n": n, "r": r}, thunk))
 
     def c_specialization():
@@ -382,7 +381,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
                         # sum: the honest scale even when the total cancels
                         bound = _triangle_bound(cfg, pc, pd)
                         worst = worst_error(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
-            return _err_case(worst, env.tol("integral_pairing"))
+            return _err_case(worst, DEFAULT_TOLS["integral_pairing"])
         cases.append(
             CaseSpec("wallcross", f"integral-pairing-z{z.real:g}{z.imag:+g}i",
                      {"n": 2, "r": 1, "z": [z.real, z.imag]}, thunk)
@@ -408,7 +407,7 @@ def wallcross_suite(env: SuiteEnv) -> list:
             # sums: the pairing itself may legitimately cancel to ~0
             scale = max(_triangle_bound(cfg, uf, ug), _triangle_bound(cfg, f_rot, g), 1e-30)
             worst = worst_error(worst, abs(lhs - rhs) / scale)
-        return _err_case(worst, env.tol("symplectic"))
+        return _err_case(worst, DEFAULT_TOLS["symplectic"])
     cases.append(CaseSpec("wallcross", "symplectic-pairing", {"n": 2, "r": 1, "pairs": 10}, symplectic))
 
     def u_nonsingular():
@@ -438,10 +437,10 @@ def continuation_suite(env: SuiteEnv) -> list:
     for n in (2, 3):
         def thunk(n=n):
             cfg = env.config_for(n, 1)
-            rep = verify_continuation_r1(cfg, tol=env.tol("continuation"), order=env.order)
-            return _err_case(rep.max_err, env.tol("continuation"))
+            rep = verify_continuation_r1(cfg, tol=DEFAULT_TOLS["continuation"], order=SERIES_ORDER)
+            return _err_case(rep.max_err, DEFAULT_TOLS["continuation"])
         cases.append(CaseSpec("continuation", f"wall-crossing-n{n}-r1",
-                              {"n": n, "r": 1, "order": env.order, "q": [Q_INSIDE, Q_OUTSIDE]}, thunk))
+                              {"n": n, "r": 1, "order": SERIES_ORDER, "q": [Q_INSIDE, Q_OUTSIDE]}, thunk))
 
     def guard():
         cfg = env.config_for(2, 1)
@@ -464,7 +463,7 @@ def continuation_suite(env: SuiteEnv) -> list:
                 return _bool_case(False)
             for es, c in K.coeffs.items():
                 worst = worst_error(worst, abs(c - assembled.coeffs[es]))
-        return _err_case(worst, env.tol("structure"))
+        return _err_case(worst, DEFAULT_TOLS["structure"])
     cases.append(CaseSpec("continuation", "factor-structure-n3-r2", {"n": 3, "r": 2, "order": 10}, structure))
 
     def ode():
@@ -478,7 +477,7 @@ def continuation_suite(env: SuiteEnv) -> list:
         for dp in fixed_point_deltas(cfg):
             for k in range(cfg.r):
                 worst = worst_error(worst, ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus"))
-        return _err_case(worst, env.tol("ode"))
+        return _err_case(worst, DEFAULT_TOLS["ode"])
     cases.append(CaseSpec("continuation", "ode-residuals", {"order": 40}, ode))
 
     def ode_sensitivity():
@@ -507,7 +506,7 @@ def continuation_suite(env: SuiteEnv) -> list:
                             worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
                         if abs(direct.offset - assembled.offset) > 1e-13:
                             return _bool_case(False)
-            return _err_case(worst, env.tol("itoh"))
+            return _err_case(worst, DEFAULT_TOLS["itoh"])
         cases.append(CaseSpec("continuation", f"i-factorization-n{n}-r{r}",
                               {"n": n, "r": r, "order": order}, itoh))
 
@@ -561,10 +560,10 @@ def central_charge_suite(env: SuiteEnv) -> list:
             else:
                 Em = generator_e(cfg, (0,))
                 psi_p = psi_apply(ctxp, fm_generator_formula(cfg, (0,)))
-            z_minus = central_charge(cfg, psi_apply(ctxm, Em), -w, ctxm, order=env.order)
+            z_minus = central_charge(cfg, psi_apply(ctxm, Em), -w, ctxm, order=SERIES_ORDER)
             z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
             worst = worst_error(worst, abs(z_plus - z_minus) / max(abs(z_minus), 1e-30))
-        return _err_case(worst, env.tol("central_charge"))
+        return _err_case(worst, DEFAULT_TOLS["central_charge"])
     cases.append(CaseSpec("central-charge", "fm-continuation", {"n": 2, "r": 1, "q": 3.0}, continuation))
 
     def leading_behaviour():

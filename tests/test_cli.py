@@ -15,7 +15,7 @@ from flopwall.flopgeom import ConfigError, fixed_point_deltas, random_config
 from flopwall.hypergeom import h_series, i_function_factored
 from flopwall.ktheory import unit_class
 from flopwall.numkernel import PoleError
-from flopwall.suites import DEFAULT_TOLS, SuiteEnv, collect_cases
+from flopwall.suites import DEFAULT_TOLS, SERIES_ORDER, SuiteEnv, collect_cases
 from flopwall.wallcross import LocalizedCohClass, PsiContext, pairing, psi_apply
 
 
@@ -131,30 +131,37 @@ def test_weights_seed_or_scale_beside_explicit_lists_exits_two(tmp_path, extra):
     (["barnes", "--w=-1,3.14", "--tol", "nan"], None),
     (["barnes", "--w=-1,3.14", "--tol", "inf"], None),
     (["series", "--side", "plus", "--delta", "1", "--order", "-3"], None),
+    # order and tol are no run-config keys: any value is an unknown key
     (["verify", "--suite", "identities"], '{"order": -1}'),
     (["charge", "--class", "1", "--w=-1,3.14", "--z", "0,0"], None),
     (["verify", "--suite", "identities"], '{"z_eval": [[0, 0]]}'),
     (["verify", "--suite", "identities"], '{"z_eval": []}'),
     (["verify", "--suite", "identities"], '{"tol": []}'),
-    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": "inf"}}'),
-    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": -1}}'),
-    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": "nan"}}'),
-    (["verify", "--suite", "identities"], '{"tol": {"fm_formula": 0}}'),
+    # a JSON boolean passed as the integer 0 or 1
+    (["verify", "--suite", "identities"], '{"n": 3, "r": true}'),
+    (["verify", "--suite", "identities"], '{"seed": true}'),
+    (["verify", "--suite", "identities"], '{"weights": {"seed": true}}'),
+    (["verify", "--suite", "identities"], '{"z_eval": [[true, 0]]}'),
     (["verify", "--suite", "identities"], '{"n": 2.7}'),
-    (["verify", "--suite", "identities"], '{"order": 1.5}'),
+    (["verify", "--suite", "identities"], '{"n": true, "r": false}'),
     (["verify", "--suite", "identities"], '{"weights": {"seed": 1.9}}'),
+    # an empty non-object weights ran the default instance
+    (["verify", "--suite", "identities"], '{"weights": []}'),
+    (["verify", "--suite", "identities"], '{"weights": ""}'),
 ])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, argv, config):
     # non-finite complex parts, a Barnes tol the quadrature cannot meet and
-    # a negative series order used to return null values or a traceback; a
-    # tolerance that is not finite and positive made its cases pass or fail
-    # whatever their error, and a non-integer n, order or seed was truncated
+    # a negative series order used to return null values or a traceback,
+    # and a non-integer n or seed was truncated
     if config is not None:
         path = tmp_path / "rc.json"
         path.write_text(config)
         argv = argv + ["--config", str(path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    if config is not None and ("true" in config or "false" in config):
+        assert "must be a number, got " in err, err
 
 
 def test_readme_example_config_loads():
@@ -162,7 +169,6 @@ def test_readme_example_config_loads():
     block = readme.split("A run config is a JSON file:")[1].split("```json")[1].split("```")[0]
     rc = RunConfig.from_json_dict(json.loads(block))
     assert rc.flop_config().x[1] == Fraction(-17, 100)
-    assert rc.tols == {"continuation": 1e-8}
 
 
 def test_fixed_points_command(capsys):
@@ -320,7 +326,7 @@ def test_charge_at_z_3_plus_i_matches_the_factored_form(capsys):
     cfg = rc.flop_config()
     ctx = PsiContext.create(cfg, "minus", z=3 + 1j)
     w = -1.5 + 3.14159j
-    i_vals = {d: i_function_factored(cfg, "minus", d, rc.order, ctx.rotated()).eval(w)
+    i_vals = {d: i_function_factored(cfg, "minus", d, SERIES_ORDER, ctx.rotated()).eval(w)
               for d in fixed_point_deltas(cfg)}
     want = pairing(cfg, LocalizedCohClass("minus", i_vals),
                    psi_apply(ctx, unit_class(cfg, "minus")))
@@ -350,9 +356,7 @@ def test_runconfig_parsing_roundtrip(tmp_path):
         "r": 1,
         "weights": {"x": ["0.31", "-17/100", "23/100"], "z": ["3/25", "0.47", "-29/100"]},
         "seed": 9,
-        "order": 40,
         "z_eval": [[2.0, 0.0]],
-        "tol": {"continuation": 1e-7},
     }
     path = tmp_path / "rc.json"
     path.write_text(json.dumps(payload))
@@ -360,10 +364,8 @@ def test_runconfig_parsing_roundtrip(tmp_path):
     cfg = rc.flop_config()
     assert (cfg.n, cfg.r) == (3, 1)
     assert str(cfg.x[0]) == "31/100"
-    assert rc.tols["continuation"] == 1e-7
     env = rc.suite_env(cfg)
-    assert env.tol("continuation") == 1e-7
-    assert env.tol("integral_pairing") == 1e-8
+    assert (env.seed, env.z_values, env.base_config) == (9, (2 + 0j,), cfg)
 
 
 def test_runconfig_random_weights():
@@ -409,18 +411,48 @@ def test_a_top_level_seed_must_equal_the_weights_seed(tmp_path, capsys):
         {"weights": {"seed": 5}}).flop_config()
 
 
-def test_runconfig_rejects_unknown_tol():
-    with pytest.raises(ConfigError):
-        RunConfig.from_json_dict({"tol": {"bogus": 1.0}})
+def test_tol_and_order_are_unknown_keys(tmp_path, capsys):
+    # the tolerances and the series order are engine constants: a run
+    # config that loosened every tolerance to 1e300 passed those cases
+    # whatever their error, and order 3 failed the continuation cases on a
+    # truncated reference series
+    for payload in ({"tol": {"fm_formula": 1e300, "collapse": 1e300, "continuation": 1e300,
+                             "central_charge": 1e300}},
+                    {"tol": {"identities": 5}},
+                    {"order": 3},
+                    {"order": SERIES_ORDER}):
+        path = tmp_path / "rc.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(path)]) == 2, payload
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert f"unknown keys {sorted(payload)}" in captured.err
+        with pytest.raises(ConfigError):
+            RunConfig.from_json_dict(payload)
 
 
-def test_identities_tolerance_is_an_unknown_key(tmp_path):
+def test_report_echoes_the_pinned_tolerances_and_series_order(capsys):
+    assert main(["verify", "--suite", "identities"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["tol"] == DEFAULT_TOLS
+    assert config["order"] == SERIES_ORDER == 80
     # no identities case reads a tolerance: its checks are exact
-    path = tmp_path / "rc.json"
-    path.write_text(json.dumps({"tol": {"identities": 5}}))
-    assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
-    rc = RunConfig()
-    assert "identities" not in rc.echo(rc.flop_config())["tol"]
+    assert "identities" not in config["tol"]
+
+
+def test_cases_read_the_pinned_tolerance_table(monkeypatch):
+    from flopwall import suites
+
+    def statuses():
+        return {c["case"]: c["status"] for c in run_suite(RunConfig(), "ktheory").cases}
+
+    fm_formula = {"fm-formula-n2-r1", "fm-formula-n3-r1", "fm-formula-n3-r2", "fm-formula-n4-r2"}
+    assert set(statuses().values()) == {"pass"}
+    monkeypatch.setitem(suites.DEFAULT_TOLS, "fm_formula", 0.0)
+    status = statuses()
+    assert {name for name, st in status.items() if st != "pass"} == fm_formula
+    assert {status[name] for name in fm_formula} == {"fail"}
 
 
 def test_central_charge_at_z_3_plus_i_passes(tmp_path, capsys):
@@ -477,6 +509,41 @@ def test_full_suite_passes():
     failures = [c for c in report.cases if c["status"] != "pass"]
     assert not failures, failures
     assert report.exit_status == 0
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "verify_default.json"
+
+
+def _pinned_view(report) -> dict:
+    """The platform-independent part of a verify report: the config echo and
+    each case's suite, name, params and status.  ``max_rel_err`` and
+    ``runtime_ms`` vary with the platform and are left out."""
+    keep = ("suite", "case", "params", "status")
+    view = {"config": report.config, "cases": [{k: c[k] for k in keep} for c in report.cases]}
+    return json.loads(_stable_json(view))
+
+
+def test_default_report_matches_the_golden_file():
+    # the rows and the config echo of the default verify report stay as
+    # they are unless a change means them to differ; such a change rewrites
+    # tests/data/verify_default.json and says so
+    golden = json.loads(GOLDEN_REPORT.read_text())
+    assert len(golden["cases"]) == 59
+    assert _pinned_view(run_suite(RunConfig(), "all")) == golden
+
+
+def test_golden_file_comparison_fails_on_one_changed_param(monkeypatch):
+    from flopwall import suites
+
+    # the params "q" of the wall-crossing cases read suites.Q_INSIDE; the
+    # check itself reads hypergeom's, so only those params change
+    golden = json.loads(GOLDEN_REPORT.read_text())
+    monkeypatch.setattr(suites, "Q_INSIDE", 0.25)
+    view = _pinned_view(run_suite(RunConfig(), "all"))
+    assert view != golden
+    changed = [c["case"] for c, want in zip(view["cases"], golden["cases"]) if c != want]
+    assert changed == ["wall-crossing-n2-r1", "wall-crossing-n3-r1"]
+    assert view["config"] == golden["config"]
 
 
 class _SeededGrid(SuiteEnv):
