@@ -418,7 +418,6 @@ def test_tol_and_order_are_unknown_keys(tmp_path, capsys):
     # truncated reference series
     for payload in ({"tol": {"fm_formula": 1e300, "collapse": 1e300, "continuation": 1e300,
                              "central_charge": 1e300}},
-                    {"tol": {"identities": 5}},
                     {"order": 3},
                     {"order": SERIES_ORDER}):
         path = tmp_path / "rc.json"
@@ -430,6 +429,20 @@ def test_tol_and_order_are_unknown_keys(tmp_path, capsys):
         assert f"unknown keys {sorted(payload)}" in captured.err
         with pytest.raises(ConfigError):
             RunConfig.from_json_dict(payload)
+
+
+def test_runconfig_rejects_unknown_tol():
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict({"tol": {"bogus": 1.0}})
+
+
+def test_identities_tolerance_is_an_unknown_key(tmp_path):
+    # no identities case reads a tolerance: its checks are exact
+    path = tmp_path / "rc.json"
+    path.write_text(json.dumps({"tol": {"identities": 5}}))
+    assert main(["verify", "--suite", "identities", "--config", str(path)]) == 2
+    rc = RunConfig()
+    assert "identities" not in rc.echo(rc.flop_config())["tol"]
 
 
 def test_report_echoes_the_pinned_tolerances_and_series_order(capsys):
