@@ -222,14 +222,16 @@ def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
     (``_compositions_up_to``), first meets them, every slot at e = 0 and
     then slots r - 1 down to 0 at e = 1, ..., order, so an error is the one
     the scalar call at the first argument that loop rejects would raise
-    (``_kernel_values``).
+    (``_kernel_values``).  An argument is its base 1 + (x_{d_k} - x_j) u or
+    1 + (z_j - x_{d_k}) u, computed once per (k, j), plus or minus e: the
+    same floats as the sum written out, which adds e last.
     """
     xs, zs = config.complex_weights()
     n, es = config.n, range(order + 1)
     visits = ([(k, e) for e in es[:1] for k in range(len(d))]
               + [(k, e) for k in reversed(range(len(d))) for e in es[1:]])
-    args = [a for k, e in visits for j in range(n)
-            for a in (1 + (xs[d[k]] - xs[j]) * u + e, 1 + (zs[j] - xs[d[k]]) * u - e)]
+    bases = [[(1 + (xs[dk] - xs[j]) * u, 1 + (zs[j] - xs[dk]) * u) for j in range(n)] for dk in d]
+    args = [a for k, e in visits for up, down in bases[k] for a in (up + e, down - e)]
     values = _kernel_values(recip_gamma, args)
     table = [[None] * len(es) for _ in d]
     for i, (k, e) in enumerate(visits):
@@ -314,12 +316,13 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
             prefactor /= den
 
     table = _recip_table(config, d, order, u)
+    pair = [[(xs[d[i]] - xs[d[k]]) * u for i in range(k)] for k in range(r)]
     coeffs: dict = {}
     for es in _compositions_up_to(r, order):
         c = complex((-1.0) ** (((r - 1) * sum(es)) % 2))
         for k in range(r):
             for i in range(k):
-                c *= (xs[d[i]] - xs[d[k]]) * u + (es[i] - es[k])
+                c *= pair[k][i] + (es[i] - es[k])
             for v in table[k][es[k]]:
                 c *= v
         coeffs[es] = c
@@ -1182,15 +1185,17 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
     offset = sum(xs[i] for i in d) * ctx.inv_z
     slots = []
     for dk in d:
+        diffs = [(zs[j] - xs[dk], xs[dk] - xs[j]) for j in range(n)]
         v = 1.0 + 0j
         values = [v]
         for e in range(1, order + 1):
             hh = 1 - e
-            for j in range(n):
-                v *= zs[j] - xs[dk] + hh * zv
-                v /= xs[dk] - xs[j] + e * zv
+            for num, den in diffs:
+                v *= num + hh * zv
+                v /= den + e * zv
             values.append(v)
         slots.append(values)
+    pair = [[xs[d[k]] - xs[d[i]] for i in range(k)] for k in range(r)]
     coeffs: dict = {}
     for es in _compositions_up_to(r, order):
         c = 1.0 + 0j
@@ -1199,7 +1204,7 @@ def i_function(config: FlopConfig, side: str, delta, order: int,
         # paired root-factor telescoping: (-1)^m (A + m z)/A per pair i < k
         for k in range(r):
             for i in range(k):
-                A = xs[d[k]] - xs[d[i]]
+                A = pair[k][i]
                 m = es[k] - es[i]
                 c *= (-1.0) ** (m % 2) * (A + m * zv) / A
         tot = sum(es)

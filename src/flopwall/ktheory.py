@@ -186,31 +186,58 @@ def _generator_pairs(n: int, delta0, delta_minus) -> tuple:
     return tuple((n + i, n + j) for i in delta0 for j in rest)
 
 
+def _held_class(config: FlopConfig, build, delta_minus) -> LocalizedKClass:
+    """``build(config, delta_minus)``, built on first use and held for the
+    config's lifetime in its ``__dict__`` entry ``_classes``, keyed by
+    (build, delta_minus as a tuple).
+
+    Every caller shares the held class: none mutates one, since ``scaled``
+    and ``__add__`` build new classes.  A class refers to nothing that
+    refers back to the config, so holding it makes no reference cycle.
+    """
+    memo = config.__dict__.setdefault("_classes", {})
+    key = build, tuple(delta_minus)
+    A = memo.get(key)
+    if A is None:
+        A = memo[key] = build(config, key[1])
+    return A
+
+
+def _generator_e(config: FlopConfig, delta_minus: tuple) -> LocalizedKClass:
+    return _binomial_class(config, "minus", {
+        d0: _generator_pairs(config.n, d0, delta_minus) for d0 in fixed_point_deltas(config)
+    })
+
+
 def generator_e(config: FlopConfig, delta_minus) -> LocalizedKClass:
-    """The minus-side spanning class attached to delta_minus.
+    """The minus-side spanning class attached to delta_minus, held on the
+    config (``_held_class``).
 
     Its restriction at delta0 is the product over i in delta0 and j outside
     delta_minus of (1 - e^{z_i - z_j}); the expansion collapses to the zero
     character at every delta0 != delta_minus because a factor with zero
     exponent appears.
     """
-    return _binomial_class(config, "minus", {
-        d0: _generator_pairs(config.n, d0, delta_minus) for d0 in fixed_point_deltas(config)
-    })
+    return _held_class(config, _generator_e, delta_minus)
 
 
-def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
-    """Closed product formula for the transform of a generator.
-
-    Restriction at delta_plus: prod over i in delta_plus, j outside
-    delta_minus of (1 - e^{x_i - z_j}).
-    """
+def _fm_generator_formula(config: FlopConfig, delta_minus: tuple) -> LocalizedKClass:
     n = config.n
     rest = [j for j in range(n) if j not in delta_minus]
     return _binomial_class(config, "plus", {
         dp: tuple((i, n + j) for i in dp for j in rest)
         for dp in fixed_point_deltas(config)
     })
+
+
+def fm_generator_formula(config: FlopConfig, delta_minus) -> LocalizedKClass:
+    """Closed product formula for the transform of a generator, held on the
+    config (``_held_class``).
+
+    Restriction at delta_plus: prod over i in delta_plus, j outside
+    delta_minus of (1 - e^{x_i - z_j}).
+    """
+    return _held_class(config, _fm_generator_formula, delta_minus)
 
 
 def tilde_tangent_weight_pairs(config: FlopConfig, delta_minus, delta_plus) -> list:

@@ -6,8 +6,9 @@ is the vector of its values at that side's fixed points.  Expanding a class
 in the fixed-point basis [pt_d]/e(N_d) shows that the transfer map acts on
 restriction vectors simply as (U_H b)|_dp = sum_dm C(dm, dp) * b|_dm.
 The coefficients C, CK and CH all come from one kernel per (config,
-scale), which computes each exponential and sine it needs once; each
-matrix is built once per (config, kind, scale) and held on the config.
+scale), which computes each exponential, sine and sine ratio it needs
+once; each matrix is built once per (config, kind, scale) and held on the
+config.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 
@@ -61,23 +61,32 @@ def _coeff_kernel(config: FlopConfig, scale: complex):
 
     at weights multiplied by ``scale``.  Every sine is one of
     sin((w_p - w_q)/2i) over the weights w = (x, z), kept in one table keyed
-    by the index pair (p, q); each exponential and sine is computed once per
-    kernel, on first use.
+    by the index pair (p, q), and every slot ratio
+    sin((x_a - z_j)/2i) / sin((z_b - z_j)/2i) in one keyed by (a, b, j).
+    CK and CH read a slot's ratios as one row per (a, b), over every j != b;
+    C reads only the ratios its entry needs.  Each exponential, sine and
+    ratio is computed once per kernel, on first use, and an entry multiplies
+    the same factors in the same order as the loop over j written out.
     """
     n, r = config.n, config.r
     xs, zs = config.complex_weights(scale)
     ws = xs + zs
     ex = _Lazy(lambda a, b: cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0))
     sin = _Lazy(lambda p, q: sin_over_2i(ws[p] - ws[q]))
+    ratio = _Lazy(lambda a, b, j: sin[a, n + j] / sin[n + b, n + j])
+    ratios = _Lazy(lambda a, b: tuple(ratio[a, b, j] for j in range(n) if j != b))
 
     def entry(kind: str, row, col) -> complex:
         out = 1.0 + 0j
         for a, b in zip(col, row):
             out *= ex[a, b]
-            skip = row if kind == "C" else (b,)
-            for j in range(n):
-                if j not in skip:
-                    out *= sin[a, n + j] / sin[n + b, n + j]
+            if kind == "C":
+                for j in range(n):
+                    if j not in row:
+                        out *= ratio[a, b, j]
+            else:
+                for q in ratios[a, b]:
+                    out *= q
         if kind == "CH":
             for i in range(r):
                 for k in range(i + 1, r):
@@ -245,13 +254,19 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
     rng = random.Random(seed)
     samples_ok = True
     for _ in range(samples):
-        xs = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
-        zs = [Fraction(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(r)]
+        # x_0, ..., x_{r-1}, then z_0, ..., z_{r-1}, each p/q in lowest terms
+        # (q > 0), kept as the integer pair (p, q)
+        coords = []
+        for _ in range(2 * r):
+            p, q = rng.randint(-60, 60), rng.randint(1, 40)
+            g = math.gcd(p, q)
+            coords.append((p // g, q // g))
         # Both sides are homogeneous of degree r(r-1), so at the point scaled
         # by the common denominator D each is D^{r(r-1)} != 0 times its value
         # at the rational point: the integer point decides the same equality.
-        den = math.lcm(*(v.denominator for v in xs + zs))
-        lhs, rhs = _antisym_sides([int(v * den) for v in xs], [int(v * den) for v in zs], 1)
+        den = math.lcm(*(q for _, q in coords))
+        ints = [p * (den // q) for p, q in coords]
+        lhs, rhs = _antisym_sides(ints[:r], ints[r:], 1)
         if lhs != rhs:
             samples_ok = False
             break

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from flopwall.cli import RunConfig, _stable_json, emit, main, run_suite
+from flopwall import cli
+from flopwall.cli import MAX_SERIES_COEFFS, RunConfig, _check_order, _stable_json, emit, main, run_suite
 from flopwall.flopgeom import ConfigError, fixed_point_deltas, random_config
 from flopwall.hypergeom import h_series, i_function_factored
 from flopwall.ktheory import unit_class
@@ -241,6 +242,29 @@ def test_series_command_matches_library(capsys, cfg21):
     assert data["order"] == 6
     got0 = complex(*[row for row in data["coeffs"] if row[0] == 0][0][1:])
     assert abs(got0 - s.coefficient(0)) < 1e-15
+
+
+def test_series_order_past_the_coefficient_bound_is_a_config_error(monkeypatch, capsys):
+    # order 10^8 used to build the series until the process ran out of
+    # memory; the bound is checked before any series is built
+    def never(*args, **kw):
+        raise AssertionError("h_series called")
+
+    monkeypatch.setattr(cli, "h_series", never)
+    assert main(["series", "--side", "plus", "--delta", "1", "--order", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert f"more than {MAX_SERIES_COEFFS} coefficients" in err and "order 100000000 at r = 1" in err
+
+
+def test_series_coefficient_bound_is_c_order_plus_r_choose_r():
+    assert MAX_SERIES_COEFFS >= math.comb(63, 3)  # order 60 at r = 3
+    for r in (1, 2, 3):
+        order = 0
+        while math.comb(order + 1 + r, r) <= MAX_SERIES_COEFFS:
+            order += 1
+        _check_order(order, r)
+        with pytest.raises(ConfigError, match="coefficients"):
+            _check_order(order + 1, r)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

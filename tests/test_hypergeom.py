@@ -459,6 +459,133 @@ def test_series_errors_past_the_overflow_order_are_the_scalar_ones(n, r, order):
             NonFiniteError, "non-finite kernel value (inf+infj)")
 
 
+# Seeded instances for the bit-for-bit checks of the hoisted bases, each with
+# the orders its series are built at: 80 at r <= 2, with 200 past the 1/Gamma
+# overflow at r = 1, and 10 at r = 3.
+_HOIST_GRID = [(2, 1, (80, 200)), (3, 1, (80, 200)), (3, 2, (80,)), (4, 2, (80,)),
+               (4, 3, (10,))]
+# 1, and 2 pi i / z for z = 3 + i and z = 2, as i_function_factored builds it
+_HOIST_SCALES = (1.0, TWO_PI_I / (3.0 + 1j), TWO_PI_I / 2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, r, orders", _HOIST_GRID)
+def test_series_equal_the_per_argument_loops_on_seeded_instances(n, r, orders, seed):
+    # the bases 1 + (x_dk - x_j) u and 1 + (z_j - x_dk) u are computed once
+    # per (k, j); each coefficient, or the error raised, is the loop's that
+    # computes every 1/Gamma argument afresh
+    cfg = random_config(n, r, seed=seed)
+    deltas = fixed_point_deltas(cfg)
+    for order in orders:
+        for scale in _HOIST_SCALES:
+            for d in deltas[:2]:
+                for side in ("plus", "minus"):
+                    want = _series_outcome(_h_series_scalar, cfg, side, d, order, scale)
+                    assert _series_outcome(h_series, cfg, side, d, order, scale) == want
+                for k in range(r):
+                    want = _series_outcome(_f_factor_series_scalar, cfg, d, k, order, scale)
+                    assert _series_outcome(f_factor_series, cfg, d, k, order, scale) == want
+
+
+def test_series_with_one_base_moved_by_one_ulp_are_seen(cfg32, monkeypatch):
+    # negative control: the 1/Gamma row of one base 1 + (z_j - x_d0) u,
+    # moved by one ulp, must change the series
+    table = hypergeom._recip_table
+
+    def moved(config, d, order, u):
+        rows = table(config, d, order, u)
+        xs, zs = config.complex_weights()
+        j = next(j for j in range(config.n) if j != d[0])
+        base = 1 + (zs[j] - xs[d[0]]) * u
+        base = complex(math.nextafter(base.real, math.inf), base.imag)
+        for e, row in enumerate(rows[0]):
+            row[2 * j + 1] = recip_gamma(base - e)
+        return rows
+
+    monkeypatch.setattr(hypergeom, "_recip_table", moved)
+    d = (0, 1)
+    assert (_series_outcome(h_series, cfg32, "plus", d, 80)
+            != _series_outcome(_h_series_scalar, cfg32, "plus", d, 80))
+    assert (_series_outcome(f_factor_series, cfg32, d, 0, 80)
+            != _series_outcome(_f_factor_series_scalar, cfg32, d, 0, 80))
+
+
+def _i_function_per_factor(config, side, delta, order, ctx, moved=False):
+    """``i_function`` as it was before z_j - x_dk, x_dk - x_j and the pair
+    differences were computed once: each factor is its own sum.  With
+    ``moved`` the first slot's first z_j - x_dk is one ulp larger, the
+    negative control."""
+    if side == "minus":
+        return _i_function_per_factor(config.flipped(), "plus", delta, order, ctx, moved)
+    xs, zs = config.complex_weights()
+    zv = ctx.z
+    n, r = config.n, config.r
+    d = tuple(delta)
+    offset = sum(xs[i] for i in d) * ctx.inv_z
+    slots = []
+    for dk in d:
+        v = 1.0 + 0j
+        values = [v]
+        for e in range(1, order + 1):
+            hh = 1 - e
+            for j in range(n):
+                if moved and dk == d[0] and j == 0:
+                    num = zs[j] - xs[dk]
+                    v *= complex(math.nextafter(num.real, math.inf), num.imag) + hh * zv
+                else:
+                    v *= zs[j] - xs[dk] + hh * zv
+                v /= xs[dk] - xs[j] + e * zv
+            values.append(v)
+        slots.append(values)
+    coeffs = {}
+    for es in iter_product(range(order + 1), repeat=r):
+        if sum(es) > order:
+            continue
+        c = 1.0 + 0j
+        for k in range(r):
+            c *= slots[k][es[k]]
+        for k in range(r):
+            for i in range(k):
+                A = xs[d[k]] - xs[d[i]]
+                m = es[k] - es[i]
+                c *= (-1.0) ** (m % 2) * (A + m * zv) / A
+        tot = sum(es)
+        if not cmath.isfinite(c):
+            raise NonFiniteError(f"I-series coefficient at delta = {d}, degree e = {tot} is {c!r}")
+        coeffs[tot,] = coeffs.get((tot,), 0j) + c
+    return OffsetSeries(offsets=(offset,), coeffs=coeffs, order=order)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, r, orders", _HOIST_GRID)
+def test_i_function_equals_the_per_factor_loop_on_seeded_instances(n, r, orders, seed):
+    # at z = 1e-8 the coefficients overflow: the same NonFiniteError
+    cfg = random_config(n, r, seed=seed)
+    deltas = fixed_point_deltas(cfg)
+    raised = []
+    for z in (3.0 + 1j, 2.0, 0.05j, 1e-8):
+        for side in ("plus", "minus"):
+            try:
+                ctx = PsiContext.create(cfg, side, z)
+            except PoleError:
+                continue
+            for c in (ctx, ctx.rotated()):
+                for d in deltas[:2]:
+                    want = _series_outcome(_i_function_per_factor, cfg, side, d, orders[0], c)
+                    assert _series_outcome(i_function, cfg, side, d, orders[0], c) == want
+                    raised.append(want[0] is NonFiniteError)
+    assert not all(raised)
+    assert any(raised) == (r <= 2)
+
+
+def test_i_function_with_one_difference_moved_by_one_ulp_is_seen(cfg31):
+    ctx = PsiContext.create(cfg31, "plus", 3.0 + 1j)
+    for d in fixed_point_deltas(cfg31):
+        got = i_function(cfg31, "plus", d, 80, ctx)
+        assert got == _i_function_per_factor(cfg31, "plus", d, 80, ctx)
+        assert got != _i_function_per_factor(cfg31, "plus", d, 80, ctx, moved=True)
+
+
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_series_make_one_recip_gamma_call(cfg32, side, monkeypatch):
     # one call on the 2n r (order + 1) arguments of h_series, one on the

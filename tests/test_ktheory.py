@@ -589,6 +589,40 @@ def test_pair_form_equals_the_vector_form(nr, seed, z):
                 for d in A.restrictions}
 
 
+@pytest.mark.parametrize("build", [generator_e, fm_generator_formula])
+def test_a_repeated_generator_call_returns_the_held_class(cfg32, build):
+    A = build(cfg32, (0, 2))
+    assert build(cfg32, [0, 2]) is A
+    assert build(cfg32, (1, 2)) is not A
+    # another instance of the same weights holds its own, equal class
+    twin = type(cfg32)(cfg32.n, cfg32.r, cfg32.x, cfg32.z)
+    assert build(twin, (0, 2)) is not A and build(twin, (0, 2)) == A
+    # sums and multiples are new classes, so the held one stays as built
+    unit = unit_class(cfg32, A.side)
+    before = dict(A.restrictions)
+    assert (A + unit) is not A and A.scaled(3) is not A
+    assert A.restrictions == before and build(cfg32, (0, 2)) is A
+
+
+def test_one_verify_run_builds_each_generator_class_once(monkeypatch):
+    # verify-all asks for generator_e 140 times and for fm_generator_formula
+    # 48 times, on 14 distinct (config, delta) each; every class is built
+    # once, on its first use
+    calls = {}
+    for name in ("_generator_e", "_fm_generator_formula"):
+        build, seen = getattr(ktheory, name), calls.setdefault(name, [])
+
+        def counted(config, delta_minus, build=build, seen=seen):
+            seen.append((config, delta_minus))  # holds the config, so its id stays its own
+            return build(config, delta_minus)
+
+        monkeypatch.setattr(ktheory, name, counted)
+    report = run_suite(RunConfig(), "all")
+    assert {c["status"] for c in report.cases} == {"pass"}
+    for name, seen in calls.items():
+        assert len(seen) == len({(id(c), d) for c, d in seen}) == 14, name
+
+
 def _ktheory_statuses():
     return {c["case"]: c["status"] for c in run_suite(RunConfig(), "ktheory").cases}
 

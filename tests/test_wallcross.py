@@ -175,6 +175,54 @@ def test_transition_matrix_entries_equal_the_reference_loops(cfg, scale):
                     assert coeff_C(cfg, rw, cl) == val
 
 
+def _per_entry_kernel(config, scale, wrong_j=False):
+    """The kernel as it was before its sine ratios were held: every entry
+    divides each ratio afresh from the pair-keyed sine table.  With
+    ``wrong_j`` an entry's first ratio reads its numerator sine at the
+    next j, the negative control."""
+    n, r = config.n, config.r
+    xs, zs = config.complex_weights(scale)
+    ws = xs + zs
+    ex = numkernel._Lazy(lambda a, b: cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0))
+    sin = numkernel._Lazy(lambda p, q: sin_over_2i(ws[p] - ws[q]))
+
+    def entry(kind, row, col):
+        out = 1.0 + 0j
+        shift = int(wrong_j)
+        for a, b in zip(col, row):
+            out *= ex[a, b]
+            skip = row if kind == "C" else (b,)
+            for j in range(n):
+                if j not in skip:
+                    out *= sin[a, n + (j + shift) % n] / sin[n + b, n + j]
+                    shift = 0
+        if kind == "CH":
+            for i in range(r):
+                for k in range(i + 1, r):
+                    out *= sin[n + row[i], n + row[k]] / sin[col[i], col[k]]
+        return out
+
+    return entry
+
+
+_GRID = [(n, r) for n in range(2, 6) for r in range(1, n)]
+
+
+@pytest.mark.parametrize("n,r", _GRID)
+def test_transition_matrix_entries_equal_the_per_entry_kernel(n, r):
+    # every entry, of every kind and at every scale, is the same float as
+    # the per-entry kernel gives; the wrong-j control differs from it
+    for scale in (1.0, 2j, 0.3 + 1j):
+        cfg = random_config(n, r, seed=10 * n + r)
+        for kind in ("C", "CK", "CH"):
+            M = transition_matrix(cfg, kind, scale)
+            want = _per_entry_kernel(cfg, scale)
+            mutant = _per_entry_kernel(cfg, scale, wrong_j=True)
+            got = [v for row in M.entries for v in row]
+            assert got == [want(kind, rw, cl) for rw in M.rows for cl in M.cols], (kind, scale)
+            assert got != [mutant(kind, rw, cl) for rw in M.rows for cl in M.cols], (kind, scale)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = [0]
     fn = getattr(module, name)
@@ -379,6 +427,45 @@ def _cleared(xs, zs):
     """The point times the lcm D of its denominators, as ints, and D."""
     den = math.lcm(*(v.denominator for v in xs + zs))
     return [int(v * den) for v in xs], [int(v * den) for v in zs], den
+
+
+def _sample_points(monkeypatch, r, seed):
+    """The integer points ``antisym_identity_check(r, seed=seed)`` evaluates."""
+    points = []
+    sides = wallcross._antisym_sides
+
+    def record(xs, zs, one):
+        if not isinstance(one, int):
+            return sides(xs, zs, one)
+        points.append((list(xs), list(zs)))
+        return one, one  # equal sides, so every sample is drawn
+
+    monkeypatch.setattr(wallcross, "_antisym_sides", record)
+    assert antisym_identity_check(r, seed=seed).ok
+    monkeypatch.undo()
+    return points
+
+
+def _unreduced_points(rng, r):
+    """Negative control: the draws scaled by the lcm of their raw
+    denominators, not of the denominators in lowest terms."""
+    draws = [(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(2 * r)]
+    den = math.lcm(*(q for _, q in draws))
+    ints = [p * (den // q) for p, q in draws]
+    return ints[:r], ints[r:]
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_antisym_samples_are_the_fraction_route_points(monkeypatch, r):
+    # the integer pairs in lowest terms give the points the Fraction draws
+    # cleared by their common denominator gave, 20 per seed
+    for seed in range(20):
+        got = _sample_points(monkeypatch, r, seed)
+        rng = random.Random(seed)
+        want = [list(_cleared(*_random_point(rng, r))[:2]) for _ in range(20)]
+        assert [list(p) for p in got] == want
+        rng = random.Random(seed)
+        assert [list(p) for p in got] != [list(_unreduced_points(rng, r)) for _ in range(20)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -754,8 +841,8 @@ def test_a_transfer_memo_keyed_without_the_scale_fails_the_symplectic_case(monke
 
 
 def test_a_dropped_config_is_freed_without_the_cyclic_collector():
-    # the config, its flip and the tables held on them (weights, wedges and
-    # transfer matrices) form no reference cycle, so refcounting frees them
+    # the config, its flip and the tables held on them (weights, wedges,
+    # transfer matrices and generator classes) form no reference cycle, so refcounting frees them
     # when the last reference goes, not the next run of the cyclic collector
     cfg = random_config(3, 2, seed=4)
     flip = cfg.flipped()
@@ -766,7 +853,10 @@ def test_a_dropped_config_is_freed_without_the_cyclic_collector():
     fm_transform(cfg, one, s)
     transition_matrix(cfg, "C", s)
     transition_matrix(flip, "CH")
+    generator_e(cfg, (0, 2))
+    fm_generator_formula(flip, (1, 2))
     assert flip.fixed_point_table and "_wedges" in cfg.__dict__
+    assert "_classes" in cfg.__dict__ and "_classes" in flip.__dict__
     refs = [weakref.ref(cfg), weakref.ref(flip)]
     gc.disable()
     try:
