@@ -68,11 +68,11 @@ def _nonzero_z(z: complex) -> complex:
     return z
 
 
-# The most coefficients one `series` call may store: C(order + r, r), those
-# of total degree <= order in r variables.  It admits order 60 at r = 3
-# (C(63, 3) = 39,711).  Under tracemalloc a call at the bound peaks at 39 MB
-# for (n, r) = (2, 1) and 98 MB for (6, 1), both at order 99,999, where the
-# 2n r (order + 1) 1/Gamma values dominate, and at 18 MB for (4, 3), order 81.
+# The most values one `series` call may store: C(order + r, r) coefficients,
+# those of total degree <= order in r variables, and, checked apart, the
+# 2n r (order + 1) 1/Gamma values of its table, which come first.  It
+# admits order 60 at r = 3 (C(63, 3) = 39,711) and order 24,999 at
+# (n, r) = (2, 1).
 MAX_SERIES_COEFFS = 100_000
 
 
@@ -82,6 +82,13 @@ def _check_order(order: int, r: int) -> None:
     if math.comb(order + r, r) > MAX_SERIES_COEFFS:
         raise ConfigError(f"series order {order} at r = {r} stores more than "
                           f"{MAX_SERIES_COEFFS} coefficients, C(order + r, r)")
+
+
+def _check_recip_table(order: int, n: int, r: int) -> None:
+    values = 2 * n * r * (order + 1)
+    if values > MAX_SERIES_COEFFS:
+        raise ConfigError(f"series order {order} at (n, r) = ({n}, {r}) needs {values} 1/Gamma "
+                          f"values, 2n r (order + 1), more than {MAX_SERIES_COEFFS}")
 
 
 @dataclass
@@ -381,6 +388,7 @@ def cmd_series(args) -> int:
     cfg = rc.flop_config()
     delta = _parse_delta(args.delta, cfg)
     _check_order(args.order, cfg.r)
+    _check_recip_table(args.order, cfg.n, cfg.r)
     series = h_series(cfg, args.side, delta, args.order).specialize()
     sys.stdout.write(_stable_json(series.to_json_dict()) + "\n")
     return 0

@@ -377,20 +377,16 @@ def euler_characteristic(config: FlopConfig, vec: dict, side: str, scale: comple
     return total
 
 
-def chi_z_pairing(config: FlopConfig, C: LocalizedKClass, D: LocalizedKClass, z: complex) -> complex:
+def chi_z_pairing(config: FlopConfig, ch_c: dict, ch_d: dict, side: str, z: complex) -> complex:
     """Modified Euler pairing: chi(C^dual (x) D) with weights scaled by 2 pi i / z.
 
-    The scaling applies throughout, to the restrictions and to the
-    localization denominators.  The Chern character is multiplicative and
-    dualizing flips the exponent sign, so the pairing evaluates the two
-    arguments separately (keeping any factored form) instead of expanding
-    the product character.
+    ``ch_c`` is ``chern_character(config, C, -2 pi i / z)`` and ``ch_d`` is
+    ``chern_character(config, D, 2 pi i / z)``, both classes on ``side``:
+    the Chern character is multiplicative and dualizing flips the exponent
+    sign, so the pairing takes the two arguments' characters separately
+    (each keeping any factored form) instead of expanding the product
+    character, and a caller pairing a class many times builds its
+    characters once.  The scaling applies throughout, to the restrictions
+    and to the localization denominators.
     """
-    if C.side != D.side:
-        raise ValueError("chi_z_pairing needs classes on the same side")
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    scale = TWO_PI_I / z
-    c_vals = chern_character(config, C, -scale)
-    d_vals = chern_character(config, D, scale)
-    return euler_characteristic(config, {d: c_vals[d] * d_vals[d] for d in c_vals}, C.side, scale)
+    return euler_characteristic(config, {d: ch_c[d] * ch_d[d] for d in ch_c}, side, TWO_PI_I / z)

@@ -1,8 +1,10 @@
 """Verification suites.
 
-Each suite function yields case specs (name, params, thunk); a thunk runs
-one check and returns (status, max_rel_err).  Reports list the cases in
-declaration order.
+Each check is a function of the config of its grid point (n, r), plus any
+per-point arguments; ``_at`` and ``_grid`` make it one case spec (name,
+params, thunk) per point.  A thunk looks the config up when it runs, runs
+the check and returns (status, max_rel_err).  Each suite function returns
+its case specs, and reports list the cases in declaration order.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from typing import Callable
 
@@ -52,7 +56,7 @@ from .ktheory import (
     generator_e,
     unit_class,
 )
-from .numkernel import sin_over_2i, worst_error
+from .numkernel import TWO_PI_I, sin_over_2i, worst_error
 from .wallcross import (
     PsiContext,
     antisym_identity_check,
@@ -137,21 +141,28 @@ def _err_case(err: float, tol: float):
     return ("pass" if err < tol else "fail"), err
 
 
+def _at(env: SuiteEnv, suite: str, name: str, params: dict, check: Callable, n: int, r: int, *args):
+    """The case that runs ``check(config, *args)`` on the config of grid
+    point (n, r), looked up when the case runs, not when it is collected."""
+    return CaseSpec(suite, name, params, lambda: check(env.config_for(n, r), *args))
+
+
+def _grid(env: SuiteEnv, suite: str, stem: str, check: Callable, points) -> list:
+    """One case ``{stem}-n{n}-r{r}`` of ``check`` per (r, n) of ``points``."""
+    return [_at(env, suite, f"{stem}-n{n}-r{r}", {"n": n, "r": r}, check, n, r) for r, n in points]
+
+
 # ----------------------------------------------------------------------
 # identities
 # ----------------------------------------------------------------------
 
 def identities_suite(env: SuiteEnv) -> list:
-    cases = []
-    for r in range(1, 7):
-        def thunk(r=r):
-            rep = antisym_identity_check(r, samples=20, seed=env.seed)
-            return _bool_case(rep.ok, 0.0 if rep.ok else None)
-        cases.append(
-            CaseSpec("identities", f"antisym-r{r}",
-                     {"r": r, "samples": 20, "symbolic": r <= 4}, thunk)
-        )
-    return cases
+    def antisym(r):
+        rep = antisym_identity_check(r, samples=20, seed=env.seed)
+        return _bool_case(rep.ok, 0.0 if rep.ok else None)
+
+    return [CaseSpec("identities", f"antisym-r{r}", {"r": r, "samples": 20, "symbolic": r <= 4},
+                     partial(antisym, r)) for r in range(1, 7)]
 
 
 # ----------------------------------------------------------------------
@@ -162,35 +173,27 @@ _RELATION_GRID = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 5))
 
 
 def geometry_suite(env: SuiteEnv) -> list:
-    cases = []
-    for r, n in _RELATION_GRID:
-        for side in ("plus", "minus"):
-            def thunk(n=n, r=r, side=side):
-                rep = check_relations(env.config_for(n, r), side)
-                return _bool_case(rep.ok, 0.0 if rep.ok else None)
-            cases.append(
-                CaseSpec("geometry", f"relations-n{n}-r{r}-{side}", {"n": n, "r": r, "side": side}, thunk)
-            )
-    for r, n in _RELATION_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            flipped = cfg.flipped()
-            expected = 2 * r * n - r * r
-            all_minus = []
-            all_plus_flipped = []
-            for d in fixed_point_deltas(cfg):
-                tw = tangent_weights(cfg, FixedPointLabel("minus", d))
-                if len(tw) != expected or any(w == 0 for w in tw):
-                    return _bool_case(False)
-                all_minus.extend(tw)
-                plus_lab = FixedPointLabel("plus", d)
-                all_plus_flipped.extend(tangent_weights(flipped, plus_lab))
-                if len(tangent_weights(cfg, plus_lab)) != expected:
-                    return _bool_case(False)
-            # flop involution x -> -z, z -> -x exchanges the two sides
-            return _bool_case(sorted(all_minus) == sorted(all_plus_flipped), 0.0)
-        cases.append(CaseSpec("geometry", f"tangent-weights-n{n}-r{r}", {"n": n, "r": r}, thunk))
-    return cases
+    def relations(cfg, side):
+        rep = check_relations(cfg, side)
+        return _bool_case(rep.ok, 0.0 if rep.ok else None)
+
+    def tangent(cfg):
+        deltas = fixed_point_deltas(cfg)
+        for d in deltas:
+            minus, plus = (tangent_weights(cfg, FixedPointLabel(side, d)) for side in ("minus", "plus"))
+            if len(minus) != cfg.dim or len(plus) != cfg.dim or 0 in minus:
+                return _bool_case(False)
+        # flop involution x -> -z, z -> -x takes each minus point to the plus
+        # point of the same delta on the flip, weight for weight
+        flipped = cfg.flipped()
+        return _bool_case(all(Counter(tangent_weights(cfg, FixedPointLabel("minus", d)))
+                              == Counter(tangent_weights(flipped, FixedPointLabel("plus", d)))
+                              for d in deltas), 0.0)
+
+    at = partial(_at, env, "geometry")
+    return ([at(f"relations-n{n}-r{r}-{side}", {"n": n, "r": r, "side": side}, relations, n, r, side)
+             for r, n in _RELATION_GRID for side in ("plus", "minus")]
+            + _grid(env, "geometry", "tangent-weights", tangent, _RELATION_GRID))
 
 
 # ----------------------------------------------------------------------
@@ -221,77 +224,68 @@ def _localization_bound(cfg: FlopConfig, vec: dict, side: str, scale: complex) -
 
 
 def ktheory_suite(env: SuiteEnv) -> list:
-    cases = []
-    for r, n in _FM_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            worst = 0.0
-            for dm in fixed_point_deltas(cfg):
-                closed = fm_generator_formula(cfg, dm)
-                exact = fm_transform_generator_exact(cfg, dm)
-                for dp, chi in closed.restrictions.items():
-                    if exact.restrictions[dp] != chi:
-                        return _bool_case(False)
-                numeric = fm_transform(cfg, generator_e(cfg, dm))
-                ch_closed = chern_character(cfg, closed)
-                for dp in numeric:
-                    scale = max(1.0, abs(ch_closed[dp]))
-                    worst = worst_error(worst, abs(numeric[dp] - ch_closed[dp]) / scale)
-            return _err_case(worst, DEFAULT_TOLS["fm_formula"])
-        cases.append(CaseSpec("ktheory", f"fm-formula-n{n}-r{r}", {"n": n, "r": r}, thunk))
+    def fm_formula(cfg):
+        worst = 0.0
+        for dm in fixed_point_deltas(cfg):
+            closed = fm_generator_formula(cfg, dm)
+            exact = fm_transform_generator_exact(cfg, dm)
+            for dp, chi in closed.restrictions.items():
+                if exact.restrictions[dp] != chi:
+                    return _bool_case(False)
+            numeric = fm_transform(cfg, generator_e(cfg, dm))
+            ch_closed = chern_character(cfg, closed)
+            for dp in numeric:
+                scale = max(1.0, abs(ch_closed[dp]))
+                worst = worst_error(worst, abs(numeric[dp] - ch_closed[dp]) / scale)
+        return _err_case(worst, DEFAULT_TOLS["fm_formula"])
 
-    for r, n in _FM_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            for dm in fixed_point_deltas(cfg):
-                e = generator_e(cfg, dm)
-                for d0, chi in e.restrictions.items():
-                    if d0 != dm and not chi.is_zero():
-                        return _bool_case(False)
-                    if d0 == dm and chi.is_zero():
-                        return _bool_case(False)
-            return _bool_case(True, 0.0)
-        cases.append(CaseSpec("ktheory", f"generator-vanishing-n{n}-r{r}", {"n": n, "r": r}, thunk))
+    def generator_vanishing(cfg):
+        for dm in fixed_point_deltas(cfg):
+            e = generator_e(cfg, dm)
+            for d0, chi in e.restrictions.items():
+                if d0 != dm and not chi.is_zero():
+                    return _bool_case(False)
+                if d0 == dm and chi.is_zero():
+                    return _bool_case(False)
+        return _bool_case(True, 0.0)
 
-    for r, n in _FM_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            deltas = fixed_point_deltas(cfg)
-            chs = [chern_character(cfg, fm_generator_formula(cfg, dm)) for dm in deltas]
-            mat = np.array([[ch[dp] for dp in deltas] for ch in chs])
-            svals = np.linalg.svd(mat, compute_uv=False)
-            ratio = svals[-1] / svals[0]
-            return _bool_case(ratio > 1e-10, ratio)
-        cases.append(CaseSpec("ktheory", f"fm-invertible-n{n}-r{r}", {"n": n, "r": r}, thunk))
+    def fm_invertible(cfg):
+        deltas = fixed_point_deltas(cfg)
+        chs = [chern_character(cfg, fm_generator_formula(cfg, dm)) for dm in deltas]
+        mat = np.array([[ch[dp] for dp in deltas] for ch in chs])
+        svals = np.linalg.svd(mat, compute_uv=False)
+        ratio = svals[-1] / svals[0]
+        return _bool_case(ratio > 1e-10, ratio)
 
-    for r, n in ((1, 2), (2, 3)):
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            rng = env.rng(f"chi:{n}:{r}")
-            worst = 0.0
-            for _ in range(5):
-                A = _random_generator_combo(cfg, rng)
-                B = _random_generator_combo(cfg, rng)
-                chi_m = euler_characteristic(cfg, chern_character(cfg, A), "minus")
-                chi_p = euler_characteristic(cfg, fm_transform(cfg, A), "plus")
-                worst = worst_error(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
-                for z in env.z_values:
-                    s = 2j * math.pi / z
-                    lhs = chi_z_pairing(cfg, A, B, z)
-                    ca, cb = chern_character(cfg, A, -s), chern_character(cfg, B, s)
-                    fa = fm_transform(cfg, A, -s)
-                    fb = fm_transform(cfg, B, s)
-                    plus = {dp: fa[dp] * fb[dp] for dp in fa}
-                    rhs = euler_characteristic(cfg, plus, "plus", s)
-                    # normalize by the larger triangle bound of the two
-                    # localization sums: at disjoint support the pairing is
-                    # exactly 0 and the plus-side terms cancel
-                    bound = max(_localization_bound(cfg, {d: ca[d] * cb[d] for d in ca}, "minus", s),
-                                _localization_bound(cfg, plus, "plus", s), 1e-30)
-                    worst = worst_error(worst, abs(lhs - rhs) / bound)
-            return _err_case(worst, DEFAULT_TOLS["chi_invariance"])
-        cases.append(CaseSpec("ktheory", f"chi-invariance-n{n}-r{r}", {"n": n, "r": r}, thunk))
-    return cases
+    def chi_invariance(cfg):
+        rng = env.rng(f"chi:{cfg.n}:{cfg.r}")
+        worst = 0.0
+        for _ in range(5):
+            A = _random_generator_combo(cfg, rng)
+            B = _random_generator_combo(cfg, rng)
+            chi_m = euler_characteristic(cfg, chern_character(cfg, A), "minus")
+            chi_p = euler_characteristic(cfg, fm_transform(cfg, A), "plus")
+            worst = worst_error(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
+            for z in env.z_values:
+                s = TWO_PI_I / z
+                ca, cb = chern_character(cfg, A, -s), chern_character(cfg, B, s)
+                lhs = chi_z_pairing(cfg, ca, cb, "minus", z)
+                fa = fm_transform(cfg, A, -s)
+                fb = fm_transform(cfg, B, s)
+                plus = {dp: fa[dp] * fb[dp] for dp in fa}
+                rhs = euler_characteristic(cfg, plus, "plus", s)
+                # normalize by the larger triangle bound of the two
+                # localization sums: at disjoint support the pairing is
+                # exactly 0 and the plus-side terms cancel
+                bound = max(_localization_bound(cfg, {d: ca[d] * cb[d] for d in ca}, "minus", s),
+                            _localization_bound(cfg, plus, "plus", s), 1e-30)
+                worst = worst_error(worst, abs(lhs - rhs) / bound)
+        return _err_case(worst, DEFAULT_TOLS["chi_invariance"])
+
+    return (_grid(env, "ktheory", "fm-formula", fm_formula, _FM_GRID)
+            + _grid(env, "ktheory", "generator-vanishing", generator_vanishing, _FM_GRID)
+            + _grid(env, "ktheory", "fm-invertible", fm_invertible, _FM_GRID)
+            + _grid(env, "ktheory", "chi-invariance", chi_invariance, ((1, 2), (2, 3))))
 
 
 # ----------------------------------------------------------------------
@@ -311,36 +305,29 @@ def _triangle_bound(cfg: FlopConfig, a: LocalizedCohClass, b: LocalizedCohClass)
 
 
 def wallcross_suite(env: SuiteEnv) -> list:
-    cases = []
-    for r, n in _COLLAPSE_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            C = transition_matrix(cfg, "C")
-            CH = transition_matrix(cfg, "CH")
-            ch_row = dict(zip(CH.rows, CH.entries))
-            worst = 0.0
-            for dm, c_row in zip(C.rows, C.entries):
-                for col, want in enumerate(c_row):
-                    terms = [ch_row[perm][col] for perm in permutations(dm)]
-                    # the orbit sum can cancel hugely at unlucky draws; the
-                    # triangle bound is the honest accuracy scale then
-                    scale = max(abs(want), sum(abs(t) for t in terms) * 1e-2)
-                    worst = worst_error(worst, abs(sum(terms) - want) / scale)
-            return _err_case(worst, DEFAULT_TOLS["collapse"])
-        cases.append(CaseSpec("wallcross", f"sr-collapse-n{n}-r{r}", {"n": n, "r": r}, thunk))
+    def sr_collapse(cfg):
+        C = transition_matrix(cfg, "C")
+        CH = transition_matrix(cfg, "CH")
+        ch_row = dict(zip(CH.rows, CH.entries))
+        worst = 0.0
+        for dm, c_row in zip(C.rows, C.entries):
+            for col, want in enumerate(c_row):
+                terms = [ch_row[perm][col] for perm in permutations(dm)]
+                # the orbit sum can cancel hugely at unlucky draws; the
+                # triangle bound is the honest accuracy scale then
+                scale = max(abs(want), sum(abs(t) for t in terms) * 1e-2)
+                worst = worst_error(worst, abs(sum(terms) - want) / scale)
+        return _err_case(worst, DEFAULT_TOLS["collapse"])
 
-    for r, n in _FM_GRID:
-        def thunk(n=n, r=r):
-            cfg = env.config_for(n, r)
-            worst = 0.0
-            for dm in fixed_point_deltas(cfg):
-                ch_e = chern_character(cfg, generator_e(cfg, dm))
-                ch_fm = chern_character(cfg, fm_generator_formula(cfg, dm))
-                image = uh_apply(cfg, LocalizedCohClass("minus", ch_e))
-                for dp, want in ch_fm.items():
-                    worst = worst_error(worst, abs(image.values[dp] - want) / abs(want))
-            return _err_case(worst, DEFAULT_TOLS["fm_diagram"])
-        cases.append(CaseSpec("wallcross", f"fm-diagram-n{n}-r{r}", {"n": n, "r": r}, thunk))
+    def fm_diagram(cfg):
+        worst = 0.0
+        for dm in fixed_point_deltas(cfg):
+            ch_e = chern_character(cfg, generator_e(cfg, dm))
+            ch_fm = chern_character(cfg, fm_generator_formula(cfg, dm))
+            image = uh_apply(cfg, LocalizedCohClass("minus", ch_e))
+            for dp, want in ch_fm.items():
+                worst = worst_error(worst, abs(image.values[dp] - want) / abs(want))
+        return _err_case(worst, DEFAULT_TOLS["fm_diagram"])
 
     def c_specialization():
         worst = 0.0
@@ -356,39 +343,33 @@ def wallcross_suite(env: SuiteEnv) -> list:
                     got = coeff_C(cfg, (k,), (l,))
                     worst = worst_error(worst, abs(got - want) / abs(want))
         return _err_case(worst, 1e-13)
-    cases.append(CaseSpec("wallcross", "c-r1-specialization", {"n": [2, 3], "r": 1}, c_specialization))
 
-    for z in env.z_values:
-        def thunk(z=z):
-            cfg = env.config_for(2, 1)
-            worst = 0.0
-            for side in ("plus", "minus"):
-                ctx = PsiContext.create(cfg, side, z=z)
-                rot = ctx.rotated()
-                one = unit_class(cfg, side)
-                deltas = fixed_point_deltas(cfg)
-                probes = [one]
-                if side == "minus":
-                    probes += [generator_e(cfg, dm) for dm in deltas]
-                else:
-                    probes += [fm_generator_formula(cfg, dm) for dm in deltas]
-                images = [(psi_apply(rot, E), psi_apply(ctx, E)) for E in probes]
-                for C, (pc, _) in zip(probes, images):
-                    for D, (_, pd) in zip(probes, images):
-                        lhs = pairing(cfg, pc, pd)
-                        rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, C, D, z)
-                        # normalize by the triangle bound of the localization
-                        # sum: the honest scale even when the total cancels
-                        bound = _triangle_bound(cfg, pc, pd)
-                        worst = worst_error(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
-            return _err_case(worst, DEFAULT_TOLS["integral_pairing"])
-        cases.append(
-            CaseSpec("wallcross", f"integral-pairing-z{z.real:g}{z.imag:+g}i",
-                     {"n": 2, "r": 1, "z": [z.real, z.imag]}, thunk)
-        )
+    def integral_pairing(cfg, z):
+        s = TWO_PI_I / z
+        worst = 0.0
+        for side in ("plus", "minus"):
+            ctx = PsiContext.create(cfg, side, z=z)
+            rot = ctx.rotated()
+            one = unit_class(cfg, side)
+            deltas = fixed_point_deltas(cfg)
+            probes = [one]
+            if side == "minus":
+                probes += [generator_e(cfg, dm) for dm in deltas]
+            else:
+                probes += [fm_generator_formula(cfg, dm) for dm in deltas]
+            images = [(psi_apply(rot, E), psi_apply(ctx, E)) for E in probes]
+            chars = [(chern_character(cfg, E, -s), chern_character(cfg, E, s)) for E in probes]
+            for (pc, _), (cc, _) in zip(images, chars):
+                for (_, pd), (_, cd) in zip(images, chars):
+                    lhs = pairing(cfg, pc, pd)
+                    rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, cc, cd, side, z)
+                    # normalize by the triangle bound of the localization
+                    # sum: the honest scale even when the total cancels
+                    bound = _triangle_bound(cfg, pc, pd)
+                    worst = worst_error(worst, abs(lhs - rhs) / max(bound, abs(rhs), 1e-30))
+        return _err_case(worst, DEFAULT_TOLS["integral_pairing"])
 
-    def symplectic():
-        cfg = env.config_for(2, 1)
+    def symplectic(cfg):
         z = env.z_values[0]
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
@@ -408,10 +389,8 @@ def wallcross_suite(env: SuiteEnv) -> list:
             scale = max(_triangle_bound(cfg, uf, ug), _triangle_bound(cfg, f_rot, g), 1e-30)
             worst = worst_error(worst, abs(lhs - rhs) / scale)
         return _err_case(worst, DEFAULT_TOLS["symplectic"])
-    cases.append(CaseSpec("wallcross", "symplectic-pairing", {"n": 2, "r": 1, "pairs": 10}, symplectic))
 
-    def u_nonsingular():
-        cfg = env.config_for(2, 1)
+    def u_nonsingular(cfg):
         z = env.z_values[0]
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
@@ -424,8 +403,15 @@ def wallcross_suite(env: SuiteEnv) -> list:
         svals = np.linalg.svd(np.array(rows), compute_uv=False)
         ratio = svals[-1] / svals[0]
         return _bool_case(ratio > 1e-10, ratio)
-    cases.append(CaseSpec("wallcross", "u-nonsingular", {"n": 2, "r": 1}, u_nonsingular))
-    return cases
+
+    at = partial(_at, env, "wallcross")
+    return (_grid(env, "wallcross", "sr-collapse", sr_collapse, _COLLAPSE_GRID)
+            + _grid(env, "wallcross", "fm-diagram", fm_diagram, _FM_GRID)
+            + [CaseSpec("wallcross", "c-r1-specialization", {"n": [2, 3], "r": 1}, c_specialization)]
+            + [at(f"integral-pairing-z{z.real:g}{z.imag:+g}i", {"n": 2, "r": 1, "z": [z.real, z.imag]},
+                  integral_pairing, 2, 1, z) for z in env.z_values]
+            + [at("symplectic-pairing", {"n": 2, "r": 1, "pairs": 10}, symplectic, 2, 1),
+               at("u-nonsingular", {"n": 2, "r": 1}, u_nonsingular, 2, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -433,27 +419,19 @@ def wallcross_suite(env: SuiteEnv) -> list:
 # ----------------------------------------------------------------------
 
 def continuation_suite(env: SuiteEnv) -> list:
-    cases = []
-    for n in (2, 3):
-        def thunk(n=n):
-            cfg = env.config_for(n, 1)
-            rep = verify_continuation_r1(cfg, tol=DEFAULT_TOLS["continuation"], order=SERIES_ORDER)
-            return _err_case(rep.max_err, DEFAULT_TOLS["continuation"])
-        cases.append(CaseSpec("continuation", f"wall-crossing-n{n}-r1",
-                              {"n": n, "r": 1, "order": SERIES_ORDER, "q": [Q_INSIDE, Q_OUTSIDE]}, thunk))
+    def wall_crossing(cfg):
+        rep = verify_continuation_r1(cfg, tol=DEFAULT_TOLS["continuation"], order=SERIES_ORDER)
+        return _err_case(rep.max_err, DEFAULT_TOLS["continuation"])
 
-    def guard():
-        cfg = env.config_for(2, 1)
+    def guard(cfg):
         bad_w = math.log(3.0) + 1j * (cfg.n - cfg.r + 1) * math.pi
         try:
             barnes_integrate(bad_w, cfg, 0)
         except NonConvergenceError:
             return _bool_case(True, None)
         return _bool_case(False, None)
-    cases.append(CaseSpec("continuation", "pole-line-guard", {"n": 2, "r": 1}, guard))
 
-    def structure():
-        cfg = env.config_for(3, 2)
+    def structure(cfg):
         worst = 0.0
         for dp in fixed_point_deltas(cfg):
             K = h_series(cfg, "plus", dp, 10)
@@ -464,7 +442,6 @@ def continuation_suite(env: SuiteEnv) -> list:
             for es, c in K.coeffs.items():
                 worst = worst_error(worst, abs(c - assembled.coeffs[es]))
         return _err_case(worst, DEFAULT_TOLS["structure"])
-    cases.append(CaseSpec("continuation", "factor-structure-n3-r2", {"n": 3, "r": 2, "order": 10}, structure))
 
     def ode():
         worst = 0.0
@@ -478,40 +455,32 @@ def continuation_suite(env: SuiteEnv) -> list:
             for k in range(cfg.r):
                 worst = worst_error(worst, ode_check(cfg, f_factor_series(cfg, dp, k, 40), "plus"))
         return _err_case(worst, DEFAULT_TOLS["ode"])
-    cases.append(CaseSpec("continuation", "ode-residuals", {"order": 40}, ode))
 
-    def ode_sensitivity():
-        cfg = env.config_for(2, 1)
+    def ode_sensitivity(cfg):
         s = h_series(cfg, "plus", (0,), 40)
         coeffs = dict(s.coeffs)
         coeffs[5,] *= 1.0 + 1e-3
         res = ode_check(cfg, replace(s, coeffs=coeffs), "plus")
         return _bool_case(res > 1e-4, res)
-    cases.append(CaseSpec("continuation", "ode-sensitivity-control", {"bump": 1e-3}, ode_sensitivity))
 
     # the I-series direct and through its integral-structure factors, on
     # both sides at every fixed point and z
-    for n, r, z_values, order in ((2, 1, env.z_values, 20), (3, 2, env.z_values[:1], 8)):
-        def itoh(n=n, r=r, z_values=z_values, order=order):
-            cfg = env.config_for(n, r)
-            worst = 0.0
-            for z in z_values:
-                for side in ("plus", "minus"):
-                    ctx = PsiContext.create(cfg, side, z=z)
-                    for d in fixed_point_deltas(cfg):
-                        direct = i_function(cfg, side, d, order, ctx)
-                        assembled = i_function_factored(cfg, side, d, order, ctx)
-                        for e in direct.coeffs:
-                            scale = max(1.0, abs(direct.coeffs[e]))
-                            worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
-                        if abs(direct.offset - assembled.offset) > 1e-13:
-                            return _bool_case(False)
-            return _err_case(worst, DEFAULT_TOLS["itoh"])
-        cases.append(CaseSpec("continuation", f"i-factorization-n{n}-r{r}",
-                              {"n": n, "r": r, "order": order}, itoh))
+    def itoh(cfg, z_values, order):
+        worst = 0.0
+        for z in z_values:
+            for side in ("plus", "minus"):
+                ctx = PsiContext.create(cfg, side, z=z)
+                for d in fixed_point_deltas(cfg):
+                    direct = i_function(cfg, side, d, order, ctx)
+                    assembled = i_function_factored(cfg, side, d, order, ctx)
+                    for e in direct.coeffs:
+                        scale = max(1.0, abs(direct.coeffs[e]))
+                        worst = worst_error(worst, abs(direct.coeffs[e] - assembled.coeffs[e]) / scale)
+                    if abs(direct.offset - assembled.offset) > 1e-13:
+                        return _bool_case(False)
+        return _err_case(worst, DEFAULT_TOLS["itoh"])
 
-    def i_symmetry():
-        cfg = env.config_for(3, 2)
+    def i_symmetry(cfg):
         ctx = PsiContext.create(cfg, "plus", z=env.z_values[0])
         worst = 0.0
         for d in fixed_point_deltas(cfg):
@@ -520,8 +489,17 @@ def continuation_suite(env: SuiteEnv) -> list:
             for e in a.coeffs:
                 worst = worst_error(worst, abs(a.coeffs[e] - b.coeffs[e]) / max(1.0, abs(a.coeffs[e])))
         return _err_case(worst, 1e-12)
-    cases.append(CaseSpec("continuation", "i-reordering-symmetry", {"n": 3, "r": 2}, i_symmetry))
-    return cases
+
+    at = partial(_at, env, "continuation")
+    return ([at(f"wall-crossing-n{n}-r1", {"n": n, "r": 1, "order": SERIES_ORDER, "q": [Q_INSIDE, Q_OUTSIDE]},
+                wall_crossing, n, 1) for n in (2, 3)]
+            + [at("pole-line-guard", {"n": 2, "r": 1}, guard, 2, 1),
+               at("factor-structure-n3-r2", {"n": 3, "r": 2, "order": 10}, structure, 3, 2),
+               CaseSpec("continuation", "ode-residuals", {"order": 40}, ode),
+               at("ode-sensitivity-control", {"bump": 1e-3}, ode_sensitivity, 2, 1)]
+            + [at(f"i-factorization-n{n}-r{r}", {"n": n, "r": r, "order": order}, itoh, n, r, z_values, order)
+               for n, r, z_values, order in ((2, 1, env.z_values, 20), (3, 2, env.z_values[:1], 8))]
+            + [at("i-reordering-symmetry", {"n": 3, "r": 2}, i_symmetry, 3, 2)])
 
 
 # ----------------------------------------------------------------------
@@ -529,10 +507,7 @@ def continuation_suite(env: SuiteEnv) -> list:
 # ----------------------------------------------------------------------
 
 def central_charge_suite(env: SuiteEnv) -> list:
-    cases = []
-
-    def linearity():
-        cfg = env.config_for(2, 1)
+    def linearity(cfg):
         z = env.z_values[0]
         ctx = PsiContext.create(cfg, "minus", z=z)
         w = -1.5 + 1j * math.pi
@@ -544,10 +519,8 @@ def central_charge_suite(env: SuiteEnv) -> list:
         zab = central_charge(cfg, psi_apply(ctx, A + B), w, ctx, order=60)
         err = abs(zab - za - zb) / max(abs(za) + abs(zb), 1e-30)
         return _err_case(err, 1e-12)
-    cases.append(CaseSpec("central-charge", "linearity", {"n": 2, "r": 1}, linearity))
 
-    def continuation():
-        cfg = env.config_for(2, 1)
+    def continuation(cfg):
         z = env.z_values[0]
         ctxm = PsiContext.create(cfg, "minus", z=z)
         ctxp = PsiContext.create(cfg, "plus", z=z)
@@ -564,10 +537,8 @@ def central_charge_suite(env: SuiteEnv) -> list:
             z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
             worst = worst_error(worst, abs(z_plus - z_minus) / max(abs(z_minus), 1e-30))
         return _err_case(worst, DEFAULT_TOLS["central_charge"])
-    cases.append(CaseSpec("central-charge", "fm-continuation", {"n": 2, "r": 1, "q": 3.0}, continuation))
 
-    def leading_behaviour():
-        cfg = env.config_for(2, 1)
+    def leading_behaviour(cfg):
         z = env.z_values[0]
         ctx = PsiContext.create(cfg, "plus", z=z)
         rot = ctx.rotated()
@@ -578,8 +549,11 @@ def central_charge_suite(env: SuiteEnv) -> list:
         lead = pairing(cfg, LocalizedCohClass("plus", i_lead), psi_e)
         err = abs(full - lead) / max(abs(full), 1e-30)
         return _err_case(err, 1e-8)
-    cases.append(CaseSpec("central-charge", "leading-asymptotics", {"n": 2, "r": 1, "w": -30.0}, leading_behaviour))
-    return cases
+
+    at = partial(_at, env, "central-charge")
+    return [at("linearity", {"n": 2, "r": 1}, linearity, 2, 1),
+            at("fm-continuation", {"n": 2, "r": 1, "q": 3.0}, continuation, 2, 1),
+            at("leading-asymptotics", {"n": 2, "r": 1, "w": -30.0}, leading_behaviour, 2, 1)]
 
 
 # the suites by name, in the order in which "all" runs them

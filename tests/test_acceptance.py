@@ -138,7 +138,7 @@ def test_criterion_05_euler_chi_z_invariance():
             worst = max(worst, abs(chi_m - chi_p) / max(1.0, abs(chi_m)))
             for z in (2.0 + 0j, 3.0 + 1j):
                 s = TWO_PI_I / z
-                lhs = chi_z_pairing(cfg, A, B, z)
+                lhs = chi_z_pairing(cfg, chern_character(cfg, A, -s), chern_character(cfg, B, s), "minus", z)
                 fa = fm_transform(cfg, A, -s)
                 fb = fm_transform(cfg, B, s)
                 rhs = 0j
@@ -166,7 +166,9 @@ def test_criterion_06_integral_structure_pairing():
                 for D in probes:
                     pc, pd = psi_apply(rot, C), psi_apply(ctx, D)
                     lhs = pairing(cfg, pc, pd)
-                    rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, C, D, z)
+                    s = TWO_PI_I / z
+                    ch_c, ch_d = chern_character(cfg, C, -s), chern_character(cfg, D, s)
+                    rhs = (2.0 * math.pi) ** cfg.dim * chi_z_pairing(cfg, ch_c, ch_d, side, z)
                     bound = 0.0
                     for d in deltas:
                         eN = 1.0 + 0j

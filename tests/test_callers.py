@@ -121,9 +121,7 @@ def _defaulted(tree):
     default, and (class, position, field) of every dataclass field with a
     default; the position leaves out a method's self or cls.
 
-    Special methods are left out, since syntax calls them, not their name;
-    so is a default that is the parameter's own name (``def thunk(n=n)``),
-    which binds a loop variable and is no option.
+    Special methods are left out, since syntax calls them, not their name.
     """
     for _, node, method in _walk(tree):
         if isinstance(node, ast.ClassDef) and _is_dataclass(node):
@@ -137,7 +135,7 @@ def _defaulted(tree):
         params = list(enumerate(pos)) + [(None, p) for p in a.kwonlyargs]
         defaults = [None] * (len(pos) - len(a.defaults)) + a.defaults + a.kw_defaults
         for (i, p), d in zip(params, defaults):
-            if d is not None and not (isinstance(d, ast.Name) and d.id == p.arg):
+            if d is not None:
                 yield node.name, i, p.arg
 
 
@@ -239,3 +237,17 @@ def test_a_dataclass_field_no_caller_sets_is_found():
     assert _unset_parameters(files, UNSET_KEPT) == ["wallcross.py:_Probe(c)"]
     files.append((ROOT / "scripts" / "extra.py", "_Probe(0, 1, ())\n"))
     assert _unset_parameters(files, UNSET_KEPT) == []
+
+
+def test_a_self_named_default_no_caller_sets_is_found():
+    # a default that binds a loop variable is a parameter like any other
+    extra = ("def _thunks(points):\n"
+             "    out = []\n"
+             "    for n in points:\n"
+             "        def thunk(n=n):\n"
+             "            return n\n"
+             "        out.append(thunk)\n"
+             "    return [f() for f in out]\n")
+    files = [(p, p.read_text() + extra if p.name == "wallcross.py" else p.read_text())
+             for p in _program_files()]
+    assert _unset_parameters(files, UNSET_KEPT) == ["wallcross.py:thunk(n)"]

@@ -5,13 +5,23 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from flopwall import cli
-from flopwall.cli import MAX_SERIES_COEFFS, RunConfig, _check_order, _stable_json, emit, main, run_suite
+from flopwall.cli import (
+    MAX_SERIES_COEFFS,
+    RunConfig,
+    _check_order,
+    _check_recip_table,
+    _stable_json,
+    emit,
+    main,
+    run_suite,
+)
 from flopwall.flopgeom import ConfigError, fixed_point_deltas, random_config
 from flopwall.hypergeom import h_series, i_function_factored
 from flopwall.ktheory import unit_class
@@ -265,6 +275,36 @@ def test_series_coefficient_bound_is_c_order_plus_r_choose_r():
         _check_order(order, r)
         with pytest.raises(ConfigError, match="coefficients"):
             _check_order(order + 1, r)
+
+
+# each order is under the coefficient bound C(order + r, r)
+@pytest.mark.parametrize("config,delta,order,values", [
+    ({}, "1", 30000, 120004),
+    ({"n": 40, "r": 1, "weights": {"seed": 0}}, "1", 1300, 104080),
+    ({"n": 60, "r": 2, "weights": {"seed": 0}}, "1,2", 420, 101040),
+])
+def test_series_recip_table_past_the_bound_is_a_config_error(monkeypatch, capsys, tmp_path,
+                                                             config, delta, order, values):
+    # the 2n r (order + 1) 1/Gamma values are built before any coefficient,
+    # so their bound is checked before the series is built
+    def never(*args, **kw):
+        raise AssertionError("h_series called")
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setattr(cli, "h_series", never)
+    assert main(["series", "--side", "plus", "--delta", delta, "--order", str(order),
+                 "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"needs {values} 1/Gamma values" in err and f"more than {MAX_SERIES_COEFFS}" in err
+
+
+def test_series_recip_table_bound_is_2_n_r_order_plus_1():
+    for n, r in ((2, 1), (3, 2), (40, 1)):
+        order = MAX_SERIES_COEFFS // (2 * n * r) - 1
+        _check_recip_table(order, n, r)
+        with pytest.raises(ConfigError, match="1/Gamma values"):
+            _check_recip_table(order + 1, n, r)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -612,6 +652,49 @@ def test_every_case_passes_on_seeded_grids():
                     case.thunk()
             else:
                 assert case.thunk()[0] == "pass", (seed, case.name)
+
+
+class _RecordingGrid(SuiteEnv):
+    """The default grid, recording the points whose configs are looked up."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def config_for(self, n: int, r: int):
+        self.points.append((n, r))
+        return super().config_for(n, r)
+
+
+def _misplaced(env: _RecordingGrid, cases) -> list:
+    """Names of the cases whose params hold integer n and r but whose thunk
+    looks up the config of another grid point."""
+    out = []
+    for case in cases:
+        n, r = case.params.get("n"), case.params.get("r")
+        if type(n) is int and type(r) is int:
+            env.points.clear()
+            case.thunk()
+            if set(env.points) != {(n, r)}:
+                out.append(case.name)
+    return out
+
+
+def test_every_case_runs_at_the_grid_point_its_params_name():
+    env = _RecordingGrid()
+    cases = collect_cases(env, "all")
+    # collecting looks up no config: a thunk looks its own up when it runs
+    assert env.points == []
+    assert sum(type(c.params.get("n")) is int and type(c.params.get("r")) is int for c in cases) == 50
+    assert _misplaced(env, cases) == []
+
+
+def test_a_case_registered_at_the_wrong_point_is_found():
+    env = _RecordingGrid()
+    cases = collect_cases(env, "wallcross")
+    i = next(i for i, c in enumerate(cases) if c.name == "u-nonsingular")
+    cases[i] = replace(cases[i], params={"n": 3, "r": 1})
+    assert _misplaced(env, cases) == ["u-nonsingular"]
 
 
 def test_continuation_suite_passes_on_a_seeded_n3_instance(tmp_path):

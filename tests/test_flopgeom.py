@@ -1,5 +1,6 @@
 """Fixed-point combinatorics, tangent weights, and relation checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from flopwall.flopgeom import (
     restrict_chern_roots,
     tangent_weights,
 )
+from flopwall.suites import SuiteEnv, collect_cases, default_config
 from flopwall.wallcross import transition_matrix
 
 F = Fraction
@@ -117,13 +119,42 @@ def test_random_config_deterministic():
 @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
 def test_flop_involution_exchanges_sides(r, n, seed):
     cfg = random_config(n, r, seed=seed)
-    flipped = cfg.flipped()
+    for d in fixed_point_deltas(cfg):
+        assert Counter(tangent_weights(cfg, FixedPointLabel("minus", d))) == Counter(
+            tangent_weights(cfg.flipped(), FixedPointLabel("plus", d))), d
+
+
+def _pooled_match(cfg):
+    """Every fixed point's minus weights, pooled, against the flip's plus weights."""
     minus_all = []
     plus_flipped_all = []
     for d in fixed_point_deltas(cfg):
         minus_all.extend(tangent_weights(cfg, FixedPointLabel("minus", d)))
-        plus_flipped_all.extend(tangent_weights(flipped, FixedPointLabel("plus", d)))
-    assert sorted(minus_all) == sorted(plus_flipped_all)
+        plus_flipped_all.extend(tangent_weights(cfg.flipped(), FixedPointLabel("plus", d)))
+    return sorted(minus_all) == sorted(plus_flipped_all)
+
+
+@pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 4)])
+def test_tangent_weight_case_sees_a_weight_moved_between_fixed_points(r, n):
+    # one weight swapped between two minus points keeps the pooled multiset,
+    # so only the per-point comparison of the case sees it
+    cfg = FlopConfig(n, r, default_config(n, r).x, default_config(n, r).z)
+    da, db = (0,) + tuple(range(2, r + 1)), tuple(range(1, r + 1))
+    table = dict(cfg.fixed_point_table)
+    (a, ea), (b, eb) = table["minus", da], table["minus", db]
+    assert a[0] != b[0]
+    table["minus", da] = ((b[0],) + a[1:], ea)
+    table["minus", db] = ((a[0],) + b[1:], eb)
+    cfg.__dict__["fixed_point_table"] = table
+
+    def status(config):
+        case, = [c for c in collect_cases(SuiteEnv(base_config=config), "geometry")
+                 if c.name == f"tangent-weights-n{n}-r{r}"]
+        return case.thunk()[0]
+
+    assert _pooled_match(cfg)
+    assert status(cfg) == "fail"
+    assert status(default_config(n, r)) == "pass"
 
 
 @given(st.integers(min_value=0, max_value=10_000))

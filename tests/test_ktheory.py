@@ -374,7 +374,7 @@ def test_euler_characteristic_linear(cfg21):
 def test_chi_z_at_2pi_i_reduces_to_plain_chi(cfg21):
     C = unit_class(cfg21, "minus")
     D = generator_e(cfg21, (0,))
-    got = chi_z_pairing(cfg21, C, D, TWO_PI_I)
+    got = chi_z_pairing(cfg21, chern_character(cfg21, C, -1.0), chern_character(cfg21, D, 1.0), "minus", TWO_PI_I)
     def dual(char):
         return VirtualCharacter(char.nvars, {tuple(-a for a in v): c for v, c in char.terms.items()})
 
@@ -389,7 +389,8 @@ def test_chi_z_at_2pi_i_reduces_to_plain_chi(cfg21):
 def test_chi_z_unit_pairing_unwound(cfg21):
     z = 2.0 + 0j
     one = unit_class(cfg21, "minus")
-    got = chi_z_pairing(cfg21, one, one, z)
+    s = TWO_PI_I / z
+    got = chi_z_pairing(cfg21, chern_character(cfg21, one, -s), chern_character(cfg21, one, s), "minus", z)
     xs, zs = cfg21.complex_weights()
     want = 0j
     for d in fixed_point_deltas(cfg21):
@@ -405,7 +406,7 @@ def test_chi_z_fm_invariance(cfg21, z):
     for _ in range(4):
         C = _random_combo(cfg21, rng)
         D = _random_combo(cfg21, rng)
-        lhs = chi_z_pairing(cfg21, C, D, z)
+        lhs = chi_z_pairing(cfg21, chern_character(cfg21, C, -s), chern_character(cfg21, D, s), "minus", z)
         fc = fm_transform(cfg21, C, -s)
         fd = fm_transform(cfg21, D, s)
         xs, zs = cfg21.complex_weights()

@@ -637,7 +637,9 @@ def test_integral_pairing_identity(cfg21, z):
             C = unit_class(cfg21, side)
             D = fm_generator_formula(cfg21, (0,))
         lhs = pairing(cfg21, psi_apply(rot, C), psi_apply(ctx, D))
-        rhs = (2.0 * math.pi) ** dim * chi_z_pairing(cfg21, C, D, z)
+        s = TWO_PI_I / z
+        ch_c, ch_d = chern_character(cfg21, C, -s), chern_character(cfg21, D, s)
+        rhs = (2.0 * math.pi) ** dim * chi_z_pairing(cfg21, ch_c, ch_d, side, z)
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
