@@ -46,8 +46,8 @@ def main() -> int:
         for q in (float(t) for t in args.q_values.split(",")):
             # the minus series at -w converges for |q+| > 1 only
             w = math.log(q) + 1j * height
-            z_minus = central_charge(cfg, psi_m, -w, ctxm, order=SERIES_ORDER)
-            z_plus = central_charge_plus_continued(cfg, psi_p, w, ctxp)
+            z_minus, = central_charge(cfg, [psi_m], -w, ctxm, order=SERIES_ORDER)
+            z_plus, = central_charge_plus_continued(cfg, [psi_p], w, ctxp)
             rel = abs(z_plus - z_minus) / abs(z_minus)
             print(f"{q:8.3f}  {z_minus:28.16e}  {z_plus:28.16e}  {rel:.2e}")
     except (NonConvergenceError, NonFiniteError, PoleError) as exc:

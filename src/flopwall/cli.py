@@ -27,6 +27,7 @@ from .hypergeom import (
     barnes_integrate,
     central_charge,
     h_series,
+    recip_overflow,
 )
 from .numkernel import NonFiniteError, PoleError, _exact_int
 from .ktheory import fm_generator_formula, fm_transform, generator_e, unit_class
@@ -389,7 +390,14 @@ def cmd_series(args) -> int:
     delta = _parse_delta(args.delta, cfg)
     _check_order(args.order, cfg.r)
     _check_recip_table(args.order, cfg.n, cfg.r)
-    series = h_series(cfg, args.side, delta, args.order).specialize()
+    try:
+        series = h_series(cfg, args.side, delta, args.order).specialize()
+    except NonFiniteError:
+        where = recip_overflow(cfg, args.side, delta, args.order)
+        if where is None:
+            raise
+        raise ConfigError(f"--order {args.order} is past the float range of the series' 1/Gamma "
+                          f"factors: the first non-finite one is at (slot, e) = {where}") from None
     sys.stdout.write(_stable_json(series.to_json_dict()) + "\n")
     return 0
 
@@ -425,7 +433,7 @@ def cmd_charge(args) -> int:
             E = fm_generator_formula(cfg, dm)
     else:
         raise ConfigError(f"bad --class {spec!r}; use '1' or 'e:i,j,...'")
-    value = central_charge(cfg, psi_apply(ctx, E), w, ctx, order=SERIES_ORDER)
+    value, = central_charge(cfg, [psi_apply(ctx, E)], w, ctx, order=SERIES_ORDER)
     sys.stdout.write(
         _stable_json({"class": spec, "side": args.side, "w": w, "z": z, "value": value}) + "\n"
     )

@@ -21,7 +21,9 @@ The two sides are exchanged by the flop involution x -> -z, z -> -x.
 Every such weight is an index pair (p, q): the weight w_p - w_q over
 w = x + z, index i < n for x_i and n + j for z_j (``tangent_weight_pairs``).
 A fixed point is its delta tuple (``fixed_point_deltas``), with
-``FixedPointLabel`` adding the side where a function needs one.
+``FixedPointLabel`` adding the side where a function needs one.  The
+instance holds each fixed point's weights as integers over one common
+denominator (``FlopConfig.fixed_point_table``, ``TangentWeights``).
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class FlopConfig:
     denominator in the engine is a product of such differences.
 
     The instance also holds its weight table: the complex view of x and z,
-    built here, and per side and fixed point the exact tangent weights and
-    their Euler class, built on first use (``fixed_point_table``).
+    built here, and per side and fixed point the tangent weights as
+    integers over one denominator and their Euler class, built on first
+    use (``fixed_point_table``).
     """
 
     n: int
@@ -105,12 +108,15 @@ class FlopConfig:
 
     @cached_property
     def fixed_point_table(self) -> dict:
-        """(side, delta) -> (exact tangent weights, their product e(N)).
+        """(side, delta) -> ``TangentWeights``: the tangent weights at the
+        fixed point as integer numerators over one denominator.
 
         Every weight is w_p - w_q over w = x + z (``tangent_weight_pairs``).
         With w = num / den over the lcm den of the denominators, the weight
-        is Fraction(num[p] - num[q], den), and the Euler class is one
-        Fraction: the product of the integer differences over den ** dim.
+        is (num[p] - num[q]) / den, and the Euler class e(N) is the product
+        of these integer differences over den ** dim.  No Fraction is built:
+        a reader compares, sums or multiplies the integers, or reads the
+        entry's float view.
         """
         xz = self.x + self.z
         den = math.lcm(*(w.denominator for w in xz))
@@ -118,13 +124,11 @@ class FlopConfig:
         table = {}
         for side in SIDES:
             for delta in fixed_point_deltas(self):
-                label = FixedPointLabel(side, delta)
-                pairs = tangent_weight_pairs(self, label)
-                diffs = [num[p] - num[q] for p, q in pairs]
-                if 0 in diffs:
-                    raise DegenerateWeightError(f"zero tangent weight at {label}")
-                table[side, delta] = (tuple(Fraction(d, den) for d in diffs),
-                                      Fraction(math.prod(diffs), den ** len(diffs)))
+                pairs = tangent_weight_pairs(self, FixedPointLabel(side, delta))
+                nums = tuple(num[p] - num[q] for p, q in pairs)
+                if 0 in nums:
+                    raise DegenerateWeightError(f"zero tangent weight at {side} {delta}")
+                table[side, delta] = TangentWeights(nums, den, math.prod(nums))
         return table
 
     def flipped(self) -> "FlopConfig":
@@ -143,6 +147,33 @@ class FlopConfig:
             object.__setattr__(flip, "_flip", weakref.ref(self))
             object.__setattr__(self, "_flip", flip)
         return flip
+
+
+@dataclass(frozen=True)
+class TangentWeights:
+    """The tangent weights at one fixed point, w_t = nums[t] / den, exactly.
+
+    ``den`` is the instance's common denominator, shared by every entry of
+    its ``fixed_point_table``, and ``euler`` is the integer product of
+    ``nums``: e(N) = euler / den ** len(nums).  The float views are built on
+    first use.  Integer true division rounds correctly, so each is
+    ``complex(Fraction)`` of the exact value, bit for bit; OverflowError
+    where it does not fit a float.
+    """
+
+    nums: tuple
+    den: int
+    euler: int
+
+    @cached_property
+    def values(self) -> tuple:
+        """complex(w_t) per weight, in the order of ``nums``."""
+        return tuple(complex(num / self.den) for num in self.nums)
+
+    @cached_property
+    def euler_value(self) -> complex:
+        """complex(e(N))."""
+        return complex(self.euler / self.den ** len(self.nums))
 
 
 def _complex_view(name: str, weights: tuple) -> tuple:
@@ -224,13 +255,10 @@ def tangent_weight_pairs(config: FlopConfig, label: FixedPointLabel) -> list:
 
 
 def tangent_weights(config: FlopConfig, label: FixedPointLabel) -> tuple:
-    """Exact tangent weights (2rn - r^2 of them), from the instance's table."""
-    return config.fixed_point_table[label.side, label.delta][0]
-
-
-def euler_class_normal(config: FlopConfig, label: FixedPointLabel) -> Fraction:
-    """Product of the tangent weights (fixed points are isolated, N = T)."""
-    return config.fixed_point_table[label.side, label.delta][1]
+    """Exact tangent weights (2rn - r^2 of them) as Fractions, from the
+    instance's table."""
+    weights = config.fixed_point_table[label.side, label.delta]
+    return tuple(Fraction(num, weights.den) for num in weights.nums)
 
 
 # ----------------------------------------------------------------------

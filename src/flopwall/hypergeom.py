@@ -226,17 +226,43 @@ def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
     1 + (z_j - x_{d_k}) u, computed once per (k, j), plus or minus e: the
     same floats as the sum written out, which adds e last.
     """
+    n = config.n
+    visits, args = _recip_args(config, d, order, u)
+    values = _kernel_values(recip_gamma, args)
+    table = [[None] * (order + 1) for _ in d]
+    for i, (k, e) in enumerate(visits):
+        table[k][e] = values[2 * n * i:2 * n * (i + 1)]
+    return table
+
+
+def _recip_args(config: FlopConfig, d: tuple, order: int, u: complex) -> tuple:
+    """(visits, args) of ``_recip_table``: the (k, e) in the order the
+    series meets them, and per visit its 2n 1/Gamma arguments."""
     xs, zs = config.complex_weights()
     n, es = config.n, range(order + 1)
     visits = ([(k, e) for e in es[:1] for k in range(len(d))]
               + [(k, e) for k in reversed(range(len(d))) for e in es[1:]])
     bases = [[(1 + (xs[dk] - xs[j]) * u, 1 + (zs[j] - xs[dk]) * u) for j in range(n)] for dk in d]
-    args = [a for k, e in visits for up, down in bases[k] for a in (up + e, down - e)]
-    values = _kernel_values(recip_gamma, args)
-    table = [[None] * len(es) for _ in d]
-    for i, (k, e) in enumerate(visits):
-        table[k][e] = values[2 * n * i:2 * n * (i + 1)]
-    return table
+    return visits, [a for k, e in visits for up, down in bases[k] for a in (up + e, down - e)]
+
+
+def recip_overflow(config: FlopConfig, side: str, delta, order: int) -> tuple | None:
+    """The first (slot, e) whose 1/Gamma factors in ``h_series(config, side,
+    delta, order)`` are not all finite, in the order the series meets them
+    (``_recip_table``), or None if every factor is finite.
+
+    Slot k is the k-th index of delta.  1/Gamma(1 + b - e) outgrows a float
+    once e passes ~171, so an order past that fails; this names where.
+    """
+    if side == "minus":
+        config = config.flipped()
+    visits, args = _recip_args(config, _delta_of(config, delta), order, _u(1.0))
+    for i, a in enumerate(args):
+        try:
+            recip_gamma(a)
+        except NonFiniteError:
+            return visits[i // (2 * config.n)]
+    return None
 
 
 def _delta_of(config: FlopConfig, delta) -> tuple:
@@ -1232,22 +1258,26 @@ def i_function_factored(config: FlopConfig, side: str, delta, order: int,
     )
 
 
-def central_charge(config: FlopConfig, psi_e: LocalizedCohClass, w: complex,
-                   ctx: PsiContext, order: int = 60) -> complex:
-    """Pairing of the I-series at the rotated argument with the psi-image of E.
+def central_charge(config: FlopConfig, psi_images: list, w: complex,
+                   ctx: PsiContext, order: int = 60) -> list:
+    """Z(E) for each psi image: the I-series at the rotated argument paired
+    with psi(E).
 
     Z(E) = sum_d I|_d(e^{-i pi} z)(w) * psi(E)(z)|_d / e(N_d), on the side
-    of ``psi_e``, the image of E in ``ctx`` (``psi_apply`` or
-    ``psi_on_coh``).  The I-series converges for |q| < 1 only, since
+    of ``ctx``; each of ``psi_images`` is the image of a class E in ``ctx``
+    (``psi_apply`` or ``psi_on_coh``).  The I-vector does not depend on E,
+    so it is summed once, one ``i_function`` per fixed point, and paired
+    with every image in turn; ValueError (``pairing``) for an image on the
+    other side.  The I-series converges for |q| < 1 only, since
     e^w = (-1)^{n-r+1} are the singular points of its ODE:
     NonConvergenceError unless Re w < 0.
     """
     if not w.real < 0:
         raise NonConvergenceError(f"the I-series diverges at w = {w!r}; it needs Re w < 0")
     rot = ctx.rotated()
-    i_vals = {d: i_function(config, psi_e.side, d, order, rot).eval(w)
-              for d in fixed_point_deltas(config)}
-    return pairing(config, LocalizedCohClass(psi_e.side, i_vals), psi_e)
+    i_vec = LocalizedCohClass(ctx.side, {d: i_function(config, ctx.side, d, order, rot).eval(w)
+                                         for d in fixed_point_deltas(config)})
+    return [pairing(config, i_vec, psi_e) for psi_e in psi_images]
 
 
 def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiContext) -> complex:
@@ -1259,11 +1289,12 @@ def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiCont
     return gam * barnes_integrate(w, config, l, tol=1e-11, weight_scale=ctx.ch_scale)
 
 
-def central_charge_plus_continued(config: FlopConfig, psi_e: LocalizedCohClass, w: complex,
-                                  ctx: PsiContext) -> complex:
-    """Plus-side central charge with the I-series continued past the wall;
-    ``psi_e`` is the psi-image of the plus class in ``ctx``."""
+def central_charge_plus_continued(config: FlopConfig, psi_images: list, w: complex,
+                                  ctx: PsiContext) -> list:
+    """Plus-side central charges with the I-series continued past the wall:
+    one continued I-vector, n Barnes integrals, paired with each of
+    ``psi_images``, the psi images of plus classes in ``ctx``."""
     rot = ctx.rotated()
-    i_vals = {(l,): i_restriction_continued(config, l, w, rot)
-              for (l,) in fixed_point_deltas(config)}
-    return pairing(config, LocalizedCohClass("plus", i_vals), psi_e)
+    i_vec = LocalizedCohClass("plus", {(l,): i_restriction_continued(config, l, w, rot)
+                                       for (l,) in fixed_point_deltas(config)})
+    return [pairing(config, i_vec, psi_e) for psi_e in psi_images]

@@ -17,16 +17,11 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 
-from .flopgeom import (
-    FixedPointLabel,
-    FlopConfig,
-    euler_class_normal,
-    fixed_point_deltas,
-    tangent_weights,
-)
+from .flopgeom import FlopConfig, fixed_point_deltas
 from .ktheory import LocalizedKClass, chern_character
 from .numkernel import (
     MultiPoly,
@@ -315,16 +310,18 @@ class PsiContext:
         except OverflowError:
             raise NonFiniteError(f"1/z does not fit a float at z = {z!r}") from None
         for d in fixed_point_deltas(config):
-            for t, w in enumerate(tangent_weights(config, FixedPointLabel(side, d))):
+            weights = config.fixed_point_table[side, d]
+            for t, num in enumerate(weights.nums):
                 try:
-                    wc = complex(w)
+                    wc = complex(num / weights.den)
                 except OverflowError:
+                    w = Fraction(num, weights.den)
                     size = math.log10(abs(w.numerator)) - math.log10(w.denominator)
                     raise NonFiniteError(
                         f"tangent weight {t} at {side} {d} (|w| ~ 10^{size:.1f}) is not a finite float"
                     ) from None
                 if is_nonpositive_integer(1.0 + wc * inv_z):
-                    raise PoleError(f"1 + w/z hits a Gamma pole for w = {w}")
+                    raise PoleError(f"1 + w/z hits a Gamma pole for w = {Fraction(num, weights.den)}")
         return ctx
 
     @property
@@ -346,10 +343,11 @@ class PsiContext:
 
 
 def gamma_class(config: FlopConfig, side: str, delta, inv_z: complex) -> complex:
-    """prod_t Gamma(1 + w_t / z) over the tangent weights at the fixed point."""
+    """prod_t Gamma(1 + w_t / z) over the tangent weights at the fixed point,
+    read from the float view of the config's table."""
     out = 1.0 + 0j
-    for w in tangent_weights(config, FixedPointLabel(side, delta)):
-        out *= gamma(1.0 + complex(w) * inv_z)
+    for w in config.fixed_point_table[side, tuple(delta)].values:
+        out *= gamma(1.0 + w * inv_z)
     return out
 
 
@@ -357,16 +355,17 @@ def psi_diag_factor(ctx: PsiContext, delta) -> complex:
     """Per-fixed-point diagonal factor of psi, held in ``ctx.diag``.
 
     z^{dim/2} * exp((sum_t w_t / z) log z) * prod_t Gamma(1 + w_t / z),
-    over the tangent weights at the fixed point.  Raises NonFiniteError
-    where an exponential factor overflows.
+    over the tangent weights at the fixed point; their sum is the integer
+    sum of the numerators over the common denominator, rounded once.
+    Raises NonFiniteError where an exponential factor overflows.
     """
     delta = tuple(delta)
     out = ctx.diag.get(delta)
     if out is None:
-        weights = tangent_weights(ctx.config, FixedPointLabel(ctx.side, delta))
+        weights = ctx.config.fixed_point_table[ctx.side, delta]
         try:
             out = cmath.exp(ctx.config.dim / 2.0 * ctx.log_z)
-            out *= cmath.exp(complex(sum(weights)) * ctx.inv_z * ctx.log_z)
+            out *= cmath.exp(complex(sum(weights.nums) / weights.den) * ctx.inv_z * ctx.log_z)
         except OverflowError:
             raise NonFiniteError(f"psi factor overflows at log z = {ctx.log_z!r}") from None
         out = ctx.diag[delta] = out * gamma_class(ctx.config, ctx.side, delta, ctx.inv_z)
@@ -403,17 +402,18 @@ def psi_apply(ctx: PsiContext, A: LocalizedKClass) -> LocalizedCohClass:
 
 
 def pairing(config: FlopConfig, a: LocalizedCohClass, b: LocalizedCohClass) -> complex:
-    """Localization pairing: sum_d a|_d * b|_d / e(N_d), at the exact weights.
+    """Localization pairing: sum_d a|_d * b|_d / e(N_d), each e(N_d) the
+    float view of the exact Euler class in the config's table.
 
-    It is the one cohomological localization sum: the central charges sum
-    through it.
+    It is the one cohomological localization sum: the central charges pair
+    their one I-vector with each psi image through it.
     """
     if a.side != b.side:
         raise ValueError("pairing needs classes on the same side")
+    table = config.fixed_point_table
     total = 0j
     for d in a.values:
-        eN = complex(euler_class_normal(config, FixedPointLabel(a.side, d)))
-        total += a.values[d] * b.values[d] / eN
+        total += a.values[d] * b.values[d] / table[a.side, d].euler_value
     return total
 
 

@@ -307,6 +307,29 @@ def test_series_recip_table_bound_is_2_n_r_order_plus_1():
             _check_recip_table(order + 1, n, r)
 
 
+# 1/Gamma(1 + b - e) outgrows a float once e passes ~171: order 200 used to
+# build its 804 values and exit 2 naming only the value (inf+infj)
+@pytest.mark.parametrize("config,side,delta,order,where", [
+    ({}, "plus", "1", 170, None),
+    ({}, "minus", "2", 170, None),
+    ({}, "plus", "1", 200, (0, 173)),
+    ({}, "minus", "2", 200, (0, 173)),
+    ({"n": 3, "r": 2}, "plus", "1,2", 175, (1, 173)),
+])
+def test_series_past_the_1_over_gamma_overflow_names_the_order_and_slot(capsys, tmp_path, config,
+                                                                        side, delta, order, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    status = main(["series", "--side", side, "--delta", delta, "--order", str(order),
+                   "--config", str(path)])
+    out, err = capsys.readouterr()
+    if where is None:
+        assert status == 0 and json.loads(out)["order"] == order
+    else:
+        assert status == 2 and out == ""
+        assert err.startswith(f"configuration error: --order {order} ") and f"(slot, e) = {where}" in err
+
+
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_series_command_r2_stops_at_order(capsys, tmp_path, side):
     # each variable is cut at the order, so past it a total degree lacks

@@ -1,6 +1,8 @@
 """Fixed-point combinatorics, tangent weights, and relation checks."""
 
+import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,6 @@ from flopwall.flopgeom import (
     FixedPointLabel,
     FlopConfig,
     check_relations,
-    euler_class_normal,
     fixed_point_deltas,
     random_config,
     restrict_chern_roots,
@@ -79,12 +80,18 @@ def test_tangent_weight_cardinality(cfg32):
             assert len(tangent_weights(cfg32, FixedPointLabel(side, d))) == 8  # 2*2*3 - 4
 
 
+def _euler(cfg, side, delta):
+    """The exact Euler class e(N) read from the table's integer form."""
+    weights = cfg.fixed_point_table[side, delta]
+    return F(weights.euler, weights.den ** len(weights.nums))
+
+
 def test_euler_class_example(cfg21):
     x, z = cfg21.x, cfg21.z
-    got = euler_class_normal(cfg21, FixedPointLabel("minus", (0,)))
+    got = _euler(cfg21, "minus", (0,))
     assert got == (z[1] - z[0]) * (z[0] - x[0]) * (z[0] - x[1])
     # exchanging the two fixed points swaps z_1 and z_2 in the result
-    swapped = euler_class_normal(cfg21, FixedPointLabel("minus", (1,)))
+    swapped = _euler(cfg21, "minus", (1,))
     assert swapped == (z[0] - z[1]) * (z[1] - x[0]) * (z[1] - x[1])
 
 
@@ -95,7 +102,7 @@ def test_geometry_bundle(cfg32):
     euler = F(1)
     for w in tw:
         euler *= w
-    assert euler_class_normal(cfg32, lab) == euler != 0
+    assert _euler(cfg32, "plus", (0, 1)) == euler != 0
     assert len(restrict_chern_roots(cfg32, lab)) == cfg32.r
 
 
@@ -141,10 +148,10 @@ def test_tangent_weight_case_sees_a_weight_moved_between_fixed_points(r, n):
     cfg = FlopConfig(n, r, default_config(n, r).x, default_config(n, r).z)
     da, db = (0,) + tuple(range(2, r + 1)), tuple(range(1, r + 1))
     table = dict(cfg.fixed_point_table)
-    (a, ea), (b, eb) = table["minus", da], table["minus", db]
+    a, b = table["minus", da].nums, table["minus", db].nums
     assert a[0] != b[0]
-    table["minus", da] = ((b[0],) + a[1:], ea)
-    table["minus", db] = ((a[0],) + b[1:], eb)
+    table["minus", da] = replace(table["minus", da], nums=(b[0],) + a[1:])
+    table["minus", db] = replace(table["minus", db], nums=(a[0],) + b[1:])
     cfg.__dict__["fixed_point_table"] = table
 
     def status(config):
@@ -166,7 +173,7 @@ def test_tangent_count_and_euler_nonzero(seed):
             lab = FixedPointLabel(side, d)
             tw = tangent_weights(cfg, lab)
             assert len(tw) == cfg.dim
-            assert euler_class_normal(cfg, lab) != 0
+            assert _euler(cfg, side, d) != 0
 
 
 _RELATION_GRID = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]
@@ -264,9 +271,22 @@ def test_fixed_point_table_equals_the_fraction_sum_oracle(nr, seed, scale):
     cfg = random_config(n, r, seed=seed, scale=scale)
     want = _ref_fixed_point_table(cfg)
     got = cfg.fixed_point_table
-    assert got == want
-    for weights, euler in got.values():
-        assert all(type(w) is F for w in weights) and type(euler) is F
+    assert got.keys() == want.keys()
+    den = math.lcm(*(w.denominator for w in cfg.x + cfg.z))
+    for key, (weights, euler) in want.items():
+        entry = got[key]
+        assert entry.den == den
+        assert all(type(num) is int for num in entry.nums) and type(entry.euler) is int
+        # exact: each weight and the Euler class against the Fraction sums
+        assert tuple(F(num, entry.den) for num in entry.nums) == weights
+        assert F(entry.euler, entry.den ** len(entry.nums)) == euler
+        # the float views are complex(Fraction), bit for bit
+        assert [_bits(v) for v in entry.values] == [_bits(complex(w)) for w in weights]
+        assert _bits(entry.euler_value) == _bits(complex(euler))
+
+
+def _bits(v: complex) -> tuple:
+    return v.real.hex(), v.imag.hex()
 
 
 def test_tangent_weight_cases_fail_with_a_reversed_minus_pair(monkeypatch):

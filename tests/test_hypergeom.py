@@ -2014,9 +2014,9 @@ def test_central_charge_linear(cfg21):
     w = -1.2 + 1j * math.pi
     A = generator_e(cfg21, (0,))
     B = generator_e(cfg21, (1,))
-    za = central_charge(cfg21, psi_apply(ctx, A), w, ctx, order=40)
-    zb = central_charge(cfg21, psi_apply(ctx, B), w, ctx, order=40)
-    zab = central_charge(cfg21, psi_apply(ctx, A + B), w, ctx, order=40)
+    za, = central_charge(cfg21, [psi_apply(ctx, A)], w, ctx, order=40)
+    zb, = central_charge(cfg21, [psi_apply(ctx, B)], w, ctx, order=40)
+    zab, = central_charge(cfg21, [psi_apply(ctx, A + B)], w, ctx, order=40)
     assert abs(zab - za - zb) <= 1e-12 * max(1.0, abs(zab))
 
 
@@ -2032,6 +2032,64 @@ def test_central_charge_continuation(cfg21):
         else:
             Em = generator_e(cfg21, (0,))
             psi_p = psi_apply(ctxp, fm_generator_formula(cfg21, (0,)))
-        z_minus = central_charge(cfg21, psi_apply(ctxm, Em), -w, ctxm, order=80)
-        z_plus = central_charge_plus_continued(cfg21, psi_p, w, ctxp)
+        z_minus, = central_charge(cfg21, [psi_apply(ctxm, Em)], -w, ctxm, order=80)
+        z_plus, = central_charge_plus_continued(cfg21, [psi_p], w, ctxp)
         assert abs(z_plus - z_minus) <= 1e-6 * abs(z_minus)
+
+
+def _calls_on(monkeypatch, name, config):
+    """The arguments of each call of ``hypergeom.<name>`` on ``config``
+    itself, its first or second argument; the minus side's call on the
+    flip is not one.  Argument 2 is the fixed point: delta of
+    ``i_function``, l of ``barnes_integrate``."""
+    calls = []
+    fn = getattr(hypergeom, name)
+
+    def counted(*args, **kw):
+        if any(a is config for a in args[:2]):
+            calls.append(args)
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(hypergeom, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("z", [2.0 + 0j, 3.0 + 1j])
+def test_three_charges_from_one_i_vector_equal_the_single_ones(cfg21, z, monkeypatch):
+    # the I-vector does not depend on the class: three images paired with
+    # one vector give the charges of three calls with one image each, from
+    # one i_function per fixed point and one Barnes integral per l
+    deltas = fixed_point_deltas(cfg21)
+    series = _calls_on(monkeypatch, "i_function", cfg21)
+    barnes = _calls_on(monkeypatch, "barnes_integrate", cfg21)
+
+    ctxm = PsiContext.create(cfg21, "minus", z=z)
+    A, B = (generator_e(cfg21, d) for d in deltas)
+    images = [psi_apply(ctxm, E) for E in (A, B, A + B)]
+    w = -1.2 + 1j * math.pi
+    charges = central_charge(cfg21, images, w, ctxm, order=60)
+    assert [call[2] for call in series] == deltas
+    assert charges == [central_charge(cfg21, [im], w, ctxm, order=60)[0] for im in images]
+
+    ctxp = PsiContext.create(cfg21, "plus", z=z)
+    images = [psi_apply(ctxp, fm_generator_formula(cfg21, d)) for d in deltas]
+    images.append(psi_apply(ctxp, unit_class(cfg21, "plus")))
+    w = math.log(3.0) + 1j * math.pi
+    charges = central_charge_plus_continued(cfg21, images, w, ctxp)
+    assert [call[2] for call in barnes] == [0, 1]
+    assert charges == [central_charge_plus_continued(cfg21, [im], w, ctxp)[0] for im in images]
+
+
+def test_charge_cases_build_one_i_vector(monkeypatch):
+    # fm-continuation pairs two classes with one continued I-vector: n
+    # Barnes integrals, not n per class; linearity pairs three classes with
+    # one I-series per fixed point
+    env = SuiteEnv()
+    cfg = env.config_for(2, 1)
+    cases = {c.name: c for c in collect_cases(env, "central-charge")}
+    barnes = _calls_on(monkeypatch, "barnes_integrate", cfg)
+    assert cases["fm-continuation"].thunk()[0] == "pass"
+    assert len(barnes) == cfg.n
+    series = _calls_on(monkeypatch, "i_function", cfg)
+    assert cases["linearity"].thunk()[0] == "pass"
+    assert [call[2] for call in series] == fixed_point_deltas(cfg)

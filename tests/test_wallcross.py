@@ -4,6 +4,7 @@ import cmath
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import permutations
@@ -615,10 +616,10 @@ def test_pairing_symmetric_and_unit(cfg21):
     b = LocalizedCohClass("minus", {(0,): 0.4 - 2j, (1,): 1.0 + 0j})
     assert abs(pairing(cfg21, a, b) - pairing(cfg21, b, a)) < 1e-15
     ones = LocalizedCohClass("minus", {d: 1.0 + 0j for d in fixed_point_deltas(cfg21)})
-    from flopwall.flopgeom import FixedPointLabel, euler_class_normal
+    from flopwall.flopgeom import FixedPointLabel, tangent_weights
 
     want = sum(
-        1.0 / complex(euler_class_normal(cfg21, FixedPointLabel("minus", d)))
+        1.0 / complex(math.prod(tangent_weights(cfg21, FixedPointLabel("minus", d))))
         for d in fixed_point_deltas(cfg21)
     )
     assert abs(pairing(cfg21, ones, ones) - want) < 1e-12 * abs(want)
@@ -784,6 +785,20 @@ def test_psi_context_rejects_a_weight_beyond_the_float_range():
     cfg = FlopConfig(2, 1, (F(10) ** 308, F(0)), (-F(10) ** 308, F(1)))
     # z_0 - x_0 = -2e308 overflows complex(); it used to escape as OverflowError
     with pytest.raises(NonFiniteError, match=r"tangent weight 1 at minus \(0,\)"):
+        PsiContext.create(cfg, "minus", z=2.0)
+
+
+@pytest.mark.parametrize("x1, z1, error, message", [
+    # minus (0,): t = 0 is z_1 - z_0 = -2, a pole at z = 2, before the overflow at t = 1
+    (F(0), -F(10) ** 308 - 2, PoleError, "1 + w/z hits a Gamma pole for w = -2"),
+    # t = 2 is z_0 - x_1 = -2, after the overflow at t = 1
+    (-F(10) ** 308 + 2, F(1), NonFiniteError, "tangent weight 1 at minus (0,) (|w| ~ 10^308.3)"),
+])
+def test_psi_context_checks_the_weights_in_order(x1, z1, error, message):
+    # the float view of the table fails as a whole; the error is still the
+    # one of the first weight, in order, that is a pole or does not fit
+    cfg = FlopConfig(2, 1, (F(10) ** 308, x1), (-F(10) ** 308, z1))
+    with pytest.raises(error, match=re.escape(message)):
         PsiContext.create(cfg, "minus", z=2.0)
 
 
