@@ -21,9 +21,10 @@ The two sides are exchanged by the flop involution x -> -z, z -> -x.
 Every such weight is an index pair (p, q): the weight w_p - w_q over
 w = x + z, index i < n for x_i and n + j for z_j (``tangent_weight_pairs``).
 A fixed point is its delta tuple (``fixed_point_deltas``), with
-``FixedPointLabel`` adding the side where a function needs one.  The
-instance holds each fixed point's weights as integers over one common
-denominator (``FlopConfig.fixed_point_table``, ``TangentWeights``).
+``FixedPointLabel`` adding the side for ``tangent_weights`` and
+``restrict_chern_roots``.  The instance holds each fixed point's weights as
+integers over one common denominator (``FlopConfig.fixed_point_table``,
+``TangentWeights``).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class FlopConfig:
         table = {}
         for side in SIDES:
             for delta in fixed_point_deltas(self):
-                pairs = tangent_weight_pairs(self, FixedPointLabel(side, delta))
+                pairs = tangent_weight_pairs(self, side, delta)
                 nums = tuple(num[p] - num[q] for p, q in pairs)
                 if 0 in nums:
                     raise DegenerateWeightError(f"zero tangent weight at {side} {delta}")
@@ -241,13 +242,13 @@ def restrict_chern_roots(config: FlopConfig, label: FixedPointLabel) -> list:
     return [-config.x[d] for d in label.delta]
 
 
-def tangent_weight_pairs(config: FlopConfig, label: FixedPointLabel) -> list:
-    """Tangent weights at the fixed point as index pairs (p, q): the weight
-    is w_p - w_q over w = x + z (index i < n is x_i, index n + j is z_j)."""
+def tangent_weight_pairs(config: FlopConfig, side: str, delta: tuple) -> list:
+    """Tangent weights at the fixed point ``delta`` (an increasing tuple) of
+    ``side`` as index pairs (p, q): the weight is w_p - w_q over w = x + z
+    (index i < n is x_i, index n + j is z_j)."""
     n = config.n
-    delta = label.delta
     rest = [j for j in range(n) if j not in delta]
-    if label.side == "minus":
+    if _check_side(side) == "minus":
         return ([(n + j, n + d) for d in delta for j in rest]
                 + [(n + d, j) for d in delta for j in range(n)])
     return ([(d, j) for d in delta for j in rest]
@@ -284,24 +285,37 @@ def check_relations(config: FlopConfig, side: str) -> RelationReport:
     (``restrict_chern_roots``) and w the side's weights (x on the plus
     side, z on the minus side), prod_j (1 + w_j t) / prod_i (1 - y_i t) is
     a polynomial of degree n - r in t, since each y_i = -w_{delta_i}
-    cancels one numerator factor.  The ratio is expanded exactly, at the
-    Fraction weights, to degree n, and each coefficient of degree
-    n - r + 1, ..., n must vanish; degree n - r is not flagged.  A root off
-    -w_{delta_i}, such as the other side's, leaves a factor uncancelled
-    and, at generic weights, those coefficients nonzero.
+    cancels one numerator factor.  The ratio is expanded exactly to degree
+    n, and each coefficient of degree n - r + 1, ..., n must vanish; degree
+    n - r is not flagged.  A root off -w_{delta_i}, such as the other
+    side's, leaves a factor uncancelled and, at generic weights, those
+    coefficients nonzero.
+
+    The expansion runs on integers.  With every w and y an integer W, Y
+    over one denominator D, coefficient k times D^k obeys the same two
+    recurrences in W and Y, and is zero exactly when the coefficient is.
+    D is the lcm of the weights' denominators and, at each fixed point,
+    of its roots' denominators too, so a root over another denominator is
+    expanded exactly as well.
     """
     _check_side(side)
     n, r = config.n, config.r
-    # coefficients of prod_j (1 + w_j t), degree n
-    numerator = [Fraction(1)] + [Fraction(0)] * n
-    for w in config.x if side == "plus" else config.z:
+    ws = config.x if side == "plus" else config.z
+    den = math.lcm(*(w.denominator for w in ws))
+    # coefficient k of prod_j (1 + w_j t) times den^k, degree n
+    numerator = [1] + [0] * n
+    for w in ws:
+        w = w.numerator * (den // w.denominator)
         for k in range(n, 0, -1):
             numerator[k] += w * numerator[k - 1]
     cases: dict = {}
     for delta in fixed_point_deltas(config):
+        roots = restrict_chern_roots(config, FixedPointLabel(side, delta))
+        d = math.lcm(den, *(y.denominator for y in roots))
+        coeffs = [c * (d // den) ** k for k, c in enumerate(numerator)]
         # divided by each 1 - y t, as a series to degree n
-        coeffs = list(numerator)
-        for y in restrict_chern_roots(config, FixedPointLabel(side, delta)):
+        for y in roots:
+            y = y.numerator * (d // y.denominator)
             for k in range(1, n + 1):
                 coeffs[k] += y * coeffs[k - 1]
         for l in range(n - r + 1, n + 1):

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 
 from .flopgeom import (
     DegenerateWeightError,
-    FixedPointLabel,
     FlopConfig,
     fixed_point_deltas,
     tangent_weight_pairs,
@@ -282,7 +281,7 @@ def _wedges(config: FlopConfig, scale: complex) -> _Lazy:
 
         def wedge(a, b) -> complex:
             if isinstance(a, str):
-                pairs = tangent_weight_pairs(owner(), FixedPointLabel(a, b))
+                pairs = tangent_weight_pairs(owner(), a, b)
             else:
                 pairs = tilde_tangent_weight_pairs(owner(), a, b)
             return _wedge_dual_value(ws, pairs, scale)
@@ -352,7 +351,7 @@ def fm_transform_generator_exact(config: FlopConfig, delta_minus) -> LocalizedKC
     for dp in fixed_point_deltas(config):
         num = Counter(generator)
         # wedge(N_dp) over wedge(N_(dm,dp)): factors (1 - e^{-w})
-        num.update((q, p) for p, q in tangent_weight_pairs(config, FixedPointLabel("plus", dp)))
+        num.update((q, p) for p, q in tangent_weight_pairs(config, "plus", dp))
         num.subtract((q, p) for p, q in tilde_tangent_weight_pairs(config, dm, dp))
         if any(c < 0 for c in num.values()):
             raise ArithmeticError("binomial cancellation failed; not a generator transfer")

@@ -14,6 +14,7 @@ config.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -180,36 +181,56 @@ def _antisym_q_entry(xs, zs, l: int, j: int, one):
     return out
 
 
+@functools.cache
+def _laplace_plan(r: int) -> tuple:
+    """The Laplace expansion of an r x r determinant along its rows, as
+    ``(mask, row, terms)`` per non-empty column mask, in increasing order.
+
+    The minor on mask m uses rows r - popcount(m), ..., r - 1 and the
+    columns in m; it expands along its first row, ``row``, with one term
+    ``(j, m without j, sign)`` per column j of m, the signs alternating
+    from +1.  Every sub-mask is smaller than its mask, so in this order it
+    is expanded first.
+    """
+    plan = []
+    for mask in range(1, 1 << r):
+        cols = [j for j in range(r) if mask >> j & 1]
+        terms = tuple((j, mask ^ (1 << j), 1 - 2 * (k & 1)) for k, j in enumerate(cols))
+        plan.append((mask, r - len(cols), terms))
+    return tuple(plan)
+
+
 def _antisym_sides(xs, zs, one):
     """Both sides of the identity at ``xs``, ``zs`` in a commutative ring
-    whose unit is ``one``: ``MultiPoly`` variables or integers.
+    whose unit is ``one``: ``MultiPoly`` variables, integers or Fractions.
 
-    The left side is prod_{l<i} (z_i - z_l)(x_l - x_i).  The right side,
+    The left side is prod_{l<i} (z_i - z_l)(x_l - x_i), the product of the
+    two Vandermonde products V(z) = prod_{l<i} (z_i - z_l) and
+    V(x) = prod_{l<i} (x_l - x_i), each built alone.  The right side,
     sum_sigma sgn(sigma) prod_l prod_{j != sigma(l)} (x_j - z_l), is by the
-    Leibniz formula the determinant of Q_{l,j} = prod_{j' != j} (x_{j'} - z_l).
-    It is expanded by Laplace expansion along rows, memoized on the set of
-    remaining columns: the minor on column mask m uses the last popcount(m)
-    rows, so m alone keys it and 2^r minors replace the r! permutation
-    terms.  The tests keep the r! sum as an independent oracle.
+    Leibniz formula the determinant of Q_{l,j} = prod_{j' != j} (x_{j'} - z_l)
+    (``_antisym_q_entry``).  It is expanded along rows by the plan
+    ``_laplace_plan(r)``, built once per r: the minor on a column mask uses
+    the last popcount rows, so the mask alone keys it and 2^r minors replace
+    the r! permutation terms.  The tests keep the r! sum as an independent
+    oracle.
     """
     r = len(xs)
-    lhs = one
+    vz = vx = one
     for i in range(r):
         for l in range(i):
-            lhs = lhs * (zs[i] - zs[l]) * (xs[l] - xs[i])
+            vz = vz * (zs[i] - zs[l])
+            vx = vx * (xs[l] - xs[i])
     q = [[_antisym_q_entry(xs, zs, l, j, one) for j in range(r)] for l in range(r)]
-    minors = {0: one}
-    for mask in range(1, 1 << r):
-        row = r - bin(mask).count("1")
-        det = one - one
-        sign = 1
-        for j in range(r):
-            if mask >> j & 1:
-                term = q[row][j] * minors[mask ^ (1 << j)]
-                det = det + term if sign > 0 else det - term
-                sign = -sign
+    minors = [one] * (1 << r)
+    for mask, row, terms in _laplace_plan(r):
+        qrow = q[row]
+        det = None
+        for j, sub, sign in terms:
+            term = qrow[j] * minors[sub]
+            det = term if det is None else det + term if sign > 0 else det - term
         minors[mask] = det
-    return lhs, minors[(1 << r) - 1]
+    return vz * vx, minors[-1]
 
 
 @dataclass
@@ -233,7 +254,12 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
     ``samples`` random rational points for any r.  Both checks evaluate the
     right-hand side as the determinant det Q (see ``_antisym_sides``), not
     as the r! permutation sum, which the tests keep as an oracle.
+    ValueError for r < 1 or samples < 1: such a check would check nothing.
     """
+    if r < 1:
+        raise ValueError(f"antisym_identity_check needs r >= 1, got r={r}")
+    if samples < 1:
+        raise ValueError(f"antisym_identity_check needs samples >= 1, got samples={samples}")
     symbolic_checked = r <= 4
     symbolic_ok = True
     monomial_ok = True
@@ -253,7 +279,7 @@ def antisym_identity_check(r: int, samples: int = 20, seed: int = 0) -> AntisymR
         # (q > 0), kept as the integer pair (p, q)
         coords = []
         for _ in range(2 * r):
-            p, q = rng.randint(-60, 60), rng.randint(1, 40)
+            p, q = rng.randrange(-60, 61), rng.randrange(1, 41)
             g = math.gcd(p, q)
             coords.append((p // g, q // g))
         # Both sides are homogeneous of degree r(r-1), so at the point scaled

@@ -143,7 +143,7 @@ def test_criterion_05_euler_chi_z_invariance():
                 fb = fm_transform(cfg, B, s)
                 rhs = 0j
                 for dp in fa:
-                    pairs = tangent_weight_pairs(cfg, FixedPointLabel("plus", dp))
+                    pairs = tangent_weight_pairs(cfg, "plus", dp)
                     rhs += fa[dp] * fb[dp] / _wedge_dual_value(ws, pairs, s)
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     _verdict(5, worst < 1e-10, "Euler characteristic and modified pairing invariant under FM", worst)

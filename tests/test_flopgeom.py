@@ -1,6 +1,7 @@
 """Fixed-point combinatorics, tangent weights, and relation checks."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -228,6 +229,114 @@ def test_relations_fail_with_the_other_sides_roots(monkeypatch):
     _relations_fail_on_both_sides(monkeypatch, other_side)
 
 
+def _fraction_relations(config, side):
+    """The Fraction expansion the integer one replaced, kept as its oracle:
+    ``check_relations(config, side).cases``, expanded at the Fraction
+    weights and the roots ``flopgeom.restrict_chern_roots`` gives."""
+    n, r = config.n, config.r
+    numerator = [F(1)] + [F(0)] * n
+    for w in config.x if side == "plus" else config.z:
+        for k in range(n, 0, -1):
+            numerator[k] += w * numerator[k - 1]
+    cases = {}
+    for delta in fixed_point_deltas(config):
+        coeffs = list(numerator)
+        for y in flopgeom.restrict_chern_roots(config, FixedPointLabel(side, delta)):
+            for k in range(1, n + 1):
+                coeffs[k] += y * coeffs[k - 1]
+        for l in range(n - r + 1, n + 1):
+            cases[(delta, l)] = coeffs[l] == 0
+    return cases
+
+
+def _integer_relations_match_the_fraction_oracle(seeds):
+    for r, n in _RELATION_GRID:
+        for seed in seeds:
+            cfg = random_config(n, r, seed=seed)
+            for side in ("plus", "minus"):
+                assert check_relations(cfg, side).cases == _fraction_relations(cfg, side), (r, n, seed, side)
+
+
+def test_integer_relations_equal_the_fraction_expansion():
+    _integer_relations_match_the_fraction_oracle(range(10))
+
+
+def test_integer_relations_equal_the_fraction_expansion_with_off_denominator_roots(monkeypatch):
+    # roots over a denominator the weights do not share, or the other
+    # side's roots: every coefficient above n - r is expanded over the lcm
+    # and the per-entry verdicts, false ones included, are the oracle's
+    def roots(config, label):
+        y = restrict_chern_roots(config, label)
+        if label.delta[0] == 0:
+            y[0] += F(1, 1000)
+        elif label.delta[-1] == config.n - 1:
+            y[-1] = -y[-1]
+        return y
+
+    monkeypatch.setattr(flopgeom, "restrict_chern_roots", roots)
+    _integer_relations_match_the_fraction_oracle(range(3))
+    cfg = random_config(3, 1, seed=0)
+    assert set(check_relations(cfg, "plus").cases.values()) == {True, False}
+
+
+def _fraction_ops_inside(monkeypatch, code, run):
+    """Fraction +, - and * calls made while a frame of ``code`` is on the
+    stack during ``run()``, and the number of frames of ``code`` entered."""
+    seen = {"ops": 0, "calls": 0}
+
+    def counted(op):
+        def wrapper(a, b):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is code:
+                    seen["ops"] += 1
+                    break
+                frame = frame.f_back
+            return op(a, b)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen["calls"] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        monkeypatch.undo()
+    return seen["ops"], seen["calls"]
+
+
+def test_relation_cases_make_no_fraction_arithmetic(monkeypatch):
+    def run():
+        cases = run_suite(RunConfig(), "all").cases
+        relations = [c["status"] for c in cases if c["case"].startswith("relations-")]
+        assert relations == ["pass"] * 2 * len(_RELATION_GRID)
+
+    ops, calls = _fraction_ops_inside(monkeypatch, check_relations.__code__, run)
+    assert (ops, calls) == (0, 2 * len(_RELATION_GRID))
+
+
+def test_the_fraction_guard_sees_the_fraction_expansion(monkeypatch):
+    # negative control: the relation cases on the Fraction oracle do
+    # Fraction arithmetic, and the guard counts it
+    from flopwall import suites
+
+    def fraction_check(config, side):
+        return flopgeom.RelationReport(side, _fraction_relations(config, side))
+
+    def run():
+        monkeypatch.setattr(suites, "check_relations", fraction_check)
+        assert all(c["status"] == "pass" for c in run_suite(RunConfig(), "geometry").cases)
+
+    ops, calls = _fraction_ops_inside(monkeypatch, _fraction_relations.__code__, run)
+    assert calls == 2 * len(_RELATION_GRID) and ops > 0
+
+
 def _ref_fixed_point_table(cfg):
     """The Fraction-sum table the integer-numerator builder replaced, kept
     as its oracle: each weight is the sum of its integer vector against
@@ -300,12 +409,12 @@ def test_tangent_weight_cases_fail_with_a_reversed_minus_pair(monkeypatch):
     assert set(cases().values()) == {"pass"}
     pairs = flopgeom.tangent_weight_pairs
 
-    def reversed_first_minus_pair(config, label):
+    def reversed_first_minus_pair(config, side, delta):
         # one pair at one fixed point: reversing the first pair at every
         # minus point swaps z_j - z_d and z_d - z_j at n = 2 and keeps the
         # multiset the check compares
-        out = pairs(config, label)
-        if label.side == "minus" and label.delta == tuple(range(config.r)):
+        out = pairs(config, side, delta)
+        if side == "minus" and delta == tuple(range(config.r)):
             p, q = out[0]
             out[0] = (q, p)
         return out

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from flopwall.cli import RunConfig, run_suite
 from flopwall.flopgeom import (
     SIDES,
-    FixedPointLabel,
     fixed_point_deltas,
     random_config,
     tangent_weight_pairs,
@@ -116,7 +115,7 @@ def _fm_exact_vectors(cfg, dm):
     for dp in fixed_point_deltas(cfg):
         num = Counter(generator)
         den = Counter()
-        for vec in _vectors(tangent_weight_pairs(cfg, FixedPointLabel("plus", dp)), n):
+        for vec in _vectors(tangent_weight_pairs(cfg, "plus", dp), n):
             num[tuple(-a for a in vec)] += 1
         for vec in _tilde_tangent_weight_vectors(cfg, dm, dp):
             den[tuple(-a for a in vec)] += 1
@@ -394,7 +393,7 @@ def test_chi_z_unit_pairing_unwound(cfg21):
     xs, zs = cfg21.complex_weights()
     want = 0j
     for d in fixed_point_deltas(cfg21):
-        pairs = tangent_weight_pairs(cfg21, FixedPointLabel("minus", d))
+        pairs = tangent_weight_pairs(cfg21, "minus", d)
         want += 1.0 / _wedge_dual_value(xs + zs, pairs, TWO_PI_I / z)
     assert abs(got - want) < 1e-13
 
@@ -412,7 +411,7 @@ def test_chi_z_fm_invariance(cfg21, z):
         xs, zs = cfg21.complex_weights()
         rhs = 0j
         for dp in fc:
-            pairs = tangent_weight_pairs(cfg21, FixedPointLabel("plus", dp))
+            pairs = tangent_weight_pairs(cfg21, "plus", dp)
             rhs += fc[dp] * fd[dp] / _wedge_dual_value(xs + zs, pairs, s)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -462,7 +461,7 @@ def _ref_fm_transform(cfg, vec, scale):
     out = {}
     for dp in deltas:
         plus_wedge = _wedge_dual_value(
-            xs + zs, tangent_weight_pairs(cfg, FixedPointLabel("plus", dp)), scale)
+            xs + zs, tangent_weight_pairs(cfg, "plus", dp), scale)
         total = 0j
         for dm in deltas:
             tilde = _wedge_dual_value(xs + zs, tilde_tangent_weight_pairs(cfg, dm, dp), scale)
@@ -476,7 +475,7 @@ def _ref_euler_characteristic(cfg, vec, side, scale):
     total = 0j
     for d, val in vec.items():
         total += val / _wedge_dual_value(
-            xs + zs, tangent_weight_pairs(cfg, FixedPointLabel(side, d)), scale)
+            xs + zs, tangent_weight_pairs(cfg, side, d), scale)
     return total
 
 
@@ -578,7 +577,7 @@ def test_pair_form_equals_the_vector_form(nr, seed, z):
         wedges = ktheory._wedges(cfg, scale)
         for side in SIDES:
             for d in deltas:
-                pairs = tangent_weight_pairs(cfg, FixedPointLabel(side, d))
+                pairs = tangent_weight_pairs(cfg, side, d)
                 assert wedges[side, d] == _wedge_of_vectors(xs, zs, _vectors(pairs, n), scale)
         for dm in deltas:
             for dp in deltas:

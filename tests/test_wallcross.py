@@ -485,6 +485,63 @@ def test_antisym_determinant_matches_leibniz_sampled(r):
         assert _antisym_sides(xs, zs, 1)[1] == _leibniz_rhs(xs, zs, 1)
 
 
+def _grown_product_sides(xs, zs, one):
+    """The sides as evaluated before the per-r plan, kept as their oracle:
+    the left side one growing product of its r(r - 1) linear factors, the
+    determinant by the same row expansion, its column bits read per mask."""
+    r = len(xs)
+    lhs = one
+    for i in range(r):
+        for l in range(i):
+            lhs = lhs * (zs[i] - zs[l]) * (xs[l] - xs[i])
+    q = [[wallcross._antisym_q_entry(xs, zs, l, j, one) for j in range(r)] for l in range(r)]
+    minors = {0: one}
+    for mask in range(1, 1 << r):
+        row = r - bin(mask).count("1")
+        det = one - one
+        sign = 1
+        for j in range(r):
+            if mask >> j & 1:
+                term = q[row][j] * minors[mask ^ (1 << j)]
+                det = det + term if sign > 0 else det - term
+                sign = -sign
+        minors[mask] = det
+    return lhs, minors[(1 << r) - 1]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_antisym_symbolic_sides_equal_the_grown_product_expansion(r):
+    nv = 2 * r
+    x = [MultiPoly.variable(nv, i) for i in range(r)]
+    z = [MultiPoly.variable(nv, r + i) for i in range(r)]
+    got = _symbolic_sides(r)
+    assert got == _grown_product_sides(x, z, MultiPoly.constant(nv, 1))
+    assert all(type(side) is MultiPoly for side in got)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_antisym_integer_sides_equal_the_leibniz_sum(r):
+    rng = random.Random(500 + r)
+    for _ in range(2):
+        xs, zs, _ = _cleared(*_random_point(rng, r))
+        want = _leibniz_rhs(xs, zs, 1)
+        assert _antisym_sides(xs, zs, 1) == (want, want)
+        assert want != 0
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_laplace_plan_visits_every_mask_once(r):
+    plan = wallcross._laplace_plan(r)
+    assert [mask for mask, _, _ in plan] == list(range(1, 1 << r))
+    for mask, row, terms in plan:
+        cols = [j for j in range(r) if mask >> j & 1]
+        assert row == r - len(cols)
+        # one term per column of the mask, its sub-mask without that
+        # column, the signs alternating from +1
+        assert terms == tuple((j, mask - (1 << j), (-1) ** k) for k, j in enumerate(cols))
+    assert wallcross._laplace_plan(r) is plan  # built once per r
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_antisym_determinant_degenerate_points(r):
     # x_1 = z_0 zeroes Q_{0,0}; z_0 = z_1 makes two rows of Q equal and
@@ -555,6 +612,31 @@ def test_antisym_check_fails_with_one_wrong_factor_of_q(monkeypatch, r):
     assert rep.symbolic_checked == (r <= 4)
     if r <= 4:
         assert not rep.symbolic_ok
+
+
+@pytest.mark.parametrize("r,samples,named", [(6, 0, "samples=0"), (5, -3, "samples=-3"),
+                                             (0, 20, "r=0"), (-2, 20, "r=-2")])
+def test_antisym_check_rejects_an_empty_check(r, samples, named):
+    # r = 6 with no sample would pass with a wrong factor of Q; r < 1 has
+    # no identity to check
+    with pytest.raises(ValueError, match=rf"\b{named}$"):
+        antisym_identity_check(r, samples=samples)
+
+
+def test_antisym_cases_check_twenty_samples_per_r(monkeypatch):
+    calls = []
+    check = suites.antisym_identity_check
+
+    def record(r, samples, seed):
+        calls.append((r, samples, seed))
+        return check(r, samples=samples, seed=seed)
+
+    monkeypatch.setattr(suites, "antisym_identity_check", record)
+    cases = [c for c in collect_cases(SuiteEnv(seed=3), "identities") if c.name.startswith("antisym-")]
+    assert [case.thunk()[0] for case in cases] == ["pass"] * 6
+    assert calls == [(r, 20, 3) for r in range(1, 7)]
+    assert [case.params for case in cases] == [
+        {"r": r, "samples": 20, "symbolic": r <= 4} for r in range(1, 7)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
