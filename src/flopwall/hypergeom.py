@@ -4,11 +4,12 @@ continuation across the wall by the Mellin-Barnes method.
 A fixed-point series is one type, ``OffsetSeries``, in r >= 1 variables
 with complex offsets a_k.  All q-dependence flows through w = log q: every
 variable is evaluated at the same w, as sum_es c_es exp(w sum_k (a_k + e_k)),
-so q^{...} never needs a branch choice.  A series takes all its 1/Gamma
-values from one ``recip_gamma`` call, since each depends on a slot and its
-exponent only (``_recip_table``).  Continuation paths live in the w-plane
-and cross the wall at height (n - r) pi, the midline of the strip on which
-the vertical-contour integral converges.
+so q^{...} never needs a branch choice.  A 1/Gamma value of a series
+depends on the index of its slot, the weight unit and its exponent only, so
+the instance holds it, and a series evaluates those it lacks in one
+``recip_gamma`` call (``_recip_table``).  Continuation paths live in the
+w-plane and cross the wall at height (n - r) pi, the midline of the strip
+on which the vertical-contour integral converges.
 
 Contour bookkeeping.  The series equals a contour integral of a ratio of
 Gamma factors around the nonnegative integers.  We trade that contour for
@@ -30,9 +31,10 @@ residues take all their Gamma values from one ``log_gamma`` call and all
 their 1/Gamma values from one ``recip_gamma`` call (``_residues``).
 
 Every one-variable series also solves the hypergeometric ODE that
-``ode_check`` states, so its continuation is a product of Taylor step
-matrices along the path (``ode_transfer``), and the transfer coefficients
-at r = 1 are that ODE's connection matrix (``verify_continuation_r1``).
+``ode_check`` states (its residuals in one array pass, each product the
+interpreter's), so its continuation is a product of Taylor step matrices
+along the path (``ode_transfer``), and the transfer coefficients at r = 1
+are that ODE's connection matrix (``verify_continuation_r1``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product as iter_product
 from typing import NamedTuple
 
@@ -51,6 +54,7 @@ from .numkernel import (
     NonFiniteError,
     PoleError,
     TWO_PI_I,
+    _complex_product,
     is_nonpositive_integer,
     log_gamma,
     recip_gamma,
@@ -215,34 +219,38 @@ def _recip_table(config: FlopConfig, d: tuple, order: int, u: complex) -> list:
 
     ``table[k][e]`` lists, for j = 0, ..., n - 1 in turn,
     1/Gamma(1 + (x_{d_k} - x_j) u + e) and 1/Gamma(1 + (z_j - x_{d_k}) u - e).
-    They depend on (k, e) only, so every coefficient of the series reads
-    its factors here, and all of them come from one ``recip_gamma`` call.
-    The arguments go to it in the order in which a loop over the
-    compositions of total degree <= order, in lexicographic order
-    (``_compositions_up_to``), first meets them, every slot at e = 0 and
-    then slots r - 1 down to 0 at e = 1, ..., order, so an error is the one
-    the scalar call at the first argument that loop rejects would raise
-    (``_kernel_values``).  An argument is its base 1 + (x_{d_k} - x_j) u or
-    1 + (z_j - x_{d_k}) u, computed once per (k, j), plus or minus e: the
-    same floats as the sum written out, which adds e last.
+    They depend on (d_k, u, e) only, so the instance holds them, one row per
+    e for each (d_k, u), and a table evaluates the rows it lacks in one
+    ``recip_gamma`` call.  Their arguments go to it in the order in which a
+    loop over the compositions of total degree <= order, in lexicographic
+    order (``_compositions_up_to``), first meets them, every slot at e = 0
+    and then slots r - 1 down to 0 at e = 1, ..., order.  The rows held are
+    finite, so an error is the one the scalar call at the first argument
+    that loop rejects would raise (``_kernel_values``), whatever is held.
+    An argument is its base 1 + (x_{d_k} - x_j) u or 1 + (z_j - x_{d_k}) u,
+    computed once per (k, j), plus or minus e: the same floats as the sum
+    written out, which adds e last.
     """
     n = config.n
-    visits, args = _recip_args(config, d, order, u)
-    values = _kernel_values(recip_gamma, args)
-    table = [[None] * (order + 1) for _ in d]
-    for i, (k, e) in enumerate(visits):
-        table[k][e] = values[2 * n * i:2 * n * (i + 1)]
-    return table
+    held = config.__dict__.setdefault("_recip_rows", {})
+    rows = [held.setdefault((dk, u), []) for dk in d]
+    visits, args = _recip_args(config, d, order, u, [len(rw) for rw in rows])
+    if visits:
+        values = _kernel_values(recip_gamma, args)
+        for i, (k, e) in enumerate(visits):
+            rows[k].append(tuple(values[2 * n * i:2 * n * (i + 1)]))
+    return [rw[:order + 1] for rw in rows]
 
 
-def _recip_args(config: FlopConfig, d: tuple, order: int, u: complex) -> tuple:
+def _recip_args(config: FlopConfig, d: tuple, order: int, u: complex, held=None) -> tuple:
     """(visits, args) of ``_recip_table``: the (k, e) in the order the
-    series meets them, and per visit its 2n 1/Gamma arguments."""
+    series meets them, past the first ``held[k]`` exponents of each slot
+    (none by default), and per visit its 2n 1/Gamma arguments."""
     xs, zs = config.complex_weights()
-    n, es = config.n, range(order + 1)
-    visits = ([(k, e) for e in es[:1] for k in range(len(d))]
-              + [(k, e) for k in reversed(range(len(d))) for e in es[1:]])
-    bases = [[(1 + (xs[dk] - xs[j]) * u, 1 + (zs[j] - xs[dk]) * u) for j in range(n)] for dk in d]
+    held = held or [0] * len(d)
+    visits = ([(k, 0) for k in range(len(d)) if not held[k]]
+              + [(k, e) for k in reversed(range(len(d))) for e in range(max(1, held[k]), order + 1)])
+    bases = [[(1 + (xs[dk] - xs[j]) * u, 1 + (zs[j] - xs[dk]) * u) for j in range(config.n)] for dk in d]
     return visits, [a for k, e in visits for up, down in bases[k] for a in (up + e, down - e)]
 
 
@@ -277,23 +285,23 @@ def f_factor_series(config: FlopConfig, delta, k: int, order: int,
                     weight_scale: complex = 1.0) -> OffsetSeries:
     """Single-variable factor of the plus-side series at slot k of delta.
 
-    Each coefficient is a finite product of reciprocal-Gamma values, all
-    from one ``recip_gamma`` call (``_recip_table``); the alternating phase
-    (-1)^{(r-1)e} keeps the product-of-factors form compatible with the
-    antisymmetrized full series.  ValueError unless ``delta`` holds
-    exactly r indices.
+    The coefficient of degree e is (-1)^{(r-1)e} times its 2n
+    reciprocal-Gamma values (``_recip_table``), multiplied in turn; the
+    alternating phase keeps the product-of-factors form compatible with the
+    antisymmetrized full series.  The instance holds the coefficients per
+    (index of the slot, weight unit), grown by order.  ValueError unless
+    ``delta`` holds exactly r indices.
     """
     xs, _ = config.complex_weights()
     u = _u(weight_scale)
     d = _delta_of(config, delta)[k]
-    table, = _recip_table(config, (d,), order, u)
-    coeffs = {}
-    for e in range(order + 1):
-        c = complex((-1.0) ** (((config.r - 1) * e) % 2))
-        for v in table[e]:
-            c *= v
-        coeffs[e,] = c
-    return OffsetSeries(offsets=(xs[d] * u,), coeffs=coeffs, order=order)
+    coeffs = config.__dict__.setdefault("_factor_coeffs", {}).setdefault((d, u), [])
+    if len(coeffs) <= order:
+        table, = _recip_table(config, (d,), order, u)
+        coeffs += [math.prod(table[e], start=complex((-1.0) ** (((config.r - 1) * e) % 2)))
+                   for e in range(len(coeffs), order + 1)]
+    return OffsetSeries(offsets=(xs[d] * u,), coeffs={(e,): coeffs[e] for e in range(order + 1)},
+                        order=order)
 
 
 def h_series(config: FlopConfig, side: str, delta, order: int,
@@ -304,10 +312,10 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
     degree ``order``.  The sine prefactor pi^{r(r-1)/2} / prod_{i<k} sin((..)/2i)
     is carried as metadata, not folded into the coefficients, so the stored
     coefficients are those of the Gamma-product form.  Support is e >= 0 in
-    every variable.  The 2n r (order + 1) distinct 1/Gamma factors come from
-    one ``recip_gamma`` call (``_recip_table``), and each coefficient
-    multiplies its sign, its pair factors and its 1/Gamma factors slot by
-    slot in a fixed order.
+    every variable.  The 1/Gamma factors are the rows the instance holds
+    (``_recip_table``), and each coefficient multiplies its sign, its pair
+    factors and its 1/Gamma factors slot by slot in a fixed order; at r = 1
+    that is the factor series (``f_factor_series``).
 
     ValueError unless ``delta`` holds exactly r indices.
 
@@ -329,6 +337,8 @@ def h_series(config: FlopConfig, side: str, delta, order: int,
                        coeffs={e: -c for e, c in series.coeffs.items()})
     if side != "plus":
         raise ValueError(f"bad side {side!r}")
+    if r == 1:  # the factor series: the same products in the same order
+        return f_factor_series(config, d, 0, order, weight_scale)
     xs, zs = config.complex_weights()
     u = _u(weight_scale)
     offsets = tuple(xs[i] * u for i in d)
@@ -375,29 +385,28 @@ def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
     on the plus side, with u the weight unit (``_ode_operator``); the minus
     side is the plus side on ``config.flipped()``.  At coefficient level it
     couples index e to e - 1 only, so the residual at each e is directly
-    computable from two adjacent coefficients.
+    computable from two adjacent coefficients: all at once, on arrays whose
+    products and moduli are the interpreter's (``_complex_product``).
     """
     if side == "minus":
         return ode_check(config.flipped(), series, "plus", weight_scale)
     if side != "plus":
         raise ValueError(f"bad side {side!r}")
     x_roots, z_roots, sign = _ode_operator(config, weight_scale)
+    theta = series.offset + np.arange(series.order + 1)
+    c = np.array([series.coefficient(e) for e in range(series.order + 1)], dtype=complex)
 
     def prod(roots, theta):
-        out = 1.0 + 0j
-        for root in roots:
-            out *= theta - root
-        return out
+        return reduce(_complex_product, [theta - root for root in roots], np.ones_like(theta))
 
-    a = series.offset
-    worst = 0.0
-    tiny = 1e-300
-    for e in range(series.order + 1):
-        lhs = series.coefficient(e) * prod(x_roots, a + e)
-        rhs = sign * series.coefficient(e - 1) * prod(z_roots, a + e - 1) if e > 0 else 0j
-        denom = max(abs(lhs), abs(rhs), tiny)
-        worst = worst_error(worst, abs(lhs - rhs) / denom)
-    return worst
+    def modulus(v):  # abs() of each complex, bit for bit
+        return np.hypot(v.real, v.imag)
+
+    lhs = _complex_product(c, prod(x_roots, theta))
+    rhs = np.zeros_like(lhs)
+    rhs[1:] = _complex_product(_complex_product(sign, c[:-1]), prod(z_roots, theta[1:] - 1))
+    denom = np.maximum(np.maximum(modulus(lhs), modulus(rhs)), 1e-300)
+    return worst_error(*(modulus(lhs - rhs) / denom).tolist())
 
 
 # ----------------------------------------------------------------------

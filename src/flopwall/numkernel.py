@@ -1,5 +1,5 @@
-"""Complex special-function kernels, the worst-error accumulator, a table
-filled on first use, and exact multivariate polynomials.
+"""Complex special-function kernels and their interpreter-exact product on
+arrays, the worst-error accumulator, a lazy table, and exact polynomials.
 
 Rational values are plain ``fractions.Fraction``; everything transcendental
 goes through the complex kernels below.  All functions are pure.  The Gamma
@@ -120,6 +120,17 @@ def sin_over_2i(a: complex) -> complex:
         return _finite(-1j * cmath.sinh(complex(a) / 2.0))
     except OverflowError:
         raise NonFiniteError(f"sin(a/2i) overflows at a = {a!r}") from None
+
+
+def _complex_product(a, b) -> np.ndarray:
+    """Elementwise a * b of complex arrays or numbers as the interpreter forms
+    ``complex * complex``: (a.re b.re - a.im b.im, a.re b.im + a.im b.re),
+    each product and sum rounded on its own, where numpy's complex ``*`` may
+    fuse them.  A float f enters as (f, 0.0), as in ``f * c``."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def worst_error(*terms: float) -> float:

@@ -7,8 +7,9 @@ in the fixed-point basis [pt_d]/e(N_d) shows that the transfer map acts on
 restriction vectors simply as (U_H b)|_dp = sum_dm C(dm, dp) * b|_dm.
 The coefficients C, CK and CH all come from one kernel per (config,
 scale), which computes each exponential, sine and sine ratio it needs
-once; each matrix is built once per (config, kind, scale) and held on the
-config.
+once and multiplies them for all entries at once, as arrays whose products
+are the interpreter's; each matrix is built once per (config, kind, scale)
+and held on the config, as is each fixed point's Gamma class.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 
+import numpy as np
+
 from .flopgeom import FlopConfig, fixed_point_deltas
 from .ktheory import LocalizedKClass, chern_character
 from .numkernel import (
@@ -30,6 +33,7 @@ from .numkernel import (
     PoleError,
     TWO_PI_I,
     _Lazy,
+    _complex_product,
     gamma,
     is_nonpositive_integer,
     sin_over_2i,
@@ -41,11 +45,12 @@ from .numkernel import (
 # ----------------------------------------------------------------------
 
 def _coeff_kernel(config: FlopConfig, scale: complex):
-    """Transfer coefficients of one (config, scale), as ``entry(kind, row, col)``.
+    """Transfer coefficients of one (config, scale), as a builder
+    ``build(kind, rows, cols)`` of the matrix of entries (row, col).
 
-    The row is the minus-side tuple (an increasing delta for 'C', any
-    function tuple f for 'CK', an injective one for 'CH') and the column
-    the increasing plus-side delta, paired slot by slot:
+    A row is a minus-side tuple (an increasing delta for 'C', any function
+    tuple f for 'CK', an injective one for 'CH') and a column an increasing
+    plus-side delta, paired slot by slot:
 
     C  = prod_i exp((n-r)(x_{dp_i} - z_{dm_i})/2) *
          prod_{j not in dm} sin((x_{dp_i} - z_j)/2i) / sin((z_{dm_i} - z_j)/2i)
@@ -55,41 +60,53 @@ def _coeff_kernel(config: FlopConfig, scale: complex):
          which vanishes on a repeated index; summed over the S_r-orbit of an
          increasing delta it recovers C
 
-    at weights multiplied by ``scale``.  Every sine is one of
-    sin((w_p - w_q)/2i) over the weights w = (x, z), kept in one table keyed
-    by the index pair (p, q), and every slot ratio
-    sin((x_a - z_j)/2i) / sin((z_b - z_j)/2i) in one keyed by (a, b, j).
-    CK and CH read a slot's ratios as one row per (a, b), over every j != b;
-    C reads only the ratios its entry needs.  Each exponential, sine and
-    ratio is computed once per kernel, on first use, and an entry multiplies
-    the same factors in the same order as the loop over j written out.
+    at weights multiplied by ``scale``.  An entry multiplies from 1, slot by
+    slot, the exponential and then the sine ratios by increasing j, and for
+    'CH' then the pair quotients, i < k lexicographically.  Every sine is
+    one of sin((w_p - w_q)/2i) over w = (x, z), kept in one table keyed by
+    (p, q).  A factor is keyed (a, b, j, q): (a, b, n, n) the exponential of
+    x_a and z_b, (a, b, j, n) their ratio at j, and (a, b, j, q) the pair
+    quotient of x_a, x_b and z_j, z_q.  The builder computes each key its
+    entries meet once as a Python scalar (``factor``) and multiplies the
+    factors of all entries at once (``_complex_product``), so each entry is
+    the float of the loop written out.
     """
     n, r = config.n, config.r
     xs, zs = config.complex_weights(scale)
     ws = xs + zs
-    ex = _Lazy(lambda a, b: cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0))
     sin = _Lazy(lambda p, q: sin_over_2i(ws[p] - ws[q]))
-    ratio = _Lazy(lambda a, b, j: sin[a, n + j] / sin[n + b, n + j])
-    ratios = _Lazy(lambda a, b: tuple(ratio[a, b, j] for j in range(n) if j != b))
+    shape = (n, n, n + 1, n + 1)
 
-    def entry(kind: str, row, col) -> complex:
-        out = 1.0 + 0j
-        for a, b in zip(col, row):
-            out *= ex[a, b]
-            if kind == "C":
-                for j in range(n):
-                    if j not in row:
-                        out *= ratio[a, b, j]
-            else:
-                for q in ratios[a, b]:
-                    out *= q
+    def factor(a, b, j, q):
+        if q < n:
+            return sin[n + j, n + q] / sin[a, b]
+        if j < n:
+            return sin[a, n + j] / sin[n + b, n + j]
+        return cmath.exp((n - r) * (xs[a] - zs[b]) / 2.0)
+
+    def build(kind: str, rows, cols) -> tuple:
+        # at slot i of entry (row, col), a = dp_i and b the row's i-th index
+        a, b = np.array(cols)[None], np.array(rows)[:, None]
+        if kind == "C":
+            js = np.array([[n] + [j for j in range(n) if j not in row] for row in rows])[:, None, None]
+        else:
+            js = np.array([[n] + [j for j in range(n) if j != i] for i in range(n)])[b]
+        keys = np.ravel_multi_index((a[..., None], b[..., None], js, n), shape)
+        keys = keys.reshape(len(rows), len(cols), -1)
         if kind == "CH":
-            for i in range(r):
-                for k in range(i + 1, r):
-                    out *= sin[n + row[i], n + row[k]] / sin[col[i], col[k]]
-        return out
+            i, k = np.triu_indices(r, 1)
+            pairs = np.ravel_multi_index((a[..., i], a[..., k], b[..., i], b[..., k]), shape)
+            keys = np.concatenate([keys, pairs], axis=-1)
+        table = np.zeros(math.prod(shape), dtype=complex)
+        table[keys] = 1.0
+        need = np.flatnonzero(table)
+        table[need] = [factor(*key) for key in zip(*(v.tolist() for v in np.unravel_index(need, shape)))]
+        out = np.ones(keys.shape[:2], dtype=complex)
+        for column in table[keys].transpose(2, 0, 1):
+            out = _complex_product(out, column)
+        return tuple(map(tuple, out.tolist()))
 
-    return entry
+    return build
 
 
 @dataclass(frozen=True)
@@ -131,8 +148,7 @@ def transition_matrix(config: FlopConfig, kind: str, scale: complex = 1.0) -> Tr
             rows = tuple(permutations(range(config.n), config.r))
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        entry = _coeff_kernel(config, scale)
-        entries = tuple(tuple(entry(kind, rw, cl) for cl in cols) for rw in rows)
+        entries = _coeff_kernel(config, scale)(kind, rows, cols)
         mat = memo[kind, scale] = TransitionMatrix(kind=kind, rows=rows, cols=cols, entries=entries)
     return mat
 
@@ -370,11 +386,14 @@ class PsiContext:
 
 def gamma_class(config: FlopConfig, side: str, delta, inv_z: complex) -> complex:
     """prod_t Gamma(1 + w_t / z) over the tangent weights at the fixed point,
-    read from the float view of the config's table."""
-    out = 1.0 + 0j
-    for w in config.fixed_point_table[side, tuple(delta)].values:
-        out *= gamma(1.0 + w * inv_z)
-    return out
+    read from the float view of the config's table, multiplied in turn from
+    1; the instance holds it per (side, delta, inv_z)."""
+    key = side, tuple(delta), inv_z
+    held = config.__dict__.setdefault("_gamma_class", {})
+    if key not in held:
+        weights = config.fixed_point_table[side, key[1]].values
+        held[key] = math.prod((gamma(1.0 + w * inv_z) for w in weights), start=1.0 + 0j)
+    return held[key]
 
 
 def psi_diag_factor(ctx: PsiContext, delta) -> complex:

@@ -493,7 +493,7 @@ def test_series_with_one_base_moved_by_one_ulp_are_seen(cfg32, monkeypatch):
     table = hypergeom._recip_table
 
     def moved(config, d, order, u):
-        rows = table(config, d, order, u)
+        rows = [[list(row) for row in slot] for slot in table(config, d, order, u)]
         xs, zs = config.complex_weights()
         j = next(j for j in range(config.n) if j != d[0])
         base = 1 + (zs[j] - xs[d[0]]) * u
@@ -588,8 +588,9 @@ def test_i_function_with_one_difference_moved_by_one_ulp_is_seen(cfg31):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_series_make_one_recip_gamma_call(cfg32, side, monkeypatch):
-    # one call on the 2n r (order + 1) arguments of h_series, one on the
-    # 2n (order + 1) of a factor series; n = 3, r = 2, order 7
+    # each (slot index, e) row of 2n = 6 1/Gamma values is evaluated once per
+    # instance and weight unit, in one call per series that lacks rows;
+    # n = 3, r = 2
     sizes = []
 
     def counted(s):
@@ -597,11 +598,50 @@ def test_series_make_one_recip_gamma_call(cfg32, side, monkeypatch):
         return recip_gamma(s)
 
     monkeypatch.setattr(hypergeom, "recip_gamma", counted)
+    plus = cfg32.flipped() if side == "minus" else cfg32  # where the rows are held
     h_series(cfg32, side, (0, 2), 7)
-    assert sizes == [2 * 3 * 2 * 8]
+    assert sizes == [6 * 2 * 8]
+    # held slots make no call, at the same order or a lower one, nor does
+    # the factor series of a held slot
     sizes.clear()
-    f_factor_series(cfg32, (0, 2), 1, 7)
-    assert sizes == [2 * 3 * 8]
+    h_series(cfg32, side, (0, 2), 7)
+    h_series(cfg32, side, (0, 2), 3)
+    f_factor_series(plus, (0, 2), 1, 7)
+    assert sizes == []
+    # a new slot evaluates its own rows only, and a higher order the
+    # missing exponents only: e = 8, ..., 10 of both slots
+    h_series(cfg32, side, (0, 1), 7)
+    h_series(cfg32, side, (0, 2), 10)
+    assert sizes == [6 * 8, 6 * 2 * 3]
+    # another weight unit has rows of its own
+    f_factor_series(plus, (0, 2), 1, 7, weight_scale=2.0)
+    assert sizes[2:] == [6 * 8]
+    # and a series read from held rows is the one a new instance builds
+    twin = FlopConfig(cfg32.n, cfg32.r, cfg32.x, cfg32.z)
+    for d in fixed_point_deltas(cfg32):
+        assert _series_outcome(h_series, cfg32, side, d, 10) == _series_outcome(h_series, twin, side, d, 10)
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 2)])
+def test_series_past_the_overflow_raise_the_same_error_with_rows_held(n, r):
+    # an order-200 series lacks its rows past e = 80 on an instance that
+    # holds the order-80 rows: the call on them raises, and the error is
+    # still the one of the first argument the series meets, as on a new
+    # instance and in the scalar loop
+    held, fresh = default_config(n, r), default_config(n, r)
+    for d in fixed_point_deltas(held):
+        for side in ("plus", "minus"):
+            h_series(held, side, d, 80)
+    for d in fixed_point_deltas(held):
+        for side in ("plus", "minus"):
+            got = _series_outcome(h_series, held, side, d, 200)
+            assert got[0] is NonFiniteError
+            assert got == _series_outcome(h_series, fresh, side, d, 200)
+            assert got == _series_outcome(_h_series_scalar, fresh, side, d, 200)
+        for k in range(r):
+            got = _series_outcome(f_factor_series, held, d, k, 200)
+            assert got[0] is NonFiniteError
+            assert got == _series_outcome(_f_factor_series_scalar, fresh, d, k, 200)
 
 
 # ----------------------------------------------------------------------
@@ -672,6 +712,65 @@ def test_ode_couples_adjacent_indices_only(cfg21):
     bumped = residuals(replace(s, coeffs=coeffs))
     for e in range(e0):
         assert abs(base[e] - bumped[e]) < 1e-14
+
+
+def _ode_check_scalar(config, series, side, weight_scale=1.0):
+    """``ode_check`` as a loop over the exponents, one residual at a time,
+    each product a Python complex product."""
+    if side == "minus":
+        return _ode_check_scalar(config.flipped(), series, "plus", weight_scale)
+    x_roots, z_roots, sign = hypergeom._ode_operator(config, weight_scale)
+
+    def prod(roots, theta):
+        out = 1.0 + 0j
+        for root in roots:
+            out *= theta - root
+        return out
+
+    a = series.offset
+    worst = 0.0
+    for e in range(series.order + 1):
+        lhs = series.coefficient(e) * prod(x_roots, a + e)
+        rhs = sign * series.coefficient(e - 1) * prod(z_roots, a + e - 1) if e > 0 else 0j
+        denom = max(abs(lhs), abs(rhs), 1e-300)
+        worst = hypergeom.worst_error(worst, abs(lhs - rhs) / denom)
+    return worst
+
+
+_ODE_GRID = [(n, r) for n in range(2, 6) for r in range(1, min(n, 4))]
+
+
+@pytest.mark.parametrize("n, r", _ODE_GRID)
+def test_ode_check_equals_the_scalar_loop(n, r):
+    # on both sides, at scale 1 and the central-charge scale 2 pi i / (3 + i),
+    # for the r = 1 series and every factor series, and with one coefficient
+    # perturbed so that the residual is large
+    checked = 0
+    for seed in (0, 1):
+        cfg = random_config(n, r, seed=seed)
+        for scale in (1.0, TWO_PI_I / (3.0 + 1j)):
+            for side in ("plus", "minus"):
+                plus = cfg.flipped() if side == "minus" else cfg
+                series = [f_factor_series(plus, d, k, 40, scale)
+                          for d in fixed_point_deltas(plus) for k in range(r)]
+                if r == 1:
+                    series += [h_series(cfg, side, (l,), 40, scale) for l in range(n)]
+                for s in series:
+                    bumped = replace(s, coeffs={**s.coeffs, (7,): s.coeffs[7,] * (1.0 + 1e-3)})
+                    for t in (s, bumped):
+                        got = ode_check(cfg, t, side, scale)
+                        assert got == _ode_check_scalar(cfg, t, side, scale)
+                        checked += 1
+                    assert got > 1e-4
+    assert checked >= 2 * 2 * 2 * 2 * n
+
+
+def test_ode_check_of_a_nan_coefficient_is_nan(cfg21):
+    s = h_series(cfg21, "plus", (0,), 20)
+    for e in (0, 7, 20):
+        nan = replace(s, coeffs={**s.coeffs, (e,): complex(math.nan, 0.0)})
+        assert math.isnan(ode_check(cfg21, nan, "plus"))
+        assert math.isnan(_ode_check_scalar(cfg21, nan, "plus"))
 
 
 # ----------------------------------------------------------------------

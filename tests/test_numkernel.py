@@ -19,6 +19,7 @@ from flopwall.numkernel import (
     MultiPoly,
     NonFiniteError,
     PoleError,
+    _complex_product,
     gamma,
     log_gamma,
     recip_gamma,
@@ -223,6 +224,45 @@ def test_log_gamma_branch_left_half_plane():
     for s in pts:
         ref = _loggamma_ref(s)
         assert abs(log_gamma(s) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _bits(values) -> list:
+    """Each complex as the hex of its two parts: signed zeros apart, NaNs alike."""
+    return [tuple("nan" if math.isnan(p) else p.hex() for p in (v.real, v.imag)) for v in values]
+
+
+# signed zeros, subnormals, the float range's edges and the infinities
+_SPECIAL_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+                  1e308, -1.7976931348623157e308, math.inf, -math.inf)
+
+
+def test_complex_product_is_the_interpreters_product():
+    # the array products of the transfer matrices and of ode_check must be
+    # the floats the interpreter's complex * complex gives, which rounds
+    # each of the four products and both sums on its own; a build whose
+    # complex multiply fused them would fail here
+    rng = random.Random(0)
+    specials = [complex(a, b) for a in _SPECIAL_PARTS for b in _SPECIAL_PARTS]
+    left = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50_000)]
+    right = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50_000)]
+    scaled = [complex(rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 200),
+                      rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 200)) for _ in range(20_000)]
+    left += specials * len(specials) + scaled + scaled[::-1]
+    right += [b for b in specials for _ in specials] + scaled[1:] + scaled[:1] + scaled
+    with np.errstate(over="ignore", invalid="ignore"):  # the interpreter does not warn
+        got = _complex_product(np.array(left), np.array(right))
+    assert _bits(got.tolist()) == _bits([a * b for a, b in zip(left, right)])
+
+
+def test_complex_product_forms_a_float_operand_as_the_interpreter_does():
+    # f * c multiplies (f, 0.0) by c: 0.0 * inf is NaN and -0.0 signs zeros,
+    # as in ode_check's sign * c
+    cs = [complex(a, b) for a in _SPECIAL_PARTS for b in _SPECIAL_PARTS]
+    for f in (1.0, -1.0, 0.0, -0.0, 2.5, math.inf):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _complex_product(f, np.array(cs))
+        assert _bits(got.tolist()) == _bits([f * c for c in cs]), f
+    assert _complex_product(2.0, 3.0 + 1j).shape == ()
 
 
 def test_worst_error_is_the_max_and_nan_once_a_term_is_not_finite():

@@ -91,19 +91,20 @@ def test_ck_ch_reduce_to_c_at_r1(cfg31):
 
 def test_ch_vanishes_on_repeats(cfg32):
     # the CH matrix has injective rows only, so ask the kernel directly
-    val = wallcross._coeff_kernel(cfg32, 1.0)("CH", (1, 1), (0, 1))
+    (val,), = wallcross._coeff_kernel(cfg32, 1.0)("CH", [(1, 1)], [(0, 1)])
     assert abs(val) < 1e-15
 
 
 def test_coeff_c_invariant_under_simultaneous_reordering(cfg42):
     # the matrix holds increasing labels only, so ask the kernel directly
-    entry = wallcross._coeff_kernel(cfg42, 1.0)
+    build = wallcross._coeff_kernel(cfg42, 1.0)
     dm, dp = (0, 2), (1, 3)
     base = coeff_C(cfg42, dm, dp)
     for perm in permutations(range(2)):
         pm = tuple(dm[p] for p in perm)
         pp = tuple(dp[p] for p in perm)
-        assert abs(entry("C", pm, pp) - base) < 1e-14 * abs(base)
+        (val,), = build("C", [pm], [pp])
+        assert abs(val - base) < 1e-14 * abs(base)
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (3, 5)])
@@ -238,20 +239,24 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (4, 1), (5, 1), (4, 2), (5, 3), (5, 4)])
 def test_coeff_c_computes_r_exponentials_and_2r_n_minus_r_sines(monkeypatch, n, r):
-    # one entry of a new kernel computes only what it needs
+    # a build computes only the factors its entries need: the one entry of
+    # a 1 x 1 build, r exponentials and 2 r (n - r) sines
     cfg = random_config(n, r, seed=5)
     sines = _count_calls(monkeypatch, wallcross, "sin_over_2i")
     exps = _count_calls(monkeypatch, cmath, "exp")
     dm, dp = tuple(range(r)), tuple(range(n - r, n))
-    wallcross._coeff_kernel(cfg, 1.0)("C", dm, dp)
+    wallcross._coeff_kernel(cfg, 1.0)("C", [dm], [dp])
     assert sines[0] == 2 * r * (n - r)
     assert exps[0] == r
     # coeff_C reads every entry from the one matrix held on the config: a
-    # call per entry (n^2 at r = 1) builds one kernel
+    # call per entry (n^2 at r = 1) builds one kernel, and that build
+    # computes at most one exponential per (x_a, z_b), n^2 in all
     kernels = _count_calls(monkeypatch, wallcross, "_coeff_kernel")
+    exps[0] = 0
     deltas = fixed_point_deltas(cfg)
     got = [[coeff_C(cfg, rw, cl) for cl in deltas] for rw in deltas]
     assert kernels[0] == 1
+    assert 0 < exps[0] <= n * n
     assert tuple(map(tuple, got)) == transition_matrix(cfg, "C").entries
 
 
@@ -259,14 +264,20 @@ def test_coeff_c_computes_r_exponentials_and_2r_n_minus_r_sines(monkeypatch, n, 
 def test_transition_matrix_computes_each_sine_once(monkeypatch, kind):
     cfg = random_config(5, 3, seed=5)
     sines = _count_calls(monkeypatch, wallcross, "sin_over_2i")
+    exps = _count_calls(monkeypatch, cmath, "exp")
     transition_matrix(cfg, kind)
     assert 0 < sines[0] <= 3 * cfg.n ** 2
+    assert 0 < exps[0] <= cfg.n ** 2
 
 
 def _mutant_kernel(kind_for):
-    """A kernel that answers each kind with the reference loop of ``kind_for[kind]``."""
+    """A kernel that builds each kind's matrix entry by entry with the
+    reference loop of ``kind_for[kind]``."""
     def kernel(config, scale):
-        return lambda kind, row, col: _REFS[kind_for.get(kind, kind)](config, row, col, scale)
+        def build(kind, rows, cols):
+            ref = _REFS[kind_for.get(kind, kind)]
+            return tuple(tuple(ref(config, rw, cl, scale) for cl in cols) for rw in rows)
+        return build
     return kernel
 
 
