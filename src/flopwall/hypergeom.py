@@ -1,5 +1,5 @@
 """Truncated hypergeometric series at the fixed points and their analytic
-continuation across the wall by the Mellin-Barnes method.
+continuation across the wall, by the Mellin-Barnes method and by the ODE.
 
 A fixed-point series is one type, ``OffsetSeries``, in r >= 1 variables
 with complex offsets a_k.  All q-dependence flows through w = log q: every
@@ -13,11 +13,11 @@ on which the vertical-contour integral converges.
 
 Contour bookkeeping.  The series equals a contour integral of a ratio of
 Gamma factors around the nonnegative integers.  We trade that contour for
-the vertical line Re s = -1/2; with small real weights the d = 0 members
-of the left pole families sit on the imaginary axis, i.e. on the wrong
-side of the line, so the line integral is corrected by the residues of
-every non-integer pole with Re s > -1/2.  The corrected value reproduces
-the series for Re w < 0 and its continuation past the wall for Re w > 0.
+the vertical line Re s = -1/2; at weight scale 1 the d = 0 members of the
+left pole families sit on the imaginary axis, i.e. on the wrong side of
+the line, so the line integral is corrected by the residues of every
+non-integer pole with Re s > -1/2.  The corrected value reproduces the
+series for Re w < 0 and its continuation past the wall for Re w > 0.
 Nearly coincident correction poles, whose residues can cancel to many
 digits, are summed together as one circle integral (``barnes_integrate``).
 The integrand is summed in log space, one ``numkernel.log_gamma`` call per
@@ -32,9 +32,10 @@ their 1/Gamma values from one ``recip_gamma`` call (``_residues``).
 
 Every one-variable series also solves the hypergeometric ODE that
 ``ode_check`` states (its residuals in one array pass, each product the
-interpreter's), so its continuation is a product of Taylor step matrices
-along the path (``ode_transfer``), and the transfer coefficients at r = 1
-are that ODE's connection matrix (``verify_continuation_r1``).
+interpreter's), so its continuation at any weight scale is a product of
+Taylor step matrices along the path (``ode_transfer``): at r = 1 the
+central charges continue along it, and the transfer coefficients are its
+connection matrix (``verify_continuation_r1``).
 """
 
 from __future__ import annotations
@@ -374,25 +375,25 @@ def _ode_operator(config: FlopConfig, weight_scale: complex = 1.0) -> tuple:
     return [x * u for x in xs], [z * u for z in zs], (-1.0) ** ((config.n - config.r + 1) % 2)
 
 
-def ode_check(config: FlopConfig, series: OffsetSeries, side: str,
-              weight_scale: complex = 1.0) -> float:
+def ode_check(config: FlopConfig, series: OffsetSeries, side: str) -> float:
     """Maximum relative residual of the hypergeometric recurrence.
 
     ``series`` has one variable: an ``h_series`` at r = 1 or an
     ``f_factor_series``; a series in more variables raises ValueError.
     The annihilating operator, in the logarithmic derivative theta, is
         prod_j (theta - x_j u) - q (-1)^{n-r+1} prod_j (theta - z_j u)
-    on the plus side, with u the weight unit (``_ode_operator``); the minus
-    side is the plus side on ``config.flipped()``.  At coefficient level it
-    couples index e to e - 1 only, so the residual at each e is directly
-    computable from two adjacent coefficients: all at once, on arrays whose
-    products and moduli are the interpreter's (``_complex_product``).
+    on the plus side, with u the weight unit of scale 1 (``_ode_operator``);
+    the minus side is the plus side on ``config.flipped()``.  At coefficient
+    level it couples index e to e - 1 only, so the residual at each e is
+    directly computable from two adjacent coefficients: all at once, on
+    arrays whose products and moduli are the interpreter's
+    (``_complex_product``).
     """
     if side == "minus":
-        return ode_check(config.flipped(), series, "plus", weight_scale)
+        return ode_check(config.flipped(), series, "plus")
     if side != "plus":
         raise ValueError(f"bad side {side!r}")
-    x_roots, z_roots, sign = _ode_operator(config, weight_scale)
+    x_roots, z_roots, sign = _ode_operator(config)
     theta = series.offset + np.arange(series.order + 1)
     c = np.array([series.coefficient(e) for e in range(series.order + 1)], dtype=complex)
 
@@ -501,13 +502,15 @@ def _taylor_terms(kappa: float, rho: float, n: int) -> tuple[int, float]:
         N += 1
 
 
-def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTransfer:
+def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex,
+                 weight_scale: complex = 1.0) -> OdeTransfer:
     """Transfer matrix of the plus-side operator P(theta) f = c e^w Q(theta) f
-    along the horizontal segment from ``w_from`` to ``w_to``, at weight scale 1.
+    along the horizontal segment from ``w_from`` to ``w_to``.
 
-    The operator is the one ``ode_check`` states (``_ode_operator``), with
-    theta = d/dw, P = prod_j (theta - x_j u), Q = prod_j (theta - z_j u) and
-    c = (-1)^{n-r+1}; the minus series, as functions of -w, solve it too.
+    The operator is the one ``ode_check`` states (``_ode_operator``) at
+    ``weight_scale``, with theta = d/dw, P = prod_j (theta - x_j u),
+    Q = prod_j (theta - z_j u) and c = (-1)^{n-r+1}; at scale 1 the minus
+    series, as functions of -w, solve it too.
     P and Q are monic, so its only finite singular points are the zeros of
     1 - c e^w, on the pole lines Im w = (n - r + 1) pi + 2 pi Z at Re w = 0,
     whatever the weights and the weight scale.  A segment at the wall height
@@ -544,7 +547,7 @@ def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTrans
     if w_from.imag != w_to.imag:
         raise ValueError(f"the segment from {w_from} to {w_to} is not horizontal")
     n = config.n
-    x_roots, z_roots, sign = _ode_operator(config)
+    x_roots, z_roots, sign = _ode_operator(config, weight_scale)
     lo, hi = sorted((w_from.real, w_to.real))
     gap = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     d = math.hypot(gap, _pole_line_distance(w_from.imag, (n - config.r) * math.pi))
@@ -593,25 +596,20 @@ def ode_transfer(config: FlopConfig, w_from: complex, w_to: complex) -> OdeTrans
 # Mellin-Barnes continuation (r = 1)
 # ----------------------------------------------------------------------
 
-def _mb_data(config: FlopConfig, l: int, weight_scale: complex):
+def _mb_data(config: FlopConfig, l: int):
     xs, zs = config.complex_weights()
-    u = _u(weight_scale)
-    n = config.n
-    a_l = xs[l] * u
-    us = [(xs[l] - zs[i]) * u for i in range(n)]
-    vs = [(xs[l] - xs[j]) * u for j in range(n)]
-    return a_l, us, vs
+    u = _u(1.0)
+    return xs[l] * u, [(xs[l] - zi) * u for zi in zs], [(xs[l] - xj) * u for xj in xs]
 
 
-def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
-                     weight_scale: complex = 1.0, rows=None):
+def barnes_integrand(s, w: complex, config: FlopConfig, l: int, rows=None):
     """Integrand of the vertical-contour representation at plus fixed point l.
 
     Gamma(s) Gamma(1-s) e^{w(s + x_l u)} e^{-i pi (n-r) s}
       prod_i Gamma((x_l - z_i) u + s) / prod_j Gamma(1 + (x_l - x_j) u + s),
 
-    u the weight unit.  The scalar prefactor
-    prod_i sin(scale (x_l - z_i) / 2i) / pi^n is carried by the caller.
+    u = 1/(2 pi i) the unit of weight scale 1.  The scalar prefactor
+    prod_i sin((x_l - z_i) / 2i) / pi^n is carried by the caller.
     Exponentials of w keep q^{...} branch-unambiguous.  ``s`` is a complex
     scalar or an array of nodes; the result has its shape.  Where
     1 + (x_l - x_j) u + s is within POLE_TOL of a non-positive integer the
@@ -629,7 +627,7 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
     so the values are the same floats, and 2n - 1 calls remain.
     """
     n, r = config.n, config.r
-    a_l, us, vs = _mb_data(config, l, weight_scale)
+    a_l, us, vs = _mb_data(config, l)
     shape = np.shape(s)
     s = np.asarray(s, dtype=complex).ravel()
     live = None
@@ -662,19 +660,24 @@ def barnes_integrand(s, w: complex, config: FlopConfig, l: int,
 
 
 def _decay_margins(config: FlopConfig, w: complex) -> tuple[float, float]:
+    """The distances of Im w from the strip's edges; NonFiniteError for a
+    non-finite w and NonConvergenceError unless both are 0.05 or more."""
+    if not cmath.isfinite(w):
+        raise NonFiniteError(f"non-finite w = {w!r}")
     nr = (config.n - config.r) * math.pi
     m_up = w.imag - (nr - math.pi)
     m_down = (nr + math.pi) - w.imag
+    if min(m_up, m_down) < 5e-2:
+        raise NonConvergenceError(
+            f"w = {w} is outside the convergence strip around height {config.n - config.r}*pi"
+        )
     return m_up, m_down
 
 
-def _mb_prefactor(config: FlopConfig, l: int, weight_scale: complex) -> complex:
-    """prod_i sin(scale (x_l - z_i) / 2i) / pi^n, the scalar the integral carries."""
+def _mb_prefactor(config: FlopConfig, l: int) -> complex:
+    """prod_i sin((x_l - z_i) / 2i) / pi^n, the scalar the integral carries."""
     xs, zs = config.complex_weights()
-    prefactor = 1.0 + 0j
-    for zi in zs:
-        prefactor *= sin_over_2i(complex(weight_scale) * (xs[l] - zi))
-    return prefactor / math.pi ** config.n
+    return math.prod((sin_over_2i(xs[l] - zi) for zi in zs), start=1.0 + 0j) / math.pi ** config.n
 
 
 def _tail_bounds(integrand, margins: tuple[float, float],
@@ -862,9 +865,9 @@ def _lattice_rows(k: np.ndarray):
 
     Gamma(s), Gamma(1 - s) and Gamma(1 + v_l + s) = Gamma(1 + s) depend on
     the node alone, so one process-wide table holds their rows for every
-    line sum, whatever its w, config, l, weight scale or tolerance.  It is
-    built on the first call, by the ``log_gamma`` calls the integrand makes
-    on the same floats, for |t| up to _T_MAX, the top of every line.  Its
+    line sum, whatever its w, config, l or tolerance.  It is built on the
+    first call, by the ``log_gamma`` calls the integrand makes on the same
+    floats, for |t| up to _T_MAX, the top of every line.  Its
     arrays are read-only, and the tuple is replaced whole, so two threads
     that build it at once agree.
     """
@@ -966,9 +969,8 @@ def _residues(w: complex, config: FlopConfig, a_l: complex, us, vs) -> dict:
     return residues
 
 
-def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
-                     weight_scale: complex = 1.0) -> complex:
-    """Mellin-Barnes value of the plus-side series at log q = w.
+def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10) -> complex:
+    """Mellin-Barnes value of the plus-side series at log q = w, weight scale 1.
 
     Returns the analytic continuation of the prefactored series: equal to
     the convergent series for Re w < 0 and to its continuation past the
@@ -1002,11 +1004,10 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     extrapolation err^2 / prev of the last two differences is below
     tol / (20 |prefactor|) and that rounding is within its budget, which
     saves the last halving (``_halving_trapezoid``).  If h reaches 2^-12
-    first (a pole family close to the line narrows the strip, or the
-    rounding exceeds that budget), NonConvergenceError is raised; an
-    unconverged sum is never returned.
-    A pole family within 1e-9 of the line raises it before any node is
-    evaluated, and a non-finite w or weight scale raises NonFiniteError.
+    first (the rounding exceeds that budget), NonConvergenceError is
+    raised; an unconverged sum is never returned.  A non-finite w raises
+    NonFiniteError before any node is evaluated.  No pole family touches the
+    line: each u_k, a real weight times -i/2 pi, has real part 0.0 exactly.
 
     The residues at the correction poles come from one ``log_gamma`` and
     one ``recip_gamma`` call over all of them (``_residues``), and each is
@@ -1021,32 +1022,15 @@ def barnes_integrate(w: complex, config: FlopConfig, l: int, tol: float = 1e-10,
     """
     if not MIN_BARNES_TOL <= tol < math.inf:
         raise ValueError(f"tol {tol!r} is below supported accuracy or not finite")
-    n, r = config.n, config.r
-    if not (0 <= l < n):
+    if not (0 <= l < config.n):
         raise ValueError("fixed point index out of range")
-    if not cmath.isfinite(w):
-        raise NonFiniteError(f"non-finite w = {w!r}")
-    # a finite scale keeps v_l = (x_l - x_l) u at 0, as _lattice_rows needs
-    if not cmath.isfinite(complex(weight_scale)):
-        raise NonFiniteError(f"non-finite weight scale {weight_scale!r}")
     margins = _decay_margins(config, w)
-    if min(margins) < 5e-2:
-        raise NonConvergenceError(
-            f"w = {w} is outside the convergence strip around height {(n - r)}*pi"
-        )
-    a_l, us, vs = _mb_data(config, l, weight_scale)
-    # a pole family on the line leaves the trapezoidal rule no strip of
-    # analyticity; its member nearest the line has d = round(1/2 - Re u_k)
-    for uk in us:
-        d = round(0.5 - uk.real)
-        if d >= 0 and abs(uk.real + d - 0.5) < 1e-9:
-            raise NonConvergenceError("pole family touches the contour line")
-
-    prefactor = _mb_prefactor(config, l, weight_scale)
+    a_l, us, vs = _mb_data(config, l)
+    prefactor = _mb_prefactor(config, l)
     scale_ref = max(abs(prefactor), 1e-300)
 
     def integrand(s, rows=None):
-        return barnes_integrand(s, w, config, l, weight_scale, rows=rows)
+        return barnes_integrand(s, w, config, l, rows=rows)
 
     def on_line(t, rows=None):
         return integrand(-0.5 + 1j * t, rows)
@@ -1128,6 +1112,16 @@ def _series_jet(series: OffsetSeries, w: complex, n: int, sign: int = 1) -> np.n
     return series.prefactor * (exps ** np.arange(n)[:, None] @ terms)
 
 
+def _transferred_jets(config: FlopConfig, plus: list, w_from: complex, w_to: complex,
+                      weight_scale: complex) -> tuple:
+    """The ODE's transfer at ``weight_scale`` from ``w_from`` to ``w_to``,
+    and M S_in: the jets at ``w_from`` of the one-variable ``plus`` series,
+    a column each, carried to ``w_to``, where row 0 holds their values."""
+    ode = ode_transfer(config, w_from, w_to, weight_scale)
+    jets = np.column_stack([_series_jet(f, w_from, config.n) for f in plus])
+    return ode, ode.matrix @ jets
+
+
 # |q| of the two points of the r = 1 wall-crossing check, inside the wall
 # and past it
 Q_INSIDE = 0.3
@@ -1173,10 +1167,9 @@ def verify_continuation_r1(config: FlopConfig, tol: float = 1e-8, order: int = 8
         b_out = barnes_integrate(w_out, config, l, tol=max(1e-12, tol * abs(target) / 10.0))
         outside_err[(l,)] = abs(b_out - target) / abs(target)
 
-    ode = ode_transfer(config, w_in, w_out)
-    jets_in = np.column_stack([_series_jet(f, w_in, n) for f in plus])
+    ode, moved = _transferred_jets(config, plus, w_in, w_out, 1.0)
     jets_out = np.column_stack([_series_jet(f, w_out, n, sign=-1) for f in minus])
-    c_ode = np.linalg.solve(jets_out, ode.matrix @ jets_in)
+    c_ode = np.linalg.solve(jets_out, moved)
     worst = 0.0
     for k in range(n):
         for l in range(n):
@@ -1289,21 +1282,27 @@ def central_charge(config: FlopConfig, psi_images: list, w: complex,
     return [pairing(config, i_vec, psi_e) for psi_e in psi_images]
 
 
-def i_restriction_continued(config: FlopConfig, l: int, w: complex, ctx: PsiContext) -> complex:
-    """Continuation of the plus-side I restriction past the wall (r = 1),
-    its Barnes integral to the absolute accuracy 1e-11."""
-    if config.r != 1:
-        raise ValueError("continued I restriction implemented for r = 1")
-    gam = gamma_class(config, "plus", (l,), ctx.inv_z)
-    return gam * barnes_integrate(w, config, l, tol=1e-11, weight_scale=ctx.ch_scale)
-
-
 def central_charge_plus_continued(config: FlopConfig, psi_images: list, w: complex,
-                                  ctx: PsiContext) -> list:
-    """Plus-side central charges with the I-series continued past the wall:
-    one continued I-vector, n Barnes integrals, paired with each of
-    ``psi_images``, the psi images of plus classes in ``ctx``."""
+                                  ctx: PsiContext, order: int) -> list:
+    """Plus-side central charges at r = 1, the I-series continued past the
+    wall: one continued I-vector, paired with each of ``psi_images``, the
+    psi images of plus classes in ``ctx``.
+
+    The I-restriction at l is gamma_class times the plus series at the
+    rotated Chern scale (``i_function_factored``), whose jets at
+    log Q_INSIDE + i Im w, truncated at ``order``, one ODE transfer at that
+    scale carries to w.  ValueError unless r = 1; w is checked as by
+    ``barnes_integrate``.  PathError where the segment passes within 0.1 of
+    e^w = (-1)^{n-r+1}: for Re w >= 0, Im w 0.05 to 0.1 from the strip's
+    edges, a band the Barnes integral at that scale accepted.
+    """
+    if config.r != 1:
+        raise ValueError("the continued central charge needs r = 1")
+    _decay_margins(config, w)
     rot = ctx.rotated()
-    i_vec = LocalizedCohClass("plus", {(l,): i_restriction_continued(config, l, w, rot)
-                                       for (l,) in fixed_point_deltas(config)})
+    deltas = fixed_point_deltas(config)
+    plus = [h_series(config, "plus", d, order, weight_scale=rot.ch_scale) for d in deltas]
+    _, moved = _transferred_jets(config, plus, complex(math.log(Q_INSIDE), w.imag), w, rot.ch_scale)
+    i_vec = LocalizedCohClass("plus", {d: gamma_class(config, "plus", d, rot.inv_z) * moved[0, l]
+                                       for l, d in enumerate(deltas)})
     return [pairing(config, i_vec, psi_e) for psi_e in psi_images]

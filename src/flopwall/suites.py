@@ -537,7 +537,7 @@ def central_charge_suite(env: SuiteEnv) -> list:
         plus_images = [psi_on_coh(ctxp, LocalizedCohClass("plus", fm_transform(cfg, Em, ctxp.ch_scale))),
                        psi_apply(ctxp, fm_generator_formula(cfg, (0,)))]
         z_minus = central_charge(cfg, minus_images, -w, ctxm, order=SERIES_ORDER)
-        z_plus = central_charge_plus_continued(cfg, plus_images, w, ctxp)
+        z_plus = central_charge_plus_continued(cfg, plus_images, w, ctxp, order=SERIES_ORDER)
         worst = worst_error(*(abs(zp - zm) / max(abs(zm), 1e-30) for zm, zp in zip(z_minus, z_plus)))
         return _err_case(worst, DEFAULT_TOLS["central_charge"])
 

@@ -243,7 +243,7 @@ def test_criterion_10_central_charge_continuation():
             Em = generator_e(cfg, (0,))
             psi_p = psi_apply(ctxp, fm_generator_formula(cfg, (0,)))
         z_minus, = central_charge(cfg, [psi_apply(ctxm, Em)], -w, ctxm, order=80)
-        z_plus, = central_charge_plus_continued(cfg, [psi_p], w, ctxp)
+        z_plus, = central_charge_plus_continued(cfg, [psi_p], w, ctxp, order=80)
         worst = max(worst, abs(z_plus - z_minus) / abs(z_minus))
     _verdict(10, worst < 1e-6, "central charges related by continuation across the wall", worst)
 

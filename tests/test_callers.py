@@ -81,7 +81,6 @@ def test_a_helper_without_program_caller_is_found():
 # defaulted parameters that no program caller sets, and why each is kept
 UNSET_KEPT = {
     "cli.py:main(argv)": "the console script calls main(); the tests pass argv",
-    "hypergeom.py:ode_check(weight_scale)": "checks those factor series at 2 pi i / z",
 }
 
 

@@ -31,7 +31,6 @@ from flopwall.hypergeom import (
     h_series,
     i_function,
     i_function_factored,
-    i_restriction_continued,
     ode_check,
     series_product,
     verify_continuation_r1,
@@ -52,7 +51,14 @@ from flopwall.numkernel import (
     sin_over_2i,
 )
 from flopwall.suites import SuiteEnv, collect_cases, default_config
-from flopwall.wallcross import LocalizedCohClass, PsiContext, coeff_C, psi_apply, psi_on_coh
+from flopwall.wallcross import (
+    LocalizedCohClass,
+    PsiContext,
+    coeff_C,
+    gamma_class,
+    psi_apply,
+    psi_on_coh,
+)
 
 
 # ----------------------------------------------------------------------
@@ -714,12 +720,12 @@ def test_ode_couples_adjacent_indices_only(cfg21):
         assert abs(base[e] - bumped[e]) < 1e-14
 
 
-def _ode_check_scalar(config, series, side, weight_scale=1.0):
+def _ode_check_scalar(config, series, side):
     """``ode_check`` as a loop over the exponents, one residual at a time,
     each product a Python complex product."""
     if side == "minus":
-        return _ode_check_scalar(config.flipped(), series, "plus", weight_scale)
-    x_roots, z_roots, sign = hypergeom._ode_operator(config, weight_scale)
+        return _ode_check_scalar(config.flipped(), series, "plus")
+    x_roots, z_roots, sign = hypergeom._ode_operator(config)
 
     def prod(roots, theta):
         out = 1.0 + 0j
@@ -742,27 +748,25 @@ _ODE_GRID = [(n, r) for n in range(2, 6) for r in range(1, min(n, 4))]
 
 @pytest.mark.parametrize("n, r", _ODE_GRID)
 def test_ode_check_equals_the_scalar_loop(n, r):
-    # on both sides, at scale 1 and the central-charge scale 2 pi i / (3 + i),
-    # for the r = 1 series and every factor series, and with one coefficient
-    # perturbed so that the residual is large
+    # on both sides, for the r = 1 series and every factor series, and with
+    # one coefficient perturbed so that the residual is large
     checked = 0
     for seed in (0, 1):
         cfg = random_config(n, r, seed=seed)
-        for scale in (1.0, TWO_PI_I / (3.0 + 1j)):
-            for side in ("plus", "minus"):
-                plus = cfg.flipped() if side == "minus" else cfg
-                series = [f_factor_series(plus, d, k, 40, scale)
-                          for d in fixed_point_deltas(plus) for k in range(r)]
-                if r == 1:
-                    series += [h_series(cfg, side, (l,), 40, scale) for l in range(n)]
-                for s in series:
-                    bumped = replace(s, coeffs={**s.coeffs, (7,): s.coeffs[7,] * (1.0 + 1e-3)})
-                    for t in (s, bumped):
-                        got = ode_check(cfg, t, side, scale)
-                        assert got == _ode_check_scalar(cfg, t, side, scale)
-                        checked += 1
-                    assert got > 1e-4
-    assert checked >= 2 * 2 * 2 * 2 * n
+        for side in ("plus", "minus"):
+            plus = cfg.flipped() if side == "minus" else cfg
+            series = [f_factor_series(plus, d, k, 40)
+                      for d in fixed_point_deltas(plus) for k in range(r)]
+            if r == 1:
+                series += [h_series(cfg, side, (l,), 40) for l in range(n)]
+            for s in series:
+                bumped = replace(s, coeffs={**s.coeffs, (7,): s.coeffs[7,] * (1.0 + 1e-3)})
+                for t in (s, bumped):
+                    got = ode_check(cfg, t, side)
+                    assert got == _ode_check_scalar(cfg, t, side)
+                    checked += 1
+                assert got > 1e-4
+    assert checked >= 2 * 2 * 2 * n
 
 
 def test_ode_check_of_a_nan_coefficient_is_nan(cfg21):
@@ -937,18 +941,14 @@ def _barnes_oracle(config, l, ws, weight_scale, breakpoints=(0,), maxdegree=5, l
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("unit", ["one", "rotated-ch-z2"])
-def test_barnes_matches_mpmath_contour_oracle(n, unit):
-    # before the wall, on it and past it; the rotated Chern scale at z = 2
-    # makes the weight unit real, which moves the pole families off the
-    # integers and towards the line
+def test_barnes_matches_mpmath_contour_oracle(n):
+    # before the wall, on it and past it
     cfg = default_config(n, 1)
-    scale = 1.0 if unit == "one" else PsiContext.create(cfg, "plus", z=2.0).rotated().ch_scale
     ws = [complex(re, (n - 1) * math.pi) for re in (-1.0, 0.0, 1.0)]
     tol = 1e-10
     for l in range(n):
-        for w, want in zip(ws, _barnes_oracle(cfg, l, ws, scale)):
-            got = barnes_integrate(w, cfg, l, tol=tol, weight_scale=scale)
+        for w, want in zip(ws, _barnes_oracle(cfg, l, ws, 1.0)):
+            got = barnes_integrate(w, cfg, l, tol=tol)
             assert abs(got - want) <= tol, (l, w)
 
 
@@ -956,43 +956,6 @@ def _rounding_and_budget(error: NonConvergenceError) -> tuple[float, float]:
     """The rounding estimate and its budget, as a trapezoidal NonConvergenceError states them."""
     found = re.search(r"rounding of the terms (\S+) against budget (\S+)$", str(error))
     return float(found[1]), float(found[2])
-
-
-def test_barnes_pole_near_line_raises():
-    # negative control: with u = -1/2 (weight scale -pi i, the rotated
-    # Chern scale at z = 2) and x_0 - z_0 = -1 + 2e-7 the d = 0 pole of
-    # family 0 sits 1e-7 right of the line, past the contour-touch check;
-    # no step down to 2^-12 resolves it, so no value may be returned
-    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(3, 10)),
-                     (Fraction(1) - Fraction(2, 10**7), Fraction(-1, 5)))
-    with pytest.raises(NonConvergenceError, match="trapezoidal") as raised:
-        barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10, weight_scale=-math.pi * 1j)
-    # a truncation failure: the terms' rounding is well within its budget
-    rounding, budget = _rounding_and_budget(raised.value)
-    assert rounding < budget / 10.0
-
-
-@pytest.mark.parametrize("offset", [0, 2, -2])
-def test_barnes_pole_on_line_raises_touches(offset):
-    # weight scale 6 pi - pi i gives u = -1/2 - 3i, so with
-    # x_0 - z_0 = -1 + offset * 1e-10 the d = 0 pole of family 0 sits at
-    # height -3, on the line or 1e-10 either side of it; the touch check
-    # must raise before any halving of the trapezoidal step
-    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(3, 10)),
-                     (Fraction(1) - Fraction(offset, 10**10), Fraction(-1, 5)))
-    with pytest.raises(NonConvergenceError, match="touches"):
-        barnes_integrate(0.5 + 1j * math.pi, cfg, 0, tol=1e-10,
-                         weight_scale=6 * math.pi - math.pi * 1j)
-
-
-def _rising_tail_case():
-    # u = 5/2 (weight scale 5 pi i) makes |integrand| ~ |t|^8 exp(-m |t|),
-    # which rises up to |t| = 8/m; 0.2 above the strip's lower edge its
-    # bound passes at T = 4 and 4.8, fails from 5.8 to 106.5 and passes
-    # again from 127.8 on.  The prefactor is zero up to rounding, sin(5 pi), which is
-    # what lets the bound pass at T = 4 at all.
-    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1)), (Fraction(-2), Fraction(-1)))
-    return cfg, 1, complex(-3.0, 0.2), 5j * math.pi
 
 
 def _spy_nodes(monkeypatch):
@@ -1016,17 +979,14 @@ def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
     tol = 1e-10
     ladder = 4.0 * 1.2 ** np.arange(22)
     assert ladder[-1] <= 200.0 < ladder[-1] * 1.2
-    rising = _rising_tail_case()
     heights = []
-    for cfg, l, w, scale in [(cfg21, 0, complex(-3.0, math.pi), 1.0),
-                             (cfg21, 0, complex(0.0, 0.3), 1.0),
-                             (cfg21, 0, complex(2.0, 1.9 * math.pi), 1.0), rising]:
+    for w in (complex(-3.0, math.pi), complex(0.0, 0.3), complex(2.0, 1.9 * math.pi)):
         calls.clear()
-        barnes_integrate(w, cfg, l, tol=tol, weight_scale=scale)
+        barnes_integrate(w, cfg21, 0, tol=tol)
         np.testing.assert_allclose(calls[0], -0.5 + 1j * np.concatenate([ladder, -ladder]))
-        f = np.abs(barnes_integrand(calls[0], w, cfg, l, scale))
-        m_up, m_down = hypergeom._decay_margins(cfg, w)
-        prefactor = abs(hypergeom._mb_prefactor(cfg, l, scale))
+        f = np.abs(barnes_integrand(calls[0], w, cfg21, 0))
+        m_up, m_down = hypergeom._decay_margins(cfg21, w)
+        prefactor = abs(hypergeom._mb_prefactor(cfg21, 0))
         bound = (f[:22] / m_up + f[22:] / m_down) * 10.0 * prefactor / (2.0 * math.pi)
         passes = bound < tol / 10.0
         k = next(k for k in range(22) if passes[k:].all())
@@ -1034,10 +994,22 @@ def test_barnes_height_from_the_ladder(cfg21, monkeypatch):
         assert np.max(np.abs(calls[1].imag)) == math.floor(16.0 * ladder[k]) / 16.0
         heights.append(ladder[k])
     # mid-strip the bound asks for less than the old floor T = 20, near
-    # the strip's edge for more; where |integrand| rises past a passing
-    # rung, T is above every failing one
+    # the strip's edge for more
     assert heights[0] < 20.0 < heights[1]
-    assert heights[3] > 100.0
+    # where |integrand| rises past a passing rung, as |t|^p exp(-m |t|)
+    # does for p > 0, T is above every failing one: bounds that pass at
+    # T_0 and T_1, fail from T_2 to T_17 and pass from T_18 = 106.5 on
+    tail_bounds = hypergeom._tail_bounds
+
+    def rising(integrand, margins, scale):
+        heights, _ = tail_bounds(integrand, margins, scale)
+        failing = (np.arange(heights.size) >= 2) & (np.arange(heights.size) < 18)
+        return heights, np.where(failing, 1.0, 0.0)
+
+    monkeypatch.setattr(hypergeom, "_tail_bounds", rising)
+    calls.clear()
+    barnes_integrate(complex(-3.0, math.pi), cfg21, 0, tol=tol)
+    assert np.max(np.abs(calls[1].imag)) == math.floor(16.0 * ladder[18]) / 16.0 > 100.0
 
 
 def test_barnes_no_rung_meets_bound_raises(cfg21):
@@ -1050,14 +1022,14 @@ def test_barnes_no_rung_meets_bound_raises(cfg21):
     assert barnes_integrate(complex(-1.0, 0.3), cfg21, 0, tol=1e-10) is not None
 
 
-def _log_integrand_parts(config, l, weight_scale, t):
+def _log_integrand_parts(config, l, t):
     """log of the integrand at s = -1/2 + i t, as (w-free part, s + a_l).
 
     The integrand at w is exp(part + w (s + a_l)); kept in log space,
     because the w-free part alone overflows at large |t|.
     """
     n, r = config.n, config.r
-    a_l, us, vs = hypergeom._mb_data(config, l, weight_scale)
+    a_l, us, vs = hypergeom._mb_data(config, l)
     s = -0.5 + 1j * t
     acc = log_gamma(s) + log_gamma(1.0 - s) - 1j * math.pi * (n - r) * s
     for ui in us:
@@ -1067,7 +1039,7 @@ def _log_integrand_parts(config, l, weight_scale, t):
     return acc, s + a_l
 
 
-def _tail_check(config, l, scale, ws, tol):
+def _tail_check(config, l, ws, tol):
     """Per w: the ladder, its tail bounds, and the tails they bound, over tol / 10.
 
     The tail beyond +-T of |integrand| |prefactor| / (2 pi) is summed with
@@ -1080,21 +1052,21 @@ def _tail_check(config, l, scale, ws, tol):
     mid = 260 * 64
     far = 260.0 + np.arange(1, 260 * 8 + 1) / 8.0
     far = np.concatenate([far, -far])
-    part, shifted = _log_integrand_parts(config, l, scale, t)
-    far_part, far_shifted = _log_integrand_parts(config, l, scale, far)
-    prefactor = abs(hypergeom._mb_prefactor(config, l, scale))
+    part, shifted = _log_integrand_parts(config, l, t)
+    far_part, far_shifted = _log_integrand_parts(config, l, far)
+    prefactor = abs(hypergeom._mb_prefactor(config, l))
     out = []
     for w in ws:
         mod = np.exp((part + w * shifted).real) * step * prefactor / (2.0 * math.pi)
         beyond = np.exp((far_part + w * far_shifted).real).sum() / 8.0 * prefactor / (2.0 * math.pi)
         if w == ws[0]:
-            want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, config, l, scale))
+            want = np.abs(barnes_integrand(-0.5 + 1j * t[mid::640], w, config, l))
             np.testing.assert_allclose(mod[mid::640], want * step * prefactor / (2.0 * math.pi),
                                        rtol=1e-10)
         above = np.cumsum(mod[::-1])[::-1]  # above[k]: nodes k and beyond
         below = np.cumsum(mod)              # below[k]: nodes k and before
         heights, bounds = hypergeom._tail_bounds(
-            lambda tt: barnes_integrand(-0.5 + 1j * tt, w, config, l, scale),
+            lambda tt: barnes_integrand(-0.5 + 1j * tt, w, config, l),
             hypergeom._decay_margins(config, w), prefactor)
         k = np.floor(heights / step).astype(int)
         tails = (above[mid + k + 1] + below[mid - k - 1] + beyond) / (tol / 10.0)
@@ -1102,59 +1074,46 @@ def _tail_check(config, l, scale, ws, tol):
     return out
 
 
+def _strip_points(cfg):
+    """The standard path's points 0.05 or more inside the convergence strip."""
+    h = (cfg.n - cfg.r) * math.pi
+    return [w for w in PathSpec.standard(cfg).points
+            if min(w.imag - (h - math.pi), (h + math.pi) - w.imag) >= 0.05]
+
+
 def test_barnes_tail_bound_holds_at_every_rung_it_may_stop_at():
     # at every ladder rung from which the tail bound is below tol / 10 on
     # every higher rung, the tail it bounds must be below tol / 10 too;
     # every third standard path point inside the strip of seeded configs
-    # with n = 2, 3 and 4 at three weight scales, and w at 0.06 and 0.1
-    # from either edge of the strip, where the integrand decays slowest;
-    # and a config with |integrand| ~ |t|^5.15 exp(-m |t|) at margins
-    # m = 0.3 and 0.5 (nearer the strip's edges no rung up to 200 meets its
-    # bound)
+    # with n = 2, 3 and 4, and w at 0.06 and 0.1 from either edge of the
+    # strip, where the integrand decays slowest
     tol = 1e-10
     cases = []
     for n, seed in iter_product((2, 3, 4), (0, 1)):
         run = cli.RunConfig.from_json_dict({"seed": seed, "weights": {"seed": seed}, "n": n, "r": 1})
         cfg = run.flop_config()
-        scales = [1.0] + [PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
-                          for z in (2.0, 3.0 + 1.0j)]
-        points = [w for w in PathSpec.standard(cfg).points
-                  if min(hypergeom._decay_margins(cfg, w)) >= 0.05][::3]
+        points = _strip_points(cfg)[::3]
         edges = [complex(re_w, im) for re_w in (-3.0, 0.0, 3.0) for m in (0.06, 0.1)
                  for im in ((n - 2) * math.pi + m, n * math.pi - m)]
-        cases += [(cfg, l, scale, points + edges)
-                  for scale, l in iter_product(scales, range(n))]
-    # u = 1.3 (weight scale 2.6 pi i): the power of |t| is
-    # Re u (sum x - sum z) - n = 5.15, and the prefactor is not small
-    cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1, 2)), (Fraction(-2), Fraction(-3)))
-    edges = [complex(re, m) for re, m in iter_product((-3.0, 0.0, 3.0), (0.3, 0.5))]
-    cases += [(cfg, l, 2.6j * math.pi, edges + [w.conjugate() + 2j * math.pi for w in edges])
-              for l in range(2)]
+        cases += [(cfg, l, points + edges) for l in range(n)]
     worst = worst_loose = 0.0
-    rungs = []
+    rungs = 0
     near = {"lower": 0, "upper": 0}  # rungs checked within 0.1 of each edge, at n = 4
-    for cfg, l, scale, points in cases:
-        rungs.append(0)
-        for w, (heights, bounds, tails) in zip(points, _tail_check(cfg, l, scale, points, tol)):
+    for cfg, l, points in cases:
+        for w, (heights, bounds, tails) in zip(points, _tail_check(cfg, l, points, tol)):
             m_up, m_down = hypergeom._decay_margins(cfg, w)
             for k in range(len(heights)):
                 if (bounds[k:] < tol / 10.0).all():
                     worst = max(worst, tails[k])
-                    rungs[-1] += 1
+                    rungs += 1
                     if cfg.n == 4 and min(m_up, m_down) <= 0.1:
                         near["lower" if m_up < m_down else "upper"] += 1
                 if (bounds[k:] / 100.0 < tol / 10.0).all():
                     worst_loose = max(worst_loose, tails[k])
-    assert sum(rungs) > 1000 and min(rungs[-2:]) > 0 and min(near.values()) > 100
+    assert rungs > 1000 and min(near.values()) > 100
     assert worst <= 1.0
-    # negative controls: a bound a hundred times smaller fails the same
-    # check, and so does a passing rung below failing ones, T = 4 where
-    # |integrand| rises past it, with a tail a thousand times its bound
+    # negative control: a bound a hundred times smaller fails the same check
     assert worst_loose > 1.0
-    cfg, l, w, scale = _rising_tail_case()
-    (heights, bounds, tails), = _tail_check(cfg, l, scale, [w], tol)
-    assert bounds[0] < tol / 10.0 and not (bounds[1:] < tol / 10.0).all()
-    assert tails[0] > 1e3
 
 
 def _cluster_control():
@@ -1178,7 +1137,7 @@ def test_barnes_pole_cluster_matches_oracle():
 
 def test_pole_cluster_circle_isolates_the_pair():
     cfg, l, w = _cluster_control()
-    _, us, _ = hypergeom._mb_data(cfg, l, 1.0)
+    _, us, _ = hypergeom._mb_data(cfg, l)
     poles = [(k, 0, -us[k]) for k in range(3)]
     pair = [poles[0], poles[2]]
     clusters = hypergeom._pole_clusters(poles, hypergeom._CLUSTER_GAP)
@@ -1212,39 +1171,33 @@ def _relative_units(got, want) -> float:
 def test_barnes_residues_of_a_pair_straddling_zero_match_mpmath(monkeypatch):
     # the seed-0 wall-scan instance at n = 2, l = 0: x_0 lies near both z_k,
     # so the poles -u_0 and -u_1 sit ~0.008 either side of the integer pole
-    # s = 0 (at +-0.008i for scale 1, on the real axis for the rotated Chern
-    # scale at z = 2).  No circle isolates a cluster that straddles an
+    # s = 0, at +-0.008i.  No circle isolates a cluster that straddles an
     # integer, so barnes_integrate sums the pair's residues one by one.  With
     # the line sum replaced by 0 it returns -prefactor * (their sum)
     cfg = FlopConfig(2, 1, (Fraction(-1, 490), Fraction(1, 10)),
                      (Fraction(-17, 330), Fraction(3, 65)))
     l = 0
-    ws = [w for w in PathSpec.standard(cfg).points
-          if min(hypergeom._decay_margins(cfg, w)) >= 0.05]
+    ws = _strip_points(cfg)
     sums = []
     monkeypatch.setattr(hypergeom, "_halving_trapezoid", lambda *args: sums.append(args) or 0.0)
-    worst = 0.0
-    for z in (None, 2.0, 3.0 + 1.0j):
-        scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
-        _, us, _ = hypergeom._mb_data(cfg, l, scale)
-        pair = [(k, 0, -us[k]) for k in range(2)]
-        assert hypergeom._pole_clusters(pair, hypergeom._CLUSTER_GAP) == [pair[::-1]]
-        assert max(abs(p[2]) for p in pair) < 0.03
-        assert hypergeom._enclosing_circle(pair, us) is None
-        got = [barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale) for w in ws]
-        want = _barnes_oracle(cfg, l, ws, scale, line=False)
-        # the two residues do not cancel: their part of the value has modulus
-        # ~1, as each has ~0.5.  Each is a product of 2n + 3 rounded factors,
-        # so 64 rounding units of that modulus bound its error, the budget
-        # barnes_integrate allows a residue before it sums a cluster on a
-        # circle instead; the worst error seen is 3.1 units
-        worst = max(worst, _relative_units(got, want))
-        # negative control: moving z_0 by 1e-11 moves -u_0 by ~1.6e-12 and
-        # fails the same bound
-        moved = FlopConfig(2, 1, cfg.x, (cfg.z[0] + Fraction(1, 10 ** 11), cfg.z[1]))
-        assert _relative_units(got, _barnes_oracle(moved, l, ws, scale, line=False)) > 64.0
-    assert len(sums) == 3 * len(ws)  # the line's sum only: no circle
-    assert worst <= 64.0
+    _, us, _ = hypergeom._mb_data(cfg, l)
+    pair = [(k, 0, -us[k]) for k in range(2)]
+    assert hypergeom._pole_clusters(pair, hypergeom._CLUSTER_GAP) == [pair[::-1]]
+    assert max(abs(p[2]) for p in pair) < 0.03
+    assert hypergeom._enclosing_circle(pair, us) is None
+    got = [barnes_integrate(w, cfg, l, tol=1e-10) for w in ws]
+    want = _barnes_oracle(cfg, l, ws, 1.0, line=False)
+    assert len(sums) == len(ws)  # the line's sum only: no circle
+    # the two residues do not cancel: their part of the value has modulus
+    # ~1, as each has ~0.5.  Each is a product of 2n + 3 rounded factors,
+    # so 64 rounding units of that modulus bound its error, the budget
+    # barnes_integrate allows a residue before it sums a cluster on a
+    # circle instead
+    assert _relative_units(got, want) <= 64.0
+    # negative control: moving z_0 by 1e-11 moves -u_0 by ~1.6e-12 and
+    # fails the same bound
+    moved = FlopConfig(2, 1, cfg.x, (cfg.z[0] + Fraction(1, 10 ** 11), cfg.z[1]))
+    assert _relative_units(got, _barnes_oracle(moved, l, ws, 1.0, line=False)) > 64.0
 
 
 def test_barnes_line_sum_beyond_rounding_budget_raises():
@@ -1463,32 +1416,19 @@ def _per_level_trapezoid(terms, step, lattice_step, min_step, target, budget):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
-       z=st.sampled_from([None, 2.0, 3.0 + 1.0j]),
        points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
                        min_size=4, max_size=4))
-def test_barnes_integrate_equals_the_per_level_sums(seed, n, l, z, points):
+def test_barnes_integrate_equals_the_per_level_sums(seed, n, l, points):
     # the line's sums at h = 1/2 to 1/16 and the circles' at 64 and 128
     # nodes come from one call on the finest lattice; the value must be
     # the one that one call per level gives, to the bit, or both raise the
-    # same error.  Random generic weights, four w across the strip, weight
-    # scale 1 and the rotated Chern scales at z = 2 and 3 + i
+    # same error.  Random generic weights, four w across the strip
     assume(l < n)
     cfg = random_config(n, 1, seed)
-    try:
-        scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
-    except PoleError:
-        assume(False)
-
-    def value(w):
-        try:
-            return barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale)
-        except (NonConvergenceError, PoleError) as error:
-            return type(error), str(error)
-
     ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
-    got = [value(w) for w in ws]
+    got = [_barnes_outcome(w, cfg, l) for w in ws]
     with mock.patch.object(hypergeom, "_halving_trapezoid", _per_level_trapezoid):
-        assert got == [value(w) for w in ws]
+        assert got == [_barnes_outcome(w, cfg, l) for w in ws]
 
 
 @pytest.mark.parametrize("w", [complex(math.inf, math.pi), complex(math.nan, math.pi),
@@ -1500,59 +1440,40 @@ def test_barnes_non_finite_w_raises_before_any_node(w, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf, complex(1.0, math.inf)])
-def test_barnes_non_finite_weight_scale_raises_before_any_node(scale, monkeypatch):
-    # a NaN scale used to reach round() in the contour-touch guard and raise
-    # a bare ValueError; a finite scale is also what keeps v_l = 0
-    calls = _spy_nodes(monkeypatch)
-    with pytest.raises(NonFiniteError, match="non-finite weight scale"):
-        barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0, weight_scale=scale)
-    assert calls == []
-
-
-def _integrand_with_every_row(s, w, config, l, weight_scale=1.0, rows=None):
+def _integrand_with_every_row(s, w, config, l, rows=None):
     """``barnes_integrand`` that ignores ``rows``: all 2n + 2 log_gamma calls."""
-    return barnes_integrand(s, w, config, l, weight_scale)
+    return barnes_integrand(s, w, config, l)
 
 
-def _barnes_outcome(w, cfg, l, scale):
+def _barnes_outcome(w, cfg, l):
     try:
-        return barnes_integrate(w, cfg, l, tol=1e-10, weight_scale=scale)
+        return barnes_integrate(w, cfg, l, tol=1e-10)
     except (NonConvergenceError, NonFiniteError, PoleError) as error:
         return type(error), str(error)
 
 
 @settings(max_examples=30, deadline=None)
-@example(seed=1, n=3, l=0, size=Fraction(1, 2), scale=1.0j,
-         points=[(-3.0, -0.5), (0.5, 0.2), (4.0, 0.9)])
-@example(seed=1, n=3, l=2, size=Fraction(1, 2), scale=3.0 + 1.0j,
-         points=[(-3.0, -0.5), (0.5, 0.2), (4.0, 0.9)])
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
        size=st.sampled_from([Fraction(1, 10), Fraction(1, 2)]),
-       scale=st.sampled_from([1.0, 2.0, 3.0 + 1.0j, 1.0j]),
        points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
                        min_size=3, max_size=3))
-def test_barnes_lattice_rows_from_the_table_equal_every_row_computed(seed, n, l, size, scale,
-                                                                      points):
+def test_barnes_lattice_rows_from_the_table_equal_every_row_computed(seed, n, l, size, points):
     # the ladder and lattice calls take log Gamma(s) + log Gamma(1 - s) and
     # log Gamma(1 + s) from their process-wide tables; the value must be the
     # one the integrand gives with all 2n + 2 rows computed, to the bit, or
-    # both raise the same error.  Weight scales i and 3 + i make the unit u
-    # partly real, so weights pi or more apart put a zero of 1/Gamma within
-    # reach of the line and the zero mask runs on the lattice call too, as
-    # it does in the two explicit examples (x_1 - x_0 = 5.15 > pi)
+    # both raise the same error
     assume(l < n)
     cfg = random_config(n, 1, seed, scale=size)
     ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
-    got = [_barnes_outcome(w, cfg, l, scale) for w in ws]
+    got = [_barnes_outcome(w, cfg, l) for w in ws]
     with mock.patch.object(hypergeom, "barnes_integrand", _integrand_with_every_row):
-        assert got == [_barnes_outcome(w, cfg, l, scale) for w in ws]
+        assert got == [_barnes_outcome(w, cfg, l) for w in ws]
 
 
 def test_line_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     # the table is built on the first line sum, for |t| <= 200, by the
     # integrand's own log_gamma calls on the same nodes; later line sums at
-    # other configs, w, fixed points and weight scales leave it as it is
+    # other configs, w and fixed points leave it as it is
     monkeypatch.setattr(hypergeom, "_line_rows", None)
     barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
     pair, own = hypergeom._line_rows
@@ -1561,11 +1482,11 @@ def test_line_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     np.testing.assert_array_equal(own, log_gamma(1.0 + s))
     assert not pair.flags.writeable and not own.flags.writeable
     before = pair.tobytes(), own.tobytes()
-    for n, scale in [(2, 1.0), (3, 2.0), (4, 3.0 + 1.0j), (3, 1.0j)]:
+    for n in (2, 3, 4):
         cfg = random_config(n, 1, seed=n)
         for l in range(n):
             for re_w in (-2.0, 0.5):
-                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
+                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l)
     assert tuple(a.tobytes() for a in hypergeom._line_rows) == before
 
 
@@ -1586,8 +1507,7 @@ def test_barnes_rows_shifted_by_one_node_are_seen(monkeypatch):
 def test_ladder_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     # the ladder's table is built on the first call, for the rungs up to
     # 200, by the integrand's own log_gamma calls on the same nodes; later
-    # calls at other configs, w, fixed points and weight scales leave it as
-    # it is
+    # calls at other configs, w and fixed points leave it as it is
     monkeypatch.setattr(hypergeom, "_ladder", None)
     barnes_integrate(complex(-1.0, math.pi), default_config(2, 1), 0)
     t, (pair, own) = hypergeom._ladder
@@ -1600,11 +1520,11 @@ def test_ladder_rows_are_log_gamma_at_their_nodes_and_never_change(monkeypatch):
     np.testing.assert_array_equal(own, log_gamma(1.0 + s))
     assert not (t.flags.writeable or pair.flags.writeable or own.flags.writeable)
     before = t.tobytes(), pair.tobytes(), own.tobytes()
-    for n, scale in [(2, 1.0), (3, 2.0), (4, 3.0 + 1.0j), (3, 1.0j)]:
+    for n in (2, 3, 4):
         cfg = random_config(n, 1, seed=n)
         for l in range(n):
             for re_w in (-2.0, 0.5):
-                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l, scale)
+                _barnes_outcome(complex(re_w, (n - 1) * math.pi), cfg, l)
     t_now, (pair_now, own_now) = hypergeom._ladder
     assert (t_now.tobytes(), pair_now.tobytes(), own_now.tobytes()) == before
 
@@ -1663,11 +1583,9 @@ def _scalar_residues(w, config, a_l, us, vs):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 4), l=st.integers(0, 3),
-       scale=st.sampled_from([1.0, 2.0, 3.0 + 1.0j, 1.0j, -1.0]),
        points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-0.98, 0.98)),
                        min_size=2, max_size=2))
-def test_barnes_residues_from_one_call_per_kernel_equal_the_scalar_ones(seed, n, l, scale,
-                                                                        points):
+def test_barnes_residues_from_one_call_per_kernel_equal_the_scalar_ones(seed, n, l, points):
     # the correction residues take every Gamma value from one log_gamma
     # call and every 1/Gamma value from one recip_gamma call; the value must
     # be the one that a scalar call per factor and pole gives, to the bit,
@@ -1675,14 +1593,24 @@ def test_barnes_residues_from_one_call_per_kernel_equal_the_scalar_ones(seed, n,
     assume(l < n)
     cfg = random_config(n, 1, seed)
     ws = [complex(re_w, (n - 1 + height) * math.pi) for re_w, height in points]
-    got = [_barnes_outcome(w, cfg, l, scale) for w in ws]
+    got = [_barnes_outcome(w, cfg, l) for w in ws]
     with mock.patch.object(hypergeom, "_residues", _scalar_residues):
-        assert got == [_barnes_outcome(w, cfg, l, scale) for w in ws]
+        assert got == [_barnes_outcome(w, cfg, l) for w in ws]
+
+
+def _residues_outcome(residues, w, config):
+    """The residues at fixed point 0 with the real unit u = 1, u_i = x_0 - z_i
+    and v_j = x_0 - x_j, or the (type, message) of their error."""
+    xs, zs = config.complex_weights()
+    try:
+        return residues(w, config, xs[0], [xs[0] - zi for zi in zs], [xs[0] - xj for xj in xs])
+    except (NonFiniteError, PoleError) as error:
+        return type(error), str(error)
 
 
 @pytest.mark.parametrize("x, z, error, message", [
-    # weight scale 2 pi i makes u = 1, so u_i = x_0 - z_i: u_1 - u_0 = -1
-    # puts the pole of Gamma(u_1 + s) at the first pole s = -u_0 = 3/10
+    # u = 1 gives u_i = x_0 - z_i: u_1 - u_0 = -1 puts the pole of
+    # Gamma(u_1 + s) at the first pole s = -u_0 = 3/10
     (("0", "1/10"), ("3/10", "13/10"), PoleError, "log_gamma pole at s = (-1+0j)"),
     # the same at the second pole, past the first one's four clean factors
     (("0", "1/10", "1/5"), ("-2/5", "3/10", "13/10"), PoleError,
@@ -1692,13 +1620,14 @@ def test_barnes_residues_from_one_call_per_kernel_equal_the_scalar_ones(seed, n,
     (("0", "-199"), ("3/10", "-1997/10"), NonFiniteError, "Gamma overflows at s = (200+0j)"),
 ])
 def test_barnes_residue_errors_are_the_scalar_ones(x, z, error, message):
+    # at weight scale 1 the poles sit on the imaginary axis, where no such
+    # fault occurs, so the kernels get the real unit of a crafted input
     cfg = FlopConfig(len(x), 1, tuple(map(Fraction, x)), tuple(map(Fraction, z)))
     for re_w in (-2.0, 2.0):
         w = complex(re_w, (cfg.n - 1) * math.pi)
-        want = _barnes_outcome(w, cfg, 0, 2j * math.pi)
+        want = _residues_outcome(hypergeom._residues, w, cfg)
         assert want == (error, message)
-        with mock.patch.object(hypergeom, "_residues", _scalar_residues):
-            assert _barnes_outcome(w, cfg, 0, 2j * math.pi) == want
+        assert _residues_outcome(_scalar_residues, w, cfg) == want
 
 
 def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
@@ -1720,27 +1649,23 @@ def test_barnes_oracle_catches_a_sum_certified_after_one_halving(monkeypatch):
 
 
 def test_barnes_integrand_zero_on_a_node():
-    # weight scale -pi i gives the real unit u = -1/2, so v_0 = -1/2 and
-    # 1/Gamma(1 + v_0 + s) vanishes at the node s = -1/2 of the line
+    # v_0 = (x_1 - x_0) u = -i / 2 pi, so 1/Gamma(1 + v_0 + s) vanishes at
+    # the node s = -1 - v_0, a unit left of the line
     cfg = FlopConfig(2, 1, (Fraction(0), Fraction(1)), (Fraction(3, 10), Fraction(-1, 5)))
-    scale = -math.pi * 1j
+    _, _, vs = hypergeom._mb_data(cfg, 1)
+    zero = -1.0 - vs[0]
     w = complex(0.5, math.pi)
-    values = barnes_integrand(np.array([-0.5, -0.5 + 0.5j]), w, cfg, 1, scale)
+    values = barnes_integrand(np.array([zero, -0.5 + 0.5j]), w, cfg, 1)
     assert values[0] == 0 and values[1] != 0
-    # an array with no node at Re s <= -1/2 has no zero of 1/Gamma and
-    # skips the zero mask; beside a zero its nodes have the same values
-    nodes = np.array([-0.5, 0.25 + 0.5j, 0.5 - 1.0j])
-    masked = barnes_integrand(nodes, w, cfg, 1, scale)
+    # an array with no node at Re s <= -1 has no zero of 1/Gamma and skips
+    # the zero mask; beside a zero its nodes have the same values
+    nodes = np.array([zero, 0.25 + 0.5j, 0.5 - 1.0j])
+    masked = barnes_integrand(nodes, w, cfg, 1)
     assert masked[0] == 0
-    np.testing.assert_array_equal(masked[1:], barnes_integrand(nodes[1:], w, cfg, 1, scale))
-    want, = _barnes_oracle(cfg, 1, [w], scale)
-    assert abs(want - (-0.20779162389328j)) < 1e-12
-    got = barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale)
-    assert abs(got - want) <= 1e-10
-    # the zero sits on the lattice node t = 0, so the lattice call masks the
-    # rows it takes from the table as well, to the same value bit for bit
-    with mock.patch.object(hypergeom, "barnes_integrand", _integrand_with_every_row):
-        assert barnes_integrate(w, cfg, 1, tol=1e-10, weight_scale=scale) == got
+    np.testing.assert_array_equal(masked[1:], barnes_integrand(nodes[1:], w, cfg, 1))
+    # rows passed for the nodes are masked with them, to the same values
+    rows = log_gamma(nodes) + log_gamma(1.0 - nodes), log_gamma(1.0 + nodes)
+    np.testing.assert_array_equal(barnes_integrand(nodes, w, cfg, 1, rows=rows), masked)
 
 
 def test_barnes_integrand_of_no_nodes_is_empty():
@@ -1762,7 +1687,7 @@ def test_barnes_integrand_pole_at_a_zero_raises():
     assert barnes_integrand(-1.0 + 1e-3, w, cfg, 0) != 0
 
 
-def _integrand_oracle(config, l, w, weight_scale, nodes, shift=0.0):
+def _integrand_oracle(config, l, w, nodes, shift=0.0):
     """30-digit mpmath integrand at ``nodes``, and the log-space size of each value.
 
     The size is the sum of the moduli of the terms whose sum is exponentiated:
@@ -1773,7 +1698,7 @@ def _integrand_oracle(config, l, w, weight_scale, nodes, shift=0.0):
         n, r = config.n, config.r
         x = [mpmath.mpf(v.numerator) / v.denominator for v in config.x]
         z = [mpmath.mpf(v.numerator) / v.denominator for v in config.z]
-        u = mpmath.mpc(weight_scale) / (2j * mpmath.pi)
+        u = 1 / (2j * mpmath.pi)
         us = [(x[l] - zi) * u for zi in z]
         vs = [(x[l] - xj) * u for xj in x]
         us[0] += shift
@@ -1789,23 +1714,22 @@ def _integrand_oracle(config, l, w, weight_scale, nodes, shift=0.0):
         return np.array(want), np.array(size)
 
 
-def _integrand_errors(config, l, w, weight_scale, nodes, shift=0.0):
+def _integrand_errors(config, l, w, nodes, shift=0.0):
     # each log Gamma value carries an absolute error of a few rounding units
     # of its modulus, and so does the rounded argument it is taken at; after
     # exponentiation that is a relative error of a few eps times the summed
     # moduli of the log terms, which grows like |t| log |t| along the line
-    got = barnes_integrand(nodes, w, config, l, weight_scale)
-    want, size = _integrand_oracle(config, l, w, weight_scale, nodes, shift)
+    got = barnes_integrand(nodes, w, config, l)
+    want, size = _integrand_oracle(config, l, w, nodes, shift)
     assert np.abs(want).min() > 1e-300  # no value near underflow
     return np.abs(got - want) / (hypergeom._EPS * size * np.abs(want))
 
 
 def test_barnes_integrand_matches_mpmath_at_line_ladder_and_circle_nodes():
     # line nodes up to |t| = 200, the truncation ladder's rungs at +-T_k,
-    # and the nodes of a pole cluster's circle; n = 2, 3, 4 at scale 1 and
-    # at the rotated Chern scales z = 2 (real unit u) and z = 3 + i.  The
-    # worst error seen is 2.0 eps times the log-space size; 8 leaves room
-    # for another scipy build
+    # and the nodes of a pole cluster's circle; n = 2, 3, 4.  The worst
+    # error seen is 2.0 eps times the log-space size; 8 leaves room for
+    # another scipy build
     heights, _ = hypergeom._tail_bounds(np.ones_like, (1.0, 1.0), 1.0)
     t = np.concatenate([np.linspace(-200.0, 200.0, 17), [0.25, -1.5], heights, -heights])
     line = -0.5 + 1j * t
@@ -1813,19 +1737,17 @@ def test_barnes_integrand_matches_mpmath_at_line_ladder_and_circle_nodes():
     for n in (2, 3, 4):
         cfg = default_config(n, 1)
         w = complex(-1.0, (n - 1) * math.pi)
-        for z in (None, 2.0, 3.0 + 1.0j):
-            scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
-            for l in (0, n - 1):
-                worst = max(worst, _integrand_errors(cfg, l, w, scale, line).max())
+        for l in (0, n - 1):
+            worst = max(worst, _integrand_errors(cfg, l, w, line).max())
     cfg, l, w = _cluster_control()
-    _, us, _ = hypergeom._mb_data(cfg, l, 1.0)
+    _, us, _ = hypergeom._mb_data(cfg, l)
     center, radius = hypergeom._enclosing_circle([(0, 0, -us[0]), (2, 0, -us[2])], us)
     circle = center + radius * np.exp(2j * math.pi * np.arange(128) / 128)
-    worst = max(worst, _integrand_errors(cfg, l, w, 1.0, circle).max())
+    worst = max(worst, _integrand_errors(cfg, l, w, circle).max())
     assert worst <= 8.0
     # negative control: moving the argument of one factor by 1e-12 is seen
     # on most line nodes
-    shifted = _integrand_errors(default_config(3, 1), 0, complex(-1.0, 2.0 * math.pi), 1.0,
+    shifted = _integrand_errors(default_config(3, 1), 0, complex(-1.0, 2.0 * math.pi),
                                 line, shift=1e-12)
     assert (shifted > 8.0).mean() > 0.5
 
@@ -1837,7 +1759,7 @@ def test_barnes_integrand_pole_in_one_factor_raises(offset):
     # there, and the pole check of its log_gamma call sees it
     cfg = default_config(3, 1)
     w = complex(-1.0, 2.0 * math.pi)
-    _, us, vs = hypergeom._mb_data(cfg, 0, 1.0)
+    _, us, vs = hypergeom._mb_data(cfg, 0)
     bad = -1.0 + offset - us[0]
     assert min(abs(1.0 + vj + bad - round((1.0 + vj + bad).real)) for vj in vs) > 1e-3
     nodes = np.array([-0.5 + 1j, bad, -0.5 - 2j])
@@ -1898,9 +1820,10 @@ def test_one_perturbed_transfer_coefficient_fails_the_wall_crossing_cases(monkey
         assert verify_continuation_r1(default_config(n, 1)).coeff_err > 5e-7
 
 
-def _odefun_transfer(cfg, w_from, w_to, dps):
-    """The transfer matrix of the ODE of ``ode_transfer`` by mpmath.odefun,
-    at ``dps`` digits, along w = w_from + t for real t from 0 to w_to - w_from.
+def _odefun_transfer(cfg, w_from, w_to, dps, weight_scale):
+    """The transfer matrix of the ODE of ``ode_transfer`` at ``weight_scale``
+    by mpmath.odefun, at ``dps`` digits, along w = w_from + t for real t from
+    0 to w_to - w_from.
 
     One system carries the n unit jets, the n-th derivative of each from
     (1 - E) f^(n) = -sum_{m<n} (p_m - E q_m) f^(m), E = c e^w, with P and Q
@@ -1908,7 +1831,7 @@ def _odefun_transfer(cfg, w_from, w_to, dps):
     """
     n = cfg.n
     with mpmath.workdps(dps):
-        x_roots, z_roots, sign = hypergeom._ode_operator(cfg)
+        x_roots, z_roots, sign = hypergeom._ode_operator(cfg, weight_scale)
 
         def monic(roots):
             coeffs = [mpmath.mpc(1)]
@@ -1939,15 +1862,20 @@ def test_ode_transfer_matches_mpmath_odefun(n, dps):
     # three steps, each with a dropped tail below eps times the estimated
     # size of its solutions and rounding in sums of up to 42 terms: 1e-14
     # relative to the largest entry is about 45 eps (measured: 9.7e-17 at
-    # n = 2 and 8.4e-17 at n = 3)
+    # n = 2 and 8.4e-17 at n = 3 at scale 1).  At scale 1 and at a rotated
+    # Chern scale of the central charges, z = 2 at n = 2 and z = 3 + i at
+    # n = 3; the steps and their order depend on the singular points
+    # alone, which no scale moves
     cfg = default_config(n, 1)
     # the path of verify_continuation_r1, from |q| = 0.3 to 3 at height (n - 1) pi
     w_in, w_out = (math.log(q) + 1j * (n - 1) * math.pi for q in (0.3, 3.0))
-    got = hypergeom.ode_transfer(cfg, w_in, w_out)
-    want = _odefun_transfer(cfg, w_in, w_out, dps)
-    assert np.abs(got.matrix - want).max() <= 1e-14 * np.abs(want).max()
-    assert (got.steps, got.terms) == (3, {2: 36, 3: 41}[n])
-    assert 0.0 < got.tail < 1e-15
+    for z in (None, {2: 2.0, 3: 3.0 + 1.0j}[n]):
+        scale = 1.0 if z is None else PsiContext.create(cfg, "plus", z=z).rotated().ch_scale
+        got = hypergeom.ode_transfer(cfg, w_in, w_out, scale)
+        want = _odefun_transfer(cfg, w_in, w_out, dps, scale)
+        assert np.abs(got.matrix - want).max() <= 1e-14 * np.abs(want).max(), z
+        assert (got.steps, got.terms) == (3, {2: 36, 3: 41}[n])
+        assert 0.0 < got.tail < 1e-15
 
 
 def test_ode_transfer_rejects_a_segment_through_a_singular_point():
@@ -2093,15 +2021,74 @@ def test_i_function_raises_on_a_coefficient_that_is_not_finite():
         i_function(cfg, "plus", (0,), 4, ctx)
 
 
-def test_i_restriction_continued_agrees_inside(cfg21):
-    # inside the wall the continued restriction equals the assembled series
-    z = 2.0 + 0j
-    ctx = PsiContext.create(cfg21, "plus", z=z).rotated()
-    w = math.log(0.3) + 1j * math.pi
+def _continued_i_vector(config, w, ctx):
+    """The continued I-vector of ``central_charge_plus_continued`` at order
+    80, one entry per plus fixed point, read through its pairing with e(N_d)
+    times the point class at d."""
+    deltas = fixed_point_deltas(config)
+    table = config.fixed_point_table
+    images = [LocalizedCohClass("plus", {d: table["plus", d].euler_value if d == dp else 0j
+                                         for d in deltas}) for dp in deltas]
+    return central_charge_plus_continued(config, images, w, ctx, order=80)
+
+
+def test_continued_i_vector_agrees_inside(cfg21):
+    # inside the wall the continued I-vector equals the I-series, at a w
+    # other than the start log Q_INSIDE of its ODE segment
+    ctx = PsiContext.create(cfg21, "plus", z=2.0 + 0j)
+    w = math.log(0.6) + 1j * math.pi
+    got = _continued_i_vector(cfg21, w, ctx)
     for l in range(2):
-        series = i_function(cfg21, "plus", (l,), 80, ctx).eval(w)
-        cont = i_restriction_continued(cfg21, l, w, ctx)
-        assert abs(cont - series) <= 1e-9 * abs(series)
+        series = i_function(cfg21, "plus", (l,), 80, ctx.rotated()).eval(w)
+        assert abs(got[l] - series) <= 1e-12 * abs(series)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_continued_i_restrictions_match_the_contour_oracle(n):
+    # the I-restriction at l is gamma_class times the plus series at the
+    # rotated Chern scale, continued along the ODE at that scale; the
+    # series' contour integral at that scale, in mpmath, is an independent
+    # reference before the wall, on it and past it.  At z = 2 the scale
+    # makes the weight unit real, which moves the pole families off the
+    # imaginary axis and towards the line
+    cfg = default_config(n, 1)
+    ws = [complex(re, (n - 1) * math.pi) for re in (-1.0, 0.0, 1.0)]
+    transfer = hypergeom.ode_transfer
+    for z in (2.0, 3.0 + 1.0j):
+        ctx = PsiContext.create(cfg, "plus", z=z)
+        rot = ctx.rotated()
+        gammas = [gamma_class(cfg, "plus", (l,), rot.inv_z) for l in range(n)]
+        want = [[g * v for g, v in zip(gammas, values)]
+                for values in zip(*(_barnes_oracle(cfg, l, ws, rot.ch_scale) for l in range(n)))]
+
+        def error():
+            return max(abs(g - v) / abs(gam) for w, row in zip(ws, want)
+                       for g, v, gam in zip(_continued_i_vector(cfg, w, ctx), row, gammas))
+
+        assert error() <= 1e-10, z
+        # negative control: the ODE at scale 1 instead of the series' scale
+        with mock.patch.object(hypergeom, "ode_transfer",
+                               lambda config, w_from, w_to, scale: transfer(config, w_from, w_to)):
+            assert error() > 1e-4, z
+
+
+def test_continued_charges_outside_the_strip_or_at_r_above_one_raise(cfg21, cfg32):
+    ctx = PsiContext.create(cfg21, "plus", z=2.0)
+    images = [psi_apply(ctx, unit_class(cfg21, "plus"))]
+    # the strip 0 < Im w < 2 pi, 0.05 or more from its edges, as for Barnes
+    for w in (complex(1.0, 2.0 * math.pi), complex(-1.0, 0.04), complex(1.0, 2.0 * math.pi - 0.04)):
+        with pytest.raises(NonConvergenceError, match="outside the convergence strip"):
+            central_charge_plus_continued(cfg21, images, w, ctx, order=80)
+    with pytest.raises(NonFiniteError, match="non-finite w"):
+        central_charge_plus_continued(cfg21, images, complex(math.nan, math.pi), ctx, order=80)
+    # 0.05 to 0.1 from an edge, past Re w = 0, the segment runs within 0.1
+    # of the singular point e^w = 1 at w = 0
+    with pytest.raises(PathError, match="singular point"):
+        central_charge_plus_continued(cfg21, images, complex(1.0, 0.07), ctx, order=80)
+    ctx32 = PsiContext.create(cfg32, "plus", z=2.0)
+    with pytest.raises(ValueError, match="needs r = 1"):
+        central_charge_plus_continued(cfg32, [psi_apply(ctx32, unit_class(cfg32, "plus"))],
+                                      complex(1.0, math.pi), ctx32, order=80)
 
 
 # ----------------------------------------------------------------------
@@ -2132,15 +2119,14 @@ def test_central_charge_continuation(cfg21):
             Em = generator_e(cfg21, (0,))
             psi_p = psi_apply(ctxp, fm_generator_formula(cfg21, (0,)))
         z_minus, = central_charge(cfg21, [psi_apply(ctxm, Em)], -w, ctxm, order=80)
-        z_plus, = central_charge_plus_continued(cfg21, [psi_p], w, ctxp)
+        z_plus, = central_charge_plus_continued(cfg21, [psi_p], w, ctxp, order=80)
         assert abs(z_plus - z_minus) <= 1e-6 * abs(z_minus)
 
 
 def _calls_on(monkeypatch, name, config):
     """The arguments of each call of ``hypergeom.<name>`` on ``config``
     itself, its first or second argument; the minus side's call on the
-    flip is not one.  Argument 2 is the fixed point: delta of
-    ``i_function``, l of ``barnes_integrate``."""
+    flip is not one.  Argument 2 is the fixed point of ``i_function``."""
     calls = []
     fn = getattr(hypergeom, name)
 
@@ -2157,10 +2143,12 @@ def _calls_on(monkeypatch, name, config):
 def test_three_charges_from_one_i_vector_equal_the_single_ones(cfg21, z, monkeypatch):
     # the I-vector does not depend on the class: three images paired with
     # one vector give the charges of three calls with one image each, from
-    # one i_function per fixed point and one Barnes integral per l
+    # one i_function per fixed point, or past the wall one ODE transfer for
+    # the whole vector and no Barnes integral
     deltas = fixed_point_deltas(cfg21)
     series = _calls_on(monkeypatch, "i_function", cfg21)
     barnes = _calls_on(monkeypatch, "barnes_integrate", cfg21)
+    transfers = _calls_on(monkeypatch, "ode_transfer", cfg21)
 
     ctxm = PsiContext.create(cfg21, "minus", z=z)
     A, B = (generator_e(cfg21, d) for d in deltas)
@@ -2174,21 +2162,47 @@ def test_three_charges_from_one_i_vector_equal_the_single_ones(cfg21, z, monkeyp
     images = [psi_apply(ctxp, fm_generator_formula(cfg21, d)) for d in deltas]
     images.append(psi_apply(ctxp, unit_class(cfg21, "plus")))
     w = math.log(3.0) + 1j * math.pi
-    charges = central_charge_plus_continued(cfg21, images, w, ctxp)
-    assert [call[2] for call in barnes] == [0, 1]
-    assert charges == [central_charge_plus_continued(cfg21, [im], w, ctxp)[0] for im in images]
+    charges = central_charge_plus_continued(cfg21, images, w, ctxp, order=80)
+    assert len(transfers) == 1 and barnes == []
+    assert charges == [central_charge_plus_continued(cfg21, [im], w, ctxp, order=80)[0]
+                       for im in images]
 
 
 def test_charge_cases_build_one_i_vector(monkeypatch):
-    # fm-continuation pairs two classes with one continued I-vector: n
-    # Barnes integrals, not n per class; linearity pairs three classes with
-    # one I-series per fixed point
+    # fm-continuation pairs two classes with one continued I-vector: one
+    # ODE transfer, not one per class, and no Barnes integral; linearity
+    # pairs three classes with one I-series per fixed point
     env = SuiteEnv()
     cfg = env.config_for(2, 1)
     cases = {c.name: c for c in collect_cases(env, "central-charge")}
     barnes = _calls_on(monkeypatch, "barnes_integrate", cfg)
+    transfers = _calls_on(monkeypatch, "ode_transfer", cfg)
     assert cases["fm-continuation"].thunk()[0] == "pass"
-    assert len(barnes) == cfg.n
+    assert len(transfers) == 1 and barnes == []
     series = _calls_on(monkeypatch, "i_function", cfg)
     assert cases["linearity"].thunk()[0] == "pass"
     assert [call[2] for call in series] == fixed_point_deltas(cfg)
+
+
+def test_a_dropped_gamma_class_fails_fm_continuation(monkeypatch):
+    case, = [c for c in collect_cases(SuiteEnv(), "central-charge") if c.name == "fm-continuation"]
+    assert case.thunk()[0] == "pass"
+    monkeypatch.setattr(hypergeom, "gamma_class", lambda *args: 1.0 + 0j)
+    assert case.thunk()[0] == "fail"
+
+
+def test_one_default_verify_op_makes_eleven_barnes_calls(monkeypatch):
+    # 2n per wall-crossing case, at n = 2 and 3, and one for the pole-line
+    # guard; the central charges continue along the ODE
+    calls = []
+    barnes = hypergeom.barnes_integrate
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return barnes(*args, **kw)
+
+    monkeypatch.setattr(hypergeom, "barnes_integrate", counted)
+    monkeypatch.setattr(suites, "barnes_integrate", counted)
+    report = cli.run_suite(cli.RunConfig(), "all")
+    assert {c["status"] for c in report.cases} == {"pass"}
+    assert len(calls) == 2 * 2 + 2 * 3 + 1

@@ -12,14 +12,18 @@ import flopwall
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args, cwd, returncode=0):
+def _run(name, *args, cwd):
     # the scripts import flopwall; run them against the same copy as the tests
     src = str(Path(flopwall.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_script(name, *args, cwd, returncode=0):
+    proc = _run(name, *args, cwd=cwd)
     assert proc.returncode == returncode, proc.stderr
     return proc.stdout if returncode == 0 else proc.stderr
 
@@ -53,3 +57,26 @@ def test_charge_profile_reports_a_q_where_the_minus_series_diverges(tmp_path):
     # at |q+| = 1/2 the minus series runs at |q-| = 2, outside its disc
     err = run_script("charge_profile.py", "--q-values", "0.5", cwd=tmp_path, returncode=2)
     assert err.startswith("evaluation error: the I-series diverges at w = "), err
+
+
+def _usage_error(*args, cwd):
+    """stderr of a charge_profile.py run that argparse rejects: exit 2 and
+    nothing on stdout, not even the table header."""
+    proc = _run("charge_profile.py", *args, cwd=cwd)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    return proc.stderr
+
+
+def test_charge_profile_rejects_a_zero_z_before_printing(tmp_path):
+    # z = 0 used to reach cmath.log in PsiContext.create and exit 1 with a traceback
+    for z in ("0", "nan"):
+        err = _usage_error("--z", z, cwd=tmp_path)
+        assert f"argument --z: z must be finite and nonzero, got {z!r}" in err, err
+
+
+def test_charge_profile_rejects_a_q_that_is_not_positive_before_printing(tmp_path):
+    # a bad entry used to raise ValueError after the header; each one is
+    # checked before anything is printed
+    for values, bad in [("abc", "abc"), ("3,0", "0"), ("-2,3", "-2"), ("3,,4", ""), ("3,inf", "inf")]:
+        err = _usage_error(f"--q-values={values}", cwd=tmp_path)
+        assert f"argument --q-values: |q| must be a positive finite number, got {bad!r}" in err, err
